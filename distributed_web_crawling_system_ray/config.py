@@ -35,7 +35,10 @@ class CrawlConfig:
     # DEFAULT_DELAY_MS / CONSERVATIVE_DELAY_MS.
 
     # sharding / parallelism
-    seen_shards: int = 8        # UrlSeenShard actors (url_hash % K routing)
+    # logical seen shards K: sets url_hash % K routing and the checkpoint
+    # layout; they are hosted on min(K, cluster CPUs) UrlSeenShard actors,
+    # so the cluster size, not K, sets the process count
+    seen_shards: int = 8
     fetch_batch_size: int = 256
     # decode batch sizing: rows are wide (binary image bytes) — size by
     # payload bytes, not row count, when images are large.  512 x ~60 KB

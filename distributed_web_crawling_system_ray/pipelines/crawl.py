@@ -482,7 +482,6 @@ def run_crawl(
     else:
         frontier = FrontierHandle.from_table(seed_frontier(fixture_dir, seen))
 
-    timing = os.environ.get("GRAFT_TIMING") == "1"
     # wall-clock base for real-time politeness replay: anchored ONCE here on
     # the driver and shared by all fetch workers (per-worker monotonic epochs
     # drifted by pipeline spin-up and broke same-host spacing)
@@ -498,12 +497,6 @@ def run_crawl(
         # to its own restored clock, so its first resumed fetch is due ~now
         # and within-host gaps (slot deltas >= crawl delay) are preserved.
         rt_offsets_ref = ray.put({h: int(c) for h, c in clocks.items()})
-
-    def _tick(label: str, marks: list, t: list) -> None:
-        if timing:
-            now = time.time()
-            marks.append((label, round(now - t[0], 2)))
-            t[0] = now
 
     rnd = start_round
     while True:
@@ -537,8 +530,6 @@ def run_crawl(
         if frontier.num_rows == 0 or rnd >= cfg.max_rounds:
             break
         t0 = time.time()
-        marks: list = []
-        tmark = [t0]
 
         small_round = frontier.num_rows <= cfg.driver_partition_limit
         if frontier.paths:
@@ -582,7 +573,6 @@ def run_crawl(
                 batch_format="pyarrow",
             )
         schedule = schedule_ds.materialize()
-        _tick("schedule", marks, tmark)
 
         if small_round:
             sched_parts = [
@@ -649,7 +639,6 @@ def run_crawl(
                         host
                     )
             n_scheduled = n_allowed + n_disallowed + n_deferred
-        _tick("sched_agg", marks, tmark)
 
         # --- fetch allowed rows (actor pool; politeness is virtual-time)
         allowed_ds = schedule.map_batches(
@@ -667,13 +656,11 @@ def run_crawl(
             batch_format="pyarrow",
             batch_size=cfg.fetch_batch_size,
         ).materialize()
-        _tick("fetch", marks, tmark)
 
         n_fetched = results.count()
         n_ok = results.map_batches(
             lambda t: t.filter(pc.equal(t["status"], 200)), batch_format="pyarrow"
         ).count()
-        _tick("counts", marks, tmark)
 
         # --- payload branch: image refs -> PURE image-seen/robots filter ->
         # set-dedup -> decode actor pool -> parquet sink -> exactly-once
@@ -871,7 +858,6 @@ def run_crawl(
             .map_batches(_seen_prefilter, batch_format="pyarrow")
         ).materialize()
         n_cands = cands_mat.count()
-        _tick("links", marks, tmark)
 
         # next-frontier pieces: driver tables (small) and/or persisted paths
         nf_tables: list[pa.Table] = []
@@ -941,7 +927,6 @@ def run_crawl(
             n_links_new = len(keys)
             nf_paths.append(links_dir)
             nf_path_rows += n_links_new
-        _tick("admit", marks, tmark)
 
         # deferred rows re-enter the next round (already in the seen set)
         if n_deferred:
@@ -965,7 +950,6 @@ def run_crawl(
         if "error" in payload_out:
             raise payload_out["error"]
         n_images = payload_out["n_images"]
-        _tick("payload_join", marks, tmark)
 
         m = {
             "round": rnd,
@@ -979,12 +963,6 @@ def run_crawl(
             "wall_s": round(time.time() - t0, 3),
         }
         metrics.append(m)
-        if timing:
-            _tick("commit_pre", marks, tmark)
-            print(
-                f"[round {rnd}] " + " ".join(f"{k}={v}" for k, v in marks),
-                flush=True,
-            )
 
         # ---- assemble + persist the next frontier, then commit the round
         nf_tables = [t for t in nf_tables if t.num_rows]

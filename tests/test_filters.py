@@ -1,6 +1,8 @@
 """Bloom/cuckoo filter unit tests (SURVEY §5 item 1): no false negatives,
 bounded false positives, idempotent check_and_add, snapshot/restore."""
 
+import os
+
 import numpy as np
 
 from distributed_web_crawling_system_ray.state.filters import BloomFilter, CuckooFilter
@@ -90,3 +92,53 @@ def test_shard_intra_batch_duplicates(ray_session):
     assert list(seen) == [False, False, True, False, True, True]
     # and fully seen on a second call
     assert pool.check_and_add(keys).all()
+
+
+def test_pool_hosts_k_shards_on_fewer_actors(ray_session):
+    """K=8 logical shards on the 4-CPU session -> 4 host actors holding two
+    shards each; decisions match a Python-set reference, including
+    intra-batch duplicates that land on different shards of one actor."""
+    from distributed_web_crawling_system_ray.state.seen import SeenPool
+
+    pool = SeenPool.create(8)
+    assert pool.k == 8
+    assert len(pool.hosts) == 4
+    rng = np.random.default_rng(11)
+    ref: set = set()
+    # shards 1 and 5 share actor 1: a batch alternating between them, each
+    # key repeated, exercises both shards of one host in one RPC
+    batches = [np.array([1, 5, 9, 1, 13, 5, 9, 21], dtype=np.uint64)]
+    batches += [rng.integers(0, 300, size=200, dtype=np.uint64) for _ in range(6)]
+    for keys in batches:
+        expect = []
+        for key in keys.tolist():
+            expect.append(key in ref)
+            ref.add(key)
+        assert pool.check_and_add(keys).tolist() == expect
+        probe = rng.integers(0, 400, size=300, dtype=np.uint64)
+        assert pool.contains(probe).tolist() == [p in ref for p in probe.tolist()]
+    assert pool.total() == len(ref)
+
+
+def test_pool_restore_into_other_host_count(ray_session, tmp_path):
+    """A checkpoint taken with n host actors restores into m != n: same
+    membership and count, same later decisions, and the snapshot directory
+    holds exactly one seen_shard_{s}.pkl per logical shard."""
+    from distributed_web_crawling_system_ray.state.seen import SeenPool
+
+    a = SeenPool.create(8)
+    keys = np.random.default_rng(12).integers(0, 2**63, size=3000, dtype=np.uint64)
+    a.check_and_add(keys)
+    a.snapshot(str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"seen_shard_{s}.pkl" for s in range(8)
+    )
+    b = SeenPool(8, 3)
+    assert len(b.hosts) != len(a.hosts)
+    assert b.restore(str(tmp_path)) == a.total() == len(set(keys.tolist()))
+    fresh = np.random.default_rng(13).integers(0, 2**63, size=500, dtype=np.uint64)
+    probe = np.concatenate([keys[:500], fresh])
+    assert np.array_equal(a.contains(probe), b.contains(probe))
+    more = np.concatenate([keys[-100:], probe[-200:], probe[-200:]])
+    assert np.array_equal(a.check_and_add(more), b.check_and_add(more))
+    assert a.total() == b.total()
