@@ -280,21 +280,30 @@ def _wildcard_query_sql() -> str:
     The expansion domain is data-derived exactly like the index's
     vocabulary sidecar: DISTINCT stemmed tokens over title+content (the
     title stream includes the same truncation-partial tokens the index
-    stores).  Each pattern expands with LIKE ('*' -> '%', '?' -> '_');
-    a doc matches when some cust*-term hits (either field) AND some
-    s?rt-term hits the title AND no wind*-term hits; the score sums the
-    per-expanded-term integer BM25F contributions (leaves 1 and 2 — the
-    NOT leaf never scores), mirroring SearchIndex.search's expanded-leaf
-    scoring."""
+    stores).  The patterns and fields come from parse_query's leaves of
+    the one AND-group; each pattern expands with LIKE ('*' -> '%',
+    '?' -> '_', a literal '_' or '%' escaped).  A doc matches when every
+    positive leaf has an expanded term hitting its field and no negated
+    leaf does; the score sums the per-expanded-term integer BM25F
+    contributions of the positive leaves (a NOT leaf never scores),
+    mirroring SearchIndex.search's expanded-leaf scoring."""
     from distributed_web_crawling_system_ray.pipelines.search import (
         BM25_TOP_K,
         BOOST_TITLE,
         IDF_SCALE,
         SNIPPET_CHARS,
         TITLE_CHARS,
+        WILDCARD_QUERY,
+        parse_query,
     )
 
     B = BOOST_TITLE
+    (group,) = parse_query(WILDCARD_QUERY)
+
+    def like(pattern: str) -> str:
+        # '_' is a token character the index matches literally
+        esc = pattern.replace("%", "\\%").replace("_", "\\_")
+        return esc.replace("*", "%").replace("?", "_")
 
     def w_expr(field: str | None) -> str:
         t = f"{B}*len(list_filter(f.wt, x -> x = v.term))"
@@ -305,11 +314,12 @@ def _wildcard_query_sql() -> str:
             return f"({c})::BIGINT"
         return f"({t} + {c})::BIGINT"
 
-    def exploded(i: int, like: str, field: str | None) -> str:
+    def exploded(i: int, pattern: str, field: str | None) -> str:
         return (
             f"w{i} AS (SELECT f.doc_id, v.term, {w_expr(field)} AS w "
             f"FROM tf0_ f CROSS JOIN "
-            f"(SELECT term FROM vocab WHERE term LIKE '{like}') v)"
+            f"(SELECT term FROM vocab WHERE term LIKE '{like(pattern)}' "
+            f"ESCAPE '\\') v)"
         )
 
     def scored(i: int) -> str:
@@ -329,24 +339,32 @@ def _wildcard_query_sql() -> str:
             f"JOIN tf0_ f ON f.doc_id = w.doc_id, st GROUP BY w.doc_id)"
         )
 
+    leaves = list(enumerate(group, 1))
+    pos = [i for i, (_, _, negated) in leaves if not negated]
+    neg = [i for i, (_, _, negated) in leaves if negated]
+    ctes = [exploded(i, str(t), f) for i, (f, t, _) in leaves]
+    ctes += [scored(i) for i in pos]
+    ctes += [
+        f"h{i} AS (SELECT doc_id, max(CASE WHEN w > 0 THEN 1 ELSE 0 END) AS hit "
+        f"FROM w{i} GROUP BY doc_id)"
+        for i in neg
+    ]
+    score = " + ".join(f"coalesce(s{i}.s, 0)" for i in pos)
+    match = " AND ".join(
+        [f"coalesce(s{i}.hit, 0) > 0" for i in pos]
+        + [f"coalesce(h{i}.hit, 0) = 0" for i in neg]
+    )
+    joins = " ".join(
+        [f"LEFT JOIN s{i} ON s{i}.doc_id = f.doc_id" for i in pos]
+        + [f"LEFT JOIN h{i} ON h{i}.doc_id = f.doc_id" for i in neg]
+    )
     return (
         _tok_prologue() + ", "
         "vocab AS (SELECT DISTINCT unnest(list_concat(wt, wc)) AS term FROM tf0_), "
         "st AS (SELECT count(*)::BIGINT AS nd, sum(dl)::BIGINT AS tdl FROM tf0_), "
-        + exploded(1, "cust%", None) + ", "
-        + exploded(2, "s_rt", "title") + ", "
-        + exploded(3, "wind%", None) + ", "
-        + scored(1) + ", "
-        + scored(2) + ", "
-        "h3 AS (SELECT doc_id, max(CASE WHEN w > 0 THEN 1 ELSE 0 END) AS hit "
-        "FROM w3 GROUP BY doc_id), "
-        "s AS (SELECT f.doc_id, f.text, f.source, "
-        "(coalesce(s1.s, 0) + coalesce(s2.s, 0))::BIGINT AS score, "
-        "(coalesce(s1.hit, 0) > 0 AND coalesce(s2.hit, 0) > 0 "
-        "AND coalesce(h3.hit, 0) = 0) AS m "
-        "FROM tf0_ f LEFT JOIN s1 ON s1.doc_id = f.doc_id "
-        "LEFT JOIN s2 ON s2.doc_id = f.doc_id "
-        "LEFT JOIN h3 ON h3.doc_id = f.doc_id) "
+        + ", ".join(ctes) + ", "
+        f"s AS (SELECT f.doc_id, f.text, f.source, ({score})::BIGINT AS score, "
+        f"({match}) AS m FROM tf0_ f {joins}) "
         'SELECT row_number() OVER (ORDER BY score DESC, doc_id)::BIGINT AS "rank", '
         "doc_id, 'doc://' || source || '/' || doc_id AS url, "
         f"substring(text, 1, {TITLE_CHARS}) AS title, source AS domain, "
@@ -367,11 +385,7 @@ def entry() -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from distributed_web_crawling_system_ray import api
-    from distributed_web_crawling_system_ray.pipelines import (
-        dataops,
-        search,
-        search_index,
-    )
+    from distributed_web_crawling_system_ray.pipelines import dataops, search_index
 
     return {
         # --- crawl engine (SURVEY §2 operator groups) ---
@@ -395,8 +409,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # --- search layer (M9 tokenizer, M10 snippet, T1 top-k, D2, D5) ---
         # answered FROM the persisted inverted index (build-once-query-many
         # with upsert-by-doc_id across submissions — the reference's Whoosh
-        # update_document contract, indexer/indexer_node.py:83-106); outputs
-        # are identical to the direct one-pass pipeline in pipelines/search.py
+        # update_document contract, indexer/indexer_node.py:83-106); every
+        # one is hash-checked against a direct recompute in oracle_sql()
         "search_topk": search_index.search_topk_indexed,
         "search_and_terms": search_index.search_and_terms_indexed,
         "search_term_df": search_index.search_term_df_indexed,
@@ -429,7 +443,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # greedy fragment-selection loop is not SQL-expressible; the
         # algorithm is pytest-pinned (tests/test_search.py) and the row
         # set mirrors oracle-checked search_topk
-        "search_topk_highlighted": search.search_topk_highlighted,
+        "search_topk_highlighted": search_index.search_topk_highlighted,
         # index status surface: document_count + generations (the
         # reference's update_stats/get_status, indexer_node.py:188-217);
         # byte sizes are in SearchIndex.stats(), pytest-pinned

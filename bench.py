@@ -194,7 +194,6 @@ def run_bench(num_cpus: int) -> dict:
     }
 
     from distributed_web_crawling_system_ray.pipelines import dataops
-    from distributed_web_crawling_system_ray.pipelines import search as searchops
 
     for name, fn in (
         ("doc_exact_dedup", dataops.doc_exact_dedup),
@@ -210,8 +209,6 @@ def run_bench(num_cpus: int) -> dict:
             lambda sf: dataops.ann_topk_ivf(sf, nprobe=dataops.IVF_NLIST),
         ),
         ("emb_near_dup_pairs", dataops.emb_near_dup_pairs),
-        ("search_topk", searchops.search_topk),
-        ("search_topk_bm25f", searchops.search_topk_bm25f),
         ("image_phash_near_dup", dataops.image_phash_near_dup),
     ):
         t0 = time.time()

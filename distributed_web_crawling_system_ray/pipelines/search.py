@@ -1,53 +1,32 @@
-"""The search layer: tokenizer, inverted-index build, scored top-k, AND-query.
+"""The search layer's shared definitions: tokenizer, stemmer, query parser,
+pinned queries, scoring constants, highlighting and the BM25F kernels.
 
-Rebuilds the reference's indexer/search surface (the last SURVEY §2 group —
-M9 tokenizer, M10 snippet, T1 top-k, D2 per-doc token dedup, D5 posting-list
-intersection) Ray-Data-first over the ``documents`` table:
+Every search query is answered from the persistent inverted index
+(``pipelines/search_index.py``), the reference's index-once-query-per-request
+shape (``indexer/indexer_node.py:151-183``).  This module holds what the
+index, the DuckDB oracle (``__ray_entry__.oracle_sql``) and the tests share:
 
 - tokenizer: v1's ``re.findall(r'\\w+', text.lower())``
   (``archive/indexer_node.py:19-22``), restricted to ASCII ``[a-z0-9_]+`` so
   the DuckDB (RE2) oracle tokenizes identically.  v3 uses Whoosh's
-  ``StemmingAnalyzer`` (``indexer/indexer_node.py:63``); a minimal
-  suffix-stripper approximation is provided for parity tests (``stem=True``)
-  but oracle-checked queries use the exact v1 tokenizer.
-- index build (``search_term_df``): per-doc DISTINCT terms
-  (v1's ``set(tokens)`` dedup, ``archive/indexer_node.py:33`` — D2) ->
-  per-batch partial term counts (combiner) -> ``groupby(term).sum`` — the
-  postings/document-frequency table that IS the inverted index statistics
-  (v1 index: ``defaultdict(word -> [url])``, ``archive/indexer_node.py:15-17``).
-- scored top-k (``search_topk``): integer TF-IDF — score(d) = Σ_t tf(t,d) ·
-  ((N·1000) // df(t)) — ranked by (score DESC, doc_id), k=20, with the
-  v3 snippet fallback ``content[:200]`` (``indexer/indexer_node.py:166-171``).
-  Integer-scaled idf keeps the DuckDB value-hash comparison float-free
-  (BM25F's floats would not hash-match; the *shape* — rarity-weighted term
-  frequency over a MultifieldParser'd query — is the same,
-  ``indexer/indexer_node.py:151-183``).
-- AND-intersection (``search_and_terms``): docs containing ALL query terms —
-  v1's posting-list AND (``archive/indexer_node.py:44-48``, D5).
-
-Scale shape (the part that must survive 100 TB):
-- ONE tokenize pass; the per-doc query-term tf vector (a few int columns) is
-  the only materialized intermediate — text never leaves the read stage.
-- df/N are per-batch partial sums folded driver-side (no shuffle; Q+1 ints
-  per batch).
-- top-k is local-k-per-batch -> tiny driver merge (classic scalable top-k;
-  never a global sort).
-- snippets are fetched by a second *pruned* read filtered to the k winner
-  ids — the text column is read only for k rows.
-- ``search_term_df`` shuffles only the per-batch combined (term, partial_df)
-  rows — vocabulary-sized, not corpus-sized.
+  ``StemmingAnalyzer`` (``indexer/indexer_node.py:63``); ``_stem`` is a
+  minimal suffix-stripper stand-in with an exact SQL twin
+  (``STEM_SQL_CASE``).
+- ``parse_query``: the MultifieldParser stand-in (fields, AND/OR/NOT,
+  parens, phrases, wildcards) -> disjunctive normal form, bounded in nesting
+  depth and DNF size.
+- scoring: integer TF-IDF, score(d) = Σ_t tf(t,d) · ((N·1000) // df(t)),
+  and integer BM25F (``bm25f_contribution`` / ``bm25f_contrib_vec``).
+  Integer arithmetic keeps the DuckDB value-hash comparison float-free.
+- ``highlight``: Whoosh-style best-fragment highlighting with the v3
+  ``content[:200]`` fallback (``indexer/indexer_node.py:166-171``).
 """
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
-import ray
-import ray.data
 
 # ---------------------------------------------------------------- tokenizer
 
@@ -194,13 +173,19 @@ def _negate(node):
     return ("and", [_negate(c) for c in node[1]])
 
 
-def _parse_or(toks: list, i: int):
+# bounds on adversarial queries: each '(' or NOT nests one level of the
+# recursive descent, and an AND of OR-groups multiplies the DNF group count
+MAX_QUERY_DEPTH = 64
+MAX_DNF_GROUPS = 4096
+
+
+def _parse_or(toks: list, i: int, depth: int = 0):
     nodes = []
-    node, i = _parse_and(toks, i)
+    node, i = _parse_and(toks, i, depth)
     if node is not None:
         nodes.append(node)
     while i < len(toks) and toks[i] == "OR":
-        node, i = _parse_and(toks, i + 1)
+        node, i = _parse_and(toks, i + 1, depth)
         if node is not None:
             nodes.append(node)
     if not nodes:
@@ -208,13 +193,13 @@ def _parse_or(toks: list, i: int):
     return (("or", nodes) if len(nodes) > 1 else nodes[0]), i
 
 
-def _parse_and(toks: list, i: int):
+def _parse_and(toks: list, i: int, depth: int):
     nodes = []
     while i < len(toks) and toks[i] not in ("OR", ")"):
         if toks[i] == "AND":
             i += 1
             continue
-        node, i = _parse_unary(toks, i)
+        node, i = _parse_unary(toks, i, depth)
         if node is not None:
             nodes.append(node)
     if not nodes:
@@ -222,8 +207,12 @@ def _parse_and(toks: list, i: int):
     return (("and", nodes) if len(nodes) > 1 else nodes[0]), i
 
 
-def _parse_unary(toks: list, i: int):
+def _parse_unary(toks: list, i: int, depth: int):
     t = toks[i]
+    if t in ("NOT", "(") and depth >= MAX_QUERY_DEPTH:
+        raise ValueError(
+            f"query nesting deeper than {MAX_QUERY_DEPTH} levels is not supported"
+        )
     if t == "NOT":
         if i + 1 >= len(toks):
             return None, i + 1
@@ -232,10 +221,10 @@ def _parse_unary(toks: list, i: int):
             # vacuous NOT ('a NOT OR b', '(a NOT)'): drop the NOT and do
             # NOT consume the operator — it belongs to the outer parse
             return None, i + 1
-        node, i = _parse_unary(toks, i + 1)
+        node, i = _parse_unary(toks, i + 1, depth + 1)
         return (None if node is None else _negate(node)), i
     if t == "(":
-        node, i = _parse_or(toks, i + 1)
+        node, i = _parse_or(toks, i + 1, depth + 1)
         if i < len(toks) and toks[i] == ")":
             i += 1
         return node, i
@@ -264,6 +253,9 @@ def _parse_unary(toks: list, i: int):
 
 
 def _dnf(node) -> list[list[QueryLeaf]]:
+    """DNF expansion; raises before any intermediate exceeds
+    ``MAX_DNF_GROUPS`` (a child's DNF is never empty, so the group count
+    only grows on the way up)."""
     kind = node[0]
     if kind == "leaf":
         _, f, t, neg = node
@@ -271,9 +263,23 @@ def _dnf(node) -> list[list[QueryLeaf]]:
     if kind in ("and", "wordand"):
         out: list[list[QueryLeaf]] = [[]]
         for ch in node[1]:
-            out = [g + h for g in out for h in _dnf(ch)]
+            sub = _dnf(ch)
+            _check_groups(len(out) * len(sub))
+            out = [g + h for g in out for h in sub]
         return out
-    return [grp for ch in node[1] for grp in _dnf(ch)]
+    out = []
+    for ch in node[1]:
+        out += _dnf(ch)
+        _check_groups(len(out))
+    return out
+
+
+def _check_groups(n: int) -> None:
+    if n > MAX_DNF_GROUPS:
+        raise ValueError(
+            f"query expands to more than {MAX_DNF_GROUPS} AND-groups "
+            "and is not supported"
+        )
 
 
 def parse_query(query_str: str) -> list[list[QueryLeaf]]:
@@ -317,6 +323,10 @@ def parse_query(query_str: str) -> list[list[QueryLeaf]]:
     applied here — the caller stems leaves (phrase constituents included)
     with the index's own ``_prep_terms`` so parsed queries match both stem
     modes.
+
+    Bounded: raises ``ValueError`` when parens/NOTs nest deeper than
+    ``MAX_QUERY_DEPTH`` or the DNF would exceed ``MAX_DNF_GROUPS`` groups,
+    so adversarial input costs bounded time and memory.
     """
     root, _ = _parse_or(_lex_query(query_str), 0)
     if root is None:
@@ -384,194 +394,12 @@ BM25_TOP_K = 10  # the reference's search() default max_results=10
 BOOST_TITLE = 2
 
 
-def derive_title(text: str) -> str:
-    return text[:TITLE_CHARS]
-
-
 def derive_url(doc_id: int, source: str) -> str:
     return f"doc://{source}/{doc_id}"
 
 
 def derive_crawl_date(doc_id: int) -> str:
     return f"2025-06-{1 + doc_id % 28:02d}"
-
-
-def _docs(sf_dir: str, columns=("doc_id", "text")) -> "ray.data.Dataset":
-    from distributed_web_crawling_system_ray.pipelines.dataops import _read_pq
-
-    return _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=list(columns)
-    )
-
-
-def _tf_table(
-    sf_dir: str, terms=QUERY_TERMS, stem: bool = False
-) -> "ray.data.Dataset":
-    """One tokenize pass -> per-doc query-term tf vector (doc_id + Q ints).
-    This is the only materialized intermediate; it is ~Q+1 ints per doc.
-    With ``stem=True`` both the document tokens and the comparison run over
-    stems (the v3 StemmingAnalyzer contract — terms are pre-stemmed by the
-    caller)."""
-    term_list = list(terms)
-
-    def tf(batch: pa.Table) -> pa.Table:
-        counts = [np.zeros(batch.num_rows, dtype=np.int64) for _ in term_list]
-        idx = {t: i for i, t in enumerate(term_list)}
-        for r, text in enumerate(batch.column("text").to_pylist()):
-            for tok in _TOKEN.findall(text.lower()):
-                if stem:
-                    tok = _stem(tok)
-                i = idx.get(tok)
-                if i is not None:
-                    counts[i][r] += 1
-        cols = {"doc_id": batch.column("doc_id")}
-        for i, t in enumerate(term_list):
-            cols[f"tf_{i}"] = pa.array(counts[i], pa.int64())
-        return pa.table(cols)
-
-    return _docs(sf_dir).map_batches(tf, batch_format="pyarrow").materialize()
-
-
-def _df_and_n(tf_ds: "ray.data.Dataset", q: int) -> tuple[np.ndarray, int]:
-    """Document frequencies + corpus size via per-batch partial sums (a
-    combiner-only aggregate: Q+1 ints per batch, folded on the driver)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        row = {"n": pa.array([batch.num_rows], pa.int64())}
-        for i in range(q):
-            nz = pc.sum(
-                pc.cast(
-                    pc.greater(batch.column(f"tf_{i}"), 0), pa.int64()
-                )
-            ).as_py()
-            row[f"df_{i}"] = pa.array([int(nz or 0)], pa.int64())
-        return pa.table(row)
-
-    parts = [
-        t
-        for t in ray.get(
-            tf_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    if not parts:  # empty documents table
-        return np.zeros(q, dtype=np.int64), 0
-    folded = pa.concat_tables(parts)
-    n = int(pc.sum(folded.column("n")).as_py() or 0)
-    df = np.array(
-        [int(pc.sum(folded.column(f"df_{i}")).as_py() or 0) for i in range(q)],
-        dtype=np.int64,
-    )
-    return df, n
-
-
-def search_topk(sf_dir: str) -> pa.Table:
-    """Integer TF-IDF top-k for the pinned query, with v3-style snippets.
-
-    Returns (rank, doc_id, score, snippet) — rank 1..k by
-    (score DESC, doc_id ASC), snippet = first 200 chars of the doc text.
-    """
-    return _topk_over(sf_dir, stem=False)
-
-
-def search_topk_stemmed(sf_dir: str) -> pa.Table:
-    """The v3 half of the search contract: scoring over STEMMED tokens
-    (Whoosh StemmingAnalyzer, indexer/indexer_node.py:63) — 'joins',
-    'joined', 'joining' all count toward 'join'.  The suffix-stripper
-    ``_stem`` is expressible in SQL (a CASE chain over the same rules), so
-    this variant is DuckDB-hash-checked like the v1 path."""
-    return _topk_over(sf_dir, stem=True)
-
-
-def _topk_over(sf_dir: str, stem: bool) -> pa.Table:
-    q = len(QUERY_TERMS)
-    terms = [_stem(t) for t in QUERY_TERMS] if stem else list(QUERY_TERMS)
-    tf_ds = _tf_table(sf_dir, terms=terms, stem=stem)
-    df, n = _df_and_n(tf_ds, q)
-    idf = np.where(df > 0, (n * IDF_SCALE) // np.maximum(df, 1), 0).astype(np.int64)
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        score = np.zeros(batch.num_rows, dtype=np.int64)
-        for i in range(q):
-            score += batch.column(f"tf_{i}").to_numpy() * idf[i]
-        t = pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "score": pa.array(score, pa.int64()),
-            }
-        )
-        order = pc.sort_indices(
-            t, sort_keys=[("score", "descending"), ("doc_id", "ascending")]
-        )
-        return t.take(order.slice(0, TOP_K))
-
-    parts = [
-        t
-        for t in ray.get(
-            tf_ds.map_batches(local_topk, batch_format="pyarrow").materialize().to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    merged = pa.concat_tables(parts) if parts else None
-    if merged is None or merged.num_rows == 0:
-        return pa.table(
-            {
-                "rank": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "score": pa.array([], pa.int64()),
-                "snippet": pa.array([], pa.string()),
-            }
-        )
-    order = pc.sort_indices(
-        merged, sort_keys=[("score", "descending"), ("doc_id", "ascending")]
-    )
-    top = merged.take(order.slice(0, TOP_K))
-
-    # snippet fetch: pruned read of the text column for the k winners only
-    ids = top.column("doc_id").to_pylist()
-    snip_ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        filter=pc.field("doc_id").isin(ids),
-    )
-    snip_parts = [t for t in ray.get(snip_ds.materialize().to_arrow_refs()) if t.num_rows]
-    snips: dict[int, str] = {}
-    for t in snip_parts:
-        for d, txt in zip(t.column("doc_id").to_pylist(), t.column("text").to_pylist()):
-            snips[d] = txt[:SNIPPET_CHARS]
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, top.num_rows + 1, dtype=np.int64)),
-            "doc_id": top.column("doc_id"),
-            "score": top.column("score"),
-            "snippet": pa.array([snips.get(d, "") for d in ids], pa.string()),
-        }
-    )
-
-
-def search_and_terms(sf_dir: str) -> pa.Table:
-    """v1 AND-search: doc_ids containing ALL pinned query terms (D5)."""
-    q = len(QUERY_TERMS)
-    tf_ds = _tf_table(sf_dir)
-
-    def all_terms(batch: pa.Table) -> pa.Table:
-        mask = np.ones(batch.num_rows, dtype=bool)
-        for i in range(q):
-            mask &= batch.column(f"tf_{i}").to_numpy() > 0
-        return pa.table({"doc_id": batch.column("doc_id").filter(pa.array(mask))})
-
-    parts = [
-        t
-        for t in ray.get(
-            tf_ds.map_batches(all_terms, batch_format="pyarrow").materialize().to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    return (
-        pa.concat_tables(parts)
-        if parts
-        else pa.table({"doc_id": pa.array([], pa.int64())})
-    )
 
 
 # ------------------------------------------------------------- highlights
@@ -636,29 +464,6 @@ def highlight(
     return joined
 
 
-def search_topk_highlighted(sf_dir: str) -> pa.Table:
-    """``search_topk`` with Whoosh-style highlighted fragments instead of the
-    plain 200-char snippet (opt-in surface; the oracle-checked default stays
-    the v3 fallback).  The highlight pass is a pruned read of the k winners'
-    text only."""
-    top = search_topk(sf_dir)
-    ids = top.column("doc_id").to_pylist()
-    snip_ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        filter=pc.field("doc_id").isin(ids),
-    )
-    texts: dict[int, str] = {}
-    for t in [x for x in ray.get(snip_ds.materialize().to_arrow_refs()) if x.num_rows]:
-        for d, txt in zip(t.column("doc_id").to_pylist(), t.column("text").to_pylist()):
-            texts[d] = txt
-    return top.set_column(
-        top.schema.get_field_index("snippet"),
-        "snippet",
-        pa.array([highlight(texts.get(d, "")) for d in ids], pa.string()),
-    )
-
-
 # ----------------------------------------------------------------- BM25F
 
 
@@ -666,8 +471,8 @@ def bm25f_contribution(
     idf: int, tf_w: int, dl: int, total_dl: int, n: int
 ) -> int:
     """One term's integer BM25F contribution (see the derivation at the
-    constants above).  Shared by the direct pipeline, the persistent index
-    and the pytest oracle-parity checks."""
+    constants above) — the scalar reference the vector kernel and the
+    brute-force tests are checked against."""
     den = 10 * total_dl * tf_w + 3 * total_dl + 9 * dl * n
     return (idf * 22 * tf_w * total_dl) // den if den > 0 else 0
 
@@ -709,213 +514,3 @@ def bm25f_contrib_vec(idf, tf_w, dl, total_dl: int, n: int) -> np.ndarray:
     num = idf_arr.astype(object) * (22 * total_dl) * tfw_o
     out = np.where(den > 0, num // np.maximum(den, 1), 0)
     return out.astype(np.int64)
-
-
-def _bm25f_tf_table(sf_dir: str, terms: list[str]) -> "ray.data.Dataset":
-    """One tokenize pass over (title, content) -> per-doc field tf vectors
-    plus the weighted doc length ``dl``.  Tokens STEM on both fields (the
-    reference's Whoosh StemmingAnalyzer applies to title and content alike,
-    indexer/indexer_node.py:63-70); ``terms`` arrive pre-stemmed."""
-    q = len(terms)
-
-    def tf(batch: pa.Table) -> pa.Table:
-        nrows = batch.num_rows
-        tft = [np.zeros(nrows, dtype=np.int64) for _ in range(q)]
-        tfc = [np.zeros(nrows, dtype=np.int64) for _ in range(q)]
-        dl = np.zeros(nrows, dtype=np.int64)
-        idx = {t: i for i, t in enumerate(terms)}
-        for r, text in enumerate(batch.column("text").to_pylist()):
-            ctoks = _TOKEN.findall(text.lower())
-            ttoks = _TOKEN.findall(text[:TITLE_CHARS].lower())
-            dl[r] = BOOST_TITLE * len(ttoks) + len(ctoks)
-            for tok in ctoks:
-                i = idx.get(_stem(tok))
-                if i is not None:
-                    tfc[i][r] += 1
-            for tok in ttoks:
-                i = idx.get(_stem(tok))
-                if i is not None:
-                    tft[i][r] += 1
-        cols: dict = {"doc_id": batch.column("doc_id")}
-        for i in range(q):
-            cols[f"tft_{i}"] = pa.array(tft[i], pa.int64())
-            cols[f"tfc_{i}"] = pa.array(tfc[i], pa.int64())
-        cols["dl"] = pa.array(dl, pa.int64())
-        return pa.table(cols)
-
-    return _docs(sf_dir).map_batches(tf, batch_format="pyarrow").materialize()
-
-
-def search_topk_bm25f(sf_dir: str, terms=QUERY_TERMS, k: int = BM25_TOP_K) -> pa.Table:
-    """Field-weighted BM25 top-k over (title, content) with stored result
-    fields — the reference's ``searcher(weighting=scoring.BM25F)`` +
-    ``MultifieldParser(["title","content"])`` search surface
-    (indexer/indexer_node.py:151-183), integer-exact so it hash-checks.
-
-    Returns (rank, doc_id, url, title, domain, crawl_date, score, snippet) —
-    the reference's result dict (indexer_node.py:174-181) as columns, ranked
-    by (score DESC, doc_id ASC).
-
-    Scale shape: same as ``search_topk`` — one tokenize pass, per-batch
-    partial (n, total_dl, df) folds, local-topk + tiny merge; the stored
-    fields come from a pruned read of the k winners only.
-    """
-    q_terms = [_stem(t) for t in terms]
-    q = len(q_terms)
-    tf_ds = _bm25f_tf_table(sf_dir, q_terms)
-
-    # partial fold: corpus size, total weighted length, per-term df
-    # (df counts docs where the term appears in EITHER field)
-    def partial(batch: pa.Table) -> pa.Table:
-        row = {
-            "n": pa.array([batch.num_rows], pa.int64()),
-            "tdl": pa.array([int(pc.sum(batch.column("dl")).as_py() or 0)], pa.int64()),
-        }
-        for i in range(q):
-            w = BOOST_TITLE * batch.column(f"tft_{i}").to_numpy() + batch.column(
-                f"tfc_{i}"
-            ).to_numpy()
-            row[f"df_{i}"] = pa.array([int((w > 0).sum())], pa.int64())
-        return pa.table(row)
-
-    parts = [
-        t
-        for t in ray.get(
-            tf_ds.map_batches(partial, batch_format="pyarrow")
-            .materialize()
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    if not parts:
-        n, total_dl, df = 0, 0, np.zeros(q, dtype=np.int64)
-    else:
-        folded = pa.concat_tables(parts)
-        n = int(pc.sum(folded.column("n")).as_py() or 0)
-        total_dl = int(pc.sum(folded.column("tdl")).as_py() or 0)
-        df = np.array(
-            [int(pc.sum(folded.column(f"df_{i}")).as_py() or 0) for i in range(q)],
-            dtype=np.int64,
-        )
-    idf = np.where(df > 0, (n * IDF_SCALE) // np.maximum(df, 1), 0).astype(np.int64)
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        dl = batch.column("dl").to_numpy()
-        score = np.zeros(batch.num_rows, dtype=np.int64)
-        for i in range(q):
-            tf_w = BOOST_TITLE * batch.column(f"tft_{i}").to_numpy() + batch.column(
-                f"tfc_{i}"
-            ).to_numpy()
-            score += bm25f_contrib_vec(int(idf[i]), tf_w, dl, total_dl, n)
-        t = pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "score": pa.array(score, pa.int64()),
-            }
-        )
-        order = pc.sort_indices(
-            t, sort_keys=[("score", "descending"), ("doc_id", "ascending")]
-        )
-        return t.take(order.slice(0, k))
-
-    parts = [
-        t
-        for t in ray.get(
-            tf_ds.map_batches(local_topk, batch_format="pyarrow")
-            .materialize()
-            .to_arrow_refs()
-        )
-        if t.num_rows
-    ]
-    empty = pa.table(
-        {
-            "rank": pa.array([], pa.int64()),
-            "doc_id": pa.array([], pa.int64()),
-            "url": pa.array([], pa.string()),
-            "title": pa.array([], pa.string()),
-            "domain": pa.array([], pa.string()),
-            "crawl_date": pa.array([], pa.string()),
-            "score": pa.array([], pa.int64()),
-            "snippet": pa.array([], pa.string()),
-        }
-    )
-    if not parts:
-        return empty
-    merged = pa.concat_tables(parts)
-    order = pc.sort_indices(
-        merged, sort_keys=[("score", "descending"), ("doc_id", "ascending")]
-    )
-    top = merged.take(order.slice(0, k))
-
-    # stored-fields fetch: pruned read of the k winners only
-    ids = top.column("doc_id").to_pylist()
-    win_ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"],
-        filter=pc.field("doc_id").isin(ids),
-    )
-    fields: dict[int, tuple[str, str, str]] = {}
-    for t in [x for x in ray.get(win_ds.materialize().to_arrow_refs()) if x.num_rows]:
-        for d, txt, src in zip(
-            t.column("doc_id").to_pylist(),
-            t.column("text").to_pylist(),
-            t.column("source").to_pylist(),
-        ):
-            fields[d] = (txt, src)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, top.num_rows + 1, dtype=np.int64)),
-            "doc_id": top.column("doc_id"),
-            "url": pa.array(
-                [derive_url(d, fields[d][1]) for d in ids], pa.string()
-            ),
-            "title": pa.array(
-                [derive_title(fields[d][0]) for d in ids], pa.string()
-            ),
-            "domain": pa.array([fields[d][1] for d in ids], pa.string()),
-            "crawl_date": pa.array(
-                [derive_crawl_date(d) for d in ids], pa.string()
-            ),
-            "score": top.column("score"),
-            "snippet": pa.array(
-                [fields[d][0][:SNIPPET_CHARS] for d in ids], pa.string()
-            ),
-        }
-    )
-
-
-def search_term_df(sf_dir: str) -> pa.Table:
-    """Inverted-index statistics: per-term document frequency.
-
-    The index-build pipeline (v1 ``add_to_index``: tokenize -> per-doc SET of
-    tokens -> postings): per-batch combiner emits (term, partial_df) rows, a
-    vocabulary-sized ``groupby(term).sum`` folds them — the corpus-sized doc
-    stream never enters the shuffle."""
-    from ray.data.aggregate import Sum
-
-    def partial_df(batch: pa.Table) -> pa.Table:
-        counts: dict[str, int] = {}
-        for text in batch.column("text").to_pylist():
-            for tok in set(_TOKEN.findall(text.lower())):  # D2 per-doc dedup
-                counts[tok] = counts.get(tok, 0) + 1
-        return pa.table(
-            {
-                "term": pa.array(list(counts.keys()), pa.string()),
-                "pdf": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
-
-    out = (
-        _docs(sf_dir)
-        .map_batches(partial_df, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("pdf", alias_name="df"))
-    )
-    parts = [t for t in ray.get(out.materialize().to_arrow_refs()) if t.num_rows]
-    return (
-        pa.concat_tables(parts)
-        if parts
-        else pa.table(
-            {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
-        )
-    )

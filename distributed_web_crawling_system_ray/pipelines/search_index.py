@@ -57,6 +57,7 @@ from distributed_web_crawling_system_ray.pipelines.search import (
     bm25f_contrib_vec,
     derive_crawl_date,
     derive_url,
+    highlight,
     parse_query,
     BOOST_TITLE,
     IDF_SCALE,
@@ -125,9 +126,32 @@ def _adjacent_count(pos_lists: list[list[int]]) -> int:
     return len(starts)
 
 
+def _live_mask(ids, gen, last_gen: dict[int, int]) -> np.ndarray:
+    """Which rows are live: ``gen >= last_gen[doc_id]``, where a doc_id no
+    later generation re-indexed needs gen >= 0.  ``ids``/``gen`` are numpy
+    or Arrow columns; one ``searchsorted`` over the sorted supersede map
+    replaces a per-row dict probe."""
+    ids = np.asarray(ids)
+    gen = np.asarray(gen)
+    if not last_gen:
+        return np.ones(len(ids), dtype=bool)
+    keys = np.fromiter(last_gen.keys(), dtype=np.int64, count=len(last_gen))
+    vals = np.fromiter(last_gen.values(), dtype=np.int64, count=len(last_gen))
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    pos = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
+    return gen >= np.where(keys[pos] == ids, vals[pos], 0)
+
+
+def _idf(df: dict[str, int], n: int) -> dict[str, int]:
+    """Integer idf per term: (N * IDF_SCALE) // df, 0 for an unseen term."""
+    return {t: (n * IDF_SCALE) // d if d > 0 else 0 for t, d in df.items()}
+
+
 class SearchIndex:
-    """Handle over one on-disk index.  ``build``/``open`` + ``update`` +
-    query surface (``topk`` / ``and_terms`` / ``term_df``)."""
+    """Handle over one on-disk index.  ``create``/``open`` + ``update`` /
+    ``compact`` + query surface (``topk`` / ``topk_bm25f`` / ``search`` /
+    ``and_terms`` / ``term_df``)."""
 
     def __init__(self, index_dir: str, meta: dict):
         self.index_dir = index_dir
@@ -589,17 +613,9 @@ class SearchIndex:
         def live_filter(batch: pa.Table) -> pa.Table:
             from distributed_web_crawling_system_ray.stages.cache import get_object
 
-            lg = get_object(lg_ref)
-            if not lg or batch.num_rows == 0:
-                return batch
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            gen = batch.column("gen").to_numpy(zero_copy_only=False)
-            keep = np.fromiter(
-                (g >= lg.get(int(i), 0) for i, g in zip(ids, gen)),
-                dtype=bool,
-                count=len(ids),
+            return batch.filter(
+                _live_mask(batch["doc_id"], batch["gen"], get_object(lg_ref))
             )
-            return batch.filter(pa.array(keep, pa.bool_()))
 
         def rewrite(dir_name: str, key_col: str, key_of):
             files = self._all_files(dir_name)
@@ -806,16 +822,7 @@ class SearchIndex:
             if require_content_tf:
                 m = pc.and_(m, pc.greater(batch.column("tf"), 0))
             t = batch.filter(m)
-            if last_gen and t.num_rows:
-                ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                gen = t.column("gen").to_numpy(zero_copy_only=False)
-                live = np.fromiter(
-                    (g >= last_gen.get(int(i), 0) for i, g in zip(ids, gen)),
-                    dtype=bool,
-                    count=len(ids),
-                )
-                t = t.filter(pa.array(live, pa.bool_()))
-            return t
+            return t.filter(_live_mask(t["doc_id"], t["gen"], last_gen))
 
         return (
             ray.data.read_parquet(files, columns=columns)
@@ -870,72 +877,84 @@ class SearchIndex:
     def topk(
         self, terms: list[str], k: int = 20, driver_row_limit: int = 2_000_000
     ) -> pa.Table:
-        """Integer TF-IDF top-k from the persisted index (same contract as
-        ``search.search_topk``: rank by score DESC, doc_id ASC; v3 fallback
-        snippet).  Docs with zero matching terms pad the tail (doc_id ASC,
-        score 0) when fewer than k docs match — the direct pipeline's
-        local-topk does the same implicitly.
+        """Integer TF-IDF top-k: (rank, doc_id, score, snippet), ranked by
+        score DESC, doc_id ASC, with the v3 fallback snippet — the
+        ``search_topk`` contract of ``__ray_entry__.oracle_sql``.  Scores
+        full-text occurrences only (title-only rows are dropped), so
+        ``tf >= 1`` and ``idf >= IDF_SCALE`` make every matched doc score
+        > 0; docs with no query term pad the tail at score 0."""
 
-        Scale-adaptive scoring: the matched postings row count decides (a
-        parquet-metadata check on the materialized pruned Dataset) — a
-        driver fold below ``driver_row_limit``, else the distributed path
-        (``groupby(doc_id)`` + per-block local top-k + tiny merge), because
-        a STOPWORD query matches the whole corpus and must never fold on
-        the driver."""
+        def tfidf(rows: pa.Table, idf_row: np.ndarray) -> np.ndarray:
+            return rows.column("tf").to_numpy(zero_copy_only=False) * idf_row
+
+        ranked = self._rank(
+            self._prep_terms(terms), k, tfidf, True, driver_row_limit
+        )
+        return self._result_table(ranked).select(
+            ["rank", "doc_id", "score", "snippet"]
+        )
+
+    def _rank(
+        self,
+        terms: list[str],
+        k: int,
+        row_contrib,
+        require_content_tf: bool,
+        driver_row_limit: int,
+    ) -> list[tuple[int, int]]:
+        """The one scorer behind ``topk`` and ``topk_bm25f``: the k best
+        ``(doc_id, score)`` pairs by score DESC, doc_id ASC.
+
+        ``row_contrib(rows, idf_row) -> int64[]`` gives each posting row's
+        score contribution.  A (term, doc) pair is exactly one live row, so
+        every per-(term, doc) model — TF-IDF and BM25F alike — is a per-doc
+        sum of row contributions.  Only docs scoring > 0 rank; when fewer
+        than k do, the smallest remaining live doc_ids pad the tail at
+        score 0, like unmatched docs in a full ranking of the corpus.
+
+        Scale-adaptive: the matched postings row count decides (a metadata
+        count on the materialized pruned Dataset) — a driver fold at or
+        under ``driver_row_limit``, else ``_topk_distributed``, because a
+        stopword query matches the whole corpus and must never fold on the
+        driver."""
         n = int(self.meta["live_docs"])
-        terms = self._prep_terms(terms)
-        ds = self._pruned_postings(terms)
-        n_rows = ds.count() if ds is not None else 0
-        scored: dict[int, int] = {}
-        if ds is not None and n_rows > driver_row_limit:
-            ranked = self._topk_distributed(ds, terms, n, k)
-            exclude = {d for d, _ in ranked}
+        ds = self._pruned_postings(terms, require_content_tf=require_content_tf)
+        if ds is not None and ds.count() > driver_row_limit:
+            ranked = self._topk_distributed(ds, terms, n, k, row_contrib)
         else:
             parts = (
                 [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
                 if ds is not None
                 else []
             )
-            df = self._df_from_parts(parts, terms)
-            idf = {
-                t: (n * IDF_SCALE) // df[t] if df.get(t, 0) > 0 else 0
-                for t in terms
-            }
+            ranked = []
             if parts:
-                # per-doc score: a doc's rows can span term partitions ->
-                # vectorized fold by doc_id, bounded by driver_row_limit
-                import pandas as pd
-
-                for t in parts:
-                    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                    tf = t.column("tf").to_numpy(zero_copy_only=False)
-                    contrib = tf * self._idf_weights(t.column("term"), idf)
-                    for d, s in pd.Series(contrib).groupby(ids).sum().items():
-                        scored[int(d)] = scored.get(int(d), 0) + int(s)
-            ranked = sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-            # matched docs always score > 0 (their term's df > 0), so the
-            # zero-score tail must exclude every matched doc, not just the
-            # ranked ones
-            exclude = set(scored)
+                idf = _idf(self._df_from_parts(parts, terms), n)
+                ids = np.concatenate(
+                    [t.column("doc_id").to_numpy(zero_copy_only=False) for t in parts]
+                )
+                contrib = np.concatenate(
+                    [
+                        row_contrib(t, self._idf_weights(t.column("term"), idf))
+                        for t in parts
+                    ]
+                )
+                # per-doc sum: a doc's rows can span term partitions
+                docs, inv = np.unique(ids, return_inverse=True)
+                score = np.zeros(len(docs), dtype=np.int64)
+                np.add.at(score, inv, contrib)
+                pos = score > 0
+                docs, score = docs[pos], score[pos]
+                top = np.lexsort((docs, -score))[:k]
+                ranked = [(int(d), int(x)) for d, x in zip(docs[top], score[top])]
         if len(ranked) < k:
             ranked += [
-                (int(d), 0)
+                (d, 0)
                 for d in self._live_doc_ids_ascending(
-                    exclude=exclude, want=k - len(ranked)
+                    exclude={d for d, _ in ranked}, want=k - len(ranked)
                 )
             ]
-        ids = [d for d, _ in ranked]
-        snips = self._snippets(ids)
-        return pa.table(
-            {
-                "rank": pa.array(
-                    np.arange(1, len(ranked) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": pa.array(ids, pa.int64()),
-                "score": pa.array([s for _, s in ranked], pa.int64()),
-                "snippet": pa.array([snips.get(d, "") for d in ids], pa.string()),
-            }
-        )
+        return ranked
 
     def _topk_distributed(
         self,
@@ -943,23 +962,14 @@ class SearchIndex:
         terms: list[str],
         n: int,
         k: int,
-        row_contrib=None,
+        row_contrib,
     ) -> list[tuple[int, int]]:
-        """Stopword-scale scoring: df via per-batch partials (driver folds Q
-        ints), per-doc score via ``groupby(doc_id).sum``, then per-block
-        local top-k and a tiny driver merge — the driver never sees more
-        than blocks x k rows.  Same shape as the direct pipeline's
-        local-topk; pytest pins equality with the driver fold at limit=0.
-
-        ``row_contrib(batch, idf_row) -> int64[]`` computes each posting
-        row's score contribution (a (term, doc) pair appears in exactly one
-        live row, so every scoring model that is per-(term,doc) — TF-IDF and
-        BM25F alike — is row-additive under ``groupby(doc_id).sum``).
-        Default: ``tf * idf``.  Zero-score docs drop out so they compete in
-        the ascending-id tail fill exactly like unmatched docs."""
+        """Stopword-scale ``_rank``: df via per-batch partials (driver folds
+        Q ints), per-doc score via ``groupby(doc_id).sum`` of
+        ``row_contrib``, then per-block local top-k of the docs scoring > 0
+        and a tiny driver merge — the driver never sees more than blocks x k
+        rows.  pytest pins equality with the driver fold at limit=0."""
         from ray.data.aggregate import Sum
-
-        term_list = sorted(set(terms))
 
         def df_partial(batch: pa.Table) -> pa.Table:
             vc = pc.value_counts(batch.column("term").combine_chunks())
@@ -970,7 +980,7 @@ class SearchIndex:
                 }
             )
 
-        df = {t: 0 for t in term_list}
+        df = {t: 0 for t in terms}
         for t in ray.get(
             ds.map_batches(df_partial, batch_format="pyarrow")
             .materialize()
@@ -980,14 +990,7 @@ class SearchIndex:
                 t.column("term").to_pylist(), t.column("pdf").to_pylist()
             ):
                 df[term] = df.get(term, 0) + int(c)
-        idf = {
-            t: (n * IDF_SCALE) // df[t] if df.get(t, 0) > 0 else 0
-            for t in term_list
-        }
-        if row_contrib is None:
-
-            def row_contrib(batch: pa.Table, idf_row: np.ndarray) -> np.ndarray:
-                return batch.column("tf").to_numpy(zero_copy_only=False) * idf_row
+        idf = _idf(df, n)
 
         def add_score(batch: pa.Table) -> pa.Table:
             contrib = row_contrib(
@@ -1094,16 +1097,9 @@ class SearchIndex:
 
             # df is defined over full-text tokens: drop title-only rows
             batch = batch.filter(pc.greater(batch.column("tf"), 0))
-            lg = get_object(lg_ref)
-            if lg and batch.num_rows:
-                ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-                gen = batch.column("gen").to_numpy(zero_copy_only=False)
-                live = np.fromiter(
-                    (g >= lg.get(int(i), 0) for i, g in zip(ids, gen)),
-                    dtype=bool,
-                    count=len(ids),
-                )
-                batch = batch.filter(pa.array(live, pa.bool_()))
+            batch = batch.filter(
+                _live_mask(batch["doc_id"], batch["gen"], get_object(lg_ref))
+            )
             vc = pc.value_counts(batch.column("term").combine_chunks())
             return pa.table(
                 {
@@ -1135,101 +1131,29 @@ class SearchIndex:
         k: int = 10,
         driver_row_limit: int = 2_000_000,
     ) -> pa.Table:
-        """Field-weighted BM25 top-k from the persisted index — identical
-        output contract to ``search.search_topk_bm25f`` (rank, doc_id, url,
-        title, domain, crawl_date, score, snippet).  Scoring reads ONLY the
-        pruned postings rows: ``dl`` is denormalized into every row and
-        ``total_dl``/``live_docs`` live in meta, so no doc-table pass.
-
-        Same scale-adaptive split as ``topk``: driver fold under
-        ``driver_row_limit`` matched rows, else the distributed
-        ``groupby(doc_id).sum`` path (BM25F is row-additive because each
-        (term, doc) pair is one live posting row)."""
+        """Field-weighted BM25 top-k with stored result fields — the
+        ``search_topk_bm25f`` contract of ``__ray_entry__.oracle_sql``
+        (rank, doc_id, url, title, domain, crawl_date, score, snippet).
+        Scores the title/content field union, so title-only rows count.
+        Scoring reads ONLY the pruned postings rows: ``dl`` is denormalized
+        into every row and ``total_dl``/``live_docs`` live in meta, so there
+        is no doc-table pass."""
         n = int(self.meta["live_docs"])
         total_dl = int(self.meta.get("total_dl", 0))
-        terms = self._prep_terms(list(terms))
 
-        def contrib_of(batch: pa.Table, idf_row: np.ndarray) -> np.ndarray:
-            tf = batch.column("tf").to_numpy(zero_copy_only=False)
-            tft = batch.column("tf_title").to_numpy(zero_copy_only=False)
-            dl = batch.column("dl").to_numpy(zero_copy_only=False)
+        def bm25f(rows: pa.Table, idf_row: np.ndarray) -> np.ndarray:
+            tf = rows.column("tf").to_numpy(zero_copy_only=False)
+            tft = rows.column("tf_title").to_numpy(zero_copy_only=False)
+            dl = rows.column("dl").to_numpy(zero_copy_only=False)
             tf_w = BOOST_TITLE * tft + tf
             # overflow-guarded vector kernel (r4 advice): falls back to
             # Python-int arithmetic when int64 intermediates could wrap
             return bm25f_contrib_vec(idf_row, tf_w, dl, total_dl, n)
 
-        ds = self._pruned_postings(terms, require_content_tf=False)
-        n_rows = ds.count() if ds is not None else 0
-        if ds is not None and n_rows > driver_row_limit:
-            ranked = self._topk_distributed(
-                ds, terms, n, k, row_contrib=contrib_of
-            )
-            exclude = {d for d, _ in ranked}
-        else:
-            parts = (
-                [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-                if ds is not None
-                else []
-            )
-            # BM25F df: every live row counts (tf_w > 0 by construction —
-            # a row exists only where the term appears in title or content)
-            df = self._df_from_parts(parts, terms)
-            idf = {
-                t: (n * IDF_SCALE) // df[t] if df.get(t, 0) > 0 else 0
-                for t in terms
-            }
-            scored: dict[int, int] = {}
-            if parts:
-                import pandas as pd
-
-                for t in parts:
-                    ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-                    contrib = contrib_of(
-                        t, self._idf_weights(t.column("term"), idf)
-                    )
-                    for d, s in pd.Series(contrib).groupby(ids).sum().items():
-                        scored[int(d)] = scored.get(int(d), 0) + int(s)
-            # zero-score matched docs (possible when a long doc's floored
-            # contribution vanishes) compete in the ascending-id tail like
-            # unmatched docs — the direct pipeline's total order
-            scored = {d: s for d, s in scored.items() if s > 0}
-            ranked = sorted(scored.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-            exclude = set(scored)
-        if len(ranked) < k:
-            ranked += [
-                (int(d), 0)
-                for d in self._live_doc_ids_ascending(
-                    exclude=exclude, want=k - len(ranked)
-                )
-            ]
-        ids = [d for d, _ in ranked]
-        fields = self._stored_fields(ids)
-
-        def fld(d: int, name: str) -> str:
-            return fields.get(d, {}).get(name, "")
-
-        return pa.table(
-            {
-                "rank": pa.array(
-                    np.arange(1, len(ranked) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": pa.array(ids, pa.int64()),
-                "url": pa.array(
-                    [derive_url(d, fld(d, "domain")) for d in ids], pa.string()
-                ),
-                "title": pa.array([fld(d, "title") for d in ids], pa.string()),
-                "domain": pa.array(
-                    [fld(d, "domain") for d in ids], pa.string()
-                ),
-                "crawl_date": pa.array(
-                    [fld(d, "crawl_date") for d in ids], pa.string()
-                ),
-                "score": pa.array([s for _, s in ranked], pa.int64()),
-                "snippet": pa.array(
-                    [fld(d, "snippet") for d in ids], pa.string()
-                ),
-            }
+        ranked = self._rank(
+            self._prep_terms(list(terms)), k, bm25f, False, driver_row_limit
         )
+        return self._result_table(ranked)
 
     # ------------------------------------------------- query-string search
 
@@ -1246,9 +1170,11 @@ class SearchIndex:
         a bare term matches either field, ``title:x`` / ``content:x``
         restrict to one field; ``NOT x`` excludes (only inside a group with
         at least one positive term — a pure-negation group is rejected,
-        like Whoosh's requirement of at least one positive clause).  A
-        phrase leaf matches docs where its tokens appear ADJACENT in the
-        restricted field, verified against the positional postings.
+        like Whoosh's requirement of at least one positive clause, with a
+        ``ValueError``; so is a query past ``parse_query``'s nesting or
+        DNF-size cap).  A phrase leaf matches docs where its tokens appear
+        ADJACENT in the restricted field, verified against the positional
+        postings.
 
         Scoring: each distinct positive leaf contributes its
         field-restricted BM25F weight (bare terms use the boosted field
@@ -1498,34 +1424,7 @@ class SearchIndex:
                 if di in mset:
                     scores[di] += int(c)
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        ids = [d for d, _ in ranked]
-        fields_map = self._stored_fields(ids)
-
-        def fld(d: int, name: str) -> str:
-            return fields_map.get(d, {}).get(name, "")
-
-        return pa.table(
-            {
-                "rank": pa.array(
-                    np.arange(1, len(ranked) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": pa.array(ids, pa.int64()),
-                "url": pa.array(
-                    [derive_url(d, fld(d, "domain")) for d in ids], pa.string()
-                ),
-                "title": pa.array([fld(d, "title") for d in ids], pa.string()),
-                "domain": pa.array(
-                    [fld(d, "domain") for d in ids], pa.string()
-                ),
-                "crawl_date": pa.array(
-                    [fld(d, "crawl_date") for d in ids], pa.string()
-                ),
-                "score": pa.array([s for _, s in ranked], pa.int64()),
-                "snippet": pa.array(
-                    [fld(d, "snippet") for d in ids], pa.string()
-                ),
-            }
-        )
+        return self._result_table(ranked)
 
     # --------------------------------------------------------------- stats
 
@@ -1566,14 +1465,7 @@ class SearchIndex:
         for f in self._all_files("docs"):
             t = pq.read_table(f, columns=["doc_id", "gen"])
             ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-            gen = t.column("gen").to_numpy(zero_copy_only=False)
-            if last_gen:
-                live = np.fromiter(
-                    (g >= last_gen.get(int(i), 0) for i, g in zip(ids, gen)),
-                    dtype=bool,
-                    count=len(ids),
-                )
-                ids = ids[live]
+            ids = ids[_live_mask(ids, t["gen"], last_gen)]
             if exclude:
                 ids = ids[
                     np.isin(
@@ -1612,11 +1504,33 @@ class SearchIndex:
                     )
         return {d: fields for d, (_, fields) in best.items()}
 
-    def _snippets(self, ids: list[int]) -> dict[int, str]:
-        """Stored snippets for the k winners (doc-partition-pruned)."""
-        return {
-            d: f["snippet"] for d, f in self._stored_fields(ids).items()
-        }
+    def _result_table(self, ranked: list[tuple[int, int]]) -> pa.Table:
+        """Ranked ``(doc_id, score)`` pairs as the reference's result dicts
+        (indexer/indexer_node.py:174-181) in columns: rank, doc_id, url,
+        title, domain, crawl_date, score, snippet — the stored fields come
+        from a doc-partition-pruned read of the ranked docs only."""
+        ids = [d for d, _ in ranked]
+        fields = self._stored_fields(ids)
+
+        def fld(d: int, name: str) -> str:
+            return fields.get(d, {}).get(name, "")
+
+        return pa.table(
+            {
+                "rank": pa.array(np.arange(1, len(ids) + 1), pa.int64()),
+                "doc_id": pa.array(ids, pa.int64()),
+                "url": pa.array(
+                    [derive_url(d, fld(d, "domain")) for d in ids], pa.string()
+                ),
+                "title": pa.array([fld(d, "title") for d in ids], pa.string()),
+                "domain": pa.array([fld(d, "domain") for d in ids], pa.string()),
+                "crawl_date": pa.array(
+                    [fld(d, "crawl_date") for d in ids], pa.string()
+                ),
+                "score": pa.array([x for _, x in ranked], pa.int64()),
+                "snippet": pa.array([fld(d, "snippet") for d in ids], pa.string()),
+            }
+        )
 
 
 # --------------------------------------------------- sf_dir-cached indexes
@@ -1712,8 +1626,8 @@ def index_for(sf_dir: str, stem: bool = False) -> SearchIndex:
 
 
 def search_topk_indexed(sf_dir: str) -> pa.Table:
-    """search_topk answered FROM the persisted index (oracle-identical
-    output to search.search_topk)."""
+    """The pinned integer TF-IDF top-k (``search_topk`` in queries()),
+    answered FROM the persisted index."""
     from distributed_web_crawling_system_ray.pipelines.search import (
         QUERY_TERMS,
         TOP_K,
@@ -1733,8 +1647,10 @@ def search_term_df_indexed(sf_dir: str) -> pa.Table:
 
 
 def search_topk_stemmed_indexed(sf_dir: str) -> pa.Table:
-    """search_topk_stemmed answered FROM the persisted STEMMED index
-    (oracle-identical output to search.search_topk_stemmed)."""
+    """The v3 half of the top-k contract: the same TF-IDF over STEMMED
+    tokens (Whoosh StemmingAnalyzer, indexer/indexer_node.py:63) —
+    'joins', 'joined', 'joining' all count toward 'join' — answered FROM
+    the persisted stemmed index."""
     from distributed_web_crawling_system_ray.pipelines.search import (
         QUERY_TERMS,
         TOP_K,
@@ -1744,10 +1660,10 @@ def search_topk_stemmed_indexed(sf_dir: str) -> pa.Table:
 
 
 def search_topk_bm25f_indexed(sf_dir: str) -> pa.Table:
-    """search_topk_bm25f answered FROM the persisted stemmed index
-    (oracle-identical output to search.search_topk_bm25f) — the
-    reference's actual serving shape: BM25F scored against the index, not
-    a corpus scan per query (indexer/indexer_node.py:151-183)."""
+    """The pinned BM25F top-k with stored result fields, answered FROM the
+    persisted stemmed index — the reference's serving shape: BM25F scored
+    against the index, not a corpus scan per query
+    (indexer/indexer_node.py:151-183)."""
     from distributed_web_crawling_system_ray.pipelines.search import (
         BM25_TOP_K,
         QUERY_TERMS,
@@ -1755,6 +1671,29 @@ def search_topk_bm25f_indexed(sf_dir: str) -> pa.Table:
 
     return index_for(sf_dir, stem=True).topk_bm25f(
         list(QUERY_TERMS), BM25_TOP_K
+    )
+
+
+def search_topk_highlighted(sf_dir: str) -> pa.Table:
+    """``search_topk_indexed`` with Whoosh-style highlighted fragments in
+    place of the plain 200-char snippet (v3 ``highlights(top=2)``,
+    indexer/indexer_node.py:166-171).  The fragments need the full text,
+    which the index does not store, so this is a pruned read of the k
+    winners' text only."""
+    top = search_topk_indexed(sf_dir)
+    ids = top.column("doc_id").to_pylist()
+    win_ds = ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id", "text"],
+        filter=pc.field("doc_id").isin(ids),
+    )
+    texts: dict[int, str] = {}
+    for t in ray.get(win_ds.materialize().to_arrow_refs()):
+        texts.update(zip(t.column("doc_id").to_pylist(), t.column("text").to_pylist()))
+    return top.set_column(
+        top.schema.get_field_index("snippet"),
+        "snippet",
+        pa.array([highlight(texts.get(d, "")) for d in ids], pa.string()),
     )
 
 

@@ -20,6 +20,30 @@ def ray_session():
     ray.shutdown()
 
 
+def oracle_rows(name: str, sf_dir) -> list[tuple]:
+    """Rows of ``__ray_entry__.oracle_sql()[name]`` — the DuckDB direct
+    recompute ``tools/check_oracle.py`` hash-checks ``queries()`` against —
+    run over a ``documents`` view of ``sf_dir/documents.parquet``.  Compare
+    them with an index answer as row lists: in rank order for ranked
+    queries, sorted for set-valued ones (``search_and_terms``,
+    ``search_term_df``)."""
+    import duckdb
+
+    import __ray_entry__
+
+    con = duckdb.connect()
+    con.execute(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{sf_dir}/documents.parquet')"
+    )
+    return con.execute(__ray_entry__.oracle_sql()[name]).fetchall()
+
+
+def table_rows(t) -> list[tuple]:
+    """An Arrow table as row tuples, comparable with ``oracle_rows``."""
+    return list(zip(*(c.to_pylist() for c in t.columns)))
+
+
 def true_components(pairs_a, pairs_b):
     """Exact connected components (BFS) over the edge list — the ground
     truth the label maps are checked against, so cross-component merges

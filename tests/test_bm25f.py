@@ -5,8 +5,9 @@ indexer/indexer_node.py:63-70,151-183).
 Contract under test:
 - parse_query: the MultifieldParser stand-in — DNF (OR of AND-groups),
   NOT negation, title:/content: field restriction, uppercase operators.
-- indexed topk_bm25f reproduces the direct one-pass search_topk_bm25f
-  pipeline exactly (same integer scores, same stored fields).
+- indexed topk_bm25f reproduces the search_topk_bm25f DuckDB oracle (a
+  direct recompute over the documents) row for row: same integer scores,
+  same stored fields.
 - SearchIndex.search(query_str): field-restricted matching + scoring equals
   a brute-force in-test reference over the same corpus.
 - stats(): the reference's document_count / index_size surface.
@@ -16,6 +17,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import oracle_rows, table_rows
 
 from distributed_web_crawling_system_ray.pipelines import search
 from distributed_web_crawling_system_ray.pipelines.search import (
@@ -162,6 +164,27 @@ def test_parse_query_field_prefix_case_sensitive():
     ]
 
 
+def test_parse_query_bounded():
+    """Adversarial input costs bounded time and memory: 18 ANDed
+    ``(a OR b)`` groups would expand to 2**18 = 262,144 DNF groups, and
+    3,000 nested parens or NOTs overflowed the recursion — all three raise
+    the documented ValueError instead.  Queries at the caps still parse."""
+    with pytest.raises(ValueError, match="AND-groups"):
+        parse_query(" AND ".join(["(a OR b)"] * 18))
+    with pytest.raises(ValueError, match="AND-groups"):
+        parse_query(" OR ".join(["a"] * 4097))
+    with pytest.raises(ValueError, match="nesting"):
+        parse_query("(" * 3000 + "a" + ")" * 3000)
+    with pytest.raises(ValueError, match="nesting"):
+        parse_query("NOT " * 3000 + "a")
+    assert len(parse_query(" AND ".join(["(a OR b)"] * 12))) == 4096
+    assert len(parse_query(" OR ".join(["a"] * 4096))) == 4096
+    assert parse_query("(" * 64 + "a" + ")" * 64) == [[(None, "a", False)]]
+    assert parse_query("NOT " * 64 + "a b") == [
+        [(None, "a", False), (None, "b", False)]
+    ]
+
+
 # --------------------------------------------------------------- fixtures
 
 
@@ -190,37 +213,37 @@ def corpus():
     }
 
 
-# --------------------------------------------- indexed vs direct pipeline
+# ------------------------------------------------- indexed vs the oracle
 
 
 def test_indexed_bm25f_matches_direct(ray_session, tmp_path, corpus):
     d = tmp_path / "sf"
     d.mkdir()
     pq.write_table(_docs_table(corpus), str(d / "documents.parquet"))
-    want = search.search_topk_bm25f(str(d))
-    # the direct pipeline stems (v3 StemmingAnalyzer) -> stemmed index
+    want = oracle_rows("search_topk_bm25f", d)
+    # the oracle stems (v3 StemmingAnalyzer) -> stemmed index
     idx = SearchIndex.create(str(tmp_path / "idx"), stem=True)
     idx.update(str(d / "documents.parquet"))
     got = idx.topk_bm25f(list(search.QUERY_TERMS), search.BM25_TOP_K)
-    assert got.equals(want), f"\ngot:\n{got.to_pandas()}\nwant:\n{want.to_pandas()}"
+    assert table_rows(got) == want
 
 
 def test_indexed_bm25f_distributed_path_matches(ray_session, tmp_path, corpus):
     d = tmp_path / "sf"
     d.mkdir()
     pq.write_table(_docs_table(corpus), str(d / "documents.parquet"))
-    want = search.search_topk_bm25f(str(d))
+    want = oracle_rows("search_topk_bm25f", d)
     idx = SearchIndex.create(str(tmp_path / "idx"), stem=True)
     idx.update(str(d / "documents.parquet"))
     got = idx.topk_bm25f(
         list(search.QUERY_TERMS), search.BM25_TOP_K, driver_row_limit=0
     )
-    assert got.equals(want)
+    assert table_rows(got) == want
 
 
 def test_indexed_bm25f_tracks_upserts(ray_session, tmp_path, corpus):
     """total_dl / df / idf stay exact across an upsert generation — the
-    index answer equals the direct pipeline over the MERGED corpus."""
+    index answer equals the oracle over the MERGED corpus."""
     sub2 = {i: "customer window " + corpus[i] for i in range(10, 20)}
     sub2.update({i: "fresh join data" for i in range(80, 90)})
     merged = dict(corpus)
@@ -228,12 +251,31 @@ def test_indexed_bm25f_tracks_upserts(ray_session, tmp_path, corpus):
     d = tmp_path / "sf_merged"
     d.mkdir()
     pq.write_table(_docs_table(merged), str(d / "documents.parquet"))
-    want = search.search_topk_bm25f(str(d))
+    want = oracle_rows("search_topk_bm25f", d)
     idx = SearchIndex.create(str(tmp_path / "idx2"), stem=True)
     idx.update(_docs_table(corpus))
     idx.update(_docs_table(sub2))
     got = idx.topk_bm25f(list(search.QUERY_TERMS), search.BM25_TOP_K)
-    assert got.equals(want)
+    assert table_rows(got) == want
+
+
+def test_wildcard_oracle_escapes_like_metachars(
+    ray_session, tmp_path, monkeypatch
+):
+    """'_' is a token character that the index matches literally, so the
+    oracle's LIKE translation must escape it: the pattern ``a_b*`` matches
+    'a_bc' and 'a_b' but not 'axbc', in the index and in the oracle."""
+    rows = {0: "a_bc x", 1: "axbc x", 2: "a_b y", 3: "zzz"}
+    d = tmp_path / "sf_wild"
+    d.mkdir()
+    pq.write_table(_docs_table(rows), str(d / "documents.parquet"))
+    monkeypatch.setattr(search, "WILDCARD_QUERY", "a_b*")
+    want = oracle_rows("search_wildcard_query", d)
+    idx = SearchIndex.create(str(tmp_path / "idx_wild"), stem=True)
+    idx.update(_docs_table(rows))
+    got = idx.search("a_b*", k=search.BM25_TOP_K)
+    assert sorted(got.column("doc_id").to_pylist()) == [0, 2]
+    assert table_rows(got) == want
 
 
 # ------------------------------------------------- search(query_str) DNF

@@ -91,8 +91,11 @@ def test_codec_roundtrip_properties(h, w, seed):
 @example("*:* ? AND OR NOT")
 @settings(max_examples=300, deadline=None)
 def test_parse_query_total(q):
-    """parse_query is TOTAL over arbitrary strings (the user-facing /search
-    surface feeds raw input to it): never raises, and every leaf is a
+    """parse_query is TOTAL over arbitrary strings within the caps (the
+    user-facing /search surface feeds raw input to it; past
+    MAX_QUERY_DEPTH nesting or MAX_DNF_GROUPS groups it raises the
+    documented ValueError, see test_parse_query_bounded): never raises,
+    and every leaf is a
     well-formed (field, term, negated) with term a str/Wildcard/token-tuple."""
     from distributed_web_crawling_system_ray.pipelines.search import (
         QUERY_FIELDS,

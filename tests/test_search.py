@@ -1,5 +1,6 @@
-"""Search-layer tests: tokenizer properties, index stats, top-k and
-AND-intersection vs a pure-Python brute-force expectation."""
+"""Search-layer tests: tokenizer properties, and the index-served
+document frequencies, top-k and AND-intersection vs a pure-Python
+brute-force expectation."""
 
 import re
 
@@ -75,9 +76,9 @@ def test_tokenizer_matches_v1_regex_and_stem_sql_parity():
 
 
 def test_term_df_matches_bruteforce():
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        search_term_df,
-        tokenize,
+    from distributed_web_crawling_system_ray.pipelines.search import tokenize
+    from distributed_web_crawling_system_ray.pipelines.search_index import (
+        search_term_df_indexed,
     )
 
     texts = _texts()
@@ -85,7 +86,7 @@ def test_term_df_matches_bruteforce():
     for t in texts.values():
         for tok in set(tokenize(t)):
             want[tok] = want.get(tok, 0) + 1
-    got_tbl = search_term_df(SF)
+    got_tbl = search_term_df_indexed(SF)
     got = dict(
         zip(got_tbl.column("term").to_pylist(), got_tbl.column("df").to_pylist())
     )
@@ -114,13 +115,15 @@ def test_search_topk_matches_bruteforce():
     from distributed_web_crawling_system_ray.pipelines.search import (
         SNIPPET_CHARS,
         TOP_K,
-        search_topk,
+    )
+    from distributed_web_crawling_system_ray.pipelines.search_index import (
+        search_topk_indexed,
     )
 
     scores, _ = _brute_scores()
     texts = _texts()
     want = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_K]
-    got = search_topk(SF)
+    got = search_topk_indexed(SF)
     assert got.column("doc_id").to_pylist() == [d for d, _ in want]
     assert got.column("score").to_pylist() == [s for _, s in want]
     assert got.column("rank").to_pylist() == list(range(1, len(want) + 1))
@@ -132,13 +135,13 @@ def test_search_topk_matches_bruteforce():
 
 
 def test_search_and_terms_matches_bruteforce():
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        search_and_terms,
+    from distributed_web_crawling_system_ray.pipelines.search_index import (
+        search_and_terms_indexed,
     )
 
     _, tf = _brute_scores()
     want = {d for d, v in tf.items() if all(c > 0 for c in v.values())}
-    got = set(search_and_terms(SF).column("doc_id").to_pylist())
+    got = set(search_and_terms_indexed(SF).column("doc_id").to_pylist())
     assert got == want
     assert 0 < len(want) < len(tf)  # AND actually filters something
 
@@ -152,9 +155,10 @@ def test_search_topk_stemmed_matches_bruteforce_and_differs_from_v1():
         QUERY_TERMS,
         TOP_K,
         _stem,
-        search_topk,
-        search_topk_stemmed,
         tokenize,
+    )
+    from distributed_web_crawling_system_ray.pipelines.search_index import (
+        search_topk_stemmed_indexed,
     )
 
     texts = _texts()
@@ -168,23 +172,26 @@ def test_search_topk_stemmed_matches_bruteforce_and_differs_from_v1():
     idf = {q: (n * IDF_SCALE) // df[q] if df[q] else 0 for q in terms}
     scores = {d: sum(tf[d][q] * idf[q] for q in terms) for d in tf}
     want = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_K]
-    got = search_topk_stemmed(SF)
+    got = search_topk_stemmed_indexed(SF)
     assert got.column("doc_id").to_pylist() == [d for d, _ in want]
     assert got.column("score").to_pylist() == [s for _, s in want]
 
 
-def test_stemmed_scoring_counts_inflected_variants(tmp_path):
+def test_stemmed_scoring_counts_inflected_variants(tmp_path, monkeypatch):
     """Non-vacuous stemming check on a corpus WITH inflections (the sf
     vocabulary has none): 'joins joined joining' scores under the stemmed
     path and not under v1."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        search_topk,
-        search_topk_stemmed,
+    from distributed_web_crawling_system_ray.pipelines import search_index
+    from distributed_web_crawling_system_ray.pipelines.search_index import (
+        search_topk_indexed,
+        search_topk_stemmed_indexed,
     )
 
+    # keep this throwaway corpus's cached indexes out of the shared cache
+    monkeypatch.setattr(search_index, "_INDEX_CACHE_ROOT", str(tmp_path / "idx"))
     d = tmp_path / "sf_inflect"
     d.mkdir()
     pq.write_table(
@@ -202,8 +209,8 @@ def test_stemmed_scoring_counts_inflected_variants(tmp_path):
         ),
         str(d / "documents.parquet"),
     )
-    v1 = search_topk(str(d))
-    stemmed = search_topk_stemmed(str(d))
+    v1 = search_topk_indexed(str(d))
+    stemmed = search_topk_stemmed_indexed(str(d))
     assert max(v1.column("score").to_pylist()) == 0  # no exact-term hits
     by_doc = dict(
         zip(
@@ -240,13 +247,13 @@ def test_highlight_fragments_pinned():
 
 
 def test_search_topk_highlighted_marks_terms():
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        search_topk,
+    from distributed_web_crawling_system_ray.pipelines.search_index import (
         search_topk_highlighted,
+        search_topk_indexed,
     )
 
     got = search_topk_highlighted(SF)
-    base = search_topk(SF)
+    base = search_topk_indexed(SF)
     assert got.column("doc_id").to_pylist() == base.column("doc_id").to_pylist()
     assert got.column("score").to_pylist() == base.column("score").to_pylist()
     # every positive-score winner's snippet highlights at least one term

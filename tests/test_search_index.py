@@ -5,8 +5,9 @@ Contract under test:
 - build from submission 1, query; update with submission 2 (new docs + some
   RE-submitted doc_ids with changed text); queries reflect the latest text
   per doc_id WITHOUT a full rebuild (the gen-1 files are untouched).
-- index-backed queries equal the direct one-pass pipeline over the merged
-  "current" corpus (latest text per doc_id) — the oracle relation.
+- index-backed queries equal the DuckDB oracle (``__ray_entry__.oracle_sql``,
+  a direct recompute over the documents) run over the merged "current"
+  corpus (latest text per doc_id).
 - the distributed overlap path (driver_id_limit=0) produces the same index.
 - compaction folds generations and preserves every query result.
 """
@@ -17,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import oracle_rows, table_rows
 
 from distributed_web_crawling_system_ray.pipelines import search
 from distributed_web_crawling_system_ray.pipelines.search_index import SearchIndex
@@ -59,48 +61,31 @@ def corpus():
     return sub1, sub2, merged
 
 
-def _direct_over(tmp_path, rows: dict[int, str], name: str):
-    """Direct (non-indexed) pipeline results over a corpus snapshot — the
-    ground truth the index must reproduce."""
+def _oracle_over(tmp_path, rows: dict[int, str], name: str):
+    """The DuckDB oracle's top-k / AND / df rows over a corpus snapshot —
+    the ground truth the index must reproduce."""
     d = tmp_path / name
     d.mkdir(exist_ok=True)
     pq.write_table(_docs_table(rows), str(d / "documents.parquet"))
-    sf = str(d)
-    return (
-        search.search_topk(sf),
-        search.search_and_terms(sf),
-        search.search_term_df(sf),
+    return tuple(
+        oracle_rows(q, d)
+        for q in ("search_topk", "search_and_terms", "search_term_df")
     )
 
 
-def _assert_index_matches(idx: SearchIndex, want, k=search.TOP_K):
+def _assert_index_matches(idx: SearchIndex, want):
     topk, and_t, df = want
-    got_topk = idx.topk(TERMS, k)
-    assert got_topk.equals(topk)
-    got_and = idx.and_terms(TERMS)
-    assert sorted(got_and.column("doc_id").to_pylist()) == sorted(
-        and_t.column("doc_id").to_pylist()
-    )
-    got_df = {
-        t: d
-        for t, d in zip(
-            idx.term_df().column("term").to_pylist(),
-            idx.term_df().column("df").to_pylist(),
-        )
-    }
-    want_df = {
-        t: d
-        for t, d in zip(df.column("term").to_pylist(), df.column("df").to_pylist())
-    }
-    assert got_df == want_df
+    assert table_rows(idx.topk(TERMS, search.TOP_K)) == topk
+    assert sorted(table_rows(idx.and_terms(TERMS))) == sorted(and_t)
+    assert sorted(table_rows(idx.term_df())) == sorted(df)
 
 
 def test_incremental_update_reflects_latest_text(ray_session, tmp_path, corpus):
     sub1, sub2, merged = corpus
     idx = SearchIndex.create(str(tmp_path / "idx"))
     idx.update(_docs_table(sub1))
-    # initial build answers like the direct pipeline over submission 1
-    _assert_index_matches(idx, _direct_over(tmp_path, sub1, "snap1"))
+    # initial build answers like the oracle over submission 1
+    _assert_index_matches(idx, _oracle_over(tmp_path, sub1, "snap1"))
     gen0_postings = sorted(
         os.listdir(os.path.join(idx.index_dir, "gen=0", "postings"))
     )
@@ -120,7 +105,7 @@ def test_incremental_update_reflects_latest_text(ray_session, tmp_path, corpus):
             == m
         )
     # queries now reflect the merged corpus (latest text per doc_id)
-    _assert_index_matches(idx, _direct_over(tmp_path, merged, "snap2"))
+    _assert_index_matches(idx, _oracle_over(tmp_path, merged, "snap2"))
 
 
 def test_distributed_overlap_path_matches(ray_session, tmp_path, corpus):
@@ -130,7 +115,7 @@ def test_distributed_overlap_path_matches(ray_session, tmp_path, corpus):
     stats = idx.update(_docs_table(sub2))
     assert stats["n_upserts"] == 15
     assert idx.meta["live_docs"] == len(merged)
-    _assert_index_matches(idx, _direct_over(tmp_path, merged, "snap3"))
+    _assert_index_matches(idx, _oracle_over(tmp_path, merged, "snap3"))
 
 
 def test_compact_preserves_queries(ray_session, tmp_path, corpus):
@@ -202,15 +187,14 @@ def test_stemmed_index_matches_both_sides(ray_session, tmp_path):
 
 
 def test_stemmed_index_equals_direct_stemmed_pipeline(ray_session, tmp_path):
-    """A stem=True index over the sf0.001 corpus reproduces
-    search_topk_stemmed (the oracle-green direct pipeline) exactly — the
-    two v3-contract implementations cannot drift."""
+    """A stem=True index over the sf0.001 corpus reproduces the
+    search_topk_stemmed oracle (a direct DuckDB recompute over stemmed
+    tokens) row for row, in rank order."""
     sf = "/root/testdata/sf0.001"
-    direct = search.search_topk_stemmed(sf)
     idx = SearchIndex.create(str(tmp_path / "idx_v3"), stem=True)
     idx.update(sf + "/documents.parquet")
     got = idx.topk(list(search.QUERY_TERMS), search.TOP_K)
-    assert got.equals(direct)
+    assert table_rows(got) == oracle_rows("search_topk_stemmed", sf)
 
 
 def test_within_submission_duplicate_doc_ids_collapse(ray_session, tmp_path):
