@@ -4,7 +4,8 @@ A from-scratch URL-frontier + fetch scheduler expressed as Ray Data pipelines:
 
 - frontier rounds are ``ray.data.Dataset``s of URL rows (BFS levels),
 - fetch + decode is an actor-pool ``map_batches`` stage over zero-copy Arrow,
-- URL-seen dedup is a sharded bloom+cuckoo filter actor pool,
+- URL-seen dedup is an exact set: one sorted uint64 key array per shard in
+  the object store,
 - politeness / robots scheduling is a per-host-sharded actor pool,
 - output is a partitioned (per-round) image+caption table
   (``image_id, bytes, w, h, fmt, caption, phash``), Lance when the ``lance``

@@ -17,6 +17,9 @@ from distributed_web_crawling_system_ray.pipelines.crawl import CrawlResult, run
 from distributed_web_crawling_system_ray.sources.synthweb import build_fixture
 
 _CRAWL_CACHE_ROOT = os.environ.get("GRAFT_CRAWL_CACHE", "/tmp/graft_crawl_cache")
+# part of the cache stamp: a cached work dir written with another checkpoint
+# layout cannot be resumed, so it is rebuilt
+_CHECKPOINT_LAYOUT = "seen=npy"
 _RESULTS: dict[str, CrawlResult] = {}
 
 SF_TO_SCALE = {"sf0.001": "t1", "sf0.01": "t2", "sf0.1": "bench"}
@@ -29,16 +32,16 @@ def scale_for(sf_dir: str) -> str:
 def crawl_cached(scale: str, cfg: CrawlConfig | None = None) -> CrawlResult:
     """Run (or resume — a no-op when complete) the crawl for ``scale``.
 
-    The cached work dir is stamped with the fixture's params stamp; a cache
-    built against an older fixture version is wiped, not resumed (resuming
-    across fixture versions would mix frontier/filter state with a different
-    web)."""
+    The cached work dir is stamped with the fixture's params stamp and the
+    checkpoint layout; a cache built against an older fixture version or
+    layout is wiped, not resumed (resuming across fixture versions would mix
+    frontier/seen state with a different web)."""
     if scale in _RESULTS:
         return _RESULTS[scale]
     fixture = build_fixture(scale)
     work = os.path.join(_CRAWL_CACHE_ROOT, scale)
     with open(os.path.join(fixture, "_SUCCESS")) as f:
-        fixture_stamp = f.read()
+        fixture_stamp = f.read() + _CHECKPOINT_LAYOUT
     stamp_path = os.path.join(work, "_FIXTURE_STAMP")
     if os.path.isdir(work):
         stale = True

@@ -36,8 +36,7 @@ class CrawlConfig:
 
     # sharding / parallelism
     # logical seen shards K: sets url_hash % K routing and the checkpoint
-    # layout; they are hosted on min(K, cluster CPUs) UrlSeenShard actors,
-    # so the cluster size, not K, sets the process count
+    # layout (one sorted uint64 key array per shard, state/seen.py)
     seen_shards: int = 8
     fetch_batch_size: int = 256
     # decode batch sizing: rows are wide (binary image bytes) — size by
@@ -59,10 +58,6 @@ class CrawlConfig:
     # groupby sort, measured 1-6 s/round cheaper); larger rounds use the
     # Dataset-native groupby(host) shuffle (the cluster-scale path).
     driver_partition_limit: int = 2_000_000
-
-    # cuckoo filter sizing (per shard)
-    cuckoo_capacity: int = 1 << 16
-    bloom_bits: int = 1 << 20
 
     real_time_politeness: bool = False
 

@@ -12,7 +12,7 @@ same canonicalization, so conformance is well defined.
 ``url_hash`` is the LEADING (most-significant) 64 bits of md5(canon), i.e.
 ``digest()[:8]`` big-endian == ``int(hexdigest[:16], 16)`` — md5 mirrors the
 reference's content addressing (``crawler/crawler_node.py:253``); 64 bits is
-what the cuckoo/bloom shards key on.
+what the URL-seen shards key on.
 """
 
 from __future__ import annotations

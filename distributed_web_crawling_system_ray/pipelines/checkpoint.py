@@ -1,4 +1,4 @@
-"""Round checkpoints: frontier + filter snapshots + clocks + metrics.
+"""Round checkpoints: frontier + seen-key arrays + clocks + metrics.
 
 The reference persists only a partial state snapshot (v1
 ``crawler_state.json`` every 30 s — visited set but NOT the queue, so resume
@@ -13,7 +13,8 @@ Here every round commits atomically:
                                      Dataset-written dir at cluster scale)
         new_frontier_manifest.json  (pieces composing round K+1's input)
         new_frontier*.parquet | new_frontier_links/ | new_frontier_deferred/
-        seen/ image_seen/           (filter shard snapshots)
+        seen/ image_seen/           (seen_shard_{s}.npy: each shard's
+                                     sorted uint64 keys)
         clocks.json                 (per-host virtual politeness clocks)
         metrics.json                (per-round counters, METRICS schema)
         _SUCCESS                    (commit marker — written last)
@@ -21,7 +22,7 @@ Here every round commits atomically:
 Resume = restore shards + clocks from the last ``_SUCCESS`` round, re-enter
 the loop at round K+1 with the ``new_frontier_manifest.json`` pieces.
 Payload partitions beyond the committed round are deleted and rewritten
-(idempotent: the restored image-seen filter reproduces the same decisions).
+(idempotent: the restored image-seen set reproduces the same decisions).
 """
 
 from __future__ import annotations

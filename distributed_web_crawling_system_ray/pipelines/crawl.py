@@ -5,7 +5,7 @@ iterative sequence of bounded Dataset pipelines:
 
     round k:  frontier ──host exchange──> politeness scheduler (robots gate +
               virtual-time slots) ──filter allowed──> fetch (map stage)
-              ──┬─> flat_map outlinks -> canonicalize -> pure seen-shard
+              ──┬─> flat_map outlinks -> canonicalize -> pure seen-set
               │    contains() prefilter -> min-rank dedup (driver-side under
               │    the partition limit, groupby(url_hash%P) above) ->
               │    exactly-once driver admission -> round k+1 frontier
@@ -21,8 +21,8 @@ plain acyclic Dataset pipeline.  Termination = empty frontier (v1 semantics:
 budget.
 
 Frontier rounds are persisted as parquet under the work dir — that plus
-filter-shard snapshots and host clocks is the checkpoint; resume re-reads the
-last committed round's outputs (see ``checkpoint.py``).
+the seen sets' sorted key arrays and host clocks is the checkpoint; resume
+re-reads the last committed round's outputs (see ``checkpoint.py``).
 
 Scale discipline (every driver pull is hash- or host-sized, never row-sized):
 
@@ -331,7 +331,7 @@ def ingest_injected_urls(work_dir: str, seen, rnd: int) -> pa.Table | None:
 
     Mirrors the reference's ``/add_urls`` dedup-then-enqueue
     (master/master_node.py:212-220): each URL canonicalizes, passes the
-    seen-shard ``check_and_add`` (idempotent — re-posting a known URL is a
+    seen-set ``check_and_add`` (idempotent — re-posting a known URL is a
     no-op), and enters the CURRENT round at depth=rnd with a rank that sorts
     after organically-discovered rows (0xFF-prefixed).  Files are consumed
     (renamed ``.done``) so ingestion never duplicates across resumes; a crash
@@ -417,10 +417,8 @@ def run_crawl(
     os.makedirs(ckpt_root, exist_ok=True)
     os.makedirs(out_dir, exist_ok=True)
 
-    seen = SeenPool.create(cfg.seen_shards, cfg.cuckoo_capacity, cfg.bloom_bits)
-    image_seen = SeenPool.create(
-        max(2, cfg.seen_shards // 2), cfg.cuckoo_capacity, cfg.bloom_bits
-    )
+    seen = SeenPool.create(cfg.seen_shards)
+    image_seen = SeenPool.create(max(2, cfg.seen_shards // 2))
     robots_table = pq.read_table(os.path.join(fixture_dir, "robots.parquet"))
     robots_ref = ray.put(robots_table)
     from distributed_web_crawling_system_ray.state.robots import RobotsPolicies
@@ -510,7 +508,7 @@ def run_crawl(
         # --- URL ingest between rounds (reference /add_urls endpoint,
         # master/master_node.py:212-220,260-265 / SURVEY S3): consume
         # work_dir/inject/*.txt (one URL per line), canonicalize, first-seen
-        # dedup through the same shard pool, enqueue at the current round.
+        # dedup through the same seen set, enqueue at the current round.
         injected = ingest_injected_urls(work_dir, seen, rnd)
         if injected is not None and injected.num_rows:
             if frontier.paths:
@@ -811,7 +809,7 @@ def run_crawl(
                             for t in hparts
                         ]
                     )
-                    # all keys are new by construction (pure contains()
+                    # all keys are new by construction (exact contains()
                     # prefilter + dedup, and only this driver thread mutates
                     # image_seen) — check_and_add is the admission record
                     image_seen.check_and_add(keys)
@@ -871,14 +869,9 @@ def run_crawl(
                 ).combine_chunks()
                 # one row per url_hash with the minimum (depth, rank_path)
                 cand_frontier = dedup_min_rank(cand_frontier)
-                # exactly-once first-seen admission (post-dedup, so no
-                # intra-call collisions).  Every key here passed the pure
-                # contains() prefilter (no false negatives) and nothing else
-                # mutates `seen` mid-round, so a "seen" verdict can only be
-                # a filter false positive — the row is KEPT (it is genuinely
-                # new; fetching it once is correct, and the phantom-seen key
-                # blocks any later re-enqueue), matching the cluster-scale
-                # path so both layouts emit identical metrics and frontiers.
+                # exactly-once first-seen admission: every key here passed
+                # the exact contains() prefilter and the dedup, and nothing
+                # else mutates `seen` mid-round, so all of them are new.
                 seen.check_and_add(
                     cand_frontier.column("url_hash").to_numpy(zero_copy_only=False)
                 )
@@ -890,10 +883,7 @@ def run_crawl(
         else:
             # cluster-scale discovery: dedup shuffle -> distributed frontier
             # write -> hash-only admission.  Write-BEFORE-admit (the lineage
-            # argument above).  check_and_add rejections here can only be
-            # filter false positives — those rows stay in the written
-            # frontier (they are genuinely new; fetching them once is
-            # correct, and the phantom-seen key blocks any later re-enqueue).
+            # argument above).
             deduped_nf = (
                 cands_mat.map_batches(
                     add_hash_partition,

@@ -11,7 +11,8 @@ once per worker process for the whole crawl.
 This keeps the reference's "load once per worker" semantics (the per-crawler
 ``requests.Session`` / ``RobotsCache``, crawler/crawler_node.py:27-55,79-83)
 with zero per-round overhead.  Genuinely *mutable* cross-round state (the
-URL-seen filters) stays in long-lived named actors (state/seen.py).
+URL-seen sets) is replaced, never mutated, by the driver: each admit
+``ray.put``s new sorted key arrays (state/seen.py).
 """
 
 from __future__ import annotations

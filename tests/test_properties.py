@@ -11,7 +11,6 @@ from distributed_web_crawling_system_ray.functions.codec import (
     encode_png,
     psnr,
 )
-from distributed_web_crawling_system_ray.state.filters import BloomFilter, CuckooFilter
 
 url_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), max_codepoint=0x2FF),
@@ -51,19 +50,50 @@ def test_canonicalize_relative_resolution_total(base_path, href):
         assert canonicalize(c) == c
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=300))
-@settings(max_examples=60, deadline=None)
-def test_filters_never_false_negative(keys):
-    keys = np.asarray(keys, dtype=np.uint64)
-    cf = CuckooFilter(capacity=1 << 10)
-    bf = BloomFilter(n_bits=1 << 12)
-    if len(keys):
-        cf.check_and_add(keys)
-        bf.add(keys)
-        assert cf.contains(keys).all()
-        assert bf.contains(keys).all()
-        # second round is fully seen
-        assert cf.check_and_add(keys).all()
+seen_key = st.one_of(
+    st.sampled_from([0, 1, 2**64 - 1, 0xAAE6B039, 0x1503AF039]),
+    st.integers(min_value=0, max_value=63),  # small pool -> intra-batch repeats
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.lists(st.lists(seen_key, max_size=60), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=6),
+    st.lists(seen_key, max_size=40),
+)
+@settings(max_examples=40, deadline=None)
+@example(
+    k=8,
+    batches=[[0xAAE6B039, 2**64 - 1, 0, 2**64 - 1], [0x1503AF039, 0, 7, 7], [8, 0]],
+    cut=1,
+    probe=[0, 1, 2**64 - 2, 0x1503AF039],
+)
+def test_seen_pool_matches_set_reference(ray_session, k, batches, cut, probe):
+    """SeenPool(K) answers exactly like a Python set: check_and_add is True
+    on keys seen before (earlier batches or earlier in the same batch), and
+    a snapshot -> restore into a fresh handle midway changes nothing."""
+    import tempfile
+
+    from distributed_web_crawling_system_ray.state.seen import SeenPool
+
+    pool, ref = SeenPool.create(k), set()
+    for i, batch in enumerate(batches):
+        if i == cut:
+            with tempfile.TemporaryDirectory() as d:
+                pool.snapshot(d)
+                pool = SeenPool.create(k)
+                assert pool.restore(d) == len(ref)
+        expect = []
+        for key in batch:
+            expect.append(key in ref)
+            ref.add(key)
+        got = pool.check_and_add(np.asarray(batch, dtype=np.uint64))
+        assert got.tolist() == expect
+        keys = np.asarray(probe + batch, dtype=np.uint64)
+        assert pool.contains(keys).tolist() == [key in ref for key in probe + batch]
+    assert pool.total() == len(ref)
 
 
 @given(
