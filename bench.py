@@ -85,6 +85,29 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
+def query_mix_latency(sf_dir: str, n: int = 200) -> dict:
+    """p50/p95 wall of ``n`` seeded query strings in the five Whoosh forms
+    (bare, field, phrase, nested boolean, wildcard; the perfbench ``search``
+    generator) through the stemmed index over ``sf_dir``.  The index build
+    and one warm-up query stay outside the timings."""
+    import numpy as np
+
+    from distributed_web_crawling_system_ray.pipelines.search import BM25_TOP_K
+    from distributed_web_crawling_system_ray.pipelines.search_index import index_for
+    from perfbench.workloads import _query_strings
+
+    idx = index_for(sf_dir, stem=True)
+    idx.search("customer join", k=BM25_TOP_K)
+    walls = [
+        _timed(lambda: idx.search(q, k=BM25_TOP_K)) * 1000
+        for q in _query_strings(np.random.default_rng(0), n)
+    ]
+    return {
+        "search_query_mix_p50_ms": round(float(np.percentile(walls, 50)), 1),
+        "search_query_mix_p95_ms": round(float(np.percentile(walls, 95)), 1),
+    }
+
+
 def run_bench(num_cpus: int) -> dict:
     import ray
 
@@ -235,6 +258,8 @@ def run_bench(num_cpus: int) -> dict:
     idx.topk(list(QUERY_TERMS), TOP_K)
     queries["search_topk_indexed"] = round(time.time() - t0, 3)
     shutil.rmtree(idx_dir, ignore_errors=True)
+    # per-query latency in ms, so outside the summed `queries` walls
+    query_mix = query_mix_latency(sf_dir)
 
     # ---- 10x scale-evidence section (r4 verdict items 5-6) ----
     # the three heaviest dataops + index-at-depth search latency over the
@@ -289,6 +314,7 @@ def run_bench(num_cpus: int) -> dict:
             "payload_mb": round(payload_bytes / 1e6, 1),
         },
         "sustained": sustained,
+        **query_mix,
         "sf1": sf1,
     }
     health_post = host_health_probe()

@@ -29,7 +29,9 @@ Scale shape:
 - term queries (topk / AND) read ONLY the partitions that can contain the
   query terms — Q hash buckets out of n_parts, across generations — never
   the corpus and never the text column (snippets are stored at index time,
-  fetched by doc-partition-pruned reads for the k winners only).
+  fetched by doc-partition-pruned reads for the k winners only).  When
+  those files' footer rows fit ``driver_row_limit`` they are plain pyarrow
+  reads on the driver; only larger reads become a Ray Dataset.
 - the per-term df pass and the per-doc score ``groupby(doc_id)`` operate on
   those pruned rows (Σ df(term) rows), the classic query-cost bound of an
   inverted index.
@@ -141,6 +143,40 @@ def _live_mask(ids, gen, last_gen: dict[int, int]) -> np.ndarray:
     keys, vals = keys[order], vals[order]
     pos = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
     return gen >= np.where(keys[pos] == ids, vals[pos], 0)
+
+
+def _doc_ids(parts: list[pa.Table]) -> np.ndarray:
+    """The ``doc_id`` columns of driver-held Arrow parts as one array."""
+    return np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [
+            t.column("doc_id").to_numpy(zero_copy_only=False)
+            for t in parts
+            if t.num_rows
+        ]
+    )
+
+
+def _footer_rows(files: list[str]) -> int:
+    """Rows in ``files`` by their parquet footers, read before any data: an
+    upper bound on the matched postings and exactly the rows a driver read
+    decodes, so it bounds driver memory."""
+    return sum(pq.read_metadata(f).num_rows for f in files)
+
+
+def _read_on_driver(files: list[str], columns: list[str], keep) -> list[pa.Table]:
+    """The pruned postings as driver-held Arrow parts: one ``pq.read_table``
+    per file, then ``keep``.  No Ray Data execution, whose fixed launch
+    cost is most of a driver-sized query's time."""
+    parts = (keep(pq.read_table(f, columns=columns)) for f in files)
+    return [t for t in parts if t.num_rows]
+
+
+def _read_dataset(files: list[str], columns: list[str], keep) -> "ray.data.Dataset":
+    """The same read as a lazy Dataset, for the distributed branches only."""
+    return ray.data.read_parquet(files, columns=columns).map_batches(
+        keep, batch_format="pyarrow"
+    )
 
 
 def _idf(df: dict[str, int], n: int) -> dict[str, int]:
@@ -258,19 +294,10 @@ class SearchIndex:
         # detected and collapsed before any postings are built (r3 review:
         # duplicate same-generation postings both pass the live filter,
         # breaking AND counts and double-counting tf)
-        id_parts = [
-            t
-            for t in ray.get(
+        all_ids = _doc_ids(
+            ray.get(
                 docs_mat.select_columns(["doc_id"]).materialize().to_arrow_refs()
             )
-            if t.num_rows
-        ]
-        all_ids = (
-            np.concatenate(
-                [t.column("doc_id").to_numpy(zero_copy_only=False) for t in id_parts]
-            )
-            if id_parts
-            else np.zeros(0, dtype=np.int64)
         )
         new_ids = np.unique(all_ids)
         if len(new_ids) != len(all_ids):
@@ -581,14 +608,7 @@ class SearchIndex:
             .groupby("part")
             .map_groups(intersect, batch_format="pyarrow")
         ).materialize()
-        parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-        return (
-            np.concatenate(
-                [t.column("doc_id").to_numpy(zero_copy_only=False) for t in parts]
-            )
-            if parts
-            else np.zeros(0, dtype=np.int64)
-        )
+        return _doc_ids(ray.get(out.to_arrow_refs()))
 
     # ------------------------------------------------------------- compact
 
@@ -791,9 +811,11 @@ class SearchIndex:
         terms: list[str],
         require_content_tf: bool = True,
         with_positions: bool = False,
-    ) -> "ray.data.Dataset | None":
-        """Dataset over ONLY the hash partitions that can hold ``terms``,
-        filtered to the terms and to live (non-superseded) rows.
+    ) -> tuple:
+        """The read plan ``(files, columns, keep)`` for ``terms``: ONLY the
+        hash partitions that can hold them, and the one filter to the terms
+        and to live (non-superseded) rows.  ``_read_on_driver(*plan)`` and
+        ``_read_dataset(*plan)`` both apply it.
 
         ``require_content_tf`` (the default) additionally drops title-only
         rows (tf == 0): the v1 TF-IDF/AND/df queries are defined over
@@ -805,39 +827,23 @@ class SearchIndex:
         postings bytes, so every other query path prunes them at the read).
         """
         n_parts = self.meta["n_parts"]
-        parts = {_term_part(t, n_parts) for t in terms}
-        files = self._all_files("postings", parts)
-        if not files:
-            return None
+        files = self._all_files("postings", {_term_part(t, n_parts) for t in terms})
         columns = ["term", "doc_id", "tf", "tf_title", "dl", "gen"]
         if with_positions:
             columns += ["pos", "pos_title"]
         last_gen = self._last_gen_map()
-        term_set = set(terms)
+        value_set = pa.array(sorted(set(terms)), pa.string())
 
         def keep(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0:
                 return batch
-            m = pc.is_in(batch.column("term"), value_set=pa.array(sorted(term_set)))
+            m = pc.is_in(batch.column("term"), value_set=value_set)
             if require_content_tf:
                 m = pc.and_(m, pc.greater(batch.column("tf"), 0))
             t = batch.filter(m)
             return t.filter(_live_mask(t["doc_id"], t["gen"], last_gen))
 
-        return (
-            ray.data.read_parquet(files, columns=columns)
-            .map_batches(keep, batch_format="pyarrow")
-            .materialize()
-        )
-
-    def _matched_parts(self, terms: list[str]) -> list[pa.Table]:
-        """The pruned, live postings rows for ``terms`` as driver-held
-        Arrow parts — read ONCE per query and shared by the df and scoring
-        passes (r3 review: topk used to run the partition read twice)."""
-        ds = self._pruned_postings(terms)
-        if ds is None:
-            return []
-        return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+        return files, columns, keep
 
     @staticmethod
     def _df_from_parts(parts: list[pa.Table], terms: list[str]) -> dict[str, int]:
@@ -872,7 +878,9 @@ class SearchIndex:
         """Per-term document frequency for a query — pruned partitions only.
         Terms stem first iff the index is stemmed (keys are the stems)."""
         terms = self._prep_terms(terms)
-        return self._df_from_parts(self._matched_parts(terms), terms)
+        return self._df_from_parts(
+            _read_on_driver(*self._pruned_postings(terms)), terms
+        )
 
     def topk(
         self, terms: list[str], k: int = 20, driver_row_limit: int = 2_000_000
@@ -912,27 +920,23 @@ class SearchIndex:
         than k do, the smallest remaining live doc_ids pad the tail at
         score 0, like unmatched docs in a full ranking of the corpus.
 
-        Scale-adaptive: the matched postings row count decides (a metadata
-        count on the materialized pruned Dataset) — a driver fold at or
-        under ``driver_row_limit``, else ``_topk_distributed``, because a
-        stopword query matches the whole corpus and must never fold on the
-        driver."""
+        Scale-adaptive, decided before any read: the pruned files' footer
+        row count (``_footer_rows``) at or under ``driver_row_limit`` reads
+        them on the driver with pyarrow and folds there; above it runs
+        ``_topk_distributed``, because a stopword query matches the whole
+        corpus and must never fold on the driver."""
         n = int(self.meta["live_docs"])
-        ds = self._pruned_postings(terms, require_content_tf=require_content_tf)
-        if ds is not None and ds.count() > driver_row_limit:
-            ranked = self._topk_distributed(ds, terms, n, k, row_contrib)
-        else:
-            parts = (
-                [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-                if ds is not None
-                else []
+        plan = self._pruned_postings(terms, require_content_tf=require_content_tf)
+        if _footer_rows(plan[0]) > driver_row_limit:
+            ranked = self._topk_distributed(
+                _read_dataset(*plan), terms, n, k, row_contrib
             )
+        else:
+            parts = _read_on_driver(*plan)
             ranked = []
             if parts:
                 idf = _idf(self._df_from_parts(parts, terms), n)
-                ids = np.concatenate(
-                    [t.column("doc_id").to_numpy(zero_copy_only=False) for t in parts]
-                )
+                ids = _doc_ids(parts)
                 contrib = np.concatenate(
                     [
                         row_contrib(t, self._idf_weights(t.column("term"), idf))
@@ -1041,20 +1045,20 @@ class SearchIndex:
         self, terms: list[str], driver_row_limit: int = 2_000_000
     ) -> pa.Table:
         """doc_ids containing ALL terms (v1 posting-list AND, D5) from the
-        pruned partitions.  Above ``driver_row_limit`` matched rows the
-        intersection runs as a distributed ``groupby(doc_id).count == Q``
+        pruned partitions.  The same footer-row switch as ``_rank``: at or
+        under ``driver_row_limit`` a pyarrow read and ``np.unique`` count on
+        the driver; above it a distributed ``groupby(doc_id).count == Q``,
         so the candidate rows never concentrate on the driver (only the
         intersection RESULT does — it is the output)."""
         terms = self._prep_terms(terms)
         q = len(set(terms))
-        ds = self._pruned_postings(terms)
-        if ds is None:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        if ds.count() > driver_row_limit:
+        plan = self._pruned_postings(terms)
+        if _footer_rows(plan[0]) > driver_row_limit:
             from ray.data.aggregate import Count
 
             hits_ds = (
-                ds.groupby("doc_id")
+                _read_dataset(*plan)
+                .groupby("doc_id")
                 .aggregate(Count(alias_name="n_terms"))
                 .map_batches(
                     lambda t: t.filter(pc.equal(t["n_terms"], q)).select(
@@ -1063,21 +1067,13 @@ class SearchIndex:
                     batch_format="pyarrow",
                 )
             ).materialize()
-            parts = [t for t in ray.get(hits_ds.to_arrow_refs()) if t.num_rows]
-            if not parts:
-                return pa.table({"doc_id": pa.array([], pa.int64())})
-            return (
-                pa.concat_tables(parts).combine_chunks().sort_by("doc_id")
+            hits = _doc_ids(ray.get(hits_ds.to_arrow_refs()))
+        else:
+            ids_u, counts = np.unique(
+                _doc_ids(_read_on_driver(*plan)), return_counts=True
             )
-        parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-        if not parts:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        all_ids = np.concatenate(
-            [t.column("doc_id").to_numpy(zero_copy_only=False) for t in parts]
-        )
-        ids_u, counts = np.unique(all_ids, return_counts=True)
-        hits = np.sort(ids_u[counts == q])
-        return pa.table({"doc_id": pa.array(hits, pa.int64())})
+            hits = ids_u[counts == q]
+        return pa.table({"doc_id": pa.array(np.sort(hits), pa.int64())})
 
     def term_df(self) -> pa.Table:
         """Full document-frequency table (term, df) — the index-statistics
@@ -1183,10 +1179,13 @@ class SearchIndex:
         frequency — in place of tf, with df = number of docs containing
         the phrase), summed per matching doc.
 
-        The candidate postings for the query's terms are folded driver-side
-        (bounded by the per-term document frequencies, the classic
-        inverted-index query cost); corpus-scale stopword queries belong on
-        ``topk``/``topk_bm25f``, which switch to the distributed path.
+        Reads: the candidate postings for the query's terms come from one
+        ``pq.read_table`` per pruned file on the driver (no Ray Data
+        execution), plus a second such read of the phrase constituents'
+        position columns, and fold there — bounded by the per-term document
+        frequencies, the classic inverted-index query cost.  There is no
+        distributed branch: corpus-scale stopword queries belong on
+        ``topk``/``topk_bm25f``, which switch to one.
         """
         groups = parse_query(query_str)
         if not groups:
@@ -1231,13 +1230,8 @@ class SearchIndex:
         # positions are the bulk of the postings bytes and only phrase
         # constituents need them (r5 review: a mixed query was paying the
         # positional cost for its high-df non-phrase terms)
-        ds = self._pruned_postings(
-            all_terms, require_content_tf=False, with_positions=False
-        )
-        parts = (
-            [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-            if ds is not None
-            else []
+        parts = _read_on_driver(
+            *self._pruned_postings(all_terms, require_content_tf=False)
         )
         # per-term posting columns (ids, tf, tf_title, dl): ONE sort of the
         # (already term-filtered) rows, then run slices — not a full-column
@@ -1263,13 +1257,10 @@ class SearchIndex:
                     for x in t
                 }
             )
-            pds = self._pruned_postings(
-                phrase_terms, require_content_tf=False, with_positions=True
-            )
-            pparts = (
-                [x for x in ray.get(pds.to_arrow_refs()) if x.num_rows]
-                if pds is not None
-                else []
+            pparts = _read_on_driver(
+                *self._pruned_postings(
+                    phrase_terms, require_content_tf=False, with_positions=True
+                )
             )
             for term, sub in _runs_by_term(pparts):
                 pos_cat[term] = {
@@ -1485,14 +1476,16 @@ class SearchIndex:
             return {}
         n_dparts = self.meta["n_dparts"]
         parts = {int(d) % n_dparts for d in ids}
-        idset = set(int(d) for d in ids)
+        winners = pa.array(sorted({int(d) for d in ids}), pa.int64())
         cols = ["doc_id", "title", "domain", "crawl_date", "snippet", "gen"]
         best: dict[int, tuple[int, dict]] = {}
         for f in self._all_files("docs", parts):
             t = pq.read_table(f, columns=cols)
+            # only the winners' rows reach Python objects
+            t = t.filter(pc.is_in(t.column("doc_id"), value_set=winners))
             rows = [t.column(c).to_pylist() for c in cols]
             for d, title, domain, cdate, snip, g in zip(*rows):
-                if d in idset and (d not in best or g > best[d][0]):
+                if d not in best or g > best[d][0]:
                     best[d] = (
                         g,
                         {
@@ -1679,17 +1672,15 @@ def search_topk_highlighted(sf_dir: str) -> pa.Table:
     place of the plain 200-char snippet (v3 ``highlights(top=2)``,
     indexer/indexer_node.py:166-171).  The fragments need the full text,
     which the index does not store, so this is a pruned read of the k
-    winners' text only."""
+    winners' text only (one pyarrow read with a row filter, on the driver)."""
     top = search_topk_indexed(sf_dir)
     ids = top.column("doc_id").to_pylist()
-    win_ds = ray.data.read_parquet(
+    win = pq.read_table(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text"],
-        filter=pc.field("doc_id").isin(ids),
+        filters=[("doc_id", "in", ids)],
     )
-    texts: dict[int, str] = {}
-    for t in ray.get(win_ds.materialize().to_arrow_refs()):
-        texts.update(zip(t.column("doc_id").to_pylist(), t.column("text").to_pylist()))
+    texts = dict(zip(win.column("doc_id").to_pylist(), win.column("text").to_pylist()))
     return top.set_column(
         top.schema.get_field_index("snippet"),
         "snippet",

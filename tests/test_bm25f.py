@@ -573,3 +573,70 @@ def test_search_total_over_arbitrary_queries(ray_session, tmp_path, corpus, seed
         )
 
     run()
+
+
+def test_queries_past_parser_caps_raise_only_the_documented_error(
+    ray_session, tmp_path, corpus
+):
+    """Past the caps — parens/NOTs nested deeper than MAX_QUERY_DEPTH, or a
+    DNF of more than MAX_DNF_GROUPS AND-groups — ``parse_query`` and
+    ``SearchIndex.search`` raise the documented ValueError and nothing
+    else.  Hypothesis builds the queries from every leaf form (bare, field,
+    phrase, wildcard) in three shapes: a deep opener chain, an AND of
+    OR-groups whose sizes multiply past the cap, and one flat OR."""
+    import math
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from distributed_web_crawling_system_ray.pipelines.search import (
+        MAX_DNF_GROUPS,
+        MAX_QUERY_DEPTH,
+    )
+
+    idx = SearchIndex.create(str(tmp_path / "idx_caps"))
+    idx.update(_docs_table(corpus))
+    leaves = st.lists(
+        st.sampled_from(
+            ["customer", "title:join", 'content:"customer join"', "wind*",
+             '"a b c"', "str?am", "NOT data"]
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+    @st.composite
+    def past_caps(draw):
+        ls = draw(leaves)
+        shape = draw(st.sampled_from(["deep", "product", "flat"]))
+        if shape == "deep":
+            openers = draw(
+                st.lists(
+                    st.sampled_from(["(", "NOT"]),
+                    min_size=MAX_QUERY_DEPTH + 1,
+                    max_size=2 * MAX_QUERY_DEPTH,
+                )
+            )
+            return " ".join([ls[0]] + openers + ls[1:] + [ls[0]])
+        if shape == "flat":
+            n = draw(st.integers(MAX_DNF_GROUPS + 1, MAX_DNF_GROUPS + 64))
+            return " OR ".join(ls[i % len(ls)] for i in range(n))
+        sizes = draw(st.lists(st.integers(1, 6), max_size=6))
+        while math.prod(sizes) <= MAX_DNF_GROUPS:
+            sizes.append(draw(st.integers(2, 6)))
+        return " AND ".join(
+            "(" + " OR ".join(ls[(i + j) % len(ls)] for j in range(s)) + ")"
+            for i, s in enumerate(sizes)
+        )
+
+    cap_error = "nesting deeper than|more than .* AND-groups"
+
+    @given(past_caps())
+    @settings(max_examples=60, deadline=None)
+    def run(q):
+        with pytest.raises(ValueError, match=cap_error):
+            parse_query(q)
+        with pytest.raises(ValueError, match=cap_error):
+            idx.search(q, k=5)
+
+    run()

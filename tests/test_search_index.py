@@ -143,7 +143,7 @@ def test_compact_preserves_queries(ray_session, tmp_path, corpus):
 def test_distributed_topk_path_matches_driver_fold(ray_session, tmp_path, corpus):
     """Stopword-scale scoring path (groupby(doc_id) + local top-k + merge,
     forced via driver_row_limit=0) returns exactly the driver-fold result —
-    including a high-df term so many docs match."""
+    TF-IDF and BM25F alike, including a high-df term so many docs match."""
     sub1, sub2, merged = corpus
     idx = SearchIndex.create(str(tmp_path / "idx_dtk"))
     idx.update(_docs_table(merged))
@@ -151,9 +151,94 @@ def test_distributed_topk_path_matches_driver_fold(ray_session, tmp_path, corpus
         a = idx.topk(terms, k=10)
         b = idx.topk(terms, k=10, driver_row_limit=0)
         assert a.equals(b), terms
+        a = idx.topk_bm25f(terms, k=10)
+        b = idx.topk_bm25f(terms, k=10, driver_row_limit=0)
+        assert a.equals(b), terms
         c = idx.and_terms(terms)
         d = idx.and_terms(terms, driver_row_limit=0)
         assert c.column("doc_id").to_pylist() == d.column("doc_id").to_pylist()
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """Counts Ray Data executions: every Dataset consumption (materialize,
+    count, iteration) runs one ``StreamingExecutor.execute``."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls
+
+
+# one query string per Whoosh form: bare terms, field-restricted, phrase,
+# nested boolean, wildcard
+FIVE_FORMS = (
+    "customer join",
+    "title:customer content:window",
+    'content:"customer join"',
+    "(customer OR join) AND (window OR title:stream) AND NOT robots",
+    "cust* AND join",
+)
+
+
+def test_driver_sized_queries_run_no_ray_data_execution(
+    ray_session, tmp_path, corpus, executions
+):
+    """Every query whose pruned postings fit ``driver_row_limit`` reads them
+    with pyarrow on the driver: zero Ray Data executions, even across an
+    upsert (so the live filter runs on the driver read too)."""
+    sub1, sub2, _ = corpus
+    idx = SearchIndex.create(str(tmp_path / "idx_drv"))
+    idx.update(_docs_table(sub1))
+    idx.update(_docs_table(sub2))
+    executions.clear()
+    for q in FIVE_FORMS:
+        assert idx.search(q, k=5).num_rows > 0, q
+    idx.topk(TERMS)
+    idx.topk_bm25f(TERMS)
+    idx.and_terms(TERMS)
+    idx.query_df(TERMS)
+    assert executions == []
+
+
+def test_footer_rows_choose_the_distributed_branch(
+    ray_session, tmp_path, corpus, executions
+):
+    """The driver-vs-distributed switch reads parquet footers, before any
+    data: limit 0 and any limit below the pruned files' footer-row sum —
+    even one at or above the matched-row count — go distributed (>= 1 Ray
+    Data execution), and both branches give the driver fold's answer."""
+    from distributed_web_crawling_system_ray.pipelines.search_index import (
+        _footer_rows,
+        _read_on_driver,
+    )
+
+    sub1, sub2, _ = corpus
+    idx = SearchIndex.create(str(tmp_path / "idx_sw"))
+    idx.update(_docs_table(sub1))
+    idx.update(_docs_table(sub2))
+    plan = idx._pruned_postings(TERMS)
+    matched = sum(t.num_rows for t in _read_on_driver(*plan))
+    footer = _footer_rows(plan[0])
+    assert 0 < matched < footer
+    want_topk, want_and = idx.topk(TERMS), idx.and_terms(TERMS)
+    for limit in (0, matched, footer - 1):
+        executions.clear()
+        assert idx.topk(TERMS, driver_row_limit=limit).equals(want_topk), limit
+        assert len(executions) >= 1, limit
+        executions.clear()
+        got = idx.and_terms(TERMS, driver_row_limit=limit)
+        assert got.column("doc_id").equals(want_and.column("doc_id")), limit
+        assert len(executions) >= 1, limit
+    executions.clear()
+    assert idx.topk(TERMS, driver_row_limit=footer).equals(want_topk)
+    assert executions == []
 
 
 def test_stemmed_index_matches_both_sides(ray_session, tmp_path):
