@@ -235,17 +235,10 @@ def _fetch_decode_phase(
     robots_ref = store_refs[1]
 
     def _robots_gate(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         from distributed_web_crawling_system_ray.stages.cache import get_policies
 
-        policies = get_policies(robots_ref)
-        hosts = batch.column("host").to_pylist()
-        canons = batch.column("canon").to_pylist()
-        ok = np.fromiter(
-            (policies.allows(hosts[i], canons[i]) for i in range(batch.num_rows)),
-            dtype=bool,
-            count=batch.num_rows,
+        ok = get_policies(robots_ref).allowed_mask(
+            batch.column("host").to_pylist(), batch.column("canon").to_pylist()
         )
         return batch.filter(pa.array(ok, pa.bool_()))
 

@@ -4,15 +4,25 @@ Restates the whole reference master/worker system (SURVEY §3.1-3.3) as an
 iterative sequence of bounded Dataset pipelines:
 
     round k:  frontier ──host exchange──> politeness scheduler (robots gate +
-              virtual-time slots) ──filter allowed──> fetch (map stage)
-              ──┬─> flat_map outlinks -> canonicalize -> pure seen-set
-              │    contains() prefilter -> min-rank dedup (driver-side under
-              │    the partition limit, groupby(url_hash%P) above) ->
-              │    exactly-once driver admission -> round k+1 frontier
-              └─> flat_map image refs -> pure image-seen contains() + robots
-                   gate -> set-dedup + exactly-once admission -> decode ->
-                   write payload partition round=k   (runs on a driver
-                   thread, overlapped with the frontier branch)
+              virtual-time slots) ──> fetch -> extract, fused into one task
+              per fetch batch (fetches the ALLOWED rows; returns every
+              schedule row + status and two candidate list columns):
+                ├─ links: outlinks -> canonicalize + min-rank batch combiner
+                │   -> pure seen-set contains() anti-join
+                └─ images: image refs -> pure image-seen contains() + robots
+                    gate
+          ──> min-rank link dedup -> exactly-once admission -> round k+1
+              frontier
+          ──> image set-dedup -> exactly-once admission -> decode -> write
+              payload partition round=k
+
+A driver-sized round (frontier <= ``driver_partition_limit``) is two Ray
+Data executions: E1 schedules, fetches and extracts and is pulled to the
+driver once, which splits the list columns, writes the schedule, advances
+the host clocks, dedups and admits; E2 decodes and writes the round's new
+images and is skipped when there are none.  Above the limit the same fused
+stage runs behind a groupby(host) shuffle and the dedups are
+groupby(url_hash % P) shuffles, so no per-row table reaches the driver.
 
 The feedback loop (extracted URLs re-entering the queue,
 ``master/master_node.py:167-173``) lives in this driver loop; each round is a
@@ -24,16 +34,19 @@ Frontier rounds are persisted as parquet under the work dir — that plus
 the seen sets' sorted key arrays and host clocks is the checkpoint; resume
 re-reads the last committed round's outputs (see ``checkpoint.py``).
 
-Scale discipline (every driver pull is hash- or host-sized, never row-sized):
+Scale discipline (every driver pull is hash- or host-sized, never row-sized,
+above ``driver_partition_limit``):
 
 - *frontier rows never concentrate on the driver above
   ``driver_partition_limit``*: the post-dedup survivors stay in the object
   store and are written to the next round's frontier with a distributed
   Dataset write; only the 8-byte ``url_hash`` column is pulled for the
-  exactly-once seen-pool admission (and, in the schedule stage, only a
-  per-host summary — counts + max slot — ever reaches the driver).
+  exactly-once seen-pool admission (and, from the schedule, only a
+  per-host summary — counts + max slot — ever reaches the driver).  Below
+  the limit the driver holds the round's schedule rows and its new link
+  and image candidates (at most the frontier times its fan-out).
 - *admission happens after the dependent sink completes*: a Ray lineage
-  reconstruction of a lost block re-runs the PURE ``contains()`` prefilter;
+  reconstruction of a lost block re-runs the PURE ``contains()`` anti-join;
   admitting before the frontier/payload write would make that retry observe
   its own round's keys and silently drop rows.
 - per-round fetch results are materialized (URL/metadata-sized — the image
@@ -82,6 +95,8 @@ from distributed_web_crawling_system_ray.pipelines.partition import (
     add_hash_partition,
     host_partition_chunks,
 )
+from distributed_web_crawling_system_ray.sources import storage
+from distributed_web_crawling_system_ray.stages.cache import get_policies
 from distributed_web_crawling_system_ray.state.scheduler import (
     ALLOWED,
     DEFERRED,
@@ -92,6 +107,8 @@ from distributed_web_crawling_system_ray.state.scheduler import (
 from distributed_web_crawling_system_ray.state.seen import SeenPool
 
 BASE_COLS = ["url", "canon", "url_hash", "host", "depth", "rank_path"]
+SCHED_COLS = BASE_COLS + ["verdict", "fetch_at_ms"]
+IMAGE_COLS = ["canon", "url_hash", "host"]
 
 
 def _run_guarded(fn, out: dict) -> None:
@@ -112,13 +129,6 @@ def _empty_frontier() -> pa.Table:
             "depth": pa.array([], pa.int32()),
             "rank_path": pa.array([], pa.binary()),
         }
-    )
-
-
-def _empty_schedule() -> pa.Table:
-    t = _empty_frontier()
-    return t.append_column("verdict", pa.array([], pa.int8())).append_column(
-        "fetch_at_ms", pa.array([], pa.int64())
     )
 
 
@@ -191,48 +201,111 @@ class FrontierHandle:
         return self._table
 
 
+_COUNTS = ("n_allowed", "n_disallowed", "n_deferred", "n_ok")
+
+
+def _by_host(t: pa.Table) -> pa.Table:
+    """Sum the counts and max the slot per host."""
+    g = t.group_by("host").aggregate(
+        [(c, "sum") for c in _COUNTS] + [("max_at", "max")]
+    )
+    cols = {"host": g["host"], **{c: g[f"{c}_sum"] for c in _COUNTS}}
+    return pa.table({**cols, "max_at": g["max_at_max"]})
+
+
 def _sched_summary(batch: pa.Table) -> pa.Table:
-    """Per-batch partial aggregate of the schedule output: per-host verdict
-    counts + max allowed slot.  The driver merge is O(#hosts in round) — the
-    same order as the clocks dict it feeds — never O(frontier rows)."""
-    if batch.num_rows == 0:
-        return pa.table(
+    """Per-batch partial aggregate of the round rows: per-host verdict
+    counts, 200-status count and max allowed slot.  The driver merge is
+    O(#hosts in round) — the same order as the clocks dict it feeds — never
+    O(frontier rows)."""
+    v = batch.column("verdict").to_numpy(zero_copy_only=False)
+    allowed = v == ALLOWED
+    return _by_host(
+        pa.table(
             {
-                "host": pa.array([], pa.string()),
-                "n_allowed": pa.array([], pa.int64()),
-                "n_disallowed": pa.array([], pa.int64()),
-                "n_deferred": pa.array([], pa.int64()),
-                "max_at": pa.array([], pa.int64()),
+                "host": batch.column("host"),
+                "n_allowed": allowed.astype(np.int64),
+                "n_disallowed": (v == DISALLOWED).astype(np.int64),
+                "n_deferred": (v == DEFERRED).astype(np.int64),
+                "n_ok": pc.cast(
+                    pc.fill_null(pc.equal(batch.column("status"), 200), False),
+                    pa.int64(),
+                ),
+                "max_at": np.where(
+                    allowed,
+                    batch.column("fetch_at_ms").to_numpy(zero_copy_only=False),
+                    np.int64(-1),
+                ),
             }
         )
-    import pandas as pd
+    )
 
-    v = batch.column("verdict").to_numpy(zero_copy_only=False)
-    at = batch.column("fetch_at_ms").to_numpy(zero_copy_only=False)
-    allowed = v == ALLOWED
-    df = pd.DataFrame(
-        {
-            "host": batch.column("host").to_pylist(),
-            "n_allowed": allowed.astype(np.int64),
-            "n_disallowed": (v == DISALLOWED).astype(np.int64),
-            "n_deferred": (v == DEFERRED).astype(np.int64),
-            "max_at": np.where(allowed, at, np.int64(-1)),
-        }
+
+def _apply_summary(parts: list[pa.Table], clocks: dict, policies) -> dict:
+    """Merge the per-batch schedule summaries on the driver: advance each
+    fetched host's virtual clock to its last slot + crawl delay, and return
+    the round's verdict and 200-status counts."""
+    s = _by_host(pa.concat_tables(parts))
+    fetched = s.filter(pc.greater(s["n_allowed"], 0))
+    for host, last_at in zip(
+        fetched["host"].to_pylist(), fetched["max_at"].to_pylist()
+    ):
+        clocks[host] = last_at + policies.delay_ms(host)
+    return {c: pc.sum(s[c]).as_py() or 0 for c in _COUNTS}
+
+
+def _nest(cands: pa.Table, rows: np.ndarray, n: int, cols: list[str]) -> pa.Array:
+    """Extractor output as a list column over a batch of ``n`` rows:
+    ``rows`` maps the extractor's input rows to the batch, and batch row i
+    lists, as structs of ``cols``, the candidates whose ``src`` maps to it
+    (``_unnest`` flattens them back)."""
+    at = rows[cands.column("src").to_numpy(zero_copy_only=False)]
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(at, minlength=n), out=offsets[1:])
+    vals = cands.select(cols).take(pa.array(np.argsort(at, kind="stable")))
+    return pa.ListArray.from_arrays(
+        pa.array(offsets),
+        pa.StructArray.from_arrays(
+            [c.combine_chunks() for c in vals.columns], names=cols
+        ),
     )
-    g = (
-        df.groupby("host", sort=False)
-        .agg(
-            n_allowed=("n_allowed", "sum"),
-            n_disallowed=("n_disallowed", "sum"),
-            n_deferred=("n_deferred", "sum"),
-            max_at=("max_at", "max"),
+
+
+def _unnest(batch: pa.Table, col: str) -> pa.Table:
+    """The candidate rows of one ``_nest`` list column (zero-copy)."""
+    flat = pc.list_flatten(batch.column(col))
+    names = [f.name for f in flat.type]
+    return pa.Table.from_arrays(
+        [pc.struct_field(flat, [i]) for i in range(len(names))], names=names
+    )
+
+
+def _dedup_shuffle(ds, col: str, dedup_fn, partitions: int):
+    """Cluster-scale intra-round dedup of one candidate list column: flatten
+    -> bounded hash partition -> groupby(url_hash % P) -> ``dedup_fn``.
+    Materialized: its sink and the admission's url_hash pull both read it."""
+    return (
+        ds.map_batches(_unnest, fn_kwargs={"col": col}, batch_format="pyarrow")
+        .map_batches(
+            add_hash_partition, fn_kwargs={"P": partitions}, batch_format="pyarrow"
         )
-        .reset_index()
+        .groupby("part")
+        .map_groups(dedup_fn, batch_format="pyarrow")
+        .materialize()
     )
-    # strip the pandas schema metadata: it makes the Arrow schema unhashable
-    # and Ray Data then warns on every block-schema unify
-    return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(
-        None
+
+
+def _hashes(ds) -> np.ndarray:
+    """The url_hash column of a materialized Dataset, pulled to the driver
+    (8 bytes a row: the only per-row data a cluster round sends it)."""
+    parts = ray.get(ds.select_columns(["url_hash"]).materialize().to_arrow_refs())
+    return np.concatenate(
+        [np.zeros(0, np.uint64)]
+        + [
+            t.column("url_hash").to_numpy(zero_copy_only=False)
+            for t in parts
+            if t.num_rows
+        ]
     )
 
 
@@ -244,9 +317,7 @@ class CrawlResult:
     metrics: list[dict] = field(default_factory=list)
 
     def payload_dataset(self) -> "ray.data.Dataset":
-        from distributed_web_crawling_system_ray.sources.storage import read_payload
-
-        return read_payload(self.out_dir)
+        return storage.read_payload(self.out_dir)
 
     def frontier_history(self) -> pa.Table:
         """Union of all rounds' frontiers == the final URL-seen set with
@@ -282,7 +353,7 @@ class CrawlResult:
             ):
                 if os.path.exists(p):
                     t = _read_table_any(p)
-                    tables.append(t.select(_empty_schedule().column_names))
+                    tables.append(t.select(SCHED_COLS))
                     break
         return pa.concat_tables(tables) if tables else None
 
@@ -495,6 +566,61 @@ def run_crawl(
         # to its own restored clock, so its first resumed fetch is due ~now
         # and within-host gaps (slot deltas >= crawl delay) are preserved.
         rt_offsets_ref = ray.put({h: int(c) for h, c in clocks.items()})
+    fetch_kwargs = {
+        **store_kwargs,
+        "real_time": cfg.real_time_politeness,
+        "rt_epoch": rt_epoch,
+        "rt_offsets_ref": rt_offsets_ref,
+    }
+    max_depth = cfg.max_depth
+
+    def fetch_extract(batch: pa.Table) -> pa.Table:
+        """The fused round body over one fetch batch of schedule rows.
+
+        Fetches the ALLOWED rows and extracts from the pages below the depth
+        cap (a page AT the cap is fetched but yields neither links nor
+        images: oracle.crawl_oracle's max_depth semantics).  Returns the
+        schedule rows plus ``status`` (null where not fetched) and two list
+        columns holding the batch's NEW candidates under the row that found
+        them: ``links`` (min-rank batch combiner, then the ``seen``
+        anti-join) and ``images`` (the ``image_seen`` anti-join and the
+        robots gate).  Unlike the oracle, which marks a robots-disallowed
+        image ref seen at first reference, disallowed refs are never
+        admitted and are re-gated on every re-reference; the verdict is
+        stable, so the payload is the same and only ``image_seen`` (exactly
+        the admitted candidates) differs.
+
+        PURE: it calls ``contains`` only.  Ray Data may re-execute a task
+        after block loss, and a retry that saw its first attempt's
+        admissions would filter its own rows out, so the seen sets are
+        mutated once, driver-side, after the round's sinks.  It is a
+        closure so that cloudpickle ships it by value, together with this
+        module's current ``fetch_pages``/``extract_links`` bindings.
+        """
+        n = batch.num_rows
+        verdict = batch.column("verdict").to_numpy(zero_copy_only=False)
+        rows = np.flatnonzero(verdict == ALLOWED)
+        fetched = fetch_pages(batch.take(pa.array(rows)), **fetch_kwargs)
+        status = np.zeros(n, dtype=np.int16)
+        status[rows] = fetched.column("status").to_numpy(zero_copy_only=False)
+        expand = batch.column("depth").to_numpy(zero_copy_only=False)[rows] < max_depth
+        pages = fetched.filter(pa.array(expand, pa.bool_()))
+        rows = rows[expand]  # batch row of each page
+
+        links = extract_links(pages)
+        keys = links.column("url_hash").to_numpy(zero_copy_only=False)
+        links = links.filter(pa.array(~seen.contains(keys), pa.bool_()))
+        images = extract_image_candidates(pages)
+        keys = images.column("url_hash").to_numpy(zero_copy_only=False)
+        ok = ~image_seen.contains(keys) & get_policies(robots_ref).allowed_mask(
+            images.column("host").to_pylist(), images.column("canon").to_pylist()
+        )
+        images = images.filter(pa.array(ok, pa.bool_()))
+        return (
+            batch.append_column("status", pa.array(status, mask=verdict != ALLOWED))
+            .append_column("links", _nest(links, rows, n, BASE_COLS))
+            .append_column("images", _nest(images, rows, n, IMAGE_COLS))
+        )
 
     rnd = start_round
     while True:
@@ -538,416 +664,188 @@ def run_crawl(
             fr_paths = [fp]
         with open(os.path.join(rd, "frontier_manifest.json"), "w") as f:
             json.dump([os.path.relpath(p, work_dir) for p in fr_paths], f)
-
-        # --- schedule: the explicit host exchange -> per-host politeness.
-        # Scale-adaptive realization of the groupby(host) shuffle: rounds
-        # under driver_partition_limit are sorted by host driver-side and
-        # cut at host boundaries (no Dataset sort; each host wholly in one
-        # block -> plain map stage); larger rounds go through the
-        # Dataset-native groupby(host).map_groups path.  Semantics are
-        # identical (tests pin both paths to the oracle).
-        clocks_ref = ray.put(clocks)
-        sched_kwargs = {
-            "robots_ref": robots_ref,
-            "clocks_ref": clocks_ref,
-            "per_host_round_budget": cfg.per_host_round_budget,
-        }
-        if small_round:
-            chunks = host_partition_chunks(frontier.table())
-            schedule_ds = ray.data.from_arrow(chunks).map_batches(
-                schedule_hosts_batch,
-                fn_kwargs=sched_kwargs,
-                batch_format="pyarrow",
-                batch_size=None,
-            )
-        else:  # cluster-scale frontier: Dataset-native shuffle
-            n_blocks = max(1, min(256, frontier.num_rows // 512 + 1))
-            fr_ds = ray.data.read_parquet(
-                _expand_parquet_paths(fr_paths), override_num_blocks=n_blocks
-            )
-            schedule_ds = fr_ds.groupby("host").map_groups(
-                schedule_host_group,
-                fn_kwargs=sched_kwargs,
-                batch_format="pyarrow",
-            )
-        schedule = schedule_ds.materialize()
-
-        if small_round:
-            sched_parts = [
-                t for t in ray.get(schedule.to_arrow_refs()) if t.num_rows
-            ]
-            sched_tbl = (
-                pa.concat_tables(sched_parts) if sched_parts else _empty_schedule()
-            )
-            pq.write_table(sched_tbl, os.path.join(rd, "schedule.parquet"))
-            verdicts = sched_tbl.column("verdict").to_numpy(zero_copy_only=False)
-            n_scheduled = sched_tbl.num_rows
-            n_allowed = int((verdicts == ALLOWED).sum())
-            n_disallowed = int((verdicts == DISALLOWED).sum())
-            n_deferred = int((verdicts == DEFERRED).sum())
-            # advance per-host virtual clocks from this round's schedule
-            if n_allowed:
-                import pandas as pd
-
-                sdf = pd.DataFrame(
-                    {
-                        "host": sched_tbl.column("host").to_pylist(),
-                        "fetch_at_ms": sched_tbl.column("fetch_at_ms").to_numpy(),
-                        "allowed": verdicts == ALLOWED,
-                    }
-                )
-                sdf = sdf[sdf["allowed"]]
-                for host, last_at in (
-                    sdf.groupby("host")["fetch_at_ms"].max().items()
-                ):
-                    clocks[host] = int(last_at) + driver_policies.delay_ms(host)
-        else:
-            # cluster-scale: the schedule rows stay distributed.  Audit copy
-            # goes out via a Dataset write; the driver sees only the per-host
-            # summary (counts + max allowed slot) — O(#hosts), same order as
-            # the clocks dict itself.
-            schedule.write_parquet(os.path.join(rd, "schedule"))
-            summary_parts = [
-                t
-                for t in ray.get(
-                    schedule.map_batches(_sched_summary, batch_format="pyarrow")
-                    .materialize()
-                    .to_arrow_refs()
-                )
-                if t.num_rows
-            ]
-            n_allowed = n_disallowed = n_deferred = 0
-            if summary_parts:
-                sdf = (
-                    pa.concat_tables(summary_parts)
-                    .to_pandas()
-                    .groupby("host", sort=False)
-                    .agg(
-                        n_allowed=("n_allowed", "sum"),
-                        n_disallowed=("n_disallowed", "sum"),
-                        n_deferred=("n_deferred", "sum"),
-                        max_at=("max_at", "max"),
-                    )
-                )
-                n_allowed = int(sdf["n_allowed"].sum())
-                n_disallowed = int(sdf["n_disallowed"].sum())
-                n_deferred = int(sdf["n_deferred"].sum())
-                for host, row in sdf[sdf["n_allowed"] > 0].iterrows():
-                    clocks[host] = int(row["max_at"]) + driver_policies.delay_ms(
-                        host
-                    )
-            n_scheduled = n_allowed + n_disallowed + n_deferred
-
-        # --- fetch allowed rows (actor pool; politeness is virtual-time)
-        allowed_ds = schedule.map_batches(
-            lambda t: t.filter(pc.equal(t["verdict"], ALLOWED)),
-            batch_format="pyarrow",
-        )
-        results = allowed_ds.map_batches(
-            fetch_pages,
-            fn_kwargs={
-                **store_kwargs,
-                "real_time": cfg.real_time_politeness,
-                "rt_epoch": rt_epoch,
-                "rt_offsets_ref": rt_offsets_ref,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.fetch_batch_size,
-        ).materialize()
-
-        n_fetched = results.count()
-        n_ok = results.map_batches(
-            lambda t: t.filter(pc.equal(t["status"], 200)), batch_format="pyarrow"
-        ).count()
-
-        # --- payload branch: image refs -> PURE image-seen/robots filter ->
-        # set-dedup -> decode actor pool -> parquet sink -> exactly-once
-        # admission.  Every map_batches body here is side-effect-free: Ray
-        # Data may re-execute a task after block loss (lineage
-        # reconstruction), and a retry that consulted its first attempt's
-        # check_and_add inserts would filter its own rows out and silently
-        # drop images.  The seen-set *mutation* therefore happens exactly
-        # once, driver-side, AFTER the payload sink has consumed the blocks.
-        _md = cfg.max_depth
-        img_cands = results.map_batches(
-            # a page AT the depth cap fetches but yields neither links nor
-            # images (oracle.crawl_oracle max_depth semantics)
-            lambda t: t.filter(pc.less(t["depth"], _md)),
-            batch_format="pyarrow",
-        ).map_batches(extract_image_candidates, batch_format="pyarrow")
-
-        def _img_prefilter(batch: pa.Table) -> pa.Table:
-            """Pure contains() anti-join vs prior rounds + robots gate.
-
-            Deliberate divergence from the oracle's bookkeeping: the oracle
-            marks robots-DISALLOWED image refs 'seen' at first reference,
-            while this pipeline never admits them (they are re-gated on
-            every re-reference).  The robots verdict is stable, so the
-            payload output is identical either way — only the internal
-            image_seen set differs (it holds exactly the admitted
-            candidates), which no conformance surface observes.
-            """
-            if batch.num_rows == 0:
-                return batch
-            keys = batch.column("url_hash").to_numpy(zero_copy_only=False)
-            new = ~image_seen.contains(keys)
-            hosts = batch.column("host").to_pylist()
-            canons = batch.column("canon").to_pylist()
-            ok = np.fromiter(
-                (
-                    driver_policies.allows(hosts[i], canons[i])
-                    for i in range(batch.num_rows)
-                ),
-                dtype=bool,
-                count=batch.num_rows,
-            )
-            return batch.filter(pa.array(new & ok, pa.bool_()))
-
         payload_dir = os.path.join(out_dir, f"round={rnd}")
         os.makedirs(payload_dir, exist_ok=True)
-        from distributed_web_crawling_system_ray.sources.storage import (
-            write_payload,
-        )
 
-        filtered_cands = img_cands.map_batches(
-            _img_prefilter, batch_format="pyarrow"
-        )
-
-        # The payload and frontier branches are independent consumers of the
-        # materialized fetch results — run the payload decode+write on a
-        # driver thread so it overlaps the link dedup/admission (both just
-        # submit Ray work; the two branches touch disjoint seen pools).
-        payload_out: dict = {}
-
-        def _count_payload_rows() -> int:
-            return sum(
-                pq.read_metadata(os.path.join(payload_dir, f)).num_rows
-                for f in os.listdir(payload_dir)
-                if f.endswith(".parquet")
-            )
-
-        def _payload_branch() -> None:
-            # scale decision by the CANDIDATE count (not the input frontier
-            # size): a small frontier can fan out to a huge candidate set
-            fc_mat = filtered_cands.materialize()
-            n_fc = fc_mat.count()
-            if n_fc <= cfg.driver_partition_limit:
-                # driver-sized: materialize the metadata-sized candidate
-                # rows, dedup + admit once on the driver, then stream the
-                # decode (decode feeds from driver-held tables, so admission
-                # order vs the sink is irrelevant here)
-                cparts = [
-                    t for t in ray.get(fc_mat.to_arrow_refs()) if t.num_rows
-                ]
-                if cparts:
-                    cand_tbl = dedup_first_by_hash(
-                        pa.concat_tables(cparts).combine_chunks()
-                    )
-                    newm = ~image_seen.check_and_add(
-                        cand_tbl.column("url_hash").to_numpy(zero_copy_only=False)
-                    )
-                    cand_tbl = cand_tbl.filter(pa.array(newm, pa.bool_()))
-                else:
-                    cand_tbl = pa.table(
-                        {
-                            "canon": pa.array([], pa.string()),
-                            "url_hash": pa.array([], pa.uint64()),
-                            "host": pa.array([], pa.string()),
-                        }
-                    )
-                step = cfg.decode_batch_size
-                cand_chunks = [
-                    cand_tbl.slice(o, min(step, cand_tbl.num_rows - o))
-                    for o in range(0, cand_tbl.num_rows, step)
-                ] or [cand_tbl]
-                payload_ds = ray.data.from_arrow(cand_chunks).map_batches(
-                    decode_images,
-                    fn_kwargs=store_kwargs,
-                    batch_format="pyarrow",
-                    batch_size=cfg.decode_batch_size,
-                )
-                write_payload(payload_ds, payload_dir)
-            else:
-                # cluster-scale: Dataset-native intra-round set-dedup
-                # (bounded hash partition); the deduped candidates stay in
-                # the object store (metadata-sized — the blobs only exist
-                # downstream of decode) while ONLY their url_hash column is
-                # pulled for the exactly-once driver admission.  Admission
-                # runs AFTER write_payload returns (r2 ADVICE): once the
-                # sink has drained, no consumer of deduped_mat remains, so a
-                # lineage-reconstructed block re-runs the pure prefilter
-                # against pre-admission state and reproduces its rows.
-                deduped_mat = (
-                    fc_mat.map_batches(
-                        add_hash_partition,
-                        fn_kwargs={"P": cfg.dedup_partitions},
-                        batch_format="pyarrow",
-                    )
-                    .groupby("part")
-                    .map_groups(dedup_first_by_hash, batch_format="pyarrow")
-                ).materialize()
-                payload_ds = deduped_mat.map_batches(
-                    decode_images,
-                    fn_kwargs=store_kwargs,
-                    batch_format="pyarrow",
-                    batch_size=cfg.decode_batch_size,
-                )
-                write_payload(payload_ds, payload_dir)
-                hparts = [
-                    t
-                    for t in ray.get(
-                        deduped_mat.select_columns(["url_hash"])
-                        .materialize()
-                        .to_arrow_refs()
-                    )
-                    if t.num_rows
-                ]
-                if hparts:
-                    keys = np.concatenate(
-                        [
-                            t.column("url_hash").to_numpy(zero_copy_only=False)
-                            for t in hparts
-                        ]
-                    )
-                    # all keys are new by construction (exact contains()
-                    # prefilter + dedup, and only this driver thread mutates
-                    # image_seen) — check_and_add is the admission record
-                    image_seen.check_and_add(keys)
-            payload_out["n_images"] = _count_payload_rows()
-
-        import threading
-
-        payload_thread = threading.Thread(
-            target=_run_guarded, args=(_payload_branch, payload_out)
-        )
-        payload_thread.start()
-
-        # --- frontier branch: outlinks -> canonicalize (+batch combiner) ->
-        # pure seen prefilter -> first-seen dedup -> exactly-once admission.
-        # The contains() prefilter runs BEFORE the dedup so revisited URLs
-        # (the bulk of extracted links) never enter the exchange; min-rank
-        # dedup then runs driver-side for driver-sized candidate sets (no
-        # shuffle — the survivors are materialized here anyway) or through
-        # the bounded groupby(url_hash % P) hash partition at cluster scale,
-        # where the surviving rows are written to the next round's frontier
-        # with a distributed Dataset write and never touch driver heap.
-        def _seen_prefilter(batch: pa.Table) -> pa.Table:
-            """PURE contains() anti-join (safe under Ray task retry — see the
-            payload branch note); admission happens once below, driver-side."""
-            if batch.num_rows == 0:
-                return batch
-            keys = batch.column("url_hash").to_numpy()
-            new = ~seen.contains(keys)
-            return batch.filter(pa.array(new, pa.bool_()))
-
-        max_depth = cfg.max_depth
-
-        def _depth_gate(batch: pa.Table) -> pa.Table:
-            """Depth cap: children beyond cfg.max_depth never enqueue
-            (matches oracle.crawl_oracle's max_depth semantics — a page AT
-            the cap is fetched but not expanded)."""
-            if batch.num_rows == 0:
-                return batch
-            return batch.filter(pc.less_equal(batch.column("depth"), max_depth))
-
-        cands_mat = (
-            results.map_batches(extract_links, batch_format="pyarrow")
-            .map_batches(_depth_gate, batch_format="pyarrow")
-            .map_batches(_seen_prefilter, batch_format="pyarrow")
-        ).materialize()
-        n_cands = cands_mat.count()
-
-        # next-frontier pieces: driver tables (small) and/or persisted paths
-        nf_tables: list[pa.Table] = []
-        nf_paths: list[str] = []
+        # --- schedule: the explicit host exchange -> per-host politeness,
+        # fused with fetch -> extract (one task per fetch batch).  Rounds
+        # under driver_partition_limit are sorted by host driver-side and
+        # cut at host boundaries (each host wholly in one block -> plain map
+        # stage); larger rounds go through the Dataset-native
+        # groupby(host).map_groups shuffle.  Semantics are identical (tests
+        # pin both paths to the oracle).
+        sched_kwargs = {
+            "robots_ref": robots_ref,
+            "clocks_ref": ray.put(clocks),
+            "per_host_round_budget": cfg.per_host_round_budget,
+        }
+        nf_tables: list[pa.Table] = []  # next-frontier pieces: driver tables
+        nf_paths: list[str] = []  # ...and/or Dataset-written directories
         nf_path_rows = 0
-        if n_cands <= cfg.driver_partition_limit:
-            nf_refs = [t for t in ray.get(cands_mat.to_arrow_refs()) if t.num_rows]
-            if nf_refs:
-                cand_frontier = pa.concat_tables(
-                    [t.select(BASE_COLS) for t in nf_refs]
-                ).combine_chunks()
-                # one row per url_hash with the minimum (depth, rank_path)
-                cand_frontier = dedup_min_rank(cand_frontier)
-                # exactly-once first-seen admission: every key here passed
-                # the exact contains() prefilter and the dedup, and nothing
-                # else mutates `seen` mid-round, so all of them are new.
-                seen.check_and_add(
-                    cand_frontier.column("url_hash").to_numpy(zero_copy_only=False)
+        if small_round:
+            # E1: the one execution that schedules, fetches and extracts;
+            # its rows (schedule rows + this round's new candidates) are
+            # pulled to the driver once
+            round_ds = (
+                ray.data.from_arrow(host_partition_chunks(frontier.table()))
+                .map_batches(
+                    schedule_hosts_batch,
+                    fn_kwargs=sched_kwargs,
+                    batch_format="pyarrow",
+                    batch_size=None,
                 )
-                admitted = cand_frontier
-            else:
-                admitted = _empty_frontier()
-            n_links_new = admitted.num_rows
-            nf_tables.append(admitted)
+                .map_batches(
+                    fetch_extract,
+                    batch_format="pyarrow",
+                    batch_size=cfg.fetch_batch_size,
+                )
+                .materialize()
+            )
+            round_tbl = pa.concat_tables(ray.get(round_ds.to_arrow_refs()))
+            sched_tbl = round_tbl.select(SCHED_COLS)
+            pq.write_table(sched_tbl, os.path.join(rd, "schedule.parquet"))
+            counts = _apply_summary(
+                [_sched_summary(round_tbl)], clocks, driver_policies
+            )
+            # one row per url_hash (links: the minimum (depth, rank_path)),
+            # then exactly-once first-seen admission: every key passed the
+            # exact contains() anti-join and the dedup, and nothing else
+            # mutates the seen sets mid-round, so all of them are new
+            links = dedup_min_rank(_unnest(round_tbl, "links"))
+            images = dedup_first_by_hash(_unnest(round_tbl, "images"))
+            for pool, t in ((seen, links), (image_seen, images)):
+                pool.check_and_add(
+                    t.column("url_hash").to_numpy(zero_copy_only=False)
+                )
+            n_links_new = links.num_rows
+            nf_tables.append(links)
+            if images.num_rows:  # E2: decode -> write (skipped when imageless)
+                step = cfg.decode_batch_size
+                chunks = [
+                    images.slice(o, step) for o in range(0, images.num_rows, step)
+                ]
+                storage.write_payload(
+                    ray.data.from_arrow(chunks).map_batches(
+                        decode_images,
+                        fn_kwargs=store_kwargs,
+                        batch_format="pyarrow",
+                        batch_size=step,
+                    ),
+                    payload_dir,
+                )
+            # deferred rows re-enter the next round (already in the seen set)
+            nf_tables.append(
+                sched_tbl.filter(pc.equal(sched_tbl.column("verdict"), DEFERRED))
+                .select(BASE_COLS)
+            )
         else:
-            # cluster-scale discovery: dedup shuffle -> distributed frontier
-            # write -> hash-only admission.  Write-BEFORE-admit (the lineage
-            # argument above).
-            deduped_nf = (
-                cands_mat.map_batches(
-                    add_hash_partition,
-                    fn_kwargs={"P": cfg.dedup_partitions},
+            # cluster-scale: the round's rows stay distributed.  The audit
+            # copy of the schedule goes out via a Dataset write; the driver
+            # sees only the per-host summary (counts + max allowed slot) —
+            # O(#hosts), same order as the clocks dict itself.
+            n_blocks = max(1, min(256, frontier.num_rows // 512 + 1))
+            round_ds = (
+                ray.data.read_parquet(
+                    _expand_parquet_paths(fr_paths), override_num_blocks=n_blocks
+                )
+                .groupby("host")
+                .map_groups(
+                    schedule_host_group,
+                    fn_kwargs=sched_kwargs,
                     batch_format="pyarrow",
                 )
-                .groupby("part")
-                .map_groups(dedup_min_rank, batch_format="pyarrow")
-            ).materialize()
-            links_dir = os.path.join(rd, "new_frontier_links")
-            deduped_nf.map_batches(
-                lambda t: t.select(BASE_COLS), batch_format="pyarrow"
-            ).write_parquet(links_dir)
-            hp = [
-                t
-                for t in ray.get(
-                    deduped_nf.select_columns(["url_hash"])
+                .map_batches(
+                    fetch_extract,
+                    batch_format="pyarrow",
+                    batch_size=cfg.fetch_batch_size,
+                )
+                .materialize()
+            )
+            round_ds.select_columns(SCHED_COLS).write_parquet(
+                os.path.join(rd, "schedule")
+            )
+            counts = _apply_summary(
+                ray.get(
+                    round_ds.map_batches(_sched_summary, batch_format="pyarrow")
                     .materialize()
                     .to_arrow_refs()
-                )
-                if t.num_rows
-            ]
-            keys = (
-                np.concatenate(
-                    [t.column("url_hash").to_numpy(zero_copy_only=False) for t in hp]
-                )
-                if hp
-                else np.zeros(0, dtype=np.uint64)
+                ),
+                clocks,
+                driver_policies,
             )
+
+            # Both candidate branches dedup through a bounded
+            # groupby(url_hash % P) shuffle, sink their rows with a
+            # distributed write and pull only url_hash for the exactly-once
+            # admission.  Admission runs AFTER the sink returns: once it
+            # has drained, a lineage-reconstructed block re-runs the pure
+            # contains() anti-join against pre-admission state and
+            # reproduces its rows.  The payload branch runs on a driver
+            # thread, overlapped with the frontier branch (both just submit
+            # Ray work and touch disjoint seen pools).
+            def _payload_branch() -> None:
+                deduped = _dedup_shuffle(
+                    round_ds, "images", dedup_first_by_hash, cfg.dedup_partitions
+                )
+                storage.write_payload(
+                    deduped.map_batches(
+                        decode_images,
+                        fn_kwargs=store_kwargs,
+                        batch_format="pyarrow",
+                        batch_size=cfg.decode_batch_size,
+                    ),
+                    payload_dir,
+                )
+                image_seen.check_and_add(_hashes(deduped))
+
+            import threading
+
+            payload_out: dict = {}
+            payload_thread = threading.Thread(
+                target=_run_guarded, args=(_payload_branch, payload_out)
+            )
+            payload_thread.start()
+            deduped_nf = _dedup_shuffle(
+                round_ds, "links", dedup_min_rank, cfg.dedup_partitions
+            )
+            links_dir = os.path.join(rd, "new_frontier_links")
+            deduped_nf.select_columns(BASE_COLS).write_parquet(links_dir)
+            keys = _hashes(deduped_nf)
             seen.check_and_add(keys)
             n_links_new = len(keys)
-            nf_paths.append(links_dir)
-            nf_path_rows += n_links_new
-
-        # deferred rows re-enter the next round (already in the seen set)
-        if n_deferred:
-            if small_round:
-                deferred_tbl = sched_tbl.filter(
-                    pa.array(verdicts == DEFERRED, pa.bool_())
-                ).select(BASE_COLS)
-                nf_tables.append(deferred_tbl)
-            else:
+            if n_links_new:  # an empty write leaves no directory behind
+                nf_paths.append(links_dir)
+                nf_path_rows += n_links_new
+            # deferred rows re-enter the next round (already in the seen set)
+            if counts["n_deferred"]:
                 def_dir = os.path.join(rd, "new_frontier_deferred")
-                schedule.map_batches(
-                    lambda t: t.filter(
-                        pc.equal(t["verdict"], DEFERRED)
-                    ).select(BASE_COLS),
+                round_ds.map_batches(
+                    lambda t: t.filter(pc.equal(t["verdict"], DEFERRED)).select(
+                        BASE_COLS
+                    ),
                     batch_format="pyarrow",
                 ).write_parquet(def_dir)
                 nf_paths.append(def_dir)
-                nf_path_rows += n_deferred
-
-        payload_thread.join()
-        if "error" in payload_out:
-            raise payload_out["error"]
-        n_images = payload_out["n_images"]
+                nf_path_rows += counts["n_deferred"]
+            payload_thread.join()
+            if "error" in payload_out:
+                raise payload_out["error"]
+        n_images = sum(
+            pq.read_metadata(os.path.join(payload_dir, f)).num_rows
+            for f in os.listdir(payload_dir)
+            if f.endswith(".parquet")
+        )
 
         m = {
             "round": rnd,
-            "urls_scheduled": int(n_scheduled),
-            "urls_fetched": int(n_fetched),
-            "urls_failed": int(n_fetched - n_ok),
-            "urls_disallowed": n_disallowed,
-            "urls_deferred": n_deferred,
+            "urls_scheduled": counts["n_allowed"]
+            + counts["n_disallowed"]
+            + counts["n_deferred"],
+            # every ALLOWED row is fetched
+            "urls_fetched": counts["n_allowed"],
+            "urls_failed": counts["n_allowed"] - counts["n_ok"],
+            "urls_disallowed": counts["n_disallowed"],
+            "urls_deferred": counts["n_deferred"],
             "links_new": int(n_links_new),
             "images_written": int(n_images),
             "wall_s": round(time.time() - t0, 3),

@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from distributed_web_crawling_system_ray.functions.canon import (
     canonicalize,
@@ -67,7 +66,8 @@ def fetch_pages(
     user_agent: str = "RayCrawlBot/1.0",
     timeout_s: float = 10.0,
 ) -> pa.Table:
-    """Fetch stage: scheduled frontier rows -> fetch results.
+    """Fetch stage: scheduled frontier rows -> fetch results, one per input
+    row and in input order.
 
     Task-based with a per-worker store handle (stages/cache.py) — the
     reference's load-once-per-worker ``requests.Session`` semantics
@@ -76,10 +76,11 @@ def fetch_pages(
     ``real_time`` replays the virtual politeness schedule against the wall
     clock: ``rt_epoch`` is a wall-clock (``time.time``) base anchored ONCE
     driver-side at run start and shared by every worker, and each row sleeps
-    to its own ``fetch_at_ms`` slot (rows replayed in slot order).  No row
-    fetches before ``rt_epoch + slot``; inter-fetch spacing is exact while
-    the pipeline keeps up and approximate under backlog (a delayed fetch is
-    not re-propagated to other workers' slots).  Off by default — the
+    to its own ``fetch_at_ms`` slot (rows are fetched in slot order; the
+    output keeps the input order).  No row fetches before
+    ``rt_epoch + slot``; inter-fetch spacing is exact while the pipeline
+    keeps up and approximate under backlog (a delayed fetch is not
+    re-propagated to other workers' slots).  Off by default — the
     virtual schedule already proves politeness and fetch workers shouldn't
     sleep (the reference's own optimizer flags its worker sleeps,
     performance_optimizer.py:529-537).
@@ -98,37 +99,26 @@ def fetch_pages(
             )
 
             offsets = get_object(rt_offsets_ref)
+        slots = batch.column("fetch_at_ms").to_numpy(zero_copy_only=False)
         if offsets and "host" in batch.column_names:
-            eff = np.asarray(
-                [
-                    int(s) - offsets.get(h, 0)
-                    for s, h in zip(
-                        batch.column("fetch_at_ms").to_pylist(),
-                        batch.column("host").to_pylist(),
-                    )
-                ],
+            slots = slots - np.fromiter(
+                (offsets.get(h, 0) for h in batch.column("host").to_pylist()),
                 dtype=np.int64,
+                count=batch.num_rows,
             )
-            batch = batch.take(pa.array(np.argsort(eff, kind="stable")))
-            slots = np.sort(eff).tolist()
-        else:
-            order = pc.sort_indices(batch.column("fetch_at_ms"))
-            batch = batch.take(order)
-            slots = batch.column("fetch_at_ms").to_pylist()
         canons = batch.column("canon").to_pylist()
         res: dict[str, list] = {
-            "status": [],
-            "final_url": [],
-            "outlinks": [],
-            "image_refs": [],
+            k: [None] * batch.num_rows
+            for k in ("status", "final_url", "outlinks", "image_refs")
         }
-        for s, c in zip(slots, canons):
-            wait = rt_epoch + float(s) / 1000.0 - time.time()
+        # replay in slot order; results land back at their input rows
+        for i in np.argsort(slots, kind="stable").tolist():
+            wait = rt_epoch + float(slots[i]) / 1000.0 - time.time()
             if wait > 0:
                 time.sleep(wait)
-            one = store.fetch_batch([c])
+            one = store.fetch_batch([canons[i]])
             for k in res:
-                res[k].append(one[k][0])
+                res[k][i] = one[k][0]
     else:
         canons = batch.column("canon").to_pylist()
         res = store.fetch_batch(canons)
@@ -152,7 +142,7 @@ def extract_links(batch: pa.Table) -> pa.Table:
     """Fetch results -> one row per raw outlink, canonicalized, in document
     order; drops non-http(s) and already-pre-dedups within the batch keeping
     the minimum rank_path per url_hash (the combiner before the partition-wise
-    dedup shuffle)."""
+    dedup shuffle).  ``src`` is the input row the kept rank came from."""
     finals = batch.column("final_url").to_pylist()
     outlinks = batch.column("outlinks").to_pylist()
     depths = batch.column("depth").to_pylist()
@@ -163,6 +153,7 @@ def extract_links(batch: pa.Table) -> pa.Table:
     hosts: list[str] = []
     cdepths: list[int] = []
     cranks: list[bytes] = []
+    srcs: list[int] = []
     best: dict[int, int] = {}  # url_hash -> row index of min rank_path
     for r in range(batch.num_rows):
         base = finals[r]
@@ -179,6 +170,7 @@ def extract_links(batch: pa.Table) -> pa.Table:
                 if (cdepths[j], cranks[j]) > (d, crp):
                     cdepths[j] = d
                     cranks[j] = crp
+                    srcs[j] = r
                 continue
             best[h] = len(urls)
             urls.append(href)
@@ -187,6 +179,7 @@ def extract_links(batch: pa.Table) -> pa.Table:
             hosts.append(host_of(c))
             cdepths.append(d)
             cranks.append(crp)
+            srcs.append(r)
     return pa.table(
         {
             "url": pa.array(urls, pa.string()),
@@ -195,6 +188,7 @@ def extract_links(batch: pa.Table) -> pa.Table:
             "host": pa.array(hosts, pa.string()),
             "depth": pa.array(cdepths, pa.int32()),
             "rank_path": pa.array(cranks, pa.binary()),
+            "src": pa.array(srcs, pa.int32()),
         }
     )
 
@@ -232,7 +226,8 @@ def extract_image_candidates(batch: pa.Table) -> pa.Table:
 
     Payload-discovery edge (FIXTURES.md web_pages.image_refs).  No rank is
     needed: image output is a set keyed by image_id, so first-arrival races
-    between rounds'/batches' shard RPCs cannot change the result.
+    between rounds'/batches' shard RPCs cannot change the result.  ``src``
+    is the first input row that referenced the image.
     """
     finals = batch.column("final_url").to_pylist()
     refs = batch.column("image_refs").to_pylist()
@@ -240,6 +235,7 @@ def extract_image_candidates(batch: pa.Table) -> pa.Table:
     canons: list[str] = []
     hashes: list[int] = []
     hosts: list[str] = []
+    srcs: list[int] = []
     for r in range(batch.num_rows):
         base = finals[r]
         for href in refs[r]:
@@ -253,11 +249,13 @@ def extract_image_candidates(batch: pa.Table) -> pa.Table:
             canons.append(c)
             hashes.append(h)
             hosts.append(host_of(c))
+            srcs.append(r)
     return pa.table(
         {
             "canon": pa.array(canons, pa.string()),
             "url_hash": pa.array(np.asarray(hashes, dtype=np.uint64), pa.uint64()),
             "host": pa.array(hosts, pa.string()),
+            "src": pa.array(srcs, pa.int32()),
         }
     )
 

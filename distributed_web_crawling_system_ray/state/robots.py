@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
 
 
@@ -74,6 +75,16 @@ class RobotsPolicies:
 
     def allows(self, host: str, canon_url: str) -> bool:
         return self.policy(host).allows(canon_url)
+
+    def allowed_mask(self, hosts: list[str], canons: list[str]) -> np.ndarray:
+        """The robots gate over a batch: ``allows(hosts[i], canons[i])`` for
+        every row, looking each distinct host's policy up once."""
+        pols = {h: self.policy(h) for h in set(hosts)}
+        return np.fromiter(
+            (pols[h].allows(c) for h, c in zip(hosts, canons)),
+            dtype=bool,
+            count=len(canons),
+        )
 
     def delay_ms(self, host: str) -> int:
         return self.policy(host).crawl_delay_ms

@@ -20,6 +20,23 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def executions(monkeypatch):
+    """Counts Ray Data executions: every Dataset consumption (materialize,
+    count, iteration) runs one ``StreamingExecutor.execute``."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return calls
+
+
 def oracle_rows(name: str, sf_dir) -> list[tuple]:
     """Rows of ``__ray_entry__.oracle_sql()[name]`` — the DuckDB direct
     recompute ``tools/check_oracle.py`` hash-checks ``queries()`` against —

@@ -307,3 +307,123 @@ def test_seen_prefilter_is_pure_under_reexecution(ray_session):
     assert np.array_equal(first, second)
     assert pool.total() == before  # no mutation from task-side reads
     assert first[:50].all() and not first[50:].any()
+
+
+def test_driver_sized_round_runs_two_executions(
+    ray_session, tmp_path, executions, monkeypatch
+):
+    """A driver-sized round is one Ray Data execution for schedule -> fetch
+    -> extract plus one for decode -> write, and the second is skipped when
+    the round admits no new image; the crawl still matches the oracle."""
+    from distributed_web_crawling_system_ray.pipelines import crawl
+
+    marks = [(0, 0)]  # (executions so far, image keys admitted) per commit
+    commit = crawl.commit_round
+
+    def marked_commit(*args, **kwargs):
+        marks.append((len(executions), kwargs["image_seen"].total()))
+        return commit(*args, **kwargs)
+
+    monkeypatch.setattr(crawl, "commit_round", marked_commit)
+    fixture = build_fixture("t1")
+    executions.clear()
+    result = crawl.run_crawl(
+        fixture, CrawlConfig(seen_shards=2), work_dir=str(tmp_path)
+    )
+    per_round = np.diff(np.asarray(marks), axis=0)
+    assert len(per_round) == result.rounds
+    for n_exec, n_images in per_round:
+        assert n_exec <= (2 if n_images else 1), per_round
+    # non-vacuous: rounds with and without new images both occur
+    assert (per_round[:, 1] > 0).any() and (per_round[:, 1] == 0).any()
+
+    oracle = crawl_oracle(WebStore(fixture))
+    hist = result.frontier_history()
+    got = dict(
+        zip(
+            hist.column("canon").to_pylist(),
+            zip(hist.column("depth").to_pylist(), hist.column("rank_path").to_pylist()),
+        )
+    )
+    assert got == oracle.seen
+    sched = result.schedule_history()
+    allowed = sched.filter(pc.equal(sched.column("verdict"), ALLOWED))
+    rows = sorted(
+        zip(
+            allowed.column("depth").to_pylist(),
+            allowed.column("rank_path").to_pylist(),
+            allowed.column("canon").to_pylist(),
+        )
+    )
+    assert [c for _, _, c in rows] == [o["canon_url"] for o in oracle.order]
+    payload = result.payload_dataset().to_pandas()
+    assert payload["image_id"].is_unique
+    assert set(payload["image_id"]) == set(oracle.images.keys())
+
+
+@pytest.mark.parametrize("budget", [CrawlConfig().per_host_round_budget, 2])
+def test_round_counters_match_across_round_paths(ray_session, tmp_path, budget):
+    """Every per-round counter — urls_fetched, urls_failed (the 200 count
+    comes from the fused stage's status column), links_new, images_written,
+    urls_deferred and the rest — is the same on the driver-sized path and
+    the cluster path (driver_partition_limit=0)."""
+    from distributed_web_crawling_system_ray.pipelines.crawl import run_crawl
+
+    fixture = build_fixture("t1")
+    counters = []
+    for limit in (CrawlConfig().driver_partition_limit, 0):
+        cfg = CrawlConfig(
+            seen_shards=2, driver_partition_limit=limit, per_host_round_budget=budget
+        )
+        result = run_crawl(fixture, cfg, work_dir=str(tmp_path / f"limit{limit}"))
+        counters.append(
+            [{k: v for k, v in m.items() if k != "wall_s"} for m in result.metrics]
+        )
+    assert counters[0] == counters[1]
+    assert sum(m["urls_failed"] for m in counters[0]) > 0
+    assert sum(m["images_written"] for m in counters[0]) > 0
+    if budget == 2:
+        assert sum(m["urls_deferred"] for m in counters[0]) > 0
+
+
+def test_robots_allowed_mask_matches_per_url_allows():
+    """The batch robots gate equals per-URL ``allows`` on a mixed-host batch
+    (disallowed prefixes, allow-all, robots fetch failure, unknown host) and
+    looks each distinct host's policy up once."""
+    import pyarrow as pa
+
+    policies = RobotsPolicies.from_table(
+        pa.table(
+            {
+                "host": ["a.test", "b.test", "c.test"],
+                "disallow": [["/private", "/tmp"], [], ["/x"]],
+                "crawl_delay_ms": pa.array([1000, 2000, 500], pa.int32()),
+                "fetch_fails": [False, False, True],
+            }
+        )
+    )
+    urls = [
+        "http://a.test/private/1",
+        "http://b.test/private/1",
+        "http://a.test/public",
+        "http://c.test/x/y",
+        "http://d.test/private",
+        "http://a.test/tmp",
+        "http://a.test",
+        "http://b.test/x",
+        "http://a.test/privateer",
+    ]
+    hosts = [u.split("/")[2] for u in urls]
+    want = [policies.allows(h, u) for h, u in zip(hosts, urls)]
+    looked_up = []
+    policy = policies.policy
+
+    def counted(host):
+        looked_up.append(host)
+        return policy(host)
+
+    policies.policy = counted
+    got = policies.allowed_mask(hosts, urls)
+    assert got.dtype == bool and got.tolist() == want
+    assert True in want and False in want
+    assert sorted(looked_up) == sorted(set(hosts))

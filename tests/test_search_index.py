@@ -159,23 +159,6 @@ def test_distributed_topk_path_matches_driver_fold(ray_session, tmp_path, corpus
         assert c.column("doc_id").to_pylist() == d.column("doc_id").to_pylist()
 
 
-@pytest.fixture
-def executions(monkeypatch):
-    """Counts Ray Data executions: every Dataset consumption (materialize,
-    count, iteration) runs one ``StreamingExecutor.execute``."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    calls = []
-    execute = StreamingExecutor.execute
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    return calls
-
-
 # one query string per Whoosh form: bare terms, field-restricted, phrase,
 # nested boolean, wildcard
 FIVE_FORMS = (
