@@ -108,6 +108,7 @@ def test_simhash_pairs_no_false_positives_and_deterministic():
                 want.add((ids[i], ids[j]))
     got = set(zip(got1.column("a").to_pylist(), got1.column("b").to_pylist()))
     assert got == want
+    assert got1.num_rows == len(want)  # every pair exactly once
 
 
 def test_ann_lsh_recall():
@@ -161,70 +162,6 @@ def test_langid_deterministic_and_total():
     assert out.num_rows == len(texts)
     preds = set(out.column("lang_pred").to_pylist())
     assert preds <= {"en", "es", "de", "fr", "zh", "unknown"}
-
-
-def test_dedup_clusters_dataset_path_equals_driver_path():
-    """Above the edge limit the connected-components labels come from the
-    Dataset-native iterative groupby(node).min(label) rounds; both paths
-    must produce identical clusters."""
-    from distributed_web_crawling_system_ray.pipelines.dataops import doc_dedup_clusters
-
-    driver = doc_dedup_clusters(SF)  # small edge set -> driver loop
-    dataset = doc_dedup_clusters(SF, cc_driver_edge_limit=0)  # force Dataset path
-    d1 = dict(
-        zip(driver.column("doc_id").to_pylist(), driver.column("cluster_id").to_pylist())
-    )
-    d2 = dict(
-        zip(
-            dataset.column("doc_id").to_pylist(),
-            dataset.column("cluster_id").to_pylist(),
-        )
-    )
-    assert d1 == d2
-    assert any(k != v for k, v in d1.items())  # non-vacuous: real clusters exist
-
-
-def test_emb_threshold_lsh_matches_bruteforce_on_planted_clusters():
-    """The sub-linear LSH threshold path achieves recall 1 (at the tuned
-    table count) on clustered data at high tau — pinned vs brute force."""
-    import ray
-
-    from distributed_web_crawling_system_ray.pipelines.dataops import emb_threshold_lsh
-
-    rng = np.random.default_rng(123)
-    dim, n_clusters, per = 32, 12, 6
-    centers = rng.standard_normal((n_clusters, dim))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    vecs, ids = [], []
-    for c in range(n_clusters):
-        for k in range(per):
-            v = centers[c] + 0.08 * rng.standard_normal(dim)
-            vecs.append(v / np.linalg.norm(v))
-            ids.append(c * per + k)
-    mat = np.asarray(vecs)
-    tau = 0.9
-    sims = mat @ mat.T
-    want = {
-        (ids[i], ids[j])
-        for i in range(len(ids))
-        for j in range(i + 1, len(ids))
-        if sims[i, j] >= tau
-    }
-    assert len(want) > 0
-
-    import pyarrow as pa
-
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "embedding": pa.array([list(v) for v in mat], pa.list_(pa.float64())),
-            }
-        )
-    )
-    got_tbl = emb_threshold_lsh(ds, tau=tau)
-    got = set(zip(got_tbl.column("a").to_pylist(), got_tbl.column("b").to_pylist()))
-    assert got == want
 
 
 def test_ann_ivf_full_probe_equals_bruteforce_and_partial_recall():
@@ -309,53 +246,17 @@ def test_winnow_fingerprints_guarantee_and_determinism():
         assert by_doc.get(a, set()) & by_doc.get(b, set()), (a, b)
 
 
-def test_hamming_kernel_matches_bruteforce_and_hot_bucket_bounded():
-    """The vectorized bucket-verify kernel (_hamming_index_pairs): exact
-    equality with the per-pair popcount loop it replaced, plus a
-    pathological hot bucket — 1k near-identical docs collapsing into one
-    band bucket — finishing in bounded time (the old quadratic-Python loop
-    is what the r2 judge flagged)."""
-    import time
-
-    import numpy as np
+def test_doc_dedup_clusters_consistent_with_pairs():
+    from conftest import check_cluster_labels
 
     from distributed_web_crawling_system_ray.pipelines.dataops import (
-        _hamming_index_pairs,
-        _ordered_id_pairs,
+        doc_dedup_clusters,
+        doc_near_dup_pairs,
     )
 
-    rng = np.random.default_rng(3)
-    sigs = rng.integers(0, 1 << 63, size=400, dtype=np.uint64)
-    sigs[100:150] = sigs[0]  # planted equal-signature run
-    sigs[200:220] = sigs[1] ^ np.uint64(0b101)  # close but distinct
-    ii, jj = _hamming_index_pairs(sigs, 3)
-    got = set(zip(ii.tolist(), jj.tolist()))
-    want = set()
-    for i in range(len(sigs)):
-        for j in range(i + 1, len(sigs)):
-            if bin(int(sigs[i]) ^ int(sigs[j])).count("1") <= 3:
-                want.add((i, j))
-    assert {(min(a, b), max(a, b)) for a, b in got} == want
-    assert len(got) == len(want)  # each unordered pair exactly once
-
-    # hot bucket: 1000 docs with only 3 distinct signatures -> the O(u^2)
-    # matrix is 3x3; the half-million output pairs are the only cost
-    hot = np.zeros(1000, dtype=np.uint64)
-    hot[::3] = 7
-    hot[1::3] = 7 ^ 0b1
-    t0 = time.time()
-    ii, jj = _hamming_index_pairs(hot, 3)
-    a, b = _ordered_id_pairs(np.arange(1000, dtype=np.int64), ii, jj)
-    dt = time.time() - t0
-    assert len(a) == 1000 * 999 // 2  # all pairs within threshold
-    assert dt < 10.0, dt  # vectorized: far under; the Python loop was not
-    # tiling boundary: unique-sig count crossing the tile edge stays exact
-    many = rng.integers(0, 1 << 63, size=300, dtype=np.uint64)
-    ii1, jj1 = _hamming_index_pairs(many, 8, tile=64)
-    ii2, jj2 = _hamming_index_pairs(many, 8)
-    assert set(zip(ii1.tolist(), jj1.tolist())) == set(
-        zip(ii2.tolist(), jj2.tolist())
-    )
+    pairs = doc_near_dup_pairs(SF)
+    comp = check_cluster_labels(pairs, doc_dedup_clusters(SF), "doc_id")
+    assert comp  # non-vacuous: real clusters exist
 
 
 def test_emb_dedup_clusters_consistent_with_pairs():
@@ -369,9 +270,46 @@ def test_emb_dedup_clusters_consistent_with_pairs():
     pairs = emb_near_dup_pairs(SF)
     comp = check_cluster_labels(pairs, emb_dedup_clusters(SF), "vec_id")
     assert comp  # non-vacuous
-    # the Dataset-iterative CC path (forced) produces identical clusters
-    forced = emb_dedup_clusters(SF, cc_driver_edge_limit=0)
-    check_cluster_labels(pairs, forced, "vec_id")
+
+
+def test_cc_labels_kernel_matches_bfs_components():
+    """The vectorized hook-and-shortcut CC kernel equals the exact BFS
+    components on random graphs, on string ids (min is lexicographic), and
+    on a random-order 10^5-edge chain — the diameter-deep case that made
+    one-hop label propagation slow — in bounded time."""
+    import time
+
+    from conftest import true_components
+
+    from distributed_web_crawling_system_ray.pipelines.dataops import _cc_labels
+
+    def check(a, b):
+        ids, labels = _cc_labels(a, b)
+        assert len(ids) == len(set(ids.tolist()))  # one label per id
+        assert dict(zip(ids.tolist(), labels.tolist())) == true_components(
+            a.tolist(), b.tolist()
+        )
+
+    rng = np.random.default_rng(11)
+    for n_nodes, n_edges in ((10, 4), (50, 40), (300, 250), (2000, 3000)):
+        a = rng.integers(0, n_nodes, size=n_edges) * 7 + 1000  # sparse ids
+        b = rng.integers(0, n_nodes, size=n_edges) * 7 + 1000
+        check(a, b)
+        check(a.astype(str), b.astype(str))  # "1007" < "995": lexicographic
+    check(np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+    n = 100_001
+    perm = rng.permutation(n)
+    order = rng.permutation(n - 1)
+    flip = rng.random(n - 1) < 0.5
+    a, b = perm[:-1][order], perm[1:][order]
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    t0 = time.perf_counter()
+    ids, labels = _cc_labels(a, b)
+    dt = time.perf_counter() - t0
+    assert len(ids) == n and (labels == 0).all()
+    assert dt < 5.0, dt
+    check(a, b)
 
 
 def test_band_subbucket_invariance(monkeypatch):

@@ -215,18 +215,34 @@ def test_video_sampling_as_ray_stage():
 
 
 def test_keyed_hamming_kernel_matches_bruteforce():
-    """_keyed_hamming_id_pairs (the whole-band phash verify kernel) against
-    an O(n^2) popcount brute force, on a corpus dense enough to exercise
-    identical-sig clusters, cross-sig candidates, and singleton buckets —
-    and the full band-pair blocking must be pigeonhole-exact for Hamming<=6."""
+    """_keyed_hamming_id_pairs (one block of the banded-Hamming join)
+    against an O(n^2) popcount brute force, on a corpus dense enough to
+    exercise identical-sig clusters, cross-sig candidates, and singleton
+    buckets: over the 28 phash band-pair blocks, each given its lower
+    blocks' masks, the blocking is pigeonhole-exact for Hamming<=6 and the
+    concatenated output repeats no pair.  A hot bucket — 1,000 rows with
+    three distinct signatures — emits its half-million pairs once each, in
+    bounded time."""
+    import time
+
     import numpy as np
 
     from distributed_web_crawling_system_ray.pipelines.dataops import (
         PHASH_HAMMING_MAX,
-        _PHASH_PAIR_I,
-        _PHASH_PAIR_J,
+        _PHASH_MASKS,
         _keyed_hamming_id_pairs,
+        _mix64,
     )
+
+    def all_blocks(sigs, ids):
+        a_out, b_out = [], []
+        for c, mask in enumerate(_PHASH_MASKS):
+            a, b = _keyed_hamming_id_pairs(
+                _mix64(sigs & mask), sigs, ids, PHASH_HAMMING_MAX, _PHASH_MASKS[:c]
+            )
+            a_out += a.tolist()
+            b_out += b.tolist()
+        return list(zip(a_out, b_out))
 
     rng = np.random.default_rng(7)
     n = 600
@@ -249,15 +265,22 @@ def test_keyed_hamming_kernel_matches_bruteforce():
             if ham(base[i], base[j]) <= PHASH_HAMMING_MAX:
                 want.add((min(ids[i], ids[j]), max(ids[i], ids[j])))
 
-    shifts = (8 * np.arange(8, dtype=np.uint64))[None, :]
-    bytes_ = ((base[:, None] >> shifts) & np.uint64(0xFF)).astype(np.int32)
-    got = set()
-    for c in range(len(_PHASH_PAIR_I)):
-        keys = bytes_[:, _PHASH_PAIR_I[c]] | (bytes_[:, _PHASH_PAIR_J[c]] << 8)
-        a, b = _keyed_hamming_id_pairs(keys, base, ids, PHASH_HAMMING_MAX)
-        got.update(zip(a.tolist(), b.tolist()))
-    assert got == want
+    got = all_blocks(base, ids)
+    assert len(got) == len(set(got))  # no pair from two blocks
+    assert set(got) == want
     assert len(want) > 500  # dense: clusters + near pairs both present
+
+    # hot bucket: 1000 rows with only 3 distinct signatures, all within
+    # Hamming 3 of each other and colliding in every block
+    hot = np.zeros(1000, dtype=np.uint64)
+    hot[::3] = 7
+    hot[1::3] = 7 ^ 0b1
+    t0 = time.time()
+    got = all_blocks(hot, np.arange(1000, dtype=np.int64))
+    dt = time.time() - t0
+    assert len(got) == 1000 * 999 // 2  # all pairs, each exactly once
+    assert len(set(got)) == len(got)
+    assert dt < 10.0, dt
 
 
 def test_keyed_hamming_kernel_hot_key_skew():
@@ -294,8 +317,7 @@ def test_keyed_hamming_kernel_hot_key_skew():
 def test_image_phash_clusters_consistent_with_pairs():
     """Label map equals the exact BFS components of the pair graph (so a
     cross-component merge — two real clusters sharing a label — fails);
-    singletons self-label; one row per image.  The forced Dataset CC path
-    (string ids remapped to sorted-rank ints) is pinned identical."""
+    singletons self-label; one row per image."""
     from distributed_web_crawling_system_ray.pipelines.dataops import (
         image_phash_clusters,
         image_phash_near_dup,
@@ -306,5 +328,3 @@ def test_image_phash_clusters_consistent_with_pairs():
     pairs = image_phash_near_dup(sf)
     comp = check_cluster_labels(pairs, image_phash_clusters(sf), "image_id")
     assert comp  # non-vacuous
-    forced = image_phash_clusters(sf, cc_driver_edge_limit=0)
-    check_cluster_labels(pairs, forced, "image_id")

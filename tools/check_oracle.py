@@ -8,10 +8,14 @@ Usage: python tools/check_oracle.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 
 import duckdb
 import pandas as pd
+
+# the checkout this script lives in, whatever the working directory
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def to_pandas(obj) -> pd.DataFrame:
@@ -45,8 +49,16 @@ def main() -> int:
 
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    # the driver and the Ray workers both import this checkout's package
+    sys.path.insert(0, REPO)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (REPO, os.environ.get("PYTHONPATH")) if p
+    )
     ray.init(
-        address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR"
+        address="local",
+        num_cpus=os.cpu_count(),
+        include_dashboard=False,
+        logging_level="ERROR",
     )
     from ray.data import DataContext
 
@@ -55,7 +67,6 @@ def main() -> int:
 
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
