@@ -20,8 +20,6 @@ from __future__ import annotations
 import hashlib
 from urllib.parse import urljoin, urlsplit
 
-import numpy as np
-
 # schemes that urljoin would happily "resolve" but that can never be crawled;
 # the reference filters them post-join via the http(s) prefix check — we
 # short-circuit before the join for speed.
@@ -136,26 +134,3 @@ def md5_hex(canon: str) -> str:
     """Full md5 hexdigest — the reference's content-address / image_id
     (crawler/crawler_node.py:253)."""
     return hashlib.md5(canon.encode("utf-8")).hexdigest()
-
-
-def canonicalize_batch(
-    urls, bases=None
-) -> tuple[list[str | None], np.ndarray, list[str]]:
-    """Vector helper for map_batches: canonicalize a column of URLs.
-
-    Returns (canon list with None for dropped, uint64 hash array with 0 for
-    dropped, host list with '' for dropped).  String parsing is inherently
-    per-string Python; this is the one permitted per-element loop, amortized
-    over Arrow-sized batches.
-    """
-    n = len(urls)
-    canons: list[str | None] = [None] * n
-    hashes = np.zeros(n, dtype=np.uint64)
-    hosts = [""] * n
-    for i in range(n):
-        c = canonicalize(urls[i], None if bases is None else bases[i])
-        if c is not None:
-            canons[i] = c
-            hashes[i] = url_hash(c)
-            hosts[i] = host_of(c)
-    return canons, hashes, hosts

@@ -156,46 +156,6 @@ def decode_image(data: bytes) -> tuple[np.ndarray, str]:
     raise ValueError("unknown image payload")
 
 
-# ------------------------------------------------------- MJPG video container
-
-MJPG_SIG = b"MJPG"
-
-
-def encode_mjpg(frames: list[np.ndarray], fps_x1000: int = 30000, lossy: bool = True) -> bytes:
-    """Motion-JPEG-style container: a concatenation of independently-decodable
-    frames (each a full PNG/QJPG payload — the MJPEG idea: no interframe
-    compression), with a tiny header and per-frame length prefixes so frame
-    N is seekable without decoding frames 0..N-1."""
-    payloads = [encode_lossy(f) if lossy else encode_png(f) for f in frames]
-    parts = [MJPG_SIG, struct.pack(">II", len(payloads), fps_x1000)]
-    for p in payloads:
-        parts.append(struct.pack(">I", len(p)))
-        parts.append(p)
-    return b"".join(parts)
-
-
-def iter_mjpg_frames(data: bytes):
-    """Yield (frame_idx, frame_bytes) from an MJPG container; the caller can
-    skip decode for frames it does not sample (the seekability contract)."""
-    if data[:4] != MJPG_SIG:
-        raise ValueError("not an MJPG payload")
-    n, _fps = struct.unpack_from(">II", data, 4)
-    off = 12
-    for idx in range(n):
-        (ln,) = struct.unpack_from(">I", data, off)
-        off += 4
-        yield idx, data[off : off + ln]
-        off += ln
-
-
-def mjpg_info(data: bytes) -> tuple[int, int]:
-    """(n_frames, fps_x1000) from the header only."""
-    if data[:4] != MJPG_SIG:
-        raise ValueError("not an MJPG payload")
-    n, fps = struct.unpack_from(">II", data, 4)
-    return n, fps
-
-
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; inf for identical arrays."""
     diff = a.astype(np.float64) - b.astype(np.float64)

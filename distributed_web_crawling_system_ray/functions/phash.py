@@ -83,10 +83,3 @@ def phash64(img: np.ndarray) -> int:
     for i in range(64):
         val = (val << 1) | int(bits[i])
     return int(np.int64(np.uint64(val)))
-
-
-def hamming64(a, b):
-    """Vectorized Hamming distance between int64 phash arrays."""
-    x = np.bitwise_xor(np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64))
-    # popcount via unpackbits on the byte view
-    return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)

@@ -20,7 +20,9 @@ Operator inventory (queries()-key -> method):
 - ann_topk_lsh           hyperplane-LSH bucketed ANN (the scale path)
 - emb_label_counts       grouped aggregate over labels
 
-Determinism: every hash is keyed (blake2b-64) — no Python ``hash()``.
+Determinism: every hash is keyed — blake2b-64 (or md5) over strings, and
+the MinHash band hashes fold each band's values with a chained
+``_mix64(h ^ r_j)`` — no Python ``hash()``.
 Float outputs are excluded from SQL-checked results (only ids/integers are
 returned) so driver-side value-hash comparison is robust.
 """
@@ -338,33 +340,38 @@ def _minhash_sig(shingle_hashes: np.ndarray) -> np.ndarray:
 
 
 def doc_minhash_bands(sf_dir: str) -> "ray.data.Dataset":
-    """documents -> (band_id, band_hash, doc_id) rows — the LSH shuffle key.
+    """documents -> (band_id, band_hash, doc_id, bands) rows — the LSH
+    shuffle key.
 
-    One row per (doc, band); a groupby on (band_id, band_hash) co-locates
-    near-dup candidates.  This is the mergeable-sketch pattern: signatures are
-    computed per batch, never collected centrally."""
+    One row per (doc, band); a groupby on band_id co-locates each band's
+    buckets.  A band's hash folds its N_PERM // N_BANDS MinHash values with
+    a chained ``_mix64(h ^ r_j)``, for every doc of the batch at once.
+    ``bands`` carries all N_BANDS of the doc's band hashes (little-endian
+    uint64, one ``fixed_size_binary``) so the candidate kernel can tell
+    whether a pair also collides in a lower band.  This is the
+    mergeable-sketch pattern: signatures are computed per batch, never
+    collected centrally."""
+    rows_per_band = N_PERM // N_BANDS
 
     def bands(batch: pa.Table) -> pa.Table:
-        doc_ids, band_ids, band_hashes = [], [], []
-        for did, text in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            sig = _minhash_sig(_h64_arr(_shingles(text)))
-            rows = sig.reshape(N_BANDS, N_PERM // N_BANDS)
-            for b in range(N_BANDS):
-                bh = int.from_bytes(
-                    hashlib.blake2b(rows[b].tobytes(), digest_size=8).digest(), "big"
-                )
-                doc_ids.append(did)
-                band_ids.append(b)
-                band_hashes.append(bh)
+        n = batch.num_rows
+        sigs = np.empty((n, N_PERM), dtype=np.uint64)
+        for i, text in enumerate(batch.column("text").to_pylist()):
+            sigs[i] = _minhash_sig(_h64_arr(_shingles(text)))
+        r = sigs.reshape(n, N_BANDS, rows_per_band)
+        h = np.zeros((n, N_BANDS), dtype=np.uint64)
+        for j in range(rows_per_band):
+            h = _mix64(h ^ r[:, :, j])
+        per_doc = pa.FixedSizeBinaryArray.from_buffers(
+            pa.binary(8 * N_BANDS), n, [None, pa.py_buffer(h.tobytes())]
+        )
+        take = pa.array(np.repeat(np.arange(n, dtype=np.int64), N_BANDS))
         return pa.table(
             {
-                "band_id": pa.array(band_ids, pa.int16()),
-                "band_hash": pa.array(
-                    np.asarray(band_hashes, dtype=np.uint64), pa.uint64()
-                ),
-                "doc_id": pa.array(doc_ids, pa.int64()),
+                "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int16), n)),
+                "band_hash": pa.array(h.ravel(), pa.uint64()),
+                "doc_id": batch.column("doc_id").take(take),
+                "bands": per_doc.take(take),
             }
         )
 
@@ -382,10 +389,19 @@ def _band_subbuckets(n_rows_per_band: int) -> int:
     return max(1, -(-int(n_rows_per_band) // BAND_GROUP_TARGET_ROWS))
 
 
+def _band_matrix(col: pa.ChunkedArray) -> np.ndarray:
+    """(n, N_BANDS) uint64 view of a ``bands`` fixed_size_binary column."""
+    arr = col.combine_chunks()
+    flat = np.frombuffer(arr.buffers()[1], dtype=np.uint64)
+    return flat[arr.offset * N_BANDS : (arr.offset + len(arr)) * N_BANDS].reshape(
+        -1, N_BANDS
+    )
+
+
 def _lsh_candidate_ds(sf_dir: str) -> "ray.data.Dataset":
-    """Raw candidate pairs (a < b) per LSH bucket — duplicated across bands
-    (the cross-band dedup is the caller's, path-dependent).  Materialized so
-    the threshold count and the downstream consumer share one execution.
+    """Candidate pairs (a < b) sharing at least one LSH band bucket, each
+    emitted exactly once: from the lowest band in which its two docs
+    collide.
 
     One map_groups call per (band, sub-bucket): a per-(band, hash)
     map_groups spawns a Python call per bucket — ~#docs x #bands
@@ -394,7 +410,11 @@ def _lsh_candidate_ds(sf_dir: str) -> "ray.data.Dataset":
     web scale, so bands above ``BAND_GROUP_TARGET_ROWS`` split by
     ``band_hash % K`` (bucket-preserving).  Within a group the buckets are
     runs of a vectorized sort by band_hash; only multi-member runs (actual
-    candidates) reach Python."""
+    candidates) reach Python.  Every row carries its doc's band hashes, so
+    a pair from band c whose docs also agree on some band below c is
+    dropped locally: it is emitted in that lower band.  Duplicate-free
+    candidate generation is a partitioning rule, as in
+    ``_banded_hamming_join``; no candidate list is deduped anywhere."""
     import pyarrow.parquet as _pq
 
     n_docs = _pq.read_metadata(
@@ -409,97 +429,60 @@ def _lsh_candidate_ds(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def pairs(group: pa.Table) -> pa.Table:
+        c = int(group.column("band_id")[0].as_py())
         bh = group.column("band_hash").to_numpy(zero_copy_only=False)
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, bh))
-        bh_s, id_s = bh[order], ids[order]
+        bh_s = bh[order]
         chg = np.flatnonzero(bh_s[1:] != bh_s[:-1]) + 1
         starts = np.concatenate([[0], chg])
         ends = np.concatenate([chg, [len(bh_s)]])
         sizes = ends - starts
-        a_out, b_out = [], []
+        i_out, j_out = [], []
         for s, e in zip(starts[sizes > 1], ends[sizes > 1]):
-            m = id_s[s:e]  # ascending (lexsort secondary key)
-            ii, jj = np.triu_indices(len(m), k=1)
-            a_out.append(m[ii])
-            b_out.append(m[jj])
-        a = np.concatenate(a_out) if a_out else np.zeros(0, np.int64)
-        b = np.concatenate(b_out) if b_out else np.zeros(0, np.int64)
-        return pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
+            ii, jj = np.triu_indices(e - s, k=1)  # ids ascend within a run
+            i_out.append(order[s + ii])
+            j_out.append(order[s + jj])
+        i = np.concatenate(i_out) if i_out else np.zeros(0, np.int64)
+        j = np.concatenate(j_out) if j_out else np.zeros(0, np.int64)
+        if c:
+            band = _band_matrix(group.column("bands"))
+            lower = (band[i, :c] == band[j, :c]).any(axis=1)
+            i, j = i[~lower], j[~lower]
+        return pa.table(
+            {"a": pa.array(ids[i], pa.int64()), "b": pa.array(ids[j], pa.int64())}
+        )
 
     ds = doc_minhash_bands(sf_dir)
     if k_sub > 1:  # engage only at scale: K=1 keeps the single-key plan
         ds = ds.map_batches(add_sub, batch_format="pyarrow")
-    return (
-        ds.groupby(["band_id", "sub"] if k_sub > 1 else "band_id")
-        .map_groups(pairs, batch_format="pyarrow")
-        .materialize()
-    )
-
-
-def _unique_pairs(t: pa.Table | None) -> pa.Table:
-    """Distinct (a, b) rows of a candidate table, sorted — the cross-band
-    dedup of the doc MinHash candidates (driver-side ``np.unique``)."""
-    if t is None or t.num_rows == 0:
-        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    ab = np.stack(
-        [
-            t.column("a").to_numpy(zero_copy_only=False),
-            t.column("b").to_numpy(zero_copy_only=False),
-        ],
-        axis=1,
-    )
-    uniq = np.unique(ab, axis=0)
-    return pa.table(
-        {"a": pa.array(uniq[:, 0], pa.int64()), "b": pa.array(uniq[:, 1], pa.int64())}
+    return ds.groupby(["band_id", "sub"] if k_sub > 1 else "band_id").map_groups(
+        pairs, batch_format="pyarrow"
     )
 
 
 def doc_lsh_candidates(sf_dir: str) -> pa.Table:
-    """Candidate pairs (a < b) from LSH buckets, deduped across bands
-    (driver-side np.unique — the small-side path)."""
-    return _unique_pairs(_to_table(_lsh_candidate_ds(sf_dir)))
+    """Candidate pairs (a < b) from LSH buckets, one row per pair, sorted."""
+    out = _to_table(_lsh_candidate_ds(sf_dir))
+    if out is None:
+        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
+    return out.sort_by([("a", "ascending"), ("b", "ascending")])
 
 
-VERIFY_BUCKETS = 32  # floor — actual count derived from candidate volume
-
-# Above this many RAW candidate rows the pair list stops being driver-safe
-# (dup-heavy corpora make candidates ~ sum over buckets of bucket^2) and
-# doc_near_dup_pairs switches to the fully distributed dedup + join path —
-# the same scale-adaptive switch pattern as crawl.py's
-# driver_partition_limit (r3 verdict item 4).
-DRIVER_PAIR_LIMIT = 5_000_000
-
-# Join-bucket floor for the distributed text exchange: one group holds
-# ~corpus/join_buckets doc rows, so it scales with corpus size (it is a
-# partitioning knob, not a correctness one).
-JOIN_BUCKETS = 64
-
-# Auto-scaling targets (r4 verdict item 4: derive the partitioning knobs
-# from measured counts instead of fixed constants).  A verify group holds
-# one bucket's pairs plus the texts they reference — at ~2 KB/doc text,
-# 16k pairs ≈ 64 MB of group payload worst-case; a join shard holds
-# corpus/join_buckets doc rows — 32k docs ≈ 64 MB at the same density.
+# A verify group holds one bucket's pairs plus the texts they reference — at
+# ~2 KB/doc text, VERIFY_TARGET_PAIRS pairs ≈ 64 MB of group payload
+# worst-case — so the bucket count grows with the candidate count, floored
+# at VERIFY_BUCKETS so small corpora keep the pinned layout.
+VERIFY_BUCKETS = 32
 VERIFY_TARGET_PAIRS = 16_384
-JOIN_TARGET_DOCS = 32_768
 
 
-def _auto_verify_buckets(n_pairs: int, target: int = VERIFY_TARGET_PAIRS) -> int:
+def _auto_verify_buckets(n_pairs: int) -> int:
     """Verify-bucket count sized so one group's pairs stay ~target rows."""
-    return max(VERIFY_BUCKETS, -(-int(n_pairs) // max(1, int(target))))
+    return max(VERIFY_BUCKETS, -(-int(n_pairs) // max(1, VERIFY_TARGET_PAIRS)))
 
 
-def _auto_join_buckets(n_docs: int, target: int = JOIN_TARGET_DOCS) -> int:
-    """Join-shard count sized so one shard holds ~target doc rows."""
-    return max(JOIN_BUCKETS, -(-int(n_docs) // max(1, int(target))))
-
-
-def doc_near_dup_pairs(
-    sf_dir: str,
-    driver_pair_limit: int = DRIVER_PAIR_LIMIT,
-    verify_target_pairs: int = VERIFY_TARGET_PAIRS,
-    join_target_docs: int = JOIN_TARGET_DOCS,
-) -> pa.Table:
+def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
     """MinHash+LSH candidates verified by exact 3-gram Jaccard >= 0.8.
 
     The output is exactly 'all pairs with true Jaccard >= tau' (the SQL
@@ -507,54 +490,23 @@ def doc_near_dup_pairs(
     missing a tau-level pair is < 1e-6 per pair.
 
     Verify stage is a BUCKET JOIN (no whole-corpus state anywhere): the
-    candidate pair list — the genuinely small side, two int64 per pair — is
-    broadcast once; each pair is assigned to bucket h(a)%P; the docs Dataset
-    streams through a flat-map that replicates a doc's text ONLY to the
-    buckets whose pairs reference it (most docs are in no pair and are
-    dropped at this stage); ``groupby(bucket)`` then co-locates each bucket's
-    pairs with exactly the texts they need and verifies locally.  Per-group
-    memory = texts referenced by one bucket's pairs, never the corpus.
-
-    Scale adaptivity: the broadcast dicts above hold every candidate pair on
-    the driver — small by LSH construction on a healthy corpus, but a
-    DUP-HEAVY corpus (the common case for raw web data) yields candidates
-    proportional to sum(bucket_size^2) and the driver becomes the bottleneck.
-    Above ``driver_pair_limit`` raw candidate rows the whole flow goes
-    distributed instead (``_near_dup_pairs_distributed``): pair dedup is a
-    ``groupby(a, b)``, doc->bucket routing is a Dataset (doc_id, bucket)
-    exchange joined to the docs table by hash bucket, and pairs ride the
-    same ``groupby(bucket)`` shuffle as the texts — no driver-held pair
-    state anywhere.  Both paths are pytest-pinned equal.
-
-    Partitioning knobs are DERIVED, not fixed (r4 verdict item 4): the
-    verify-bucket count grows with the measured candidate volume
-    (``verify_target_pairs`` pairs per group) and the join-shard count with
-    the corpus size (``join_target_docs`` docs per shard), floored at the
-    historical 32/64 so small corpora keep the pinned layout.  Bucket
-    assignment is hash-mod, so the output is invariant to the bucket count
-    (pytest-pinned at a forced tiny budget).
+    candidate pair list — the genuinely small side, two int64 per pair,
+    duplicate-free by construction (``_lsh_candidate_ds``) — is broadcast
+    once as bucket-sorted ``(a, b)`` arrays plus offsets; each pair is
+    assigned to bucket a % P; the docs Dataset streams through a flat-map
+    that replicates a doc's text ONLY to the buckets whose pairs reference
+    it (most docs are in no pair and are dropped at this stage);
+    ``groupby(bucket)`` then co-locates each bucket's pairs with exactly the
+    texts they need and verifies locally.  Per-group memory = texts
+    referenced by one bucket's pairs, never the corpus.  The bucket count P
+    grows with the candidate count (``_auto_verify_buckets``); assignment
+    is hash-mod, so the output is invariant to it (pytest-pinned at a
+    forced tiny budget).
     """
-    cand_ds = _lsh_candidate_ds(sf_dir)
-    n_raw = cand_ds.count()
-    empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    if n_raw == 0:
-        return empty
-    # partitioning knobs derived from measured volume (never below the
-    # floors, so small corpora keep the pinned 32/64 layout)
-    if n_raw > driver_pair_limit:
-        join_buckets = _auto_join_buckets(
-            _docs(sf_dir, columns=("doc_id",)).count(), join_target_docs
-        )
-        return _near_dup_pairs_distributed(
-            sf_dir,
-            cand_ds,
-            verify_target_pairs=verify_target_pairs,
-            join_buckets=join_buckets,
-        )
-    cands = _unique_pairs(_to_table(cand_ds))
-    # sized from the DEDUPED pair count — the raw cross-band count
-    # over-provisions by the band multiplicity (r5 review)
-    verify_buckets = _auto_verify_buckets(cands.num_rows, verify_target_pairs)
+    cands = doc_lsh_candidates(sf_dir)
+    if cands.num_rows == 0:
+        return cands
+    verify_buckets = _auto_verify_buckets(cands.num_rows)
     a_arr = cands.column("a").to_numpy(zero_copy_only=False)
     b_arr = cands.column("b").to_numpy(zero_copy_only=False)
     bucket_of_pair = (a_arr.astype(np.uint64) % verify_buckets).astype(np.int32)
@@ -570,12 +522,12 @@ def doc_near_dup_pairs(
     need_offsets = np.concatenate([[0], np.cumsum(need_counts)]).astype(np.int64)
     need_ref = ray.put((uniq_need_ids, need_offsets, need_flat_bks))
     need_ids_ref = ray.put(pa.array(uniq_need_ids, pa.int64()))
-    pairs_by_bucket: dict[int, tuple[list[int], list[int]]] = {}
-    for a, b, bk in zip(a_arr.tolist(), b_arr.tolist(), bucket_of_pair.tolist()):
-        bucket_a, bucket_b = pairs_by_bucket.setdefault(bk, ([], []))
-        bucket_a.append(a)
-        bucket_b.append(b)
-    pairs_ref = ray.put(pairs_by_bucket)
+    # bucket k's pairs are by_a[pair_offs[k]:pair_offs[k + 1]] (same for b)
+    by_bucket = np.argsort(bucket_of_pair, kind="stable")
+    pair_offs = np.searchsorted(
+        bucket_of_pair[by_bucket], np.arange(verify_buckets + 1)
+    )
+    pairs_ref = ray.put((a_arr[by_bucket], b_arr[by_bucket], pair_offs))
 
     def route_texts(batch: pa.Table) -> pa.Table:
         from distributed_web_crawling_system_ray.stages.cache import get_object
@@ -617,16 +569,31 @@ def doc_near_dup_pairs(
         )
 
     def verify_bucket(group: pa.Table) -> pa.Table:
+        """Exact shingle-Jaccard check of one bucket's pairs."""
         from distributed_web_crawling_system_ray.stages.cache import get_object
 
         bk = int(group.column("bucket")[0].as_py())
-        pair_a, pair_b = get_object(pairs_ref).get(bk, ((), ()))
-        return _jaccard_verify_rows(
-            pair_a,
-            pair_b,
-            dict(
-                zip(group.column("doc_id").to_pylist(), group.column("text").to_pylist())
-            ),
+        all_a, all_b, offs = get_object(pairs_ref)
+        sh = {
+            d: set(_shingles(t))
+            for d, t in zip(
+                group.column("doc_id").to_pylist(), group.column("text").to_pylist()
+            )
+        }
+        a_out, b_out = [], []
+        for a, b in zip(
+            all_a[offs[bk] : offs[bk + 1]].tolist(),
+            all_b[offs[bk] : offs[bk + 1]].tolist(),
+        ):
+            sa, sb = sh[a], sh[b]
+            if not sa and not sb:
+                continue
+            inter = len(sa & sb)
+            if inter / (len(sa) + len(sb) - inter) >= JACCARD_TAU:
+                a_out.append(a)
+                b_out.append(b)
+        return pa.table(
+            {"a": pa.array(a_out, pa.int64()), "b": pa.array(b_out, pa.int64())}
         )
 
     verified = (
@@ -641,210 +608,6 @@ def doc_near_dup_pairs(
         if out is not None
         else cands.slice(0, 0)
     )
-
-
-def _jaccard_verify_rows(
-    pair_a: list[int],
-    pair_b: list[int],
-    texts: dict[int, str],
-) -> pa.Table:
-    """Exact shingle-Jaccard verification of (a, b) pairs against the texts
-    present — shared kernel of the driver and distributed verify stages."""
-    sh = {d: set(_shingles(t)) for d, t in texts.items()}
-    a_out, b_out = [], []
-    for a, b in zip(pair_a, pair_b):
-        sa, sb = sh.get(a), sh.get(b)
-        if sa is None or sb is None or (not sa and not sb):
-            continue
-        inter = len(sa & sb)
-        if inter / (len(sa) + len(sb) - inter) >= JACCARD_TAU:
-            a_out.append(a)
-            b_out.append(b)
-    return pa.table(
-        {"a": pa.array(a_out, pa.int64()), "b": pa.array(b_out, pa.int64())}
-    )
-
-
-def _near_dup_pairs_distributed(
-    sf_dir: str,
-    cand_ds: "ray.data.Dataset",
-    verify_target_pairs: int = VERIFY_TARGET_PAIRS,
-    join_buckets: int = JOIN_BUCKETS,
-) -> pa.Table:
-    """The no-driver-state verify path for dup-heavy corpora.
-
-    Stages (all Dataset-native, driver holds nothing pair-shaped):
-      1. ``groupby(a, b)`` dedups candidate pairs across bands.
-      2. Pairs become rows ``(bucket=a%P, a, b)``; memberships become rows
-         ``(doc_id, bucket)`` (two per pair, deduped by ``groupby``).
-      3. Texts route to buckets via a partitioned hash join (the
-         revenue_by_brand pattern): memberships and docs both shard on
-         ``doc_id % JOIN_BUCKETS``; within a shard group the membership
-         rows pick up their text — docs in no pair drop out here (inner
-         join), so only referenced texts continue.
-      4. Text rows and pair rows ride one ``groupby(bucket)``; each group
-         verifies its pairs against exactly the texts they need.
-    Per-group memory: stage-3 group = corpus/JOIN_BUCKETS doc rows (a
-    partitioning knob); stage-4 group = one bucket's pairs + referenced
-    texts — never the corpus, never on the driver."""
-    uniq = (
-        cand_ds.groupby(["a", "b"])
-        .map_groups(lambda g: g.slice(0, 1), batch_format="pyarrow")
-        .materialize()
-    )
-    # sized from the DEDUPED pair count (a metadata-cheap count on the
-    # materialized Dataset), not the band-multiplied raw count
-    verify_buckets = _auto_verify_buckets(uniq.count(), verify_target_pairs)
-
-    def member_rows(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        bucket = (a.astype(np.uint64) % verify_buckets).astype(np.int32)
-        return pa.table(
-            {
-                "doc_id": pa.array(np.concatenate([a, b]), pa.int64()),
-                "bucket": pa.array(np.concatenate([bucket, bucket]), pa.int32()),
-            }
-        )
-
-    members = (
-        uniq.map_batches(member_rows, batch_format="pyarrow")
-        .groupby(["doc_id", "bucket"])
-        .map_groups(lambda g: g.slice(0, 1), batch_format="pyarrow")
-    )
-
-    # ---- stage 3: partitioned hash join members ⋈ docs on doc_id ----
-    def tag_members(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "jb": pa.array(
-                    (ids.astype(np.uint64) % join_buckets).astype(np.int32),
-                    pa.int32(),
-                ),
-                "side": pa.array(np.zeros(len(ids), dtype=np.int8), pa.int8()),
-                "doc_id": batch.column("doc_id"),
-                "bucket": batch.column("bucket"),
-                "text": pa.array([None] * len(ids), pa.string()),
-            }
-        )
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "jb": pa.array(
-                    (ids.astype(np.uint64) % join_buckets).astype(np.int32),
-                    pa.int32(),
-                ),
-                "side": pa.array(np.ones(len(ids), dtype=np.int8), pa.int8()),
-                "doc_id": batch.column("doc_id"),
-                "bucket": pa.array(
-                    np.full(len(ids), -1, dtype=np.int32), pa.int32()
-                ),
-                "text": batch.column("text"),
-            }
-        )
-
-    def join_group(group: pa.Table) -> pa.Table:
-        docs = group.filter(pc.equal(group.column("side"), 1))
-        mem = group.filter(pc.equal(group.column("side"), 0))
-        if mem.num_rows == 0 or docs.num_rows == 0:
-            return pa.table(
-                {
-                    "bucket": pa.array([], pa.int32()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                }
-            )
-        # vectorized inner join (membership rows are pairs-scale — the big
-        # side on a dup-heavy corpus — so no per-row Python loop here)
-        m = (
-            mem.select(["doc_id", "bucket"])
-            .to_pandas()
-            .merge(
-                docs.select(["doc_id", "text"]).to_pandas(),
-                on="doc_id",
-                how="inner",
-            )
-        )
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    m["bucket"].to_numpy(dtype=np.int32, copy=False), pa.int32()
-                ),
-                "doc_id": pa.array(
-                    m["doc_id"].to_numpy(dtype=np.int64, copy=False), pa.int64()
-                ),
-                "text": pa.array(m["text"].tolist(), pa.string()),
-            }
-        )
-
-    routed = (
-        members.map_batches(tag_members, batch_format="pyarrow")
-        .union(
-            _docs(sf_dir).map_batches(tag_docs, batch_format="pyarrow")
-        )
-        .groupby("jb")
-        .map_groups(join_group, batch_format="pyarrow")
-    )
-
-    # ---- stage 4: pairs and texts share one groupby(bucket) ----
-    def pair_rows(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    (a.astype(np.uint64) % verify_buckets).astype(np.int32),
-                    pa.int32(),
-                ),
-                "kind": pa.array(np.ones(len(a), dtype=np.int8), pa.int8()),
-                "doc_id": pa.array(np.full(len(a), -1, dtype=np.int64), pa.int64()),
-                "text": pa.array([None] * len(a), pa.string()),
-                "a": batch.column("a"),
-                "b": batch.column("b"),
-            }
-        )
-
-    def text_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": batch.column("bucket"),
-                "kind": pa.array(np.zeros(n, dtype=np.int8), pa.int8()),
-                "doc_id": batch.column("doc_id"),
-                "text": batch.column("text"),
-                "a": pa.array(np.full(n, -1, dtype=np.int64), pa.int64()),
-                "b": pa.array(np.full(n, -1, dtype=np.int64), pa.int64()),
-            }
-        )
-
-    def verify_group(group: pa.Table) -> pa.Table:
-        pairs = group.filter(pc.equal(group.column("kind"), 1))
-        texts_t = group.filter(pc.equal(group.column("kind"), 0))
-        return _jaccard_verify_rows(
-            pairs.column("a").to_pylist(),
-            pairs.column("b").to_pylist(),
-            dict(
-                zip(
-                    texts_t.column("doc_id").to_pylist(),
-                    texts_t.column("text").to_pylist(),
-                )
-            ),
-        )
-
-    verified = (
-        uniq.map_batches(pair_rows, batch_format="pyarrow")
-        .union(routed.map_batches(text_rows, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(verify_group, batch_format="pyarrow")
-    )
-    out = _to_table(verified)
-    if out is None or out.num_rows == 0:
-        return pa.table(
-            {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-        )
-    return out.sort_by([("a", "ascending"), ("b", "ascending")])
 
 
 # ------------------------------------------------------- near-dup: simhash

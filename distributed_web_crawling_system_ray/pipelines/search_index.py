@@ -30,7 +30,7 @@ Scale shape:
   query terms — Q hash buckets out of n_parts, across generations — never
   the corpus and never the text column (snippets are stored at index time,
   fetched by doc-partition-pruned reads for the k winners only).  When
-  those files' footer rows fit ``driver_row_limit`` they are plain pyarrow
+  those files' footer rows fit ``DRIVER_ROW_LIMIT`` they are plain pyarrow
   reads on the driver; only larger reads become a Ray Dataset.
 - the per-term df pass and the per-doc score ``groupby(doc_id)`` operate on
   those pruned rows (Σ df(term) rows), the classic query-cost bound of an
@@ -155,6 +155,12 @@ def _doc_ids(parts: list[pa.Table]) -> np.ndarray:
             if t.num_rows
         ]
     )
+
+
+# A query whose pruned postings files hold at most this many footer rows
+# reads and folds them on the driver (``topk``, ``topk_bm25f``,
+# ``and_terms``); above it they are read as a Dataset and folded there.
+DRIVER_ROW_LIMIT = 2_000_000
 
 
 def _footer_rows(files: list[str]) -> int:
@@ -882,9 +888,7 @@ class SearchIndex:
             _read_on_driver(*self._pruned_postings(terms)), terms
         )
 
-    def topk(
-        self, terms: list[str], k: int = 20, driver_row_limit: int = 2_000_000
-    ) -> pa.Table:
+    def topk(self, terms: list[str], k: int = 20) -> pa.Table:
         """Integer TF-IDF top-k: (rank, doc_id, score, snippet), ranked by
         score DESC, doc_id ASC, with the v3 fallback snippet — the
         ``search_topk`` contract of ``__ray_entry__.oracle_sql``.  Scores
@@ -895,9 +899,7 @@ class SearchIndex:
         def tfidf(rows: pa.Table, idf_row: np.ndarray) -> np.ndarray:
             return rows.column("tf").to_numpy(zero_copy_only=False) * idf_row
 
-        ranked = self._rank(
-            self._prep_terms(terms), k, tfidf, True, driver_row_limit
-        )
+        ranked = self._rank(self._prep_terms(terms), k, tfidf, True)
         return self._result_table(ranked).select(
             ["rank", "doc_id", "score", "snippet"]
         )
@@ -908,7 +910,6 @@ class SearchIndex:
         k: int,
         row_contrib,
         require_content_tf: bool,
-        driver_row_limit: int,
     ) -> list[tuple[int, int]]:
         """The one scorer behind ``topk`` and ``topk_bm25f``: the k best
         ``(doc_id, score)`` pairs by score DESC, doc_id ASC.
@@ -921,13 +922,13 @@ class SearchIndex:
         score 0, like unmatched docs in a full ranking of the corpus.
 
         Scale-adaptive, decided before any read: the pruned files' footer
-        row count (``_footer_rows``) at or under ``driver_row_limit`` reads
+        row count (``_footer_rows``) at or under ``DRIVER_ROW_LIMIT`` reads
         them on the driver with pyarrow and folds there; above it runs
         ``_topk_distributed``, because a stopword query matches the whole
         corpus and must never fold on the driver."""
         n = int(self.meta["live_docs"])
         plan = self._pruned_postings(terms, require_content_tf=require_content_tf)
-        if _footer_rows(plan[0]) > driver_row_limit:
+        if _footer_rows(plan[0]) > DRIVER_ROW_LIMIT:
             ranked = self._topk_distributed(
                 _read_dataset(*plan), terms, n, k, row_contrib
             )
@@ -1041,19 +1042,17 @@ class SearchIndex:
             )
         )
 
-    def and_terms(
-        self, terms: list[str], driver_row_limit: int = 2_000_000
-    ) -> pa.Table:
+    def and_terms(self, terms: list[str]) -> pa.Table:
         """doc_ids containing ALL terms (v1 posting-list AND, D5) from the
         pruned partitions.  The same footer-row switch as ``_rank``: at or
-        under ``driver_row_limit`` a pyarrow read and ``np.unique`` count on
+        under ``DRIVER_ROW_LIMIT`` a pyarrow read and ``np.unique`` count on
         the driver; above it a distributed ``groupby(doc_id).count == Q``,
         so the candidate rows never concentrate on the driver (only the
         intersection RESULT does — it is the output)."""
         terms = self._prep_terms(terms)
         q = len(set(terms))
         plan = self._pruned_postings(terms)
-        if _footer_rows(plan[0]) > driver_row_limit:
+        if _footer_rows(plan[0]) > DRIVER_ROW_LIMIT:
             from ray.data.aggregate import Count
 
             hits_ds = (
@@ -1121,12 +1120,7 @@ class SearchIndex:
 
     # --------------------------------------------------------------- BM25F
 
-    def topk_bm25f(
-        self,
-        terms,
-        k: int = 10,
-        driver_row_limit: int = 2_000_000,
-    ) -> pa.Table:
+    def topk_bm25f(self, terms, k: int = 10) -> pa.Table:
         """Field-weighted BM25 top-k with stored result fields — the
         ``search_topk_bm25f`` contract of ``__ray_entry__.oracle_sql``
         (rank, doc_id, url, title, domain, crawl_date, score, snippet).
@@ -1146,9 +1140,7 @@ class SearchIndex:
             # Python-int arithmetic when int64 intermediates could wrap
             return bm25f_contrib_vec(idf_row, tf_w, dl, total_dl, n)
 
-        ranked = self._rank(
-            self._prep_terms(list(terms)), k, bm25f, False, driver_row_limit
-        )
+        ranked = self._rank(self._prep_terms(list(terms)), k, bm25f, False)
         return self._result_table(ranked)
 
     # ------------------------------------------------- query-string search

@@ -4,7 +4,7 @@ The driver testdata stops at sf0.1 (5k docs / 2k vectors / 25k images).  The
 100x-scale claims for the heavy dataops rested on design reads, not
 measurements (r4 verdict item 5) — this module synthesizes a 10x corpus of
 exactly the same shape so BENCH can measure the three heaviest operators
-(forced-distributed near-dup, IVF ANN, phash near-dup) and index-at-depth
+(MinHash near-dup, IVF ANN, phash near-dup) and index-at-depth
 search latency on a corpus an order of magnitude past the bench scale.
 
 Shape parity with the sf0.1 tables (measured, not assumed):

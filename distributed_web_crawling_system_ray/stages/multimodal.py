@@ -1,14 +1,11 @@
-"""Multimodal payload stages: decode / resize / feature-extract / frame-sample.
+"""Image payload stages: decode / resize / feature-extract.
 
-All four modalities are REAL: image stages (self-contained codecs, numpy
-kernels), audio decode for PCM WAV (stdlib ``wave`` RIFF parsing), and video
-frame sampling for the MJPG container (motion-JPEG-style concatenation of
-independently-decodable frames, ``functions/codec.py``).  Compressed formats
-needing codecs this container doesn't ship (mp3/h264/...) hit the same drop
-path as undecodable images; swapping in ffmpeg/soundfile touches only the
-per-item decode bodies.  All stages are Arrow-in/Arrow-out ``map_batches``
-bodies over binary payload columns; batch sizing must be byte-based for
-large media (CrawlConfig.decode_batch_size notes).
+Image stages use self-contained codecs and numpy kernels
+(``functions/codec.py``).  Formats needing a codec this container doesn't
+ship hit the same drop path as undecodable images; swapping one in touches
+only the per-item decode body.  All stages are Arrow-in/Arrow-out
+``map_batches`` bodies over binary payload columns; batch sizing must be
+byte-based for large media (CrawlConfig.decode_batch_size notes).
 """
 
 from __future__ import annotations
@@ -120,119 +117,3 @@ def image_features(batch: pa.Table) -> pa.Table:
         }
     )
 
-
-# -------------------------------------------------------- audio and video
-
-AUDIO_FEATURE_SCHEMA = pa.schema(
-    [
-        pa.field("audio_id", pa.string()),
-        pa.field("sample_rate", pa.int32()),
-        pa.field("duration_ms", pa.int64()),
-        pa.field("loudness_db_x100", pa.int32()),
-    ]
-)
-
-VIDEO_FRAME_SCHEMA = pa.schema(
-    [
-        pa.field("video_id", pa.string()),
-        pa.field("frame_idx", pa.int32()),
-        pa.field("frame", pa.binary()),  # PNG per sampled frame
-    ]
-)
-
-
-def decode_audio(batch: pa.Table) -> pa.Table:
-    """Audio feature extraction — REAL for PCM WAV (stdlib ``wave`` parses
-    the RIFF container; no external codec needed), undecodable payloads
-    dropped like failed fetches.  Compressed formats (mp3/ogg/flac) would
-    need a codec this container doesn't ship — they hit the same drop path;
-    swapping in soundfile/ffmpeg touches only the ``_decode_wav`` body.
-
-    Input rows (audio_id:string, bytes:binary) -> AUDIO_FEATURE_SCHEMA.
-    Runs as a task-based map stage with byte-based batch sizing exactly like
-    decode_images.  Loudness = RMS dBFS x100 (integer, oracle-friendly).
-    """
-    import io
-    import wave
-
-    ids, rates, durs, louds = [], [], [], []
-    for aid, blob in zip(
-        batch.column("audio_id").to_pylist(), batch.column("bytes").to_pylist()
-    ):
-        try:
-            with wave.open(io.BytesIO(blob)) as w:
-                rate = w.getframerate()
-                n = w.getnframes()
-                width = w.getsampwidth()
-                frames = w.readframes(n)
-            if width == 2:
-                x = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0
-            elif width == 1:
-                x = (np.frombuffer(frames, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
-            else:
-                continue  # 24/32-bit: out of scope for the stdlib parser
-            if len(x) == 0 or rate <= 0:
-                continue
-            rms = float(np.sqrt(np.mean(x * x)))
-            db = -9999.0 if rms <= 1e-9 else 20.0 * np.log10(rms)
-        except Exception:
-            continue  # undecodable payload == failed fetch
-        ids.append(aid)
-        rates.append(rate)
-        durs.append(int(n * 1000 // rate))
-        louds.append(int(round(db * 100)))
-    return pa.table(
-        {
-            "audio_id": pa.array(ids, pa.string()),
-            "sample_rate": pa.array(rates, pa.int32()),
-            "duration_ms": pa.array(durs, pa.int64()),
-            "loudness_db_x100": pa.array(louds, pa.int32()),
-        }
-    )
-
-
-def sample_video_frames(batch: pa.Table, *, every_nth: int = 30) -> pa.Table:
-    """Video frame sampling — REAL for the MJPG container (motion-JPEG-style
-    concatenation of independently-decodable frames, functions/codec.py):
-    every ``every_nth`` frame is seeked by its length prefix, decoded with
-    the image codec, and re-encoded PNG (r2 judge item 6 — this replaced the
-    last stub the same way audio was made real in r2).
-
-    Interframe codecs (h264/vp9) would need a decoder this container doesn't
-    ship — such payloads hit the same drop path as undecodable images; the
-    schema / batching / placement contract is codec-agnostic.  Input rows
-    (video_id:string, bytes:binary) -> VIDEO_FRAME_SCHEMA; batch sizing must
-    be byte-based like decode_images (videos are the widest payloads).
-    """
-    from distributed_web_crawling_system_ray.functions.codec import (
-        iter_mjpg_frames,
-    )
-
-    ids, idxs, frames = [], [], []
-    for vid, blob in zip(
-        batch.column("video_id").to_pylist(), batch.column("bytes").to_pylist()
-    ):
-        # buffer per video so a mid-stream decode failure (truncated
-        # container, one corrupt frame) drops the WHOLE video like a failed
-        # fetch — never a partial row set
-        v_idxs: list[int] = []
-        v_frames: list[bytes] = []
-        try:
-            for idx, fb in iter_mjpg_frames(blob):
-                if idx % every_nth:
-                    continue  # skipped frames are never decoded (seek)
-                px, _ = decode_image(fb)
-                v_idxs.append(idx)
-                v_frames.append(encode_png(px))
-        except Exception:
-            continue  # undecodable payload == failed fetch
-        ids.extend([vid] * len(v_idxs))
-        idxs.extend(v_idxs)
-        frames.extend(v_frames)
-    return pa.table(
-        {
-            "video_id": pa.array(ids, pa.string()),
-            "frame_idx": pa.array(idxs, pa.int32()),
-            "frame": pa.array(frames, pa.binary()),
-        }
-    )

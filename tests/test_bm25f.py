@@ -19,7 +19,7 @@ import pyarrow.parquet as pq
 import pytest
 from conftest import oracle_rows, table_rows
 
-from distributed_web_crawling_system_ray.pipelines import search
+from distributed_web_crawling_system_ray.pipelines import search, search_index
 from distributed_web_crawling_system_ray.pipelines.search import (
     BOOST_TITLE,
     IDF_SCALE,
@@ -228,16 +228,17 @@ def test_indexed_bm25f_matches_direct(ray_session, tmp_path, corpus):
     assert table_rows(got) == want
 
 
-def test_indexed_bm25f_distributed_path_matches(ray_session, tmp_path, corpus):
+def test_indexed_bm25f_distributed_path_matches(
+    ray_session, tmp_path, corpus, monkeypatch
+):
     d = tmp_path / "sf"
     d.mkdir()
     pq.write_table(_docs_table(corpus), str(d / "documents.parquet"))
     want = oracle_rows("search_topk_bm25f", d)
     idx = SearchIndex.create(str(tmp_path / "idx"), stem=True)
     idx.update(str(d / "documents.parquet"))
-    got = idx.topk_bm25f(
-        list(search.QUERY_TERMS), search.BM25_TOP_K, driver_row_limit=0
-    )
+    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 0)
+    got = idx.topk_bm25f(list(search.QUERY_TERMS), search.BM25_TOP_K)
     assert table_rows(got) == want
 
 

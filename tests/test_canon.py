@@ -5,12 +5,10 @@ Semantics under test mirror the reference link extractor
 extended with full RFC-3986 normalization.
 """
 
-import numpy as np
 import pytest
 
 from distributed_web_crawling_system_ray.functions.canon import (
     canonicalize,
-    canonicalize_batch,
     host_of,
     md5_hex,
     url_hash,
@@ -70,16 +68,3 @@ def test_hash_stability():
     assert url_hash("http://example.com/a") != h1
     # url_hash is the top 8 bytes of the md5 content address (image_id scheme)
     assert md5_hex("http://example.com/")[:16] == format(h1, "016x")
-
-
-def test_batch_matches_scalar():
-    urls = [u for u, b, _ in CASES if b is None]
-    canons, hashes, hosts = canonicalize_batch(urls)
-    for i, u in enumerate(urls):
-        c = canonicalize(u)
-        assert canons[i] == c
-        if c is not None:
-            assert hashes[i] == np.uint64(url_hash(c))
-            assert hosts[i] == host_of(c)
-        else:
-            assert hashes[i] == 0

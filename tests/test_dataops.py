@@ -44,47 +44,59 @@ def test_near_dup_pairs_match_bruteforce():
     assert len(want) > 0  # the testdata plants near-dups; non-vacuous
 
 
-def test_near_dup_pairs_distributed_path_matches_driver():
-    """driver_pair_limit=0 forces the fully distributed dedup+join verify
-    path (the dup-heavy-corpus shape, no driver-held pair state); output is
-    pinned byte-equal to the default driver-broadcast path."""
-    from distributed_web_crawling_system_ray.pipelines.dataops import (
-        doc_near_dup_pairs,
-    )
+def test_near_dup_pairs_invariant_to_bucket_budget(monkeypatch):
+    """The verify-bucket count is a hash-mod partitioning knob derived from
+    the candidate count — one bucket for all pairs, or a tiny per-bucket
+    budget (1 pair/group → one bucket per candidate), must leave the output
+    byte-identical, proving the knob is pure partitioning, not
+    correctness."""
+    from distributed_web_crawling_system_ray.pipelines import dataops
 
-    driver = doc_near_dup_pairs(SF)
-    dist = doc_near_dup_pairs(SF, driver_pair_limit=0)
-    assert dist.equals(driver)
-    assert dist.num_rows > 0
+    # the derivation itself: floor holds below target, ceil-div above
+    assert dataops._auto_verify_buckets(10) == 32
+    assert dataops._auto_verify_buckets(16_384 * 100) == 100
+
+    base = dataops.doc_near_dup_pairs(SF)
+    n_cands = dataops.doc_lsh_candidates(SF).num_rows
+    monkeypatch.setattr(dataops, "VERIFY_BUCKETS", 1)
+    assert dataops._auto_verify_buckets(n_cands) == 1
+    assert dataops.doc_near_dup_pairs(SF).equals(base)
+    monkeypatch.setattr(dataops, "VERIFY_TARGET_PAIRS", 1)
+    assert dataops._auto_verify_buckets(n_cands) == n_cands != 32
+    assert dataops.doc_near_dup_pairs(SF).equals(base)
 
 
-def test_near_dup_pairs_invariant_to_bucket_budget():
-    """The partitioning knobs are hash-mod bucket counts derived from
-    measured volume (r4 verdict item 4) — forcing a tiny per-bucket budget
-    (target=1 pair/group, 1 doc/shard → hundreds of buckets) must leave the
-    output byte-identical on BOTH the driver-broadcast and distributed
-    paths, proving the knobs are pure partitioning, not correctness."""
-    from distributed_web_crawling_system_ray.pipelines.dataops import (
-        _auto_join_buckets,
-        _auto_verify_buckets,
-        doc_near_dup_pairs,
-    )
+def test_lsh_candidates_emitted_once(monkeypatch):
+    """The LSH band join emits every doc pair that shares at least one band
+    exactly once (from its lowest colliding band), with and without band
+    sub-buckets — brute force compares the raw MinHash band values."""
+    from distributed_web_crawling_system_ray.pipelines import dataops
 
-    # the derivation itself: floors hold below target, ceil-div above
-    assert _auto_verify_buckets(10) == 32
-    assert _auto_verify_buckets(16_384 * 100) == 100
-    assert _auto_join_buckets(10) == 64
-    assert _auto_join_buckets(32_768 * 100) == 100
+    texts = _texts()
+    ids = sorted(texts)
+    bands = {
+        d: dataops._minhash_sig(dataops._h64_arr(dataops._shingles(texts[d])))
+        .reshape(dataops.N_BANDS, -1)
+        for d in ids
+    }
+    want = set()
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            a, b = ids[i], ids[j]
+            if (bands[a] == bands[b]).all(axis=1).any():
+                want.add((a, b))
+    assert len(want) > 0  # non-vacuous
 
-    base = doc_near_dup_pairs(SF)
-    tiny_driver = doc_near_dup_pairs(
-        SF, verify_target_pairs=1, join_target_docs=1
-    )
-    tiny_dist = doc_near_dup_pairs(
-        SF, driver_pair_limit=0, verify_target_pairs=1, join_target_docs=1
-    )
-    assert tiny_driver.equals(base)
-    assert tiny_dist.equals(base)
+    def check():
+        got = dataops._to_table(dataops._lsh_candidate_ds(SF))
+        pairs = list(zip(got.column("a").to_pylist(), got.column("b").to_pylist()))
+        assert set(pairs) == want
+        assert got.num_rows == len(want)  # no pair leaves two bands
+        assert dataops.doc_lsh_candidates(SF).num_rows == len(want)
+
+    check()
+    monkeypatch.setattr(dataops, "BAND_GROUP_TARGET_ROWS", 8)
+    check()
 
 
 def test_simhash_pairs_no_false_positives_and_deterministic():

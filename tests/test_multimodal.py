@@ -1,6 +1,5 @@
-"""Multimodal stage tests: image stages verified against fixture truth;
-audio (PCM WAV) and video (MJPG container) decode verified against
-synthesized clips, including the Ray map_batches plumbing."""
+"""Multimodal stage tests: image stages verified against fixture truth, and
+the banded-Hamming phash near-dup join against brute force."""
 
 import numpy as np
 import pyarrow as pa
@@ -81,137 +80,6 @@ def test_phash_near_dup_finds_planted_duplicates():
     a = pairs.column("a").to_pylist()
     b = pairs.column("b").to_pylist()
     assert all(x < y for x, y in zip(a, b))
-
-
-def _wav_bytes(freq_hz: float, dur_s: float, rate: int = 8000, amp: float = 0.5) -> bytes:
-    import io
-    import wave
-
-    import numpy as np
-
-    n = int(rate * dur_s)
-    t = np.arange(n) / rate
-    x = (amp * np.sin(2 * np.pi * freq_hz * t) * 32767).astype("<i2")
-    buf = io.BytesIO()
-    with wave.open(buf, "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(rate)
-        w.writeframes(x.tobytes())
-    return buf.getvalue()
-
-
-def test_audio_decode_real_wav():
-    """decode_audio is REAL for PCM WAV: rate/duration/loudness from actual
-    samples; undecodable bytes drop like failed fetches."""
-    import numpy as np
-
-    from distributed_web_crawling_system_ray.stages.multimodal import decode_audio
-
-    wav = _wav_bytes(440.0, 0.25)
-    batch = pa.table(
-        {
-            "audio_id": pa.array(["a1", "junk"]),
-            "bytes": pa.array([wav, b"\x00notawav"], pa.binary()),
-        }
-    )
-    out = decode_audio(batch)
-    assert out.column("audio_id").to_pylist() == ["a1"]  # junk row dropped
-    assert out.column("sample_rate").to_pylist() == [8000]
-    assert out.column("duration_ms").to_pylist() == [250]
-    # RMS of a 0.5-amplitude sine = 0.5/sqrt(2) -> 20*log10 = ~-9.03 dBFS
-    want = int(round(20 * np.log10(0.5 / np.sqrt(2)) * 100))
-    got = out.column("loudness_db_x100").to_pylist()[0]
-    assert abs(got - want) <= 2
-
-
-def _mjpg_fixture_frames(n: int = 8, w: int = 12, h: int = 9):
-    """Deterministic synthetic clip: frame k is a flat ramp shifted by k."""
-    return [
-        ((np.arange(h * w * 3, dtype=np.int64).reshape(h, w, 3) * 3 + 17 * k) % 256)
-        .astype(np.uint8)
-        for k in range(n)
-    ]
-
-
-def test_video_frame_sampling_real_mjpg():
-    """Real MJPG decode (r2 judge item 6): every-Nth frame sampled, dims and
-    phash pinned per fixture frame, undecodable payloads dropped, skipped
-    frames never decoded (seek by length prefix)."""
-    from distributed_web_crawling_system_ray.functions.codec import (
-        decode_image,
-        encode_mjpg,
-        mjpg_info,
-        psnr,
-    )
-    from distributed_web_crawling_system_ray.functions.phash import phash64
-    from distributed_web_crawling_system_ray.stages.multimodal import (
-        AUDIO_FEATURE_SCHEMA,
-        VIDEO_FRAME_SCHEMA,
-        sample_video_frames,
-    )
-
-    frames = _mjpg_fixture_frames(8)
-    clip = encode_mjpg(frames, fps_x1000=24000, lossy=True)
-    assert mjpg_info(clip) == (8, 24000)
-    vbatch = pa.table(
-        {
-            "video_id": pa.array(["v1", "junk"]),
-            "bytes": pa.array([clip, b"\x00notvideo"], pa.binary()),
-        }
-    )
-    out = sample_video_frames(vbatch, every_nth=3)
-    assert out.schema.equals(VIDEO_FRAME_SCHEMA)
-    assert out.column("video_id").to_pylist() == ["v1", "v1", "v1"]
-    assert out.column("frame_idx").to_pylist() == [0, 3, 6]
-    for idx, png in zip(
-        out.column("frame_idx").to_pylist(), out.column("frame").to_pylist()
-    ):
-        px, fmt = decode_image(png)
-        assert fmt == "png" and px.shape == frames[idx].shape
-        assert psnr(frames[idx], px) >= 40.0  # lossy clip round-trip gate
-        # phash of the sampled frame matches the source frame's (the lossy
-        # codec is visually transparent at the 8x8 DCT scale)
-        assert phash64(px) == phash64(frames[idx])
-    # contracts are declared
-    assert AUDIO_FEATURE_SCHEMA.names[0] == "audio_id"
-    assert VIDEO_FRAME_SCHEMA.names == ["video_id", "frame_idx", "frame"]
-
-
-def test_video_sampling_as_ray_stage():
-    """The stage runs as a byte-batched map over a video Dataset — the
-    production plumbing, end to end."""
-    import ray
-    import ray.data
-
-    from distributed_web_crawling_system_ray.functions.codec import encode_mjpg
-    from distributed_web_crawling_system_ray.stages.multimodal import (
-        sample_video_frames,
-    )
-
-    frames = _mjpg_fixture_frames(10)
-    rows = pa.table(
-        {
-            "video_id": pa.array([f"v{i}" for i in range(4)]),
-            "bytes": pa.array(
-                [encode_mjpg(frames, lossy=bool(i % 2)) for i in range(4)],
-                pa.binary(),
-            ),
-        }
-    )
-    out = (
-        ray.data.from_arrow(rows)
-        .map_batches(
-            sample_video_frames,
-            fn_kwargs={"every_nth": 5},
-            batch_format="pyarrow",
-            batch_size=2,
-        )
-        .to_pandas()
-    )
-    assert sorted(out["video_id"].unique()) == ["v0", "v1", "v2", "v3"]
-    assert set(out["frame_idx"]) == {0, 5}
-    assert len(out) == 8
 
 
 def test_keyed_hamming_kernel_matches_bruteforce():

@@ -20,7 +20,7 @@ import pyarrow.parquet as pq
 import pytest
 from conftest import oracle_rows, table_rows
 
-from distributed_web_crawling_system_ray.pipelines import search
+from distributed_web_crawling_system_ray.pipelines import search, search_index
 from distributed_web_crawling_system_ray.pipelines.search_index import SearchIndex
 
 TERMS = list(search.QUERY_TERMS)
@@ -140,22 +140,22 @@ def test_compact_preserves_queries(ray_session, tmp_path, corpus):
     assert idx2.topk(TERMS).equals(before[0])
 
 
-def test_distributed_topk_path_matches_driver_fold(ray_session, tmp_path, corpus):
+def test_distributed_topk_path_matches_driver_fold(
+    ray_session, tmp_path, corpus, monkeypatch
+):
     """Stopword-scale scoring path (groupby(doc_id) + local top-k + merge,
-    forced via driver_row_limit=0) returns exactly the driver-fold result —
+    forced via DRIVER_ROW_LIMIT = 0) returns exactly the driver-fold result —
     TF-IDF and BM25F alike, including a high-df term so many docs match."""
     sub1, sub2, merged = corpus
     idx = SearchIndex.create(str(tmp_path / "idx_dtk"))
     idx.update(_docs_table(merged))
-    for terms in (TERMS, ["the", "data"], ["customer"]):
-        a = idx.topk(terms, k=10)
-        b = idx.topk(terms, k=10, driver_row_limit=0)
-        assert a.equals(b), terms
-        a = idx.topk_bm25f(terms, k=10)
-        b = idx.topk_bm25f(terms, k=10, driver_row_limit=0)
-        assert a.equals(b), terms
-        c = idx.and_terms(terms)
-        d = idx.and_terms(terms, driver_row_limit=0)
+    cases = (TERMS, ["the", "data"], ["customer"])
+    want = [(idx.topk(t, k=10), idx.topk_bm25f(t, k=10), idx.and_terms(t)) for t in cases]
+    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 0)
+    for terms, (a, b, c) in zip(cases, want):
+        assert idx.topk(terms, k=10).equals(a), terms
+        assert idx.topk_bm25f(terms, k=10).equals(b), terms
+        d = idx.and_terms(terms)
         assert c.column("doc_id").to_pylist() == d.column("doc_id").to_pylist()
 
 
@@ -173,7 +173,7 @@ FIVE_FORMS = (
 def test_driver_sized_queries_run_no_ray_data_execution(
     ray_session, tmp_path, corpus, executions
 ):
-    """Every query whose pruned postings fit ``driver_row_limit`` reads them
+    """Every query whose pruned postings fit ``DRIVER_ROW_LIMIT`` reads them
     with pyarrow on the driver: zero Ray Data executions, even across an
     upsert (so the live filter runs on the driver read too)."""
     sub1, sub2, _ = corpus
@@ -191,7 +191,7 @@ def test_driver_sized_queries_run_no_ray_data_execution(
 
 
 def test_footer_rows_choose_the_distributed_branch(
-    ray_session, tmp_path, corpus, executions
+    ray_session, tmp_path, corpus, executions, monkeypatch
 ):
     """The driver-vs-distributed switch reads parquet footers, before any
     data: limit 0 and any limit below the pruned files' footer-row sum —
@@ -212,15 +212,17 @@ def test_footer_rows_choose_the_distributed_branch(
     assert 0 < matched < footer
     want_topk, want_and = idx.topk(TERMS), idx.and_terms(TERMS)
     for limit in (0, matched, footer - 1):
+        monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", limit)
         executions.clear()
-        assert idx.topk(TERMS, driver_row_limit=limit).equals(want_topk), limit
+        assert idx.topk(TERMS).equals(want_topk), limit
         assert len(executions) >= 1, limit
         executions.clear()
-        got = idx.and_terms(TERMS, driver_row_limit=limit)
+        got = idx.and_terms(TERMS)
         assert got.column("doc_id").equals(want_and.column("doc_id")), limit
         assert len(executions) >= 1, limit
+    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", footer)
     executions.clear()
-    assert idx.topk(TERMS, driver_row_limit=footer).equals(want_topk)
+    assert idx.topk(TERMS).equals(want_topk)
     assert executions == []
 
 
