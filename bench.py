@@ -88,8 +88,9 @@ def _timed(fn) -> float:
 def query_mix_latency(sf_dir: str, n: int = 200) -> dict:
     """p50/p95 wall of ``n`` seeded query strings in the five Whoosh forms
     (bare, field, phrase, nested boolean, wildcard; the perfbench ``search``
-    generator) through the stemmed index over ``sf_dir``.  The index build
-    and one warm-up query stay outside the timings."""
+    generator) through the stemmed index over ``sf_dir``, over all strings
+    and per form.  The index build and one warm-up query stay outside the
+    timings."""
     import numpy as np
 
     from distributed_web_crawling_system_ray.pipelines.search import BM25_TOP_K
@@ -102,10 +103,17 @@ def query_mix_latency(sf_dir: str, n: int = 200) -> dict:
         _timed(lambda: idx.search(q, k=BM25_TOP_K)) * 1000
         for q in _query_strings(np.random.default_rng(0), n)
     ]
-    return {
-        "search_query_mix_p50_ms": round(float(np.percentile(walls, 50)), 1),
-        "search_query_mix_p95_ms": round(float(np.percentile(walls, 95)), 1),
-    }
+    # _query_strings cycles through the forms in this order
+    forms = ("bare", "field", "phrase", "nested", "wildcard")
+    out = {}
+    for name, w in [("", walls)] + [
+        (f + "_", walls[i :: len(forms)]) for i, f in enumerate(forms)
+    ]:
+        for q in (50, 95):
+            out[f"search_query_mix_{name}p{q}_ms"] = round(
+                float(np.percentile(w, q)), 1
+            )
+    return out
 
 
 def run_bench(num_cpus: int) -> dict:

@@ -26,15 +26,15 @@ Scale shape:
 - index build is one tokenize pass -> vocabulary-partitioned shuffle
   (``groupby(hash(term) % n_parts)``) -> one deterministic file per
   partition (idempotent under task retry: same name, atomic replace).
-- term queries (topk / AND) read ONLY the partitions that can contain the
-  query terms — Q hash buckets out of n_parts, across generations — never
-  the corpus and never the text column (snippets are stored at index time,
-  fetched by doc-partition-pruned reads for the k winners only).  When
-  those files' footer rows fit ``DRIVER_ROW_LIMIT`` they are plain pyarrow
-  reads on the driver; only larger reads become a Ray Dataset.
-- the per-term df pass and the per-doc score ``groupby(doc_id)`` operate on
-  those pruned rows (Σ df(term) rows), the classic query-cost bound of an
-  inverted index.
+- queries touch ONLY the partitions that can contain the query terms —
+  Q hash buckets out of n_parts, across generations — never the corpus and
+  never the text column (snippets are stored at index time and fetched for
+  the k winners only).  A handle keeps one reader per committed file it
+  has touched (postings sorted by term, docs by doc_id; at most
+  ``DRIVER_ROW_LIMIT`` rows in all, LRU), so a warm query reads no parquet
+  file: each term is a ``searchsorted`` slice, folded with numpy over
+  Σ df(term) rows, the classic query-cost bound of an inverted index.
+  Only a topk / AND whose pruned files exceed that limit becomes a Dataset.
 - overlap detection on update is a hash-partitioned intersection above
   ``driver_id_limit`` (a Dataset groupby path, pytest-forced at limit=0);
   driver-side ``np.isin`` below it.
@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -53,6 +54,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from distributed_web_crawling_system_ray.pipelines import search
 from distributed_web_crawling_system_ray.pipelines.search import (
     _TOKEN,
     _stem,
@@ -67,23 +69,6 @@ from distributed_web_crawling_system_ray.pipelines.search import (
     TITLE_CHARS,
     Wildcard,
 )
-
-
-def _runs_by_term(parts: list):
-    """(term, rows) runs over concatenated posting parts: one sort by term,
-    then boundary slices — O(rows log rows) total regardless of how many
-    distinct terms a wildcard expansion produced."""
-    if not parts:
-        return
-    tbl = pa.concat_tables(parts).sort_by("term")
-    if tbl.num_rows == 0:
-        return
-    terms = np.asarray(tbl.column("term").to_pylist(), dtype=object)
-    chg = np.flatnonzero(terms[1:] != terms[:-1]) + 1
-    starts = np.concatenate([[0], chg])
-    ends = np.concatenate([chg, [len(terms)]])
-    for s0, e0 in zip(starts, ends):
-        yield terms[s0], tbl.slice(s0, e0 - s0)
 
 
 def _write_vocab_sidecar(group: pa.Table, gen_dir: str, part: int) -> None:
@@ -113,34 +98,37 @@ def _atomic_write_table(tbl: pa.Table, path: str) -> None:
     os.replace(tmp, path)
 
 
-def _adjacent_count(pos_lists: list[list[int]]) -> int:
-    """Number of phrase START positions: ``p`` such that ``p + i`` appears
-    in ``pos_lists[i]`` for every constituent ``i`` — the positional-
-    postings intersection at the heart of phrase matching (Whoosh/Lucene
-    PhraseQuery semantics over within-field token positions)."""
-    if any(not pl for pl in pos_lists):
-        return 0
-    starts = set(pos_lists[0])
-    for i in range(1, len(pos_lists)):
-        starts &= {p - i for p in pos_lists[i]}
-        if not starts:
-            return 0
-    return len(starts)
+def _phrase_counts(lists: list) -> np.ndarray:
+    """Phrase occurrences per row: how many start positions ``p`` of row
+    ``i`` have ``p + j`` in row ``i`` of ``lists[j]`` for every constituent
+    ``j`` -- the positional-postings intersection of Whoosh/Lucene
+    PhraseQuery, within one field.  ``lists`` are equal-length Arrow list
+    arrays, one per constituent, row ``i`` of each holding one doc.  Each
+    position becomes the key ``row << 32 | pos``, so every constituent is
+    one flat ``np.isin`` over all rows at once."""
+    starts = None
+    for j, lst in enumerate(lists):
+        keys = (
+            pc.list_parent_indices(lst).to_numpy().astype(np.int64) << 32
+        ) | lst.flatten().to_numpy().astype(np.int64)
+        starts = (
+            keys
+            if starts is None
+            else starts[np.isin(starts + j, keys, assume_unique=True)]
+        )
+    return np.bincount(starts >> 32, minlength=len(lists[0]))
 
 
-def _live_mask(ids, gen, last_gen: dict[int, int]) -> np.ndarray:
+def _live_mask(ids, gen, last_gen: tuple) -> np.ndarray:
     """Which rows are live: ``gen >= last_gen[doc_id]``, where a doc_id no
     later generation re-indexed needs gen >= 0.  ``ids``/``gen`` are numpy
-    or Arrow columns; one ``searchsorted`` over the sorted supersede map
-    replaces a per-row dict probe."""
+    or Arrow columns; ``last_gen`` is the sorted ``(doc_ids, gens)`` pair
+    of ``SearchIndex._last_gen_map``, probed with one ``searchsorted``."""
+    keys, vals = last_gen
     ids = np.asarray(ids)
     gen = np.asarray(gen)
-    if not last_gen:
+    if not len(keys):
         return np.ones(len(ids), dtype=bool)
-    keys = np.fromiter(last_gen.keys(), dtype=np.int64, count=len(last_gen))
-    vals = np.fromiter(last_gen.values(), dtype=np.int64, count=len(last_gen))
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
     pos = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
     return gen >= np.where(keys[pos] == ids, vals[pos], 0)
 
@@ -160,26 +148,107 @@ def _doc_ids(parts: list[pa.Table]) -> np.ndarray:
 # A query whose pruned postings files hold at most this many footer rows
 # reads and folds them on the driver (``topk``, ``topk_bm25f``,
 # ``and_terms``); above it they are read as a Dataset and folded there.
+# The same bound caps the rows a handle's warm readers hold together.
 DRIVER_ROW_LIMIT = 2_000_000
 
 
-def _footer_rows(files: list[str]) -> int:
+def _footer_rows(files: list[str], readers: dict | None = None) -> int:
     """Rows in ``files`` by their parquet footers, read before any data: an
     upper bound on the matched postings and exactly the rows a driver read
-    decodes, so it bounds driver memory."""
-    return sum(pq.read_metadata(f).num_rows for f in files)
+    decodes, so it bounds driver memory.  A file with a warm reader in
+    ``readers`` counts its rows without opening the file."""
+    readers = readers or {}
+    return sum(
+        readers[f].rows if f in readers else pq.read_metadata(f).num_rows
+        for f in files
+    )
 
 
-def _read_on_driver(files: list[str], columns: list[str], keep) -> list[pa.Table]:
-    """The pruned postings as driver-held Arrow parts: one ``pq.read_table``
-    per file, then ``keep``.  No Ray Data execution, whose fixed launch
-    cost is most of a driver-sized query's time."""
-    parts = (keep(pq.read_table(f, columns=columns)) for f in files)
-    return [t for t in parts if t.num_rows]
+class _PostingsReader:
+    """One committed postings file, decoded once: the non-positional
+    columns as numpy arrays sorted by term (stably, so a term's rows keep
+    file order), plus the sorted distinct ``terms`` and their run offsets
+    ``starts``.  A query term is then a ``searchsorted`` slice.  The
+    ``pos``/``pos_title`` columns load on the first phrase query that needs
+    them.  A committed file never changes, so the reader never goes stale."""
+
+    def __init__(self, path: str):
+        self.path = path
+        t = pq.read_table(
+            path, columns=["term", "doc_id", "tf", "tf_title", "dl", "gen"]
+        )
+        enc = pc.dictionary_encode(t.column("term").combine_chunks())
+        words = np.asarray(enc.dictionary.to_pylist(), dtype=object)
+        by_word = np.argsort(words)
+        rank = np.empty(len(words), dtype=np.int64)
+        rank[by_word] = np.arange(len(words))
+        row_rank = rank[enc.indices.to_numpy(zero_copy_only=False)]
+        self._order = np.argsort(row_rank, kind="stable")
+        self.terms = words[by_word]
+        self.starts = np.concatenate(
+            [[0], np.cumsum(np.bincount(row_rank, minlength=len(words)))]
+        )
+        self.cols = {
+            c: t.column(c).to_numpy()[self._order]
+            for c in ("doc_id", "tf", "tf_title", "dl", "gen")
+        }
+        self.rows = t.num_rows
+        self._pos: dict | None = None
+
+    def run(self, term: str) -> tuple[int, int]:
+        """``[start, end)`` of ``term``'s rows; empty when it is absent."""
+        i = int(np.searchsorted(self.terms, term))
+        if i < len(self.terms) and self.terms[i] == term:
+            return int(self.starts[i]), int(self.starts[i + 1])
+        return 0, 0
+
+    def positions(self) -> dict:
+        if self._pos is None:
+            t = pq.read_table(self.path, columns=["pos", "pos_title"])
+            order = pa.array(self._order)
+            self._pos = {
+                c: t.column(c).combine_chunks().take(order) for c in t.column_names
+            }
+            self._order = None
+        return self._pos
+
+
+class _DocsReader:
+    """One committed docs file, decoded once and sorted by doc_id: the
+    stored result fields plus ``gen`` and ``dl``."""
+
+    def __init__(self, path: str):
+        t = pq.read_table(
+            path,
+            columns=[
+                "doc_id", "gen", "dl", "title", "domain", "crawl_date", "snippet"
+            ],
+        )
+        self.table = t.take(pc.sort_indices(t.column("doc_id")))
+        self.ids, self.gen, self.dl = (
+            self.table.column(c).to_numpy() for c in ("doc_id", "gen", "dl")
+        )
+        self.rows = t.num_rows
+
+    def find(self, ids: np.ndarray) -> np.ndarray:
+        """Row numbers of those of ``ids`` this file holds (a docs file is
+        never empty: only a non-empty doc partition writes one)."""
+        pos = np.minimum(np.searchsorted(self.ids, ids), self.rows - 1)
+        return pos[self.ids[pos] == ids]
+
+
+class _VocabReader:
+    """One vocabulary sidecar's distinct terms."""
+
+    def __init__(self, path: str):
+        col = pq.read_table(path, columns=["term"]).column("term")
+        self.terms = np.asarray(pc.unique(col).to_pylist(), dtype=object)
+        self.rows = len(self.terms)
 
 
 def _read_dataset(files: list[str], columns: list[str], keep) -> "ray.data.Dataset":
-    """The same read as a lazy Dataset, for the distributed branches only."""
+    """A ``_pruned_postings`` plan as a lazy Dataset, for the distributed
+    branches only."""
     return ray.data.read_parquet(files, columns=columns).map_batches(
         keep, batch_format="pyarrow"
     )
@@ -198,8 +267,11 @@ class SearchIndex:
     def __init__(self, index_dir: str, meta: dict):
         self.index_dir = index_dir
         self.meta = meta
-        self._lg_cache: dict[int, int] | None = None  # supersede map cache
+        self._lg_cache: tuple | None = None  # supersede map arrays
         self._vocab_cache: np.ndarray | None = None  # sorted distinct terms
+        # path -> reader of a committed file, least recently used first
+        self._readers: OrderedDict = OrderedDict()
+        self._held_rows = 0
 
     # ------------------------------------------------------------ lifecycle
 
@@ -503,22 +575,18 @@ class SearchIndex:
 
     def _dl_of_ids(self, ids: np.ndarray) -> int:
         """Σ dl of the CURRENTLY-LIVE rows for ``ids`` (the rows a pending
-        supersede is about to kill): dpart-pruned docs reads, max-gen row
-        per id across the COMMITTED generations."""
+        supersede is about to kill): the docs readers of their doc
+        partitions, max-gen row per id across the COMMITTED generations."""
         if not len(ids):
             return 0
-        idset = set(int(i) for i in ids)
         parts = {int(i) % self.meta["n_dparts"] for i in ids}
         best: dict[int, tuple[int, int]] = {}  # id -> (gen, dl)
         for f in self._all_files("docs", parts):
-            t = pq.read_table(f, columns=["doc_id", "dl", "gen"])
-            for d, dl, g in zip(
-                t.column("doc_id").to_numpy(zero_copy_only=False),
-                t.column("dl").to_numpy(zero_copy_only=False),
-                t.column("gen").to_numpy(zero_copy_only=False),
-            ):
+            r = self._reader(f, _DocsReader)
+            rows = r.find(ids)
+            for d, dl, g in zip(r.ids[rows], r.dl[rows], r.gen[rows]):
                 di = int(d)
-                if di in idset and (di not in best or int(g) > best[di][0]):
+                if di not in best or int(g) > best[di][0]:
                     best[di] = (int(g), int(dl))
         return sum(dl for _, dl in best.values())
 
@@ -625,8 +693,7 @@ class SearchIndex:
         gens = [e["gen"] for e in self.meta["generations"]]
         if len(gens) <= 1:
             return {"generations": len(gens), "compacted": False}
-        last_gen = self._last_gen_map()
-        lg_ref = ray.put(last_gen)
+        lg_ref = ray.put(self._last_gen_map())
         new_g = gens[-1] + 1
         gd = self._gen_dir(new_g)
         if os.path.isdir(gd):
@@ -634,7 +701,9 @@ class SearchIndex:
         os.makedirs(os.path.join(gd, "postings"))
         os.makedirs(os.path.join(gd, "docs"))
         os.makedirs(os.path.join(gd, "vocab"))
-        n_parts = self.meta["n_parts"]
+        # the closures below ship to Ray tasks: they capture these plain
+        # values, never ``self`` and its warm readers
+        n_parts, n_dparts = self.meta["n_parts"], self.meta["n_dparts"]
 
         def live_filter(batch: pa.Table) -> pa.Table:
             from distributed_web_crawling_system_ray.stages.cache import get_object
@@ -690,8 +759,7 @@ class SearchIndex:
             "docs",
             "dpart",
             lambda b: (
-                b.column("doc_id").to_numpy(zero_copy_only=False)
-                % self.meta["n_dparts"]
+                b.column("doc_id").to_numpy(zero_copy_only=False) % n_dparts
             ).astype(np.int32),
         )
 
@@ -716,6 +784,7 @@ class SearchIndex:
         old_dirs = [self._gen_dir(g) for g in gens]
         self._lg_cache = None
         self._vocab_cache = None
+        self._drop_readers(old_dirs)
         self.meta["generations"] = [
             {"gen": new_g, "n_docs": int(len(all_ids)), "n_superseded": 0}
         ]
@@ -728,20 +797,46 @@ class SearchIndex:
 
     # ------------------------------------------------------------- queries
 
-    def _last_gen_map(self) -> dict[int, int]:
-        """doc_id -> latest generation that re-indexed it.  Bounded by the
-        number of UPSERTED docs (re-crawled pages), not the corpus; cached
-        per handle and invalidated by update()/compact()."""
-        if self._lg_cache is not None:
-            return self._lg_cache
-        out: dict[int, int] = {}
-        for e in self.meta["generations"]:
-            f = os.path.join(self._gen_dir(e["gen"]), "superseded.parquet")
-            if os.path.exists(f):
-                for d in pq.read_table(f).column("doc_id").to_pylist():
-                    out[int(d)] = e["gen"]
-        self._lg_cache = out
-        return out
+    def _last_gen_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """The supersede map as sorted arrays ``(doc_ids, gens)``: each
+        re-indexed doc_id and the latest generation that re-indexed it.
+        Bounded by the number of UPSERTED docs (re-crawled pages), not the
+        corpus; built once per handle and invalidated by update()/compact().
+        ``_live_mask`` probes it, and the Dataset passes ``ray.put`` it."""
+        if self._lg_cache is None:
+            ids, gens = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+            for e in self.meta["generations"]:
+                f = os.path.join(self._gen_dir(e["gen"]), "superseded.parquet")
+                if os.path.exists(f):
+                    d = pq.read_table(f).column("doc_id").to_numpy()
+                    ids.append(d)
+                    gens.append(np.full(len(d), e["gen"], dtype=np.int64))
+            ids, gens = np.concatenate(ids), np.concatenate(gens)
+            order = np.lexsort((gens, ids))
+            ids, gens = ids[order], gens[order]
+            latest = np.append(ids[1:] != ids[:-1], True)[: len(ids)]
+            self._lg_cache = (ids[latest], gens[latest])
+        return self._lg_cache
+
+    def _reader(self, path: str, kind):
+        """The handle's ``kind`` reader of one committed file, decoded on
+        first use and then served from memory.  Least-recently-used readers
+        are evicted so that together they hold at most ``DRIVER_ROW_LIMIT``
+        rows; a file larger than that is read for the caller only."""
+        r = self._readers.pop(path, None)
+        if r is None:
+            r = kind(path)
+            self._held_rows += r.rows
+        self._readers[path] = r
+        while self._held_rows > DRIVER_ROW_LIMIT:
+            self._held_rows -= self._readers.popitem(last=False)[1].rows
+        return r
+
+    def _drop_readers(self, gen_dirs: list[str]) -> None:
+        """Forget the readers of files under ``gen_dirs`` (deleted)."""
+        prefixes = tuple(d + os.sep for d in gen_dirs)
+        for p in [p for p in self._readers if p.startswith(prefixes)]:
+            self._held_rows -= self._readers.pop(p).rows
 
     def _all_files(self, dir_name: str, parts: set[int] | None = None) -> list[str]:
         files: list[str] = []
@@ -769,39 +864,29 @@ class SearchIndex:
         Reads the per-generation ``vocab/`` sidecars (distinct terms per
         postings partition, written at index time — vocab-sized, never
         index-sized).  A generation written by a pre-vocab format falls back
-        to the ``term`` column of its postings (column-pruned).  May include
-        terms of superseded docs — a harmless over-expansion: their postings
-        are live-filtered downstream, so they match nothing.  Cached per
-        handle; invalidated by update()/compact()."""
+        to the distinct terms of its postings readers.  May include terms of
+        superseded docs — a harmless over-expansion: their postings are
+        live-filtered downstream, so they match nothing.  Cached per handle;
+        invalidated by update()/compact(), after which only a new
+        generation's files are read."""
         if self._vocab_cache is not None:
             return self._vocab_cache
-        cols: list[np.ndarray] = []
+        cols: list[np.ndarray] = [np.zeros(0, dtype=object)]
         for e in self.meta["generations"]:
             gd = self._gen_dir(e["gen"])
             vd = os.path.join(gd, "vocab")
-            src = (
-                [os.path.join(vd, f) for f in sorted(os.listdir(vd))]
+            kind, d = (
+                (_VocabReader, vd)
                 if os.path.isdir(vd)
-                else [
-                    os.path.join(gd, "postings", f)
-                    for f in sorted(os.listdir(os.path.join(gd, "postings")))
-                ]
+                else (_PostingsReader, os.path.join(gd, "postings"))
             )
-            for f in src:
-                if not f.endswith(".parquet"):
-                    continue
-                # unique per file BEFORE collecting: the fallback source is
-                # the postings' term column (index-sized with duplicates);
-                # only its distinct values may reach driver memory
-                t = pc.unique(pq.read_table(f, columns=["term"]).column("term"))
-                cols.append(np.asarray(t.to_pylist(), dtype=object))
-        vocab = (
-            np.unique(np.concatenate(cols))
-            if cols
-            else np.zeros(0, dtype=object)
-        )
-        self._vocab_cache = vocab
-        return vocab
+            cols += [
+                self._reader(os.path.join(d, f), kind).terms
+                for f in sorted(os.listdir(d))
+                if f.endswith(".parquet")
+            ]
+        self._vocab_cache = np.unique(np.concatenate(cols))
+        return self._vocab_cache
 
     def _expand_wildcard(self, pattern: str) -> list[str]:
         """Indexed terms matching a ``*``/``?`` pattern (Whoosh wildcard
@@ -812,31 +897,21 @@ class SearchIndex:
         rx = _re.compile(fnmatch.translate(pattern))
         return [t for t in self._vocabulary() if rx.match(t)]
 
-    def _pruned_postings(
-        self,
-        terms: list[str],
-        require_content_tf: bool = True,
-        with_positions: bool = False,
-    ) -> tuple:
-        """The read plan ``(files, columns, keep)`` for ``terms``: ONLY the
-        hash partitions that can hold them, and the one filter to the terms
-        and to live (non-superseded) rows.  ``_read_on_driver(*plan)`` and
-        ``_read_dataset(*plan)`` both apply it.
+    def _pruned_postings(self, terms: list[str], require_content_tf=True) -> tuple:
+        """The Dataset read plan ``(files, columns, keep)`` for ``terms``:
+        ONLY the hash partitions that can hold them, and the one filter to
+        the terms and to live (non-superseded) rows, for ``_read_dataset``.
+        ``_read_on_driver`` reads the same files and rows through the
+        handle's readers.
 
         ``require_content_tf`` (the default) additionally drops title-only
         rows (tf == 0): the v1 TF-IDF/AND/df queries are defined over
         full-text tokens and must not see a token that exists only as a
         title truncation.  BM25F passes False — it scores the field union.
-
-        ``with_positions`` additionally reads the ``pos``/``pos_title``
-        list columns (phrase queries only — they are the bulk of the
-        postings bytes, so every other query path prunes them at the read).
         """
         n_parts = self.meta["n_parts"]
         files = self._all_files("postings", {_term_part(t, n_parts) for t in terms})
         columns = ["term", "doc_id", "tf", "tf_title", "dl", "gen"]
-        if with_positions:
-            columns += ["pos", "pos_title"]
         last_gen = self._last_gen_map()
         value_set = pa.array(sorted(set(terms)), pa.string())
 
@@ -851,16 +926,51 @@ class SearchIndex:
 
         return files, columns, keep
 
-    @staticmethod
-    def _df_from_parts(parts: list[pa.Table], terms: list[str]) -> dict[str, int]:
-        out = {t: 0 for t in terms}
-        for t in parts:
-            vc = pc.value_counts(t.column("term").combine_chunks())
-            for term, n in zip(
-                vc.field("values").to_pylist(), vc.field("counts").to_pylist()
-            ):
-                out[str(term)] = out.get(str(term), 0) + int(n)
-        return out
+    def _read_on_driver(
+        self,
+        terms: list[str],
+        require_content_tf: bool = True,
+        with_positions: bool = False,
+    ) -> dict[str, dict]:
+        """Each query term's live postings, as ``term -> {column: array}``
+        over ``doc_id``/``tf``/``tf_title``/``dl`` (and the ``pos``/
+        ``pos_title`` list arrays ``with_positions``); a term with no live
+        row is absent.  The rows come from the pruned files' readers: one
+        ``searchsorted`` slice per term and file, and the ``tf > 0`` and
+        live filters run on that slice alone.  No Ray Data execution, and no
+        parquet read once the files' readers are warm."""
+        n_parts = self.meta["n_parts"]
+        last_gen = self._last_gen_map()
+        by_part: dict[int, set] = {}
+        for t in terms:
+            by_part.setdefault(_term_part(t, n_parts), set()).add(t)
+        pieces: dict[str, list] = {}
+        for p, part_terms in by_part.items():
+            for f in self._all_files("postings", {p}):
+                r = self._reader(f, _PostingsReader)
+                for t in part_terms:
+                    lo, hi = r.run(t)
+                    if lo == hi:
+                        continue
+                    cols = {c: v[lo:hi] for c, v in r.cols.items()}
+                    m = _live_mask(cols["doc_id"], cols["gen"], last_gen)
+                    if require_content_tf:
+                        m &= cols["tf"] > 0
+                    sub = {c: v[m] for c, v in cols.items() if c != "gen"}
+                    if with_positions:
+                        for c, v in r.positions().items():
+                            sub[c] = v.slice(lo, hi - lo).filter(pa.array(m))
+                    if len(sub["doc_id"]):
+                        pieces.setdefault(t, []).append(sub)
+        return {
+            t: {
+                c: (pa.concat_arrays if c.startswith("pos") else np.concatenate)(
+                    [x[c] for x in subs]
+                )
+                for c in subs[0]
+            }
+            for t, subs in pieces.items()
+        }
 
     @staticmethod
     def _idf_weights(term_col, idf: dict[str, int]) -> np.ndarray:
@@ -884,9 +994,8 @@ class SearchIndex:
         """Per-term document frequency for a query — pruned partitions only.
         Terms stem first iff the index is stemmed (keys are the stems)."""
         terms = self._prep_terms(terms)
-        return self._df_from_parts(
-            _read_on_driver(*self._pruned_postings(terms)), terms
-        )
+        runs = self._read_on_driver(terms)
+        return {t: len(runs[t]["doc_id"]) if t in runs else 0 for t in terms}
 
     def topk(self, terms: list[str], k: int = 20) -> pa.Table:
         """Integer TF-IDF top-k: (rank, doc_id, score, snippet), ranked by
@@ -896,8 +1005,8 @@ class SearchIndex:
         ``tf >= 1`` and ``idf >= IDF_SCALE`` make every matched doc score
         > 0; docs with no query term pad the tail at score 0."""
 
-        def tfidf(rows: pa.Table, idf_row: np.ndarray) -> np.ndarray:
-            return rows.column("tf").to_numpy(zero_copy_only=False) * idf_row
+        def tfidf(rows, idf_row: np.ndarray) -> np.ndarray:
+            return np.asarray(rows["tf"]) * idf_row
 
         ranked = self._rank(self._prep_terms(terms), k, tfidf, True)
         return self._result_table(ranked).select(
@@ -915,33 +1024,34 @@ class SearchIndex:
         ``(doc_id, score)`` pairs by score DESC, doc_id ASC.
 
         ``row_contrib(rows, idf_row) -> int64[]`` gives each posting row's
-        score contribution.  A (term, doc) pair is exactly one live row, so
-        every per-(term, doc) model — TF-IDF and BM25F alike — is a per-doc
-        sum of row contributions.  Only docs scoring > 0 rank; when fewer
+        score contribution (``rows[column]`` is an Arrow or numpy column).
+        A (term, doc) pair is exactly one live row, so every per-(term, doc)
+        model — TF-IDF and BM25F alike — is a per-doc sum of row
+        contributions.  Only docs scoring > 0 rank; when fewer
         than k do, the smallest remaining live doc_ids pad the tail at
         score 0, like unmatched docs in a full ranking of the corpus.
 
         Scale-adaptive, decided before any read: the pruned files' footer
         row count (``_footer_rows``) at or under ``DRIVER_ROW_LIMIT`` reads
-        them on the driver with pyarrow and folds there; above it runs
-        ``_topk_distributed``, because a stopword query matches the whole
+        them through the handle's readers and folds on the driver; above it
+        runs ``_topk_distributed``, because a stopword query matches the whole
         corpus and must never fold on the driver."""
         n = int(self.meta["live_docs"])
         plan = self._pruned_postings(terms, require_content_tf=require_content_tf)
-        if _footer_rows(plan[0]) > DRIVER_ROW_LIMIT:
+        if _footer_rows(plan[0], self._readers) > DRIVER_ROW_LIMIT:
             ranked = self._topk_distributed(
                 _read_dataset(*plan), terms, n, k, row_contrib
             )
         else:
-            parts = _read_on_driver(*plan)
+            runs = self._read_on_driver(terms, require_content_tf)
             ranked = []
-            if parts:
-                idf = _idf(self._df_from_parts(parts, terms), n)
-                ids = _doc_ids(parts)
+            if runs:
+                idf = _idf({t: len(r["doc_id"]) for t, r in runs.items()}, n)
+                ids = np.concatenate([r["doc_id"] for r in runs.values()])
                 contrib = np.concatenate(
                     [
-                        row_contrib(t, self._idf_weights(t.column("term"), idf))
-                        for t in parts
+                        row_contrib(r, np.full(len(r["doc_id"]), idf[t]))
+                        for t, r in runs.items()
                     ]
                 )
                 # per-doc sum: a doc's rows can span term partitions
@@ -1052,7 +1162,7 @@ class SearchIndex:
         terms = self._prep_terms(terms)
         q = len(set(terms))
         plan = self._pruned_postings(terms)
-        if _footer_rows(plan[0]) > DRIVER_ROW_LIMIT:
+        if _footer_rows(plan[0], self._readers) > DRIVER_ROW_LIMIT:
             from ray.data.aggregate import Count
 
             hits_ds = (
@@ -1068,8 +1178,12 @@ class SearchIndex:
             ).materialize()
             hits = _doc_ids(ray.get(hits_ds.to_arrow_refs()))
         else:
+            runs = self._read_on_driver(terms)
             ids_u, counts = np.unique(
-                _doc_ids(_read_on_driver(*plan)), return_counts=True
+                np.concatenate(
+                    [np.zeros(0, np.int64)] + [r["doc_id"] for r in runs.values()]
+                ),
+                return_counts=True,
             )
             hits = ids_u[counts == q]
         return pa.table({"doc_id": pa.array(np.sort(hits), pa.int64())})
@@ -1084,8 +1198,7 @@ class SearchIndex:
             return pa.table(
                 {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
             )
-        last_gen = self._last_gen_map()
-        lg_ref = ray.put(last_gen)
+        lg_ref = ray.put(self._last_gen_map())
 
         def partial(batch: pa.Table) -> pa.Table:
             from distributed_web_crawling_system_ray.stages.cache import get_object
@@ -1131,11 +1244,10 @@ class SearchIndex:
         n = int(self.meta["live_docs"])
         total_dl = int(self.meta.get("total_dl", 0))
 
-        def bm25f(rows: pa.Table, idf_row: np.ndarray) -> np.ndarray:
-            tf = rows.column("tf").to_numpy(zero_copy_only=False)
-            tft = rows.column("tf_title").to_numpy(zero_copy_only=False)
-            dl = rows.column("dl").to_numpy(zero_copy_only=False)
-            tf_w = BOOST_TITLE * tft + tf
+        def bm25f(rows, idf_row: np.ndarray) -> np.ndarray:
+            tf_w = BOOST_TITLE * np.asarray(rows["tf_title"])
+            tf_w = tf_w + np.asarray(rows["tf"])
+            dl = np.asarray(rows["dl"])
             # overflow-guarded vector kernel (r4 advice): falls back to
             # Python-int arithmetic when int64 intermediates could wrap
             return bm25f_contrib_vec(idf_row, tf_w, dl, total_dl, n)
@@ -1171,12 +1283,14 @@ class SearchIndex:
         frequency — in place of tf, with df = number of docs containing
         the phrase), summed per matching doc.
 
-        Reads: the candidate postings for the query's terms come from one
-        ``pq.read_table`` per pruned file on the driver (no Ray Data
-        execution), plus a second such read of the phrase constituents'
-        position columns, and fold there — bounded by the per-term document
-        frequencies, the classic inverted-index query cost.  There is no
-        distributed branch: corpus-scale stopword queries belong on
+        Reads: the candidate postings for the query's terms are slices of
+        the handle's readers of the pruned files (``_read_on_driver``: no Ray
+        Data execution, and no parquet read once the readers are warm; a
+        phrase constituent's file also loads its position columns once).
+        The fold is numpy over those slices — one int64 score per matched
+        doc, phrase counts by ``_phrase_counts`` — bounded by the per-term
+        document frequencies, the classic inverted-index query cost.  There
+        is no distributed branch: corpus-scale stopword queries belong on
         ``topk``/``topk_bm25f``, which switch to one.
         """
         groups = parse_query(query_str)
@@ -1191,9 +1305,8 @@ class SearchIndex:
                 raise ValueError(
                     "pure-negation query group is not matchable: " + query_str
                 )
-        has_phrase = any(
-            isinstance(t, tuple) for grp in groups for _, t, _ in grp
-        )
+        leaf_terms = [t for grp in groups for _, t, _ in grp]
+        has_phrase = any(isinstance(t, tuple) for t in leaf_terms)
         if has_phrase and not self.meta.get("positions", False):
             raise ValueError(
                 "phrase query needs positional postings — this index was "
@@ -1203,8 +1316,7 @@ class SearchIndex:
         # expanded terms then ride the ordinary pruned-postings path
         wmap = {
             t: self._expand_wildcard(t)
-            for grp in groups
-            for _, t, _ in grp
+            for t in leaf_terms
             if isinstance(t, Wildcard)
         }
 
@@ -1213,60 +1325,20 @@ class SearchIndex:
                 return wmap[t]
             return t if isinstance(t, tuple) else (t,)
 
-        all_terms = sorted(
-            {x for grp in groups for _, t, _ in grp for x in _leaf_terms(t)}
-        )
+        all_terms = sorted({x for t in leaf_terms for x in _leaf_terms(t)})
         n = int(self.meta["live_docs"])
         total_dl = int(self.meta.get("total_dl", 0))
-        # main read: tf/df/dl for every query term, NO position columns —
-        # positions are the bulk of the postings bytes and only phrase
-        # constituents need them (r5 review: a mixed query was paying the
-        # positional cost for its high-df non-phrase terms)
-        parts = _read_on_driver(
-            *self._pruned_postings(all_terms, require_content_tf=False)
+        # tf/df/dl for every query term, NO position columns — positions
+        # are the bulk of the postings bytes and only phrase constituents
+        # need them
+        cat = self._read_on_driver(all_terms, require_content_tf=False)
+        phrase_terms = {x for t in leaf_terms if isinstance(t, tuple) for x in t}
+        pos_cat = self._read_on_driver(
+            sorted(phrase_terms), require_content_tf=False, with_positions=True
         )
-        # per-term posting columns (ids, tf, tf_title, dl): ONE sort of the
-        # (already term-filtered) rows, then run slices — not a full-column
-        # filter pass per term, which goes quadratic when a wildcard
-        # expands to many terms (r5 review)
-        cat: dict[str, dict] = {}
-        for term, sub in _runs_by_term(parts):
-            cat[term] = {
-                "ids": sub.column("doc_id").to_numpy(zero_copy_only=False),
-                "tf": sub.column("tf").to_numpy(zero_copy_only=False),
-                "tft": sub.column("tf_title").to_numpy(zero_copy_only=False),
-                "dl": sub.column("dl").to_numpy(zero_copy_only=False),
-            }
-        # positional read: ONLY the phrase constituents' partitions/rows
-        pos_cat: dict[str, dict] = {}
-        if has_phrase:
-            phrase_terms = sorted(
-                {
-                    x
-                    for grp in groups
-                    for _, t, _ in grp
-                    if isinstance(t, tuple)
-                    for x in t
-                }
-            )
-            pparts = _read_on_driver(
-                *self._pruned_postings(
-                    phrase_terms, require_content_tf=False, with_positions=True
-                )
-            )
-            for term, sub in _runs_by_term(pparts):
-                pos_cat[term] = {
-                    "ids": sub.column("doc_id").to_numpy(zero_copy_only=False),
-                    "dl": sub.column("dl").to_numpy(zero_copy_only=False),
-                    "pos": sub.column("pos").to_pylist(),
-                    "post": sub.column("pos_title").to_pylist(),
-                }
 
-        _empty3 = (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-        )
+        none = np.zeros(0, dtype=np.int64)
+        _empty3 = (none, none, none)
 
         def term_support(field: str | None, term: str):
             """(ids, tf_w, dl) of docs where the single-term leaf matches."""
@@ -1274,92 +1346,63 @@ class SearchIndex:
             if a is None:
                 return _empty3
             if field == "title":
-                w = BOOST_TITLE * a["tft"]
+                w = BOOST_TITLE * a["tf_title"]
             elif field == "content":
                 w = a["tf"]
             else:
-                w = BOOST_TITLE * a["tft"] + a["tf"]
+                w = BOOST_TITLE * a["tf_title"] + a["tf"]
             sel = w > 0
-            return a["ids"][sel], w[sel], a["dl"][sel]
-
-        phrase_cache: dict = {}
+            return a["doc_id"][sel], w[sel], a["dl"][sel]
 
         def phrase_support(field: str | None, toks: tuple):
             """(ids, tf_w, dl) of docs where the phrase occurs in scope —
             tf_w is the field-weighted PHRASE frequency.  Candidates are
-            the AND of constituent postings; adjacency verifies against
-            the position lists (cost: Σ positions of candidates)."""
-            key = (field, toks)
-            if key in phrase_cache:
-                return phrase_cache[key]
+            the AND of constituent postings; ``_phrase_counts`` verifies
+            adjacency over all candidates' position lists at once."""
             entries = [pos_cat.get(x) for x in toks]
             if any(e is None for e in entries):
-                phrase_cache[key] = _empty3
                 return _empty3
-            cand = entries[0]["ids"]
+            cand = entries[0]["doc_id"]
             for e in entries[1:]:
-                cand = np.intersect1d(cand, e["ids"])
-            if not len(cand):
-                phrase_cache[key] = _empty3
-                return _empty3
-            idx_maps = [
-                {int(d): i for i, d in enumerate(e["ids"])} for e in entries
-            ]
-            out_ids: list[int] = []
-            out_w: list[int] = []
-            out_dl: list[int] = []
-            for d in cand:
-                di = int(d)
-                rows = [m[di] for m in idx_maps]
-                c_occ = _adjacent_count(
-                    [entries[j]["pos"][rows[j]] for j in range(len(toks))]
-                )
-                t_occ = _adjacent_count(
-                    [entries[j]["post"][rows[j]] for j in range(len(toks))]
-                )
-                if field == "title":
-                    w = BOOST_TITLE * t_occ
-                elif field == "content":
-                    w = c_occ
-                else:
-                    w = BOOST_TITLE * t_occ + c_occ
-                if w > 0:
-                    out_ids.append(di)
-                    out_w.append(w)
-                    out_dl.append(int(entries[0]["dl"][rows[0]]))
-            res = (
-                np.asarray(out_ids, dtype=np.int64),
-                np.asarray(out_w, dtype=np.int64),
-                np.asarray(out_dl, dtype=np.int64),
-            )
-            phrase_cache[key] = res
-            return res
+                cand = np.intersect1d(cand, e["doc_id"])
+            # row i of every constituent's lists is candidate i: a doc has
+            # one live row per term
+            rows = []
+            for e in entries:
+                order = np.argsort(e["doc_id"])
+                rows.append(order[np.searchsorted(e["doc_id"][order], cand)])
 
-        wild_cache: dict = {}
+            def occ(col: str) -> np.ndarray:
+                return _phrase_counts(
+                    [e[col].take(pa.array(r)) for e, r in zip(entries, rows)]
+                )
+
+            w = np.zeros(len(cand), dtype=np.int64)
+            if field != "content":
+                w += BOOST_TITLE * occ("pos_title")
+            if field != "title":
+                w += occ("pos")
+            sel = w > 0
+            return cand[sel], w[sel], entries[0]["dl"][rows[0]][sel]
 
         def wild_support(field: str | None, pattern: Wildcard):
             """Union of matching ids over the pattern's expanded terms —
             match/negation only; scoring expands to concrete term leaves."""
-            key = (field, str(pattern))
-            if key in wild_cache:
-                return wild_cache[key]
-            acc: np.ndarray | None = None
-            for term in wmap[pattern]:
-                s = term_support(field, term)[0]
-                acc = s if acc is None else np.union1d(acc, s)
-            ids = acc if acc is not None else np.zeros(0, dtype=np.int64)
-            res = (ids, np.zeros(0, np.int64), np.zeros(0, np.int64))
-            wild_cache[key] = res
-            return res
+            ids = [none] + [term_support(field, x)[0] for x in wmap[pattern]]
+            return np.unique(np.concatenate(ids)), none, none
+
+        supports: dict = {}
 
         def leaf_support(field: str | None, t):
-            if isinstance(t, Wildcard):
-                return wild_support(field, t)
-            return (
-                phrase_support(field, t)
-                if isinstance(t, tuple)
-                else term_support(field, t)
-            )
+            if (field, t) not in supports:
+                supports[field, t] = (
+                    wild_support
+                    if isinstance(t, Wildcard)
+                    else phrase_support
+                    if isinstance(t, tuple)
+                    else term_support
+                )(field, t)
+            return supports[field, t]
 
         match: np.ndarray | None = None
         for grp in groups:
@@ -1374,40 +1417,37 @@ class SearchIndex:
                     gm = np.setdiff1d(gm, leaf_support(field, term)[0])
             if gm is not None:
                 match = gm if match is None else np.union1d(match, gm)
-        match = match if match is not None else np.zeros(0, dtype=np.int64)
+        # sorted and unique: one leaf's support is in file order
+        match = np.unique(match) if match is not None else none
 
         # score the matches: distinct positive leaves, field-restricted tf_w;
         # a wildcard leaf scores as its expanded terms (Whoosh: a multi-term
         # query sums each matched term's contribution), deduped against any
         # explicitly-queried identical term
-        leaf_set: set = set()
-        for grp in groups:
-            for f, t, neg in grp:
-                if neg:
-                    continue
-                if isinstance(t, Wildcard):
-                    leaf_set.update((f, str(x)) for x in wmap[t])
-                else:
-                    leaf_set.add((f, t))
-        leaves = sorted(
-            leaf_set,
-            key=lambda x: (x[0] or "", x[1] if isinstance(x[1], str) else " ".join(x[1])),
-        )
-        scores: dict[int, int] = {int(d): 0 for d in match}
-        mset = set(scores)
-        for field, term in leaves:
+        leaf_set = {
+            (f, x)
+            for grp in groups
+            for f, t, neg in grp
+            if not neg
+            for x in (wmap[t] if isinstance(t, Wildcard) else (t,))
+        }
+        # one int64 score per matched doc (zero-score matches rank too); a
+        # leaf adds at most 2.2 * n * IDF_SCALE, so the sum cannot wrap
+        score = np.zeros(len(match), dtype=np.int64)
+        for field, term in leaf_set:
             ids, tf_w, dl = leaf_support(field, term)
             df = len(ids)
-            if df == 0:
+            if df == 0 or not len(match):
                 continue
             idf = (n * IDF_SCALE) // df
             contrib = bm25f_contrib_vec(idf, tf_w, dl, total_dl, n)
-            for d, c in zip(ids, contrib):
-                di = int(d)
-                if di in mset:
-                    scores[di] += int(c)
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-        return self._result_table(ranked)
+            at = np.minimum(np.searchsorted(match, ids), len(match) - 1)
+            hit = match[at] == ids
+            np.add.at(score, at[hit], contrib[hit])
+        top = np.lexsort((match, -score))[:k]
+        return self._result_table(
+            [(int(d), int(x)) for d, x in zip(match[top], score[top])]
+        )
 
     # --------------------------------------------------------------- stats
 
@@ -1437,24 +1477,16 @@ class SearchIndex:
 
     def _live_doc_ids_ascending(self, exclude: set[int], want: int) -> list[int]:
         """Smallest ``want`` live doc_ids not in ``exclude`` — zero-score
-        tail fill for degenerate queries (matched < k).
-
-        Reads id+gen columns per docs file but keeps only a bounded
-        selection per file (``np.partition`` to the smallest ``want``
-        candidates), so driver memory is O(n_files * want), never
-        O(corpus) (r3 advice: the old per-id dict held every live id)."""
+        tail fill for degenerate queries (matched < k).  Each docs reader is
+        sorted by doc_id, so a file contributes its first ``want`` live ids
+        and the running selection stays O(want)."""
         last_gen = self._last_gen_map()
+        ex = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
         running = np.zeros(0, dtype=np.int64)
         for f in self._all_files("docs"):
-            t = pq.read_table(f, columns=["doc_id", "gen"])
-            ids = t.column("doc_id").to_numpy(zero_copy_only=False)
-            ids = ids[_live_mask(ids, t["gen"], last_gen)]
-            if exclude:
-                ids = ids[
-                    np.isin(
-                        ids, np.fromiter(exclude, dtype=np.int64), invert=True
-                    )
-                ]
+            r = self._reader(f, _DocsReader)
+            ids = r.ids[_live_mask(r.ids, r.gen, last_gen)]
+            ids = ids[np.isin(ids, ex, invert=True)][:want]
             # a doc_id can recur across generations (upserts): np.unique
             # dedups AND sorts, so the head is the smallest `want`
             running = np.unique(np.concatenate([running, ids]))[:want]
@@ -1462,19 +1494,20 @@ class SearchIndex:
 
     def _stored_fields(self, ids: list[int]) -> dict[int, dict]:
         """The stored result fields (title/domain/crawl_date/snippet) for
-        the k winners: doc-partition-pruned read, latest generation wins —
-        the Whoosh stored=True retrieval (indexer/indexer_node.py:174-181)."""
+        the k winners from the docs readers of their doc partitions, latest
+        generation wins — the Whoosh stored=True retrieval
+        (indexer/indexer_node.py:174-181)."""
         if not ids:
             return {}
         n_dparts = self.meta["n_dparts"]
         parts = {int(d) % n_dparts for d in ids}
-        winners = pa.array(sorted({int(d) for d in ids}), pa.int64())
+        winners = np.unique(np.asarray(ids, dtype=np.int64))
         cols = ["doc_id", "title", "domain", "crawl_date", "snippet", "gen"]
         best: dict[int, tuple[int, dict]] = {}
         for f in self._all_files("docs", parts):
-            t = pq.read_table(f, columns=cols)
+            r = self._reader(f, _DocsReader)
             # only the winners' rows reach Python objects
-            t = t.filter(pc.is_in(t.column("doc_id"), value_set=winners))
+            t = r.table.take(pa.array(r.find(winners)))
             rows = [t.column(c).to_pylist() for c in cols]
             for d, title, domain, cdate, snip, g in zip(*rows):
                 if d not in best or g > best[d][0]:
@@ -1613,18 +1646,11 @@ def index_for(sf_dir: str, stem: bool = False) -> SearchIndex:
 def search_topk_indexed(sf_dir: str) -> pa.Table:
     """The pinned integer TF-IDF top-k (``search_topk`` in queries()),
     answered FROM the persisted index."""
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        QUERY_TERMS,
-        TOP_K,
-    )
-
-    return index_for(sf_dir).topk(list(QUERY_TERMS), TOP_K)
+    return index_for(sf_dir).topk(list(search.QUERY_TERMS), search.TOP_K)
 
 
 def search_and_terms_indexed(sf_dir: str) -> pa.Table:
-    from distributed_web_crawling_system_ray.pipelines.search import QUERY_TERMS
-
-    return index_for(sf_dir).and_terms(list(QUERY_TERMS))
+    return index_for(sf_dir).and_terms(list(search.QUERY_TERMS))
 
 
 def search_term_df_indexed(sf_dir: str) -> pa.Table:
@@ -1636,12 +1662,7 @@ def search_topk_stemmed_indexed(sf_dir: str) -> pa.Table:
     tokens (Whoosh StemmingAnalyzer, indexer/indexer_node.py:63) —
     'joins', 'joined', 'joining' all count toward 'join' — answered FROM
     the persisted stemmed index."""
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        QUERY_TERMS,
-        TOP_K,
-    )
-
-    return index_for(sf_dir, stem=True).topk(list(QUERY_TERMS), TOP_K)
+    return index_for(sf_dir, stem=True).topk(list(search.QUERY_TERMS), search.TOP_K)
 
 
 def search_topk_bm25f_indexed(sf_dir: str) -> pa.Table:
@@ -1649,13 +1670,8 @@ def search_topk_bm25f_indexed(sf_dir: str) -> pa.Table:
     persisted stemmed index — the reference's serving shape: BM25F scored
     against the index, not a corpus scan per query
     (indexer/indexer_node.py:151-183)."""
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        BM25_TOP_K,
-        QUERY_TERMS,
-    )
-
     return index_for(sf_dir, stem=True).topk_bm25f(
-        list(QUERY_TERMS), BM25_TOP_K
+        list(search.QUERY_TERMS), search.BM25_TOP_K
     )
 
 
@@ -1745,12 +1761,7 @@ def search_field_query(sf_dir: str) -> pa.Table:
     stemmed index and hash-checked against a DuckDB oracle replicating the
     same DNF + scoring (the reference's /search endpoint surface,
     indexer/indexer_node.py:151-183)."""
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        BM25_TOP_K,
-        FIELD_QUERY,
-    )
-
-    return index_for(sf_dir, stem=True).search(FIELD_QUERY, k=BM25_TOP_K)
+    return index_for(sf_dir, stem=True).search(search.FIELD_QUERY, k=search.BM25_TOP_K)
 
 
 def search_phrase_query(sf_dir: str) -> pa.Table:
@@ -1761,12 +1772,7 @@ def search_phrase_query(sf_dir: str) -> pa.Table:
     indexer/indexer_node.py:170-178) — answered from the persisted stemmed
     index and hash-checked against a DuckDB oracle replicating the same
     match + phrase-frequency BM25F scoring over tokenized text windows."""
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        BM25_TOP_K,
-        PHRASE_QUERY,
-    )
-
-    return index_for(sf_dir, stem=True).search(PHRASE_QUERY, k=BM25_TOP_K)
+    return index_for(sf_dir, stem=True).search(search.PHRASE_QUERY, k=search.BM25_TOP_K)
 
 
 def search_nested_query(sf_dir: str) -> pa.Table:
@@ -1775,12 +1781,7 @@ def search_nested_query(sf_dir: str) -> pa.Table:
     negation — Whoosh grammar parity for ``(a OR b) AND c NOT (d OR "e f")``
     (indexer/indexer_node.py:170).  Answered from the persisted stemmed
     index, hash-checked against the equivalent DuckDB DNF."""
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        BM25_TOP_K,
-        NESTED_QUERY,
-    )
-
-    return index_for(sf_dir, stem=True).search(NESTED_QUERY, k=BM25_TOP_K)
+    return index_for(sf_dir, stem=True).search(search.NESTED_QUERY, k=search.BM25_TOP_K)
 
 
 def search_wildcard_query(sf_dir: str) -> pa.Table:
@@ -1790,12 +1791,8 @@ def search_wildcard_query(sf_dir: str) -> pa.Table:
     feeds user queries to, indexer/indexer_node.py:170).  Answered from the
     persisted stemmed index, hash-checked against a DuckDB oracle that
     derives the same vocabulary from the documents and expands with LIKE."""
-    from distributed_web_crawling_system_ray.pipelines.search import (
-        BM25_TOP_K,
-        WILDCARD_QUERY,
-    )
-
-    return index_for(sf_dir, stem=True).search(WILDCARD_QUERY, k=BM25_TOP_K)
+    idx = index_for(sf_dir, stem=True)
+    return idx.search(search.WILDCARD_QUERY, k=search.BM25_TOP_K)
 
 
 def search_index_stats(sf_dir: str) -> pa.Table:

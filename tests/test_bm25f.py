@@ -409,6 +409,82 @@ def test_search_query_string_matches_brute_force(
         assert dom == f"src{d % 3}"
 
 
+def test_phrase_kernel_matches_set_intersection():
+    """``_phrase_counts`` (flat ``row << 32 | pos`` keys, chained
+    ``np.isin``) counts, per row, the start positions ``p`` with ``p + j``
+    in constituent ``j``'s list — the same number as a set intersection
+    over the raw lists, for 1- to 3-token phrases, repeated tokens
+    (``"a a"``), empty lists and rows with no list at all."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from distributed_web_crawling_system_ray.pipelines.search_index import (
+        _phrase_counts,
+    )
+
+    positions = st.lists(st.integers(0, 30), max_size=10, unique=True)
+
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda rows: st.tuples(
+                st.lists(st.lists(positions, min_size=rows, max_size=rows),
+                         min_size=1, max_size=3),
+                st.lists(st.integers(0, 2), min_size=1, max_size=3),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def run(case):
+        token_lists, phrase = case
+        # phrase tokens index into the token lists, so a token can repeat
+        cols = [token_lists[t % len(token_lists)] for t in phrase]
+        got = _phrase_counts([pa.array(c, pa.list_(pa.int32())) for c in cols])
+        want = [
+            len(set.intersection(*({p - j for p in c[i]} for j, c in enumerate(cols))))
+            for i in range(len(cols[0]))
+        ]
+        assert got.tolist() == want
+
+    run()
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_phrase_scopes_match_brute_force(ray_session, tmp_path, compact):
+    """Phrase frequencies from the ``pos`` and ``pos_title`` columns: bare,
+    ``title:`` and ``content:`` phrases of 2 and 3 tokens, repeated-token
+    phrases included, over an index where an upsert superseded some docs
+    (and, compacted, over one generation) — equal to the brute force over
+    the latest text of each doc, ids and scores.  A 3-word vocabulary and
+    texts longer than the title window make each scope differ."""
+    rng = np.random.default_rng(5)
+    words = ["join", "window", "data"]
+
+    def text() -> str:
+        return " ".join(rng.choice(words, size=rng.integers(8, 40)))
+
+    first = {i: text() for i in range(40)}
+    second = {i: text() for i in range(0, 60, 3)}
+    idx = SearchIndex.create(str(tmp_path / "idx_phrase"))
+    idx.update(_docs_table(first))
+    idx.update(_docs_table(second))
+    if compact:
+        idx.compact()
+    latest = {**first, **second}
+    for q in (
+        '"join join"',
+        'title:"join window"',
+        'content:"window window"',
+        '"join window data"',
+        'title:"data data data"',
+        'content:"window join window" OR "data join"',
+        "join NOT \"join join join\"",
+    ):
+        got = idx.search(q, k=15)
+        want = _brute_force_search(latest, q, k=15)
+        assert got.column("doc_id").to_pylist() == [d for d, _ in want], q
+        assert got.column("score").to_pylist() == [s for _, s in want], q
+
+
 def test_search_pure_negation_rejected(ray_session, tmp_path, corpus):
     idx = SearchIndex.create(str(tmp_path / "idx_neg"))
     idx.update(_docs_table(corpus))

@@ -131,7 +131,7 @@ def test_compact_preserves_queries(ray_session, tmp_path, corpus):
     out = idx.compact()
     assert out["compacted"] and len(idx.meta["generations"]) == 1
     assert idx.meta["live_docs"] == len(merged)
-    assert idx._last_gen_map() == {}  # supersede map emptied
+    assert len(idx._last_gen_map()[0]) == 0  # supersede map emptied
     assert idx.topk(TERMS).equals(before[0])
     assert sorted(idx.and_terms(TERMS).column("doc_id").to_pylist()) == before[1]
     assert idx.term_df().sort_by("term").equals(before[2])
@@ -171,23 +171,110 @@ FIVE_FORMS = (
 
 
 def test_driver_sized_queries_run_no_ray_data_execution(
-    ray_session, tmp_path, corpus, executions
+    ray_session, tmp_path, corpus, executions, monkeypatch
 ):
     """Every query whose pruned postings fit ``DRIVER_ROW_LIMIT`` reads them
-    with pyarrow on the driver: zero Ray Data executions, even across an
-    upsert (so the live filter runs on the driver read too)."""
+    on the driver: zero Ray Data executions, even across an upsert (so the
+    live filter runs on the driver read too).  Repeated on the now-warm
+    handle, the same queries open no parquet file at all: no
+    ``pq.read_table`` and no footer read."""
     sub1, sub2, _ = corpus
     idx = SearchIndex.create(str(tmp_path / "idx_drv"))
     idx.update(_docs_table(sub1))
     idx.update(_docs_table(sub2))
+
+    def run_all():
+        for q in FIVE_FORMS:
+            assert idx.search(q, k=5).num_rows > 0, q
+        return [
+            idx.topk(TERMS),
+            idx.topk_bm25f(TERMS),
+            idx.and_terms(TERMS),
+            idx.query_df(TERMS),
+        ]
+
     executions.clear()
-    for q in FIVE_FORMS:
-        assert idx.search(q, k=5).num_rows > 0, q
-    idx.topk(TERMS)
-    idx.topk_bm25f(TERMS)
-    idx.and_terms(TERMS)
-    idx.query_df(TERMS)
+    cold = run_all()
     assert executions == []
+    opened = []
+    for name in ("read_table", "read_metadata"):
+        orig = getattr(pq, name)
+        monkeypatch.setattr(
+            pq, name, lambda *a, _o=orig, **kw: opened.append(a) or _o(*a, **kw)
+        )
+    warm = run_all()
+    assert opened == [] and executions == []
+    assert all(a.equals(b) for a, b in zip(cold[:3], warm[:3]))
+    assert cold[3] == warm[3]
+
+
+def _all_answers(idx: SearchIndex) -> list:
+    """Every query form's answer over ``idx``: the five Whoosh forms plus a
+    bare and a title-scoped phrase (``pos``/``pos_title``), ``topk``,
+    ``topk_bm25f``, ``and_terms`` and ``query_df``."""
+    out = [
+        idx.search(q, k=8)
+        for q in FIVE_FORMS + ('"join window"', 'title:"customer join"')
+    ]
+    return out + [
+        idx.topk(TERMS, k=12),
+        idx.topk_bm25f(TERMS, k=12),
+        idx.and_terms(TERMS),
+        idx.query_df(TERMS),
+    ]
+
+
+@pytest.mark.parametrize("evict", [False, True])
+def test_warm_handle_answers_like_a_fresh_open(
+    ray_session, tmp_path, corpus, monkeypatch, evict
+):
+    """A long-lived handle, driven through upserts that re-use doc_ids and
+    through compactions, answers every query form exactly like a handle
+    freshly opened on the same directory: its readers never serve a
+    superseded row or a deleted generation.  With ``DRIVER_ROW_LIMIT``
+    below the index's postings rows, readers are evicted and re-read, and
+    the rows they hold never pass the limit; at the default limit no
+    postings file is ever read twice."""
+    sub1, sub2, _ = corpus
+    idx = SearchIndex.create(str(tmp_path / "idx_warm"))
+    loads: list[str] = []
+
+    class CountedReader(search_index._PostingsReader):
+        def __init__(self, path):
+            loads.append(path)
+            super().__init__(path)
+
+    monkeypatch.setattr(search_index, "_PostingsReader", CountedReader)
+    # later submissions re-use doc_ids of earlier ones with other text
+    rewrite = {i: " ".join(sub1[i].split()[::-1]) + " window" for i in range(0, 60, 4)}
+    again = {**{i: sub2[i] for i in range(60, 70)}, 90: "customer join"}
+    steps = [
+        lambda: idx.update(_docs_table(sub1)),
+        lambda: idx.update(_docs_table(sub2)),
+        lambda: idx.update(_docs_table(rewrite)),
+        idx.compact,
+        lambda: idx.update(_docs_table(again)),
+        idx.compact,
+    ]
+    seen: set[str] = set()
+    reloads = 0
+    for i, step in enumerate(steps):
+        step()
+        if evict and i == 0:
+            total = search_index._footer_rows(idx._all_files("postings"))
+            monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", total // 3)
+        for _ in range(2):  # the first pass loads readers, the second is warm
+            want = _all_answers(SearchIndex.open(idx.index_dir))
+            loads.clear()
+            got = _all_answers(idx)
+            for a, b in zip(got[:-1], want[:-1]):
+                assert a.equals(b), i
+            assert got[-1] == want[-1], i
+            reloads += sum(p in seen for p in loads)
+            seen.update(loads)
+            held = sum(r.rows for r in idx._readers.values())
+            assert held == idx._held_rows <= search_index.DRIVER_ROW_LIMIT
+    assert (reloads > 0) if evict else (reloads == 0)
 
 
 def test_footer_rows_choose_the_distributed_branch(
@@ -199,7 +286,6 @@ def test_footer_rows_choose_the_distributed_branch(
     Data execution), and both branches give the driver fold's answer."""
     from distributed_web_crawling_system_ray.pipelines.search_index import (
         _footer_rows,
-        _read_on_driver,
     )
 
     sub1, sub2, _ = corpus
@@ -207,7 +293,7 @@ def test_footer_rows_choose_the_distributed_branch(
     idx.update(_docs_table(sub1))
     idx.update(_docs_table(sub2))
     plan = idx._pruned_postings(TERMS)
-    matched = sum(t.num_rows for t in _read_on_driver(*plan))
+    matched = sum(len(r["doc_id"]) for r in idx._read_on_driver(TERMS).values())
     footer = _footer_rows(plan[0])
     assert 0 < matched < footer
     want_topk, want_and = idx.topk(TERMS), idx.and_terms(TERMS)
