@@ -13,6 +13,10 @@ Usage:
     python bench.py                # one run at $RAY_GRAFT_CPUS (default 32)
     python bench.py --scaling      # fresh processes at 8 and 32 cpus,
                                    # reports throughputs + scaling efficiency
+    python bench.py --sf1          # the sf1 near-dup ops alone, in a
+                                   # perfbench-shaped session at
+                                   # $RAY_GRAFT_CPUS (default 1); the
+                                   # pair ops also on the Dataset plan
 """
 
 from __future__ import annotations
@@ -113,6 +117,101 @@ def query_mix_latency(sf_dir: str, n: int = 200) -> dict:
             out[f"search_query_mix_{name}p{q}_ms"] = round(
                 float(np.percentile(w, q)), 1
             )
+    return out
+
+
+SF1_OPS = (
+    "doc_near_dup_pairs",
+    "image_phash_near_dup",
+    "doc_dedup_clusters",
+    "image_phash_clusters",
+)
+# sf1 sits at the driver bounds of the near-dup switch (DOC_DRIVER_ROWS,
+# IMAGE_DRIVER_ROWS), so --sf1 runs these once more with the bounds at 0:
+# every run records both sides of the switch at the same size.
+SF1_DATASET_OPS = ("doc_near_dup_pairs", "image_phash_near_dup")
+
+
+def _spilled_mib(session_dir: str) -> float:
+    """The session's spilled MiB so far: the last ``Spilled N MiB`` line of
+    the raylet log (the raylet logs a running total), 0 when there is
+    none."""
+    import re
+
+    last = 0.0
+    path = os.path.join(session_dir, "logs", "raylet.out")
+    if os.path.exists(path):
+        with open(path, errors="replace") as f:
+            for m in re.finditer(r"Spilled (\d+) MiB", f.read()):
+                last = float(m.group(1))
+    return last
+
+
+def sf1_op(name: str, sf1_dir: str, dataset: bool = False) -> tuple[int, float, float]:
+    """One call of ``dataops.<name>`` over the sf1 fixture: ``(output rows,
+    wall s, driver peak RSS MB)``, RSS sampled every 10 ms.  ``dataset``
+    forces the Dataset plan by zeroing the driver bounds for the call."""
+    import threading
+
+    from distributed_web_crawling_system_ray.pipelines import dataops
+    from perfbench.run import _rss_mb
+
+    peak = [_rss_mb()]
+    done = threading.Event()
+
+    def sample() -> None:
+        while not done.wait(0.01):
+            peak.append(max(peak[-1], _rss_mb()))
+
+    bounds = {k: getattr(dataops, k) for k in ("DOC_DRIVER_ROWS", "IMAGE_DRIVER_ROWS")}
+    if dataset:
+        for k in bounds:
+            setattr(dataops, k, 0)
+    t = threading.Thread(target=sample, daemon=True)
+    t.start()
+    t0 = time.perf_counter()
+    try:
+        rows = getattr(dataops, name)(sf1_dir).num_rows
+    finally:
+        wall = time.perf_counter() - t0
+        done.set()
+        t.join()
+        for k, v in bounds.items():
+            setattr(dataops, k, v)
+    return rows, wall, max(peak)
+
+
+def sf1_gate(num_cpus: int) -> dict:
+    """The sf1 section's near-dup ops alone, over ``build_sf1()``, in a Ray
+    session shaped like perfbench's (``perfbench.run.start_ray``).  Per op:
+    the first (cold) and second (warm) call's wall, the driver's peak RSS
+    over both, the MiB the raylet spilled during them, and the output rows;
+    then the same for ``SF1_DATASET_OPS`` with the Dataset plan forced
+    (keys ``<op>_dataset``)."""
+    import ray
+
+    from distributed_web_crawling_system_ray.sources.scaleup import build_sf1
+    from perfbench.run import start_ray
+
+    sf1_dir = build_sf1()
+    start_ray(num_cpus)
+    session = ray._private.worker._global_node.get_session_dir_path()
+    out: dict = {"metric": "sf1_neardup", "num_cpus": num_cpus}
+    runs = [(n, False) for n in SF1_OPS] + [(n, True) for n in SF1_DATASET_OPS]
+    for name, dataset in runs:
+        spilled0 = _spilled_mib(session)
+        rec: dict = {}
+        peaks = []
+        for call in ("cold", "warm"):
+            rows, wall, peak = sf1_op(name, sf1_dir, dataset)
+            rec[call + "_s"] = round(wall, 3)
+            peaks.append(peak)
+        time.sleep(1)  # the raylet logs its spill total asynchronously
+        rec["driver_peak_rss_mb"] = round(max(peaks), 1)
+        rec["spilled_mib"] = _spilled_mib(session) - spilled0
+        rec["rows"] = rows
+        out[name + ("_dataset" if dataset else "")] = rec
+    ray.shutdown()
     return out
 
 
@@ -279,15 +378,13 @@ def run_bench(num_cpus: int) -> dict:
 
     sf1_dir = build_sf1()
     sf1: dict[str, float] = {}
-    t0 = time.time()
-    n_pairs_sf1 = dataops.doc_near_dup_pairs(sf1_dir).num_rows
-    sf1["doc_near_dup_pairs"] = round(time.time() - t0, 3)
+    n_pairs_sf1, wall, _ = sf1_op("doc_near_dup_pairs", sf1_dir)
+    sf1["doc_near_dup_pairs"] = round(wall, 3)
     t0 = time.time()
     dataops.ann_topk_ivf(sf1_dir)
     sf1["ann_topk_ivf"] = round(time.time() - t0, 3)
-    t0 = time.time()
-    n_phash_sf1 = dataops.image_phash_near_dup(sf1_dir).num_rows
-    sf1["image_phash_near_dup"] = round(time.time() - t0, 3)
+    n_phash_sf1, wall, _ = sf1_op("image_phash_near_dup", sf1_dir)
+    sf1["image_phash_near_dup"] = round(wall, 3)
     sf1_idx_dir = f"/tmp/graft_bench_sf1_index_{num_cpus}"
     shutil.rmtree(sf1_idx_dir, ignore_errors=True)
     t0 = time.time()
@@ -427,6 +524,9 @@ def main() -> None:
                 }
             )
         )
+        return
+    if "--sf1" in sys.argv:
+        print(json.dumps(sf1_gate(int(os.environ.get("RAY_GRAFT_CPUS", "1")))))
         return
     ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
     print(json.dumps(run_bench(ncpu)))

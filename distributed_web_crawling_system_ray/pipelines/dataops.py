@@ -3,7 +3,12 @@
 Beyond the reference's own operator set (SURVEY §2), these are the operations
 a large-scale training-data pipeline needs, each expressed Ray-Data-first:
 vectorized ``map_batches`` + explicit hash-partition shuffles + broadcast
-small sides.  Near-dup via phash is the reference's own declared future work
+small sides.  The near-dup family (MinHash, SimHash, phash and embedding
+pairs, and their clusters) picks its path by input size: up to
+``DOC_DRIVER_ROWS`` docs, ``IMAGE_DRIVER_ROWS`` images or ``EMB_BLOCK_ROWS``
+vectors, the same numpy kernels the Dataset plan runs per group run on the
+driver over pyarrow reads, with no Ray Data execution.  Near-dup via
+phash is the reference's own declared future work
 (``system_architecture_v3.md:319``).
 
 Operator inventory (queries()-key -> method):
@@ -37,6 +42,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -65,20 +71,20 @@ def _read_pq(path, **kw) -> "ray.data.Dataset":
     to hash the schemas" on every block unify, including inside the
     ReadParquet operator itself (where a post-read strip map is too late).
     Passing a cleaned schema makes every produced block metadata-free."""
-    import pyarrow.parquet as _pq
-
     first = path if isinstance(path, str) else path[0]
-    sch = _pq.read_schema(first)
+    sch = pq.read_schema(first)
     cols = kw.get("columns")
     if cols:
         sch = pa.schema([sch.field(c) for c in cols])
     return ray.data.read_parquet(path, schema=sch.remove_metadata(), **kw)
 
 
+def _docs_path(sf_dir: str) -> str:
+    return os.path.join(sf_dir, "documents.parquet")
+
+
 def _docs(sf_dir: str, columns=("doc_id", "text")) -> "ray.data.Dataset":
-    return _read_pq(
-        os.path.join(sf_dir, "documents.parquet"), columns=list(columns)
-    )
+    return _read_pq(_docs_path(sf_dir), columns=list(columns))
 
 
 def _emb(sf_dir: str, columns=("vec_id", "embedding")) -> "ray.data.Dataset":
@@ -339,54 +345,71 @@ def _minhash_sig(shingle_hashes: np.ndarray) -> np.ndarray:
     return m.min(axis=1)
 
 
-def doc_minhash_bands(sf_dir: str) -> "ray.data.Dataset":
-    """documents -> (band_id, band_hash, doc_id, bands) rows — the LSH
-    shuffle key.
+def _minhash_band_matrix(batch: pa.Table) -> np.ndarray:
+    """(n, N_BANDS) uint64 LSH band hashes of a ``(doc_id, text)`` batch.
 
-    One row per (doc, band); a groupby on band_id co-locates each band's
-    buckets.  A band's hash folds its N_PERM // N_BANDS MinHash values with
-    a chained ``_mix64(h ^ r_j)``, for every doc of the batch at once.
-    ``bands`` carries all N_BANDS of the doc's band hashes (little-endian
-    uint64, one ``fixed_size_binary``) so the candidate kernel can tell
-    whether a pair also collides in a lower band.  This is the
-    mergeable-sketch pattern: signatures are computed per batch, never
-    collected centrally."""
+    A band's hash folds its N_PERM // N_BANDS MinHash values with a chained
+    ``_mix64(h ^ r_j)``, for every doc of the batch at once.  Both
+    ``doc_lsh_candidates`` paths call it per batch (the mergeable-sketch
+    pattern: signatures are never computed centrally)."""
     rows_per_band = N_PERM // N_BANDS
-
-    def bands(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        sigs = np.empty((n, N_PERM), dtype=np.uint64)
-        for i, text in enumerate(batch.column("text").to_pylist()):
-            sigs[i] = _minhash_sig(_h64_arr(_shingles(text)))
-        r = sigs.reshape(n, N_BANDS, rows_per_band)
-        h = np.zeros((n, N_BANDS), dtype=np.uint64)
-        for j in range(rows_per_band):
-            h = _mix64(h ^ r[:, :, j])
-        per_doc = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(8 * N_BANDS), n, [None, pa.py_buffer(h.tobytes())]
-        )
-        take = pa.array(np.repeat(np.arange(n, dtype=np.int64), N_BANDS))
-        return pa.table(
-            {
-                "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int16), n)),
-                "band_hash": pa.array(h.ravel(), pa.uint64()),
-                "doc_id": batch.column("doc_id").take(take),
-                "bands": per_doc.take(take),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(bands, batch_format="pyarrow")
+    n = batch.num_rows
+    sigs = np.empty((n, N_PERM), dtype=np.uint64)
+    for i, text in enumerate(batch.column("text").to_pylist()):
+        sigs[i] = _minhash_sig(_h64_arr(_shingles(text)))
+    r = sigs.reshape(n, N_BANDS, rows_per_band)
+    h = np.zeros((n, N_BANDS), dtype=np.uint64)
+    for j in range(rows_per_band):
+        h = _mix64(h ^ r[:, :, j])
+    return h
 
 
-# rows per vectorized-run group in the banded candidate/verify kernels —
-# whole-band groups at web scale would put one corpus-sized table on one
-# worker, so bands sub-bucket by hash when a band exceeds this (the sub key
-# is hash-mod, so every band_hash bucket stays whole; K=1 at test scales)
+# The most rows one group of a banded join's Dataset plan (MinHash LSH,
+# banded Hamming) holds: each band splits into K = ceil(n /
+# BAND_GROUP_TARGET_ROWS) hash-mod sub-buckets (every band-hash bucket
+# stays whole).
 BAND_GROUP_TARGET_ROWS = 2_000_000
+
+# The near-dup path switch for docs and images: an input of at most this
+# many rows runs the numpy kernels on the driver over pyarrow reads, with no
+# Ray Data execution; a larger one runs the Dataset plan.  The driver path
+# computes every signature serially on one core, the Dataset plan in
+# parallel tasks, so the bounds are the largest inputs at which the driver
+# was measured to win (sf1: 50k docs, 250k images; ROADMAP item 5).  Those
+# measurements ran on a 1-vCPU host: the crossover above these sizes, and on
+# more than one real core, is unverified.  Both bounds sit far below
+# BAND_GROUP_TARGET_ROWS, so the driver never holds more than one Dataset
+# group would.
+DOC_DRIVER_ROWS = 50_000
+IMAGE_DRIVER_ROWS = 250_000
 
 
 def _band_subbuckets(n_rows_per_band: int) -> int:
     return max(1, -(-int(n_rows_per_band) // BAND_GROUP_TARGET_ROWS))
+
+
+def _num_rows(path: str) -> int:
+    return pq.read_metadata(path).num_rows
+
+
+def _driver_batches(path: str, columns):
+    """A parquet file's record batches, read on the driver one at a time —
+    the pyarrow twin of ``_read_pq(path, columns=...).map_batches`` (and
+    its 1024-row default batch), so a driver path never holds a whole text
+    column."""
+    f = pq.ParquetFile(path)
+    for batch in f.iter_batches(batch_size=1024, columns=list(columns)):
+        yield pa.Table.from_batches([batch])
+
+
+def _pairs(a, b, id_type: pa.DataType = pa.int64()) -> pa.Table:
+    return pa.table({"a": pa.array(a, id_type), "b": pa.array(b, id_type)})
+
+
+def _sorted_pairs(out, id_type: pa.DataType = pa.int64()) -> pa.Table:
+    """A pair table sorted by (a, b); ``None`` (no rows) becomes empty."""
+    out = _pairs([], [], id_type) if out is None else out
+    return out.sort_by([("a", "ascending"), ("b", "ascending")])
 
 
 def _band_matrix(col: pa.ChunkedArray) -> np.ndarray:
@@ -398,75 +421,112 @@ def _band_matrix(col: pa.ChunkedArray) -> np.ndarray:
     )
 
 
+def _band_candidates(c: int, ids: np.ndarray, band: np.ndarray):
+    """Band ``c``'s candidate pairs as row indices ``(i, j)`` into ``ids``
+    and ``band`` (the rows' (n, N_BANDS) band matrix), ``ids[i] < ids[j]``.
+
+    A candidate is two rows with equal band-c hashes whose docs agree on no
+    band below c: a pair that does is emitted from that lower band, so each
+    pair leaves the band join exactly once.  Buckets are runs of a
+    vectorized sort by band hash; only multi-member runs reach Python.  A
+    bucket whose members all equal its first member on some band below c
+    is skipped before any pair is built (every pair in it collides lower);
+    in the buckets left, the lower-band test runs per pair."""
+    bh = band[:, c]
+    order = np.lexsort((ids, bh))
+    bh_s = bh[order]
+    starts = np.flatnonzero(np.r_[True, bh_s[1:] != bh_s[:-1]])
+    sizes = np.diff(np.r_[starts, len(bh_s)])
+    starts, sizes = starts[sizes > 1], sizes[sizes > 1]
+    if c and len(starts):
+        offs = np.cumsum(sizes) - sizes  # run k's members: pos[offs[k]:][:sizes[k]]
+        pos = np.repeat(starts - offs, sizes) + np.arange(int(sizes.sum()))
+        same = band[order[pos], :c] == band[order[np.repeat(starts, sizes)], :c]
+        lower = np.logical_and.reduceat(same, offs, axis=0).any(axis=1)
+        starts, sizes = starts[~lower], sizes[~lower]
+    i_out, j_out = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for s, k in zip(starts.tolist(), sizes.tolist()):
+        ii, jj = np.triu_indices(k, k=1)  # ids ascend within a run
+        i_out.append(order[s + ii])
+        j_out.append(order[s + jj])
+    i, j = np.concatenate(i_out), np.concatenate(j_out)
+    if c:
+        keep = (band[i, :c] != band[j, :c]).all(axis=1)
+        i, j = i[keep], j[keep]
+    return i, j
+
+
 def _lsh_candidate_ds(sf_dir: str) -> "ray.data.Dataset":
-    """Candidate pairs (a < b) sharing at least one LSH band bucket, each
-    emitted exactly once: from the lowest band in which its two docs
-    collide.
+    """The Dataset plan of ``doc_lsh_candidates``: one
+    ``(band_id, sub, doc_id, bands)`` row per (doc, band), grouped by
+    ``(band_id, sub)`` — ``sub = band_hash % K``, bucket-preserving — with
+    ``_band_candidates`` per group.  ``bands`` carries all N_BANDS of the
+    doc's band hashes (little-endian uint64, one ``fixed_size_binary``) for
+    the kernel's lower-band test."""
+    path = _docs_path(sf_dir)
+    k_sub = _band_subbuckets(_num_rows(path))
 
-    One map_groups call per (band, sub-bucket): a per-(band, hash)
-    map_groups spawns a Python call per bucket — ~#docs x #bands
-    mostly-singleton buckets, the dominant cost at 10x bench scale (r5 sf1
-    profile) — while a whole-band group holds the corpus on one worker at
-    web scale, so bands above ``BAND_GROUP_TARGET_ROWS`` split by
-    ``band_hash % K`` (bucket-preserving).  Within a group the buckets are
-    runs of a vectorized sort by band_hash; only multi-member runs (actual
-    candidates) reach Python.  Every row carries its doc's band hashes, so
-    a pair from band c whose docs also agree on some band below c is
-    dropped locally: it is emitted in that lower band.  Duplicate-free
-    candidate generation is a partitioning rule, as in
-    ``_banded_hamming_join``; no candidate list is deduped anywhere."""
-    import pyarrow.parquet as _pq
-
-    n_docs = _pq.read_metadata(
-        os.path.join(sf_dir, "documents.parquet")
-    ).num_rows
-    k_sub = _band_subbuckets(n_docs)
-
-    def add_sub(batch: pa.Table) -> pa.Table:
-        bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "sub", pa.array((bh % np.uint64(k_sub)).astype(np.int32), pa.int32())
+    def band_rows(batch: pa.Table) -> pa.Table:
+        h = _minhash_band_matrix(batch)
+        n = len(h)
+        per_doc = pa.FixedSizeBinaryArray.from_buffers(
+            pa.binary(8 * N_BANDS), n, [None, pa.py_buffer(h.tobytes())]
+        )
+        take = pa.array(np.repeat(np.arange(n, dtype=np.int64), N_BANDS))
+        return pa.table(
+            {
+                "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int16), n)),
+                "sub": pa.array((h.ravel() % np.uint64(k_sub)).astype(np.int32)),
+                "doc_id": batch.column("doc_id").take(take),
+                "bands": per_doc.take(take),
+            }
         )
 
     def pairs(group: pa.Table) -> pa.Table:
         c = int(group.column("band_id")[0].as_py())
-        bh = group.column("band_hash").to_numpy(zero_copy_only=False)
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, bh))
-        bh_s = bh[order]
-        chg = np.flatnonzero(bh_s[1:] != bh_s[:-1]) + 1
-        starts = np.concatenate([[0], chg])
-        ends = np.concatenate([chg, [len(bh_s)]])
-        sizes = ends - starts
-        i_out, j_out = [], []
-        for s, e in zip(starts[sizes > 1], ends[sizes > 1]):
-            ii, jj = np.triu_indices(e - s, k=1)  # ids ascend within a run
-            i_out.append(order[s + ii])
-            j_out.append(order[s + jj])
-        i = np.concatenate(i_out) if i_out else np.zeros(0, np.int64)
-        j = np.concatenate(j_out) if j_out else np.zeros(0, np.int64)
-        if c:
-            band = _band_matrix(group.column("bands"))
-            lower = (band[i, :c] == band[j, :c]).any(axis=1)
-            i, j = i[~lower], j[~lower]
-        return pa.table(
-            {"a": pa.array(ids[i], pa.int64()), "b": pa.array(ids[j], pa.int64())}
-        )
+        i, j = _band_candidates(c, ids, _band_matrix(group.column("bands")))
+        return _pairs(ids[i], ids[j])
 
-    ds = doc_minhash_bands(sf_dir)
-    if k_sub > 1:  # engage only at scale: K=1 keeps the single-key plan
-        ds = ds.map_batches(add_sub, batch_format="pyarrow")
-    return ds.groupby(["band_id", "sub"] if k_sub > 1 else "band_id").map_groups(
-        pairs, batch_format="pyarrow"
+    return (
+        _read_pq(path, columns=["doc_id", "text"])
+        .map_batches(band_rows, batch_format="pyarrow")
+        .groupby(["band_id", "sub"])
+        .map_groups(pairs, batch_format="pyarrow")
     )
 
 
 def doc_lsh_candidates(sf_dir: str) -> pa.Table:
-    """Candidate pairs (a < b) from LSH buckets, one row per pair, sorted."""
-    out = _to_table(_lsh_candidate_ds(sf_dir))
-    if out is None:
-        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    return out.sort_by([("a", "ascending"), ("b", "ascending")])
+    """Candidate pairs (a < b) sharing at least one LSH band bucket, one row
+    per pair (from the lowest band the two docs collide in), sorted.  A
+    corpus of at most ``DOC_DRIVER_ROWS`` docs runs ``_band_candidates``
+    per band on the driver, over a streamed read that keeps only the ids
+    and the band matrix; a larger one runs ``_lsh_candidate_ds``."""
+    path = _docs_path(sf_dir)
+    if _num_rows(path) > DOC_DRIVER_ROWS:
+        return _sorted_pairs(_to_table(_lsh_candidate_ds(sf_dir)))
+    ids, band = [np.zeros(0, np.int64)], [np.zeros((0, N_BANDS), np.uint64)]
+    for batch in _driver_batches(path, ("doc_id", "text")):
+        ids.append(batch.column("doc_id").to_numpy(zero_copy_only=False))
+        band.append(_minhash_band_matrix(batch))
+    ids, band = np.concatenate(ids), np.concatenate(band)
+    ij = [_band_candidates(c, ids, band) for c in range(N_BANDS)]
+    i, j = map(np.concatenate, zip(*ij))
+    return _sorted_pairs(_pairs(ids[i], ids[j]))
+
+
+def _jaccard_verified(a: np.ndarray, b: np.ndarray, ids: list, texts: list):
+    """The pairs ``(a[k], b[k])`` whose 3-gram shingle sets have Jaccard
+    >= JACCARD_TAU, in input order; ``ids``/``texts`` hold every member's
+    text.  The one verify kernel of both ``doc_near_dup_pairs`` paths."""
+    sh = {d: set(_shingles(t)) for d, t in zip(ids, texts)}
+    keep = np.zeros(len(a), dtype=bool)
+    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        sa, sb = sh[x], sh[y]
+        if sa or sb:
+            inter = len(sa & sb)
+            keep[k] = inter / (len(sa) + len(sb) - inter) >= JACCARD_TAU
+    return a[keep], b[keep]
 
 
 # A verify group holds one bucket's pairs plus the texts they reference — at
@@ -487,28 +547,37 @@ def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
 
     The output is exactly 'all pairs with true Jaccard >= tau' (the SQL
     oracle brute-forces the same) — with 32x4 banding the probability of LSH
-    missing a tau-level pair is < 1e-6 per pair.
+    missing a tau-level pair is < 1e-6 per pair.  Candidates come from
+    ``doc_lsh_candidates``, duplicate-free by construction.
 
-    Verify stage is a BUCKET JOIN (no whole-corpus state anywhere): the
-    candidate pair list — the genuinely small side, two int64 per pair,
-    duplicate-free by construction (``_lsh_candidate_ds``) — is broadcast
-    once as bucket-sorted ``(a, b)`` arrays plus offsets; each pair is
-    assigned to bucket a % P; the docs Dataset streams through a flat-map
-    that replicates a doc's text ONLY to the buckets whose pairs reference
-    it (most docs are in no pair and are dropped at this stage);
-    ``groupby(bucket)`` then co-locates each bucket's pairs with exactly the
-    texts they need and verifies locally.  Per-group memory = texts
-    referenced by one bucket's pairs, never the corpus.  The bucket count P
-    grows with the candidate count (``_auto_verify_buckets``); assignment
-    is hash-mod, so the output is invariant to it (pytest-pinned at a
-    forced tiny budget).
+    The verify takes the candidates' path (``DOC_DRIVER_ROWS``).  On the
+    driver, a second streamed read keeps only the candidate members' texts
+    for ``_jaccard_verified``: the driver never holds the corpus text.  The
+    Dataset verify is a BUCKET JOIN: the candidate list is broadcast once
+    as bucket-sorted ``(a, b)`` arrays plus offsets (pair -> bucket
+    ``a % P``); a flat-map replicates a doc's text ONLY to the buckets
+    whose pairs reference it (most docs are in no pair and drop there);
+    ``groupby(bucket)`` co-locates each bucket's pairs with exactly their
+    texts for ``_jaccard_verified``.  P grows with the candidate count
+    (``_auto_verify_buckets``); assignment is hash-mod, so the output is
+    invariant to it (pytest-pinned at a forced tiny budget).
     """
     cands = doc_lsh_candidates(sf_dir)
     if cands.num_rows == 0:
         return cands
-    verify_buckets = _auto_verify_buckets(cands.num_rows)
     a_arr = cands.column("a").to_numpy(zero_copy_only=False)
     b_arr = cands.column("b").to_numpy(zero_copy_only=False)
+    path = _docs_path(sf_dir)
+    if _num_rows(path) <= DOC_DRIVER_ROWS:
+        need = pa.array(np.unique(np.concatenate([a_arr, b_arr])))
+        ids: list[int] = []
+        texts: list[str] = []
+        for batch in _driver_batches(path, ("doc_id", "text")):
+            batch = batch.filter(pc.is_in(batch.column("doc_id"), value_set=need))
+            ids += batch.column("doc_id").to_pylist()
+            texts += batch.column("text").to_pylist()
+        return _pairs(*_jaccard_verified(a_arr, b_arr, ids, texts))
+    verify_buckets = _auto_verify_buckets(cands.num_rows)
     bucket_of_pair = (a_arr.astype(np.uint64) % verify_buckets).astype(np.int32)
     # doc_id -> buckets that need its text, as a CSR ragged structure
     # (sorted unique ids + offsets + flat bucket list) so the routing stage
@@ -538,14 +607,6 @@ def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
         batch = batch.filter(
             pc.is_in(batch.column("doc_id"), value_set=get_object(need_ids_ref))
         )
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "bucket": pa.array([], pa.int32()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "text": pa.array([], pa.string()),
-                }
-            )
         ids_, offs_, flat_bks_ = get_object(need_ref)
         dids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         # every did survives the is_in filter, so searchsorted is exact
@@ -574,26 +635,13 @@ def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
 
         bk = int(group.column("bucket")[0].as_py())
         all_a, all_b, offs = get_object(pairs_ref)
-        sh = {
-            d: set(_shingles(t))
-            for d, t in zip(
-                group.column("doc_id").to_pylist(), group.column("text").to_pylist()
+        return _pairs(
+            *_jaccard_verified(
+                all_a[offs[bk] : offs[bk + 1]],
+                all_b[offs[bk] : offs[bk + 1]],
+                group.column("doc_id").to_pylist(),
+                group.column("text").to_pylist(),
             )
-        }
-        a_out, b_out = [], []
-        for a, b in zip(
-            all_a[offs[bk] : offs[bk + 1]].tolist(),
-            all_b[offs[bk] : offs[bk + 1]].tolist(),
-        ):
-            sa, sb = sh[a], sh[b]
-            if not sa and not sb:
-                continue
-            inter = len(sa & sb)
-            if inter / (len(sa) + len(sb) - inter) >= JACCARD_TAU:
-                a_out.append(a)
-                b_out.append(b)
-        return pa.table(
-            {"a": pa.array(a_out, pa.int64()), "b": pa.array(b_out, pa.int64())}
         )
 
     verified = (
@@ -602,12 +650,7 @@ def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
         .groupby("bucket")
         .map_groups(verify_bucket, batch_format="pyarrow")
     )
-    out = _to_table(verified)
-    return (
-        out.sort_by([("a", "ascending"), ("b", "ascending")])
-        if out is not None
-        else cands.slice(0, 0)
-    )
+    return _sorted_pairs(_to_table(verified))
 
 
 # ------------------------------------------------------- near-dup: simhash
@@ -623,6 +666,17 @@ _SIMHASH_MASKS = np.uint64(0xFFFF) << (
 _POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
+def _block_keys(sigs: np.ndarray, mask) -> np.ndarray:
+    """The two whole bytes of each uint64 signature under ``mask`` as one
+    compact uint16 block key: one key is one masked value, and a stable
+    sort by a 16-bit key is a radix sort.  Every block mask of the family
+    is two whole bytes (two phash bands, or one 16-bit SimHash band)."""
+    sel = [k for k in range(8) if (int(mask) >> (8 * k)) & 0xFF]
+    assert len(sel) == 2 and all((int(mask) >> (8 * k)) & 0xFF == 0xFF for k in sel)
+    u8 = sigs.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.ascontiguousarray(u8[:, sel]).view("<u2").ravel()
+
+
 def _keyed_hamming_id_pairs(
     keys: np.ndarray,
     sigs: np.ndarray,
@@ -636,12 +690,13 @@ def _keyed_hamming_id_pairs(
     blocks before this one) is dropped: it collides in a lower block and is
     emitted there, so each pair leaves the join exactly once.
 
-    One map_groups call per BLOCK processes every key bucket of that block
-    vectorized (a per-(block,key) map_groups spawns a Python call per tiny
-    bucket — millions at 10x scale, measured as the r5 sf1 hot spot):
-    rows lexsort by (key, sig); identical (key, sig) runs collapse to one
-    unique row each (hot-bucket defense, exact); distinct-sig candidates
-    within a key emerge from a d-distance sweep over the unique rows
+    One call processes every key bucket of a block vectorized (a call per
+    (block, key) bucket would be millions of tiny calls at 10x scale,
+    measured as the r5 sf1 hot spot): rows sort by (key, sig) as a stable
+    sort by key over rows in sig order (sorted here unless they arrive so,
+    as on the driver path).  Identical (key, sig) runs collapse to one row
+    (hot-bucket defense, exact); distinct-sig candidates within a key
+    emerge from a d-distance sweep over the unique rows
     (``ukey[t] == ukey[t+d]``), each sweep a single vectorized XOR +
     popcount-lookup pass.  The sweep depth is the largest per-key unique-sig
     count — the same O(sum u_k^2) work as per-bucket all-pairs, without the
@@ -650,7 +705,10 @@ def _keyed_hamming_id_pairs(
     n = len(keys)
     if n < 2:
         return empty
-    order = np.lexsort((sigs, keys))
+    if (sigs[1:] < sigs[:-1]).any():
+        by_sig = np.argsort(sigs, kind="stable")
+        keys, sigs, ids = keys[by_sig], sigs[by_sig], ids[by_sig]
+    order = np.argsort(keys, kind="stable")
     k_s, s_s, id_s = keys[order], sigs[order], ids[order]
     chg = np.flatnonzero((k_s[1:] != k_s[:-1]) | (s_s[1:] != s_s[:-1])) + 1
     ustart = np.concatenate([[0], chg]).astype(np.int64)
@@ -693,8 +751,8 @@ def _keyed_hamming_id_pairs(
                 axis=1, dtype=np.uint8
             )
             keep = ham <= max_ham
-            if len(lower_masks):
-                keep &= ((xor[:, None] & lower_masks[None, :]) != 0).all(axis=1)
+            if len(lower_masks):  # on the few close pairs only
+                keep[keep] = ((xor[keep, None] & lower_masks) != 0).all(axis=1)
             ok = idx[keep]
             if len(ok) == 0:
                 continue
@@ -729,46 +787,68 @@ def _ordered_id_pairs_direct(a: np.ndarray, b: np.ndarray):
 
 
 def _banded_hamming_join(
-    ds: "ray.data.Dataset",
+    path: str,
+    driver_rows: int,
+    columns,
+    sig_batch,
     id_col: str,
     id_type: pa.DataType,
     masks: np.ndarray,
     max_ham: int,
-    n_rows: int,
 ) -> pa.Table:
-    """All (a, b) id pairs, a < b, whose uint64 ``sig`` columns differ in at
-    most ``max_ham`` bits, over a Dataset of ``(id_col, sig)`` rows — the one
-    banded-Hamming join behind ``doc_simhash_pairs`` and
-    ``image_phash_near_dup``.
+    """All (a, b) id pairs, a < b, whose uint64 signatures differ in at most
+    ``max_ham`` bits — the one banded-Hamming join behind
+    ``doc_simhash_pairs`` and ``image_phash_near_dup``.  ``sig_batch`` maps
+    a batch of the parquet file's ``columns`` to ``(id_col, sig)`` rows;
+    both paths run it per batch, so their signatures are identical.  A
+    file of at most ``driver_rows`` rows takes the driver path.
 
     Each entry of ``masks`` is one block; the caller picks them
-    pigeonhole-exact, so every qualifying pair agrees on some mask.  A row's
-    key in block c is ``_mix64(sig & masks[c])``: bijective, so one key is
-    one masked value, and ``key % K`` sub-buckets still spread.  One
-    map_groups call per block (per (block, sub) when a block exceeds
-    ``BAND_GROUP_TARGET_ROWS`` rows) runs ``_keyed_hamming_id_pairs`` with
-    the lower blocks' masks, so a pair is emitted only from the lowest
-    block it collides in (identical signatures: block 0).  Duplicate-free
-    candidate generation is a partitioning rule here, not a post-hoc dedup
+    pigeonhole-exact, so every qualifying pair agrees on some mask.  A
+    row's key in block c is its masked bits (``_block_keys``), and
+    ``_keyed_hamming_id_pairs`` runs per block with the lower blocks'
+    masks, so a pair is emitted only from the lowest block it collides in
+    (identical signatures: block 0).  On the driver the rows sort by
+    signature once for all blocks; the Dataset plan runs the kernel per
+    (block, ``sub = _mix64(key) % K``) group.  Duplicate-free candidate
+    generation is a partitioning rule here, not a post-hoc dedup
     (*Distributed Streaming Set Similarity Join*, ICDE 2020): no pair list
     is deduped anywhere, on the driver or in a shuffle."""
+    n_rows = _num_rows(path)
+    if n_rows <= driver_rows:
+        parts = [sig_batch(t) for t in _driver_batches(path, columns)]
+        if not parts:
+            return _sorted_pairs(None, id_type)
+        rows = pa.concat_tables(parts)
+        sig = rows.column("sig").to_numpy()
+        by_sig = np.argsort(sig, kind="stable")
+        sig = sig[by_sig]
+        ids = rows.column(id_col).to_numpy(zero_copy_only=False)[by_sig]
+        ab = [
+            _keyed_hamming_id_pairs(_block_keys(sig, m), sig, ids, max_ham, masks[:c])
+            for c, m in enumerate(masks)
+        ]
+        return _sorted_pairs(_pairs(*map(np.concatenate, zip(*ab)), id_type))
     k_sub = _band_subbuckets(n_rows)
     n_blocks = len(masks)
 
     def block_rows(batch: pa.Table) -> pa.Table:
-        sig = batch.column("sig").to_numpy(zero_copy_only=False)
+        rows = sig_batch(batch)
+        sig = rows.column("sig").to_numpy(zero_copy_only=False)
         n = len(sig)
-        keys = _mix64((sig[:, None] & masks[None, :]).ravel())
+        keys = np.stack([_block_keys(sig, m) for m in masks], axis=1).ravel()
         take = pa.array(np.repeat(np.arange(n, dtype=np.int64), n_blocks))
-        cols = {
-            "block": pa.array(np.tile(np.arange(n_blocks, dtype=np.int16), n)),
-            "key": pa.array(keys, pa.uint64()),
-            id_col: batch.column(id_col).take(take),
-            "sig": pa.array(np.repeat(sig, n_blocks), pa.uint64()),
-        }
-        if k_sub > 1:  # engage only at scale: K=1 keeps the single-key plan
-            cols["sub"] = pa.array((keys % np.uint64(k_sub)).astype(np.int32))
-        return pa.table(cols)
+        return pa.table(
+            {
+                "block": pa.array(np.tile(np.arange(n_blocks, dtype=np.int16), n)),
+                "sub": pa.array(
+                    (_mix64(keys.astype(np.uint64)) % np.uint64(k_sub)).astype(np.int32)
+                ),
+                "key": pa.array(keys),
+                id_col: rows.column(id_col).take(take),
+                "sig": pa.array(np.repeat(sig, n_blocks), pa.uint64()),
+            }
+        )
 
     def pairs(group: pa.Table) -> pa.Table:
         c = int(group.column("block")[0].as_py())
@@ -779,16 +859,17 @@ def _banded_hamming_join(
             max_ham,
             masks[:c],
         )
-        return pa.table({"a": pa.array(a, id_type), "b": pa.array(b, id_type)})
+        return _pairs(a, b, id_type)
 
-    out = _to_table(
-        ds.map_batches(block_rows, batch_format="pyarrow")
-        .groupby(["block", "sub"] if k_sub > 1 else "block")
-        .map_groups(pairs, batch_format="pyarrow")
+    return _sorted_pairs(
+        _to_table(
+            _read_pq(path, columns=list(columns))
+            .map_batches(block_rows, batch_format="pyarrow")
+            .groupby(["block", "sub"])
+            .map_groups(pairs, batch_format="pyarrow")
+        ),
+        id_type,
     )
-    if out is None:
-        return pa.table({"a": pa.array([], id_type), "b": pa.array([], id_type)})
-    return out.sort_by([("a", "ascending"), ("b", "ascending")])
 
 
 def _h64_md5(s: str) -> int:
@@ -821,7 +902,6 @@ def doc_simhash_pairs(sf_dir: str) -> pa.Table:
     """SimHash near-dup: 64-bit simhash over tokens; pairs with Hamming <= 3
     from the banded-Hamming join on four 16-bit bands (pigeonhole: <= 3
     differing bits leave at least one of 4 bands identical)."""
-    import pyarrow.parquet as _pq
 
     def sigs(batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
@@ -830,14 +910,15 @@ def doc_simhash_pairs(sf_dir: str) -> pa.Table:
         )
         return pa.table({"doc_id": batch.column("doc_id"), "sig": pa.array(sh)})
 
-    path = os.path.join(sf_dir, "documents.parquet")
     return _banded_hamming_join(
-        _docs(sf_dir).map_batches(sigs, batch_format="pyarrow"),
+        _docs_path(sf_dir),
+        DOC_DRIVER_ROWS,
+        ("doc_id", "text"),
+        sigs,
         "doc_id",
         pa.int64(),
         _SIMHASH_MASKS,
         SIMHASH_HAMMING_MAX,
-        _pq.read_metadata(path).num_rows,
     )
 
 
@@ -884,6 +965,16 @@ def doc_langid(sf_dir: str) -> pa.Table:
 COSINE_TAU = 0.45
 ANN_K = 10
 ANN_N_QUERIES = 10
+
+
+def _unit_rows(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """``(vec_id, unit-norm float64 rows)`` of a ``(vec_id, embedding)``
+    table: the list column's values flattened to (n, d), no per-row Python."""
+    emb = tbl.column("embedding").combine_chunks()
+    flat = emb.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
+    m = flat.reshape(len(emb), len(flat) // max(1, len(emb)))
+    ids = tbl.column("vec_id").to_numpy(zero_copy_only=False)
+    return ids, m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
 def _query_matrix(sf_dir: str, n: int = ANN_N_QUERIES) -> tuple[np.ndarray, np.ndarray]:
@@ -941,9 +1032,7 @@ def ann_topk(sf_dir: str) -> pa.Table:
         from distributed_web_crawling_system_ray.stages.cache import get_object
 
         qids_, qn_ = get_object(q_ref)
-        vids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        m = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
-        mn = m / np.linalg.norm(m, axis=1, keepdims=True)
+        vids, mn = _unit_rows(batch)
         sims = qn_ @ mn.T  # (Q, batch)
         out_q, out_v, out_s = [], [], []
         for qi in range(len(qids_)):
@@ -1004,9 +1093,7 @@ def ann_topk_lsh(sf_dir: str) -> pa.Table:
         from distributed_web_crawling_system_ray.stages.cache import get_object
 
         qids_, qn_, planes_, q_keys_ = get_object(bcast)
-        vids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        m = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
-        mn = m / np.linalg.norm(m, axis=1, keepdims=True)
+        vids, mn = _unit_rows(batch)
         sig = (np.einsum("tbd,nd->tnb", planes_, mn) > 0).astype(np.uint32)
         keys = (sig << np.arange(sig.shape[2], dtype=np.uint32)).sum(axis=2)  # (T, n)
         out_q, out_v, out_s = [], [], []
@@ -1041,7 +1128,10 @@ def ann_topk_lsh(sf_dir: str) -> pa.Table:
     return _to_table(out)
 
 
-EMB_BLOCK_ROWS = 8192  # rows per self-join block (block pair ~ 2x 4 MB @ d=64)
+# rows per self-join block (block pair ~ 2x 4 MB @ d=64); a corpus of at
+# most one block runs on the driver.  Measured crossover, on a 1-vCPU host
+# only: ROADMAP item 5.
+EMB_BLOCK_ROWS = 8192
 _EMB_MM_CHUNK = 1024  # inner matmul row-chunk: bounds the sims temp
 
 
@@ -1056,8 +1146,7 @@ def _ivf_centroids(sf_dir: str, nlist: int = IVF_NLIST) -> np.ndarray:
     (the classic IVF recipe — the sample is the only data the driver holds;
     ``limit`` stops the read after the first blocks)."""
     sample = _to_table(_emb(sf_dir).limit(IVF_TRAIN_SAMPLE))
-    m = np.asarray(sample.column("embedding").to_pylist(), dtype=np.float64)
-    mn = m / np.linalg.norm(m, axis=1, keepdims=True)
+    _, mn = _unit_rows(sample)
     rng = np.random.default_rng(17)
     cent = mn[rng.choice(len(mn), size=min(nlist, len(mn)), replace=False)]
     for _ in range(IVF_KMEANS_ITERS):
@@ -1092,9 +1181,7 @@ def ann_topk_ivf(sf_dir: str, nprobe: int = IVF_NPROBE) -> pa.Table:
         from distributed_web_crawling_system_ray.stages.cache import get_object
 
         qids_, qn_, cent_, q_lists_ = get_object(bcast)
-        vids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        m = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
-        mn = m / np.linalg.norm(m, axis=1, keepdims=True)
+        vids, mn = _unit_rows(batch)
         assign = np.argmax(mn @ cent_.T, axis=1)  # list id per vector
         sims = qn_ @ mn.T  # (Q, n)
         out_q, out_v, out_s = [], [], []
@@ -1134,99 +1221,76 @@ def ann_topk_ivf(sf_dir: str, nprobe: int = IVF_NPROBE) -> pa.Table:
     return _to_table(out)
 
 
+def _cosine_pairs(ia: np.ndarray, na: np.ndarray, ib, nb, same: bool):
+    """(min id, max id) pairs with cosine >= COSINE_TAU between unit rows
+    ``na`` (ids ``ia``) and ``nb`` (ids ``ib``), the matmul row-chunked to
+    bound the sims temporary.  ``same``: one block against itself — each
+    chunk meets only the rows from its own first row on, and keeps the
+    strict upper triangle (no self-pairs, each pair once).  Otherwise the
+    blocks are disjoint and each cross pair appears once.  The one kernel
+    of both ``emb_near_dup_pairs`` paths."""
+    a_out, b_out = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for off in range(0, len(ia), _EMB_MM_CHUNK):
+        lo = off if same else 0
+        x, y = np.nonzero(na[off : off + _EMB_MM_CHUNK] @ nb[lo:].T >= COSINE_TAU)
+        va, vb = ia[off + x], ib[lo + y]
+        if same:
+            keep = (x < y) & (va != vb)
+            va, vb = va[keep], vb[keep]
+        a_out.append(np.minimum(va, vb))
+        b_out.append(np.maximum(va, vb))
+    return np.concatenate(a_out), np.concatenate(b_out)
+
+
 def emb_near_dup_pairs(sf_dir: str) -> pa.Table:
     """Embedding-cosine near-dup: ALL pairs with cosine >= COSINE_TAU.
 
-    Scale shape: a BLOCKED EXACT SELF-JOIN — the corpus is split into B
-    object-store blocks (never materialized on the driver, never broadcast
-    whole); one task per block pair (i <= j) pulls exactly two blocks and
-    emits its threshold hits, with the matmul row-chunked to bound the sims
-    temporary.  Total work is inherently O(N^2) for an *exact* threshold at
-    this tau: the testdata is near-isotropic (max pairwise cosine ~0.51), so
-    tau=0.45 sits where hyperplane-LSH recall-1 would need more candidate
-    comparisons than brute force (per-plane agreement p=0.65: 40+ tables of
-    4 bits to push per-pair miss below 1e-3).  ``ann_topk_lsh`` is the
-    hyperplane-LSH path for the top-k form.
+    Up to ``EMB_BLOCK_ROWS`` vectors (one block) the driver
+    reads the table and runs ``_cosine_pairs`` on it.  Above that, a
+    BLOCKED EXACT SELF-JOIN — the corpus is split into B object-store
+    blocks (never materialized on the driver, never broadcast whole); one
+    task per block pair (i <= j) pulls exactly two blocks and runs
+    ``_cosine_pairs``.  Total work is inherently O(N^2) for an *exact*
+    threshold at this tau: the testdata is near-isotropic (max pairwise
+    cosine ~0.51), so tau=0.45 sits where hyperplane-LSH recall-1 would
+    need more candidate comparisons than brute force (per-plane agreement
+    p=0.65: 40+ tables of 4 bits to push per-pair miss below 1e-3).
+    ``ann_topk_lsh`` is the hyperplane-LSH path for the top-k form.
     """
-    import pyarrow.parquet as _pq
-
     path = os.path.join(sf_dir, "embeddings.parquet")
-    n_rows = _pq.read_metadata(path).num_rows
+    n_rows = _num_rows(path)
+    if n_rows <= EMB_BLOCK_ROWS:
+        ids, unit = _unit_rows(pq.read_table(path, columns=["vec_id", "embedding"]))
+        return _sorted_pairs(_pairs(*_cosine_pairs(ids, unit, ids, unit, True)))
     n_blocks = max(2, min(64, n_rows // EMB_BLOCK_ROWS + 1))
 
-    def normalize(batch: pa.Table) -> pa.Table:
-        m = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
-        mn = m / np.linalg.norm(m, axis=1, keepdims=True)
-        return pa.table(
-            {
-                "vec_id": batch.column("vec_id"),
-                "norm": pa.array(list(mn), pa.list_(pa.float64())),
-            }
-        )
-
-    # per-block normalized refs, resident in the object store (zero-copy for
-    # every task that reads them); the driver holds only the ref list
+    # per-block refs, resident in the object store (zero-copy for every
+    # task that reads them); the driver holds only the ref list.  A task
+    # normalizes its blocks with ``_unit_rows``, as the driver path does.
     refs = (
-        ray.data.read_parquet(
-            path, columns=["vec_id", "embedding"], override_num_blocks=n_blocks
-        )
-        .map_batches(normalize, batch_format="pyarrow", batch_size=None)
+        _read_pq(path, columns=["vec_id", "embedding"], override_num_blocks=n_blocks)
         .materialize()
         .to_arrow_refs()
     )
     B = len(refs)
 
-    def _load(i: int) -> tuple[np.ndarray, np.ndarray]:
-        t = ray.get(refs[i])
-        return (
-            t.column("vec_id").to_numpy(zero_copy_only=False),
-            np.asarray(t.column("norm").to_pylist(), dtype=np.float64),
-        )
-
     def block_pair(batch: pa.Table) -> pa.Table:
-        a_out: list[int] = []
-        b_out: list[int] = []
+        ab = [(np.zeros(0, np.int64), np.zeros(0, np.int64))]
         for i, j in zip(batch.column("i").to_pylist(), batch.column("j").to_pylist()):
-            ia, na = _load(i)
-            if len(ia) == 0:
-                continue
-            if i == j:
-                ib, nb = ia, na
-            else:
-                ib, nb = _load(j)
-                if len(ib) == 0:
-                    continue
-            for off in range(0, len(ia), _EMB_MM_CHUNK):
-                chunk = slice(off, off + _EMB_MM_CHUNK)
-                sims = na[chunk] @ nb.T
-                ii, jj = np.nonzero(sims >= COSINE_TAU)
-                for x, y in zip(ii, jj):
-                    va, vb = int(ia[off + x]), int(ib[y])
-                    if i == j:
-                        # same block: nonzero yields both (x,y) and (y,x);
-                        # keep the upper triangle (also drops self-pairs)
-                        if va < vb:
-                            a_out.append(va)
-                            b_out.append(vb)
-                    else:
-                        # disjoint blocks: each cross pair appears exactly
-                        # once (only i<j tasks exist) — orient by id
-                        a_out.append(min(va, vb))
-                        b_out.append(max(va, vb))
-        return pa.table(
-            {"a": pa.array(a_out, pa.int64()), "b": pa.array(b_out, pa.int64())}
-        )
+            ia, na = _unit_rows(ray.get(refs[i]))
+            ib, nb = (ia, na) if i == j else _unit_rows(ray.get(refs[j]))
+            if len(ia) and len(ib):
+                ab.append(_cosine_pairs(ia, na, ib, nb, i == j))
+        return _pairs(*map(np.concatenate, zip(*ab)))
 
     pair_items = [{"i": i, "j": j} for i in range(B) for j in range(i, B)]
-    out = _to_table(
-        ray.data.from_items(
-            pair_items, override_num_blocks=len(pair_items)
-        ).map_batches(block_pair, batch_format="pyarrow")
+    return _sorted_pairs(
+        _to_table(
+            ray.data.from_items(
+                pair_items, override_num_blocks=len(pair_items)
+            ).map_batches(block_pair, batch_format="pyarrow")
+        )
     )
-    if out is None:
-        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    df = out.to_pandas().sort_values(["a", "b"])
-    return _from_pandas(df)
 
 
 def emb_label_counts(sf_dir: str) -> pa.Table:
@@ -1421,9 +1485,6 @@ def image_phash_near_dup(sf_dir: str) -> pa.Table:
     250k images, measured); 16-bit pair keys cut bucket occupancy 256x for
     a 3.5x fan-out — the same pigeonhole upgrade the SimHash text path
     uses, one level deeper.  The SQL oracle brute-forces xor/bit_count."""
-    import pyarrow.parquet as _pq
-
-    path = _images_path(sf_dir)
 
     def sigs(batch: pa.Table) -> pa.Table:
         ph = batch.column("phash").to_numpy(zero_copy_only=False)
@@ -1435,14 +1496,14 @@ def image_phash_near_dup(sf_dir: str) -> pa.Table:
         )
 
     return _banded_hamming_join(
-        _read_pq(path, columns=["image_id", "phash"]).map_batches(
-            sigs, batch_format="pyarrow"
-        ),
+        _images_path(sf_dir),
+        IMAGE_DRIVER_ROWS,
+        ("image_id", "phash"),
+        sigs,
         "image_id",
         pa.string(),
         _PHASH_MASKS,
         PHASH_HAMMING_MAX,
-        _pq.read_metadata(path).num_rows,
     )
 
 
@@ -1529,15 +1590,13 @@ def orders_by_region(sf_dir: str) -> pa.Table:
     """Broadcast join: orders -> customer -> nation -> region, grouped by
     region name.  The dimension chain (customer x nation x region, ~1.5k
     rows) is ray.put once; the fact table streams through map_batches."""
-    import pyarrow.parquet as _pq
-
-    cust = _pq.read_table(
+    cust = pq.read_table(
         os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
     )
-    nat = _pq.read_table(
+    nat = pq.read_table(
         os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_regionkey"]
     )
-    reg = _pq.read_table(
+    reg = pq.read_table(
         os.path.join(sf_dir, "region.parquet"), columns=["r_regionkey", "r_name"]
     )
     n2r = dict(
@@ -1688,32 +1747,25 @@ def _cc_labels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             parent = grand
 
 
-def _assign_cluster_labels(
-    ds: "ray.data.Dataset", id_col: str, pairs: pa.Table
-) -> pa.Table:
-    """(id, cluster_id) over a full id Dataset: the pair-member
-    ``(ids, labels)`` arrays are broadcast once; non-members are singletons
-    labeled by their own id.  ``cluster_id`` keeps the id column's type
-    (int64 docs/vectors, string image content hashes).  Shared by all three
-    *_clusters operators."""
+def _assign_cluster_labels(path: str, id_col: str, pairs: pa.Table) -> pa.Table:
+    """(id, cluster_id) for every id in the parquet file's ``id_col``:
+    pair members get their ``_cc_labels`` label (the min id of their
+    component), every other id is a singleton labeled by itself.
+    ``cluster_id`` keeps the id column's type (int64 docs/vectors, string
+    image content hashes).  One path at every size: the output holds every
+    id on the driver anyway, so the id column is read there with
+    ``pq.read_table`` and labeled by ``pc.index_in``/``coalesce``, with no
+    Ray Data execution.  Shared by all three *_clusters operators."""
     ids, labels = _cc_labels(
         pairs.column("a").to_numpy(zero_copy_only=False),
         pairs.column("b").to_numpy(zero_copy_only=False),
     )
     id_type = pairs.schema.field("a").type
-    label_ref = ray.put((pa.array(ids, id_type), pa.array(labels, id_type)))
-
-    def assign(batch: pa.Table) -> pa.Table:
-        from distributed_web_crawling_system_ray.stages.cache import get_object
-
-        members, member_labels = get_object(label_ref)
-        col = batch.column(id_col)
-        pos = pc.index_in(col, value_set=members)
-        return pa.table(
-            {id_col: col, "cluster_id": pc.coalesce(member_labels.take(pos), col)}
-        )
-
-    return _to_table(ds.map_batches(assign, batch_format="pyarrow"))
+    col = pq.read_table(path, columns=[id_col]).column(id_col)
+    pos = pc.index_in(col, value_set=pa.array(ids, id_type))
+    return pa.table(
+        {id_col: col, "cluster_id": pc.coalesce(pa.array(labels, id_type).take(pos), col)}
+    )
 
 
 def doc_dedup_clusters(sf_dir: str) -> pa.Table:
@@ -1721,14 +1773,15 @@ def doc_dedup_clusters(sf_dir: str) -> pa.Table:
     -> (doc_id, cluster_id=min id in component).
 
     Labels are computed ONLY for pair-member nodes (edge-set-sized — small by
-    LSH construction) by the vectorized hook-and-shortcut kernel.  The full
-    doc set never materializes anywhere: singleton clusters (label = own id)
-    are emitted by a streaming map over the docs Dataset with the
-    pair-member labels broadcast once.  SQL oracle: recursive CTE
-    transitive closure.
+    LSH construction) by the vectorized hook-and-shortcut kernel; every
+    other doc is a singleton (label = own id), assigned over the doc_id
+    column read on the driver (``_assign_cluster_labels``).  The pairs take
+    ``doc_near_dup_pairs``'s path: on the driver up to
+    ``DOC_DRIVER_ROWS`` docs, the Dataset plan above.  SQL oracle:
+    recursive CTE transitive closure.
     """
     return _assign_cluster_labels(
-        _docs(sf_dir, columns=("doc_id",)), "doc_id", doc_near_dup_pairs(sf_dir)
+        _docs_path(sf_dir), "doc_id", doc_near_dup_pairs(sf_dir)
     )
 
 
@@ -1736,11 +1789,11 @@ def emb_dedup_clusters(sf_dir: str) -> pa.Table:
     """Embedding near-dup connected components: cosine-threshold pairs ->
     ``_cc_labels`` -> (vec_id, cluster_id = min member id) — the
     embedding-side analog of ``doc_dedup_clusters`` (keep one vector per
-    semantic near-dup cluster).  Same scale shape: output-sized pair set,
-    pair-member labels on the driver, singleton assignment streamed with
-    the labels broadcast."""
+    semantic near-dup cluster), with the same label assignment."""
     return _assign_cluster_labels(
-        _emb(sf_dir, columns=("vec_id",)), "vec_id", emb_near_dup_pairs(sf_dir)
+        os.path.join(sf_dir, "embeddings.parquet"),
+        "vec_id",
+        emb_near_dup_pairs(sf_dir),
     )
 
 
@@ -1752,7 +1805,7 @@ def image_phash_clusters(sf_dir: str) -> pa.Table:
     content-hash STRINGS: min is lexicographic, matching the SQL oracle's
     min over VARCHAR."""
     return _assign_cluster_labels(
-        _images_ds(sf_dir, ("image_id",)), "image_id", image_phash_near_dup(sf_dir)
+        _images_path(sf_dir), "image_id", image_phash_near_dup(sf_dir)
     )
 
 

@@ -1,10 +1,14 @@
 """Training-data operator tests: sketch-based ops validated against exact
 brute-force ground truth (the non-SQL-checkable entries), plus determinism."""
 
+import os
+
 import numpy as np
 import pytest
 
 SF = "/root/testdata/sf0.001"
+# the t2-fixture corpus: its image table has planted near-dups
+SF_T2 = os.path.join(os.path.dirname(SF), "sf0.01")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -47,9 +51,9 @@ def test_near_dup_pairs_match_bruteforce():
 def test_near_dup_pairs_invariant_to_bucket_budget(monkeypatch):
     """The verify-bucket count is a hash-mod partitioning knob derived from
     the candidate count — one bucket for all pairs, or a tiny per-bucket
-    budget (1 pair/group → one bucket per candidate), must leave the output
-    byte-identical, proving the knob is pure partitioning, not
-    correctness."""
+    budget (1 pair/group → one bucket per candidate), must leave the Dataset
+    verify's output byte-identical to the default (driver) path's, proving
+    the knob is pure partitioning, not correctness."""
     from distributed_web_crawling_system_ray.pipelines import dataops
 
     # the derivation itself: floor holds below target, ceil-div above
@@ -58,6 +62,8 @@ def test_near_dup_pairs_invariant_to_bucket_budget(monkeypatch):
 
     base = dataops.doc_near_dup_pairs(SF)
     n_cands = dataops.doc_lsh_candidates(SF).num_rows
+    # the verify buckets are the Dataset plan's: force it
+    monkeypatch.setattr(dataops, "DOC_DRIVER_ROWS", 0)
     monkeypatch.setattr(dataops, "VERIFY_BUCKETS", 1)
     assert dataops._auto_verify_buckets(n_cands) == 1
     assert dataops.doc_near_dup_pairs(SF).equals(base)
@@ -68,8 +74,9 @@ def test_near_dup_pairs_invariant_to_bucket_budget(monkeypatch):
 
 def test_lsh_candidates_emitted_once(monkeypatch):
     """The LSH band join emits every doc pair that shares at least one band
-    exactly once (from its lowest colliding band), with and without band
-    sub-buckets — brute force compares the raw MinHash band values."""
+    exactly once (from its lowest colliding band), on the driver path and
+    on the Dataset plan, with and without band sub-buckets — brute force
+    compares the raw MinHash band values."""
     from distributed_web_crawling_system_ray.pipelines import dataops
 
     texts = _texts()
@@ -87,16 +94,19 @@ def test_lsh_candidates_emitted_once(monkeypatch):
                 want.add((a, b))
     assert len(want) > 0  # non-vacuous
 
-    def check():
-        got = dataops._to_table(dataops._lsh_candidate_ds(SF))
+    def check(got):
         pairs = list(zip(got.column("a").to_pylist(), got.column("b").to_pylist()))
         assert set(pairs) == want
         assert got.num_rows == len(want)  # no pair leaves two bands
-        assert dataops.doc_lsh_candidates(SF).num_rows == len(want)
 
-    check()
+    # the Dataset plan, then the public op (the driver path at this size)
+    check(dataops._to_table(dataops._lsh_candidate_ds(SF)))
+    check(dataops.doc_lsh_candidates(SF))
+    monkeypatch.setattr(dataops, "DOC_DRIVER_ROWS", 0)
+    check(dataops.doc_lsh_candidates(SF))  # now the Dataset plan, K = 1
     monkeypatch.setattr(dataops, "BAND_GROUP_TARGET_ROWS", 8)
-    check()
+    check(dataops._to_table(dataops._lsh_candidate_ds(SF)))
+    check(dataops.doc_lsh_candidates(SF))  # the Dataset plan, K > 1
 
 
 def test_simhash_pairs_no_false_positives_and_deterministic():
@@ -325,13 +335,54 @@ def test_cc_labels_kernel_matches_bfs_components():
 
 
 def test_band_subbucket_invariance(monkeypatch):
-    """Forcing band sub-buckets (the whole-corpus-group escape hatch at web
-    scale) must leave LSH candidates and phash pairs byte-identical: the
-    sub key is hash-mod over the bucket key, so buckets never split."""
+    """Both paths of the near-dup family give byte-identical outputs: the
+    default (driver-sized: every corpus here) against the Dataset plans,
+    forced with one band sub-bucket (K = 1, the plan just above the
+    driver bounds) and with many (the sub key is hash-mod over the bucket
+    key, so buckets never split), and more than one embedding block — all
+    eight family outputs, on sf0.001 and sf0.01."""
+    import pyarrow.parquet as pq
+
     from distributed_web_crawling_system_ray.pipelines import dataops
 
-    base_pairs = dataops.doc_near_dup_pairs(SF)
-    base_phash = dataops.image_phash_near_dup(SF)
-    monkeypatch.setattr(dataops, "BAND_GROUP_TARGET_ROWS", 8)
-    assert dataops.doc_near_dup_pairs(SF).equals(base_pairs)
-    assert dataops.image_phash_near_dup(SF).equals(base_phash)
+    fns = (
+        "doc_lsh_candidates",
+        "doc_near_dup_pairs",
+        "doc_simhash_pairs",
+        "doc_dedup_clusters",
+        "emb_near_dup_pairs",
+        "emb_dedup_clusters",
+        "image_phash_near_dup",
+        "image_phash_clusters",
+    )
+    for sf in (SF, SF_T2):
+        base = {fn: getattr(dataops, fn)(sf) for fn in fns}
+        assert base["doc_near_dup_pairs"].num_rows > 0
+        assert base["emb_near_dup_pairs"].num_rows > 0
+        n_vecs = pq.read_metadata(f"{sf}/embeddings.parquet").num_rows
+        with monkeypatch.context() as m:
+            m.setattr(dataops, "DOC_DRIVER_ROWS", 0)
+            m.setattr(dataops, "IMAGE_DRIVER_ROWS", 0)
+            m.setattr(dataops, "EMB_BLOCK_ROWS", n_vecs // 2)
+            for group_rows in (dataops.BAND_GROUP_TARGET_ROWS, 8):
+                m.setattr(dataops, "BAND_GROUP_TARGET_ROWS", group_rows)
+                for fn in fns:
+                    got = getattr(dataops, fn)(sf)
+                    assert got.equals(base[fn]), (sf, group_rows, fn)
+
+
+def test_driver_sized_neardup_pass_runs_no_ray_data_execution(executions):
+    """One driver-sized doc / image / embedding dedup-clusters pass (the
+    perfbench ``neardup`` op) runs zero Ray Data executions."""
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    sf = SF_T2
+    dataops._images_path(sf)  # the image fixture is built (once) outside
+    del executions[:]
+    out = [
+        dataops.doc_dedup_clusters(sf),
+        dataops.image_phash_clusters(sf),
+        dataops.emb_dedup_clusters(sf),
+    ]
+    assert len(executions) == 0
+    assert [t.num_rows for t in out] == [500, 1000, 500]

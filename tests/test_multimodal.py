@@ -86,8 +86,9 @@ def test_keyed_hamming_kernel_matches_bruteforce():
     """_keyed_hamming_id_pairs (one block of the banded-Hamming join)
     against an O(n^2) popcount brute force, on a corpus dense enough to
     exercise identical-sig clusters, cross-sig candidates, and singleton
-    buckets: over the 28 phash band-pair blocks, each given its lower
-    blocks' masks, the blocking is pigeonhole-exact for Hamming<=6 and the
+    buckets: over the 28 phash band-pair blocks, keyed as the join keys
+    them (``_block_keys``) and each given its lower blocks' masks, the
+    blocking is pigeonhole-exact for Hamming<=6 and the
     concatenated output repeats no pair.  A hot bucket — 1,000 rows with
     three distinct signatures — emits its half-million pairs once each, in
     bounded time."""
@@ -98,15 +99,15 @@ def test_keyed_hamming_kernel_matches_bruteforce():
     from distributed_web_crawling_system_ray.pipelines.dataops import (
         PHASH_HAMMING_MAX,
         _PHASH_MASKS,
+        _block_keys,
         _keyed_hamming_id_pairs,
-        _mix64,
     )
 
     def all_blocks(sigs, ids):
         a_out, b_out = [], []
         for c, mask in enumerate(_PHASH_MASKS):
             a, b = _keyed_hamming_id_pairs(
-                _mix64(sigs & mask), sigs, ids, PHASH_HAMMING_MAX, _PHASH_MASKS[:c]
+                _block_keys(sigs, mask), sigs, ids, PHASH_HAMMING_MAX, _PHASH_MASKS[:c]
             )
             a_out += a.tolist()
             b_out += b.tolist()
