@@ -89,19 +89,16 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def query_mix_latency(sf_dir: str, n: int = 200) -> dict:
+def query_mix_latency(idx, n: int = 200) -> dict:
     """p50/p95 wall of ``n`` seeded query strings in the five Whoosh forms
     (bare, field, phrase, nested boolean, wildcard; the perfbench ``search``
-    generator) through the stemmed index over ``sf_dir``, over all strings
-    and per form.  The index build and one warm-up query stay outside the
-    timings."""
+    generator) through the stemmed index handle ``idx``, over all strings
+    and per form.  One warm-up query stays outside the timings."""
     import numpy as np
 
     from distributed_web_crawling_system_ray.pipelines.search import BM25_TOP_K
-    from distributed_web_crawling_system_ray.pipelines.search_index import index_for
     from perfbench.workloads import _query_strings
 
-    idx = index_for(sf_dir, stem=True)
     idx.search("customer join", k=BM25_TOP_K)
     walls = [
         _timed(lambda: idx.search(q, k=BM25_TOP_K)) * 1000
@@ -181,13 +178,34 @@ def sf1_op(name: str, sf1_dir: str, dataset: bool = False) -> tuple[int, float, 
     return rows, wall, max(peak)
 
 
+def sf1_index_build(sf1_dir: str, dataset: bool = False):
+    """One stemmed ``SearchIndex`` build over the sf1 docs: ``(handle,
+    wall s)``.  ``dataset`` forces the Dataset write plan by zeroing
+    ``DRIVER_WRITE_DOCS`` for the call."""
+    from distributed_web_crawling_system_ray.pipelines import search_index
+
+    bound = search_index.DRIVER_WRITE_DOCS
+    if dataset:
+        search_index.DRIVER_WRITE_DOCS = 0
+    t0 = time.perf_counter()
+    try:
+        idx = search_index.SearchIndex.create("/tmp/graft_bench_sf1_stem_index", stem=True)
+        idx.update(os.path.join(sf1_dir, "documents.parquet"))
+    finally:
+        search_index.DRIVER_WRITE_DOCS = bound
+    return idx, time.perf_counter() - t0
+
+
 def sf1_gate(num_cpus: int) -> dict:
-    """The sf1 section's near-dup ops alone, over ``build_sf1()``, in a Ray
-    session shaped like perfbench's (``perfbench.run.start_ray``).  Per op:
-    the first (cold) and second (warm) call's wall, the driver's peak RSS
-    over both, the MiB the raylet spilled during them, and the output rows;
-    then the same for ``SF1_DATASET_OPS`` with the Dataset plan forced
-    (keys ``<op>_dataset``)."""
+    """The sf1 section's near-dup ops and stemmed index build alone, over
+    ``build_sf1()``, in a Ray session shaped like perfbench's
+    (``perfbench.run.start_ray``).  Per op: the first (cold) and second
+    (warm) call's wall, the driver's peak RSS over both, the MiB the raylet
+    spilled during them, and the output rows; then the same for
+    ``SF1_DATASET_OPS`` with the Dataset plan forced (keys
+    ``<op>_dataset``).  Then the build's cold and warm wall on each write
+    path (``search_index_build``, ``search_index_build_dataset``) and the
+    query-mix p50/p95 on the driver-built index."""
     import ray
 
     from distributed_web_crawling_system_ray.sources.scaleup import build_sf1
@@ -211,6 +229,15 @@ def sf1_gate(num_cpus: int) -> dict:
         rec["spilled_mib"] = _spilled_mib(session) - spilled0
         rec["rows"] = rows
         out[name + ("_dataset" if dataset else "")] = rec
+    for dataset in (False, True):
+        walls = [sf1_index_build(sf1_dir, dataset)[1] for _ in ("cold", "warm")]
+        out["search_index_build" + ("_dataset" if dataset else "")] = {
+            "cold_s": round(walls[0], 3),
+            "warm_s": round(walls[1], 3),
+        }
+    idx = sf1_index_build(sf1_dir)[0]
+    out.update(query_mix_latency(idx))
+    shutil.rmtree(idx.index_dir, ignore_errors=True)
     ray.shutdown()
     return out
 
@@ -354,6 +381,7 @@ def run_bench(num_cpus: int) -> dict:
     )
     from distributed_web_crawling_system_ray.pipelines.search_index import (
         SearchIndex,
+        index_for,
     )
 
     idx_dir = f"/tmp/graft_bench_search_index_{num_cpus}"
@@ -366,7 +394,7 @@ def run_bench(num_cpus: int) -> dict:
     queries["search_topk_indexed"] = round(time.time() - t0, 3)
     shutil.rmtree(idx_dir, ignore_errors=True)
     # per-query latency in ms, so outside the summed `queries` walls
-    query_mix = query_mix_latency(sf_dir)
+    query_mix = query_mix_latency(index_for(sf_dir, stem=True))
 
     # ---- 10x scale-evidence section (r4 verdict items 5-6) ----
     # the three heaviest dataops + index-at-depth search latency over the

@@ -10,42 +10,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-# One row of the URL frontier (= one SQS task message in the reference).
-# rank_path is a fixed-width-per-level byte string: seeds get 3 bytes of
-# seed_rank; a child appends 3 bytes of its link position to its parent's
-# rank_path.  Lexicographic order of (depth, rank_path) IS the reference v1
-# single-crawler FIFO crawl order (archive/master_node.py:46-54 strict
-# queue.Queue FIFO) — no dense global sequence number is ever needed, which is
-# what makes the ordering contract scale-free.
-FRONTIER = pa.schema(
-    [
-        pa.field("url", pa.string()),        # URL as discovered (post-urljoin)
-        pa.field("canon", pa.string()),      # canonical form (dedup key source)
-        pa.field("url_hash", pa.uint64()),   # md5-low64 of canon
-        pa.field("host", pa.string()),       # politeness / scheduling key
-        pa.field("depth", pa.int32()),
-        pa.field("rank_path", pa.binary()),  # BFS discovery order, lexicographic
-    ]
-)
-
-# Return batch of the fetch+decode stage (replaces the SQS result queue +
-# the indexer HTTP POST: crawler/crawler_node.py:189-212,340-366).
-FETCH_RESULT = pa.schema(
-    [
-        pa.field("url", pa.string()),
-        pa.field("canon", pa.string()),
-        pa.field("url_hash", pa.uint64()),
-        pa.field("host", pa.string()),
-        pa.field("depth", pa.int32()),
-        pa.field("rank_path", pa.binary()),
-        pa.field("status", pa.int16()),      # 200/404/500, -1 = timeout
-        pa.field("final_url", pa.string()),  # post-redirect (v1 response.url)
-        pa.field("outlinks", pa.list_(pa.string())),   # raw hrefs, doc order
-        pa.field("image_refs", pa.list_(pa.string())),
-        pa.field("error", pa.string()),
-    ]
-)
-
 # Output payload table, per BASELINE.json input_hint.  image_id =
 # md5(canonical image URL) hex — the reference's content-addressing scheme
 # (crawler/crawler_node.py:253: S3 key = md5(url)).
@@ -58,22 +22,6 @@ PAYLOAD = pa.schema(
         pa.field("fmt", pa.string()),
         pa.field("caption", pa.string()),
         pa.field("phash", pa.int64()),
-    ]
-)
-
-# Deterministic politeness schedule emitted by the scheduler stage — the
-# frontier row plus the robots/politeness verdict (state/scheduler.py:
-# ALLOWED=0 / DISALLOWED=1 / DEFERRED=2) and the virtual-time fetch slot.
-SCHEDULE = pa.schema(
-    [
-        pa.field("url", pa.string()),
-        pa.field("canon", pa.string()),
-        pa.field("url_hash", pa.uint64()),
-        pa.field("host", pa.string()),
-        pa.field("depth", pa.int32()),
-        pa.field("rank_path", pa.binary()),
-        pa.field("verdict", pa.int8()),
-        pa.field("fetch_at_ms", pa.int64()),  # virtual-time politeness slot
     ]
 )
 

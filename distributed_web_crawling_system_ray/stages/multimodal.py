@@ -19,29 +19,6 @@ from distributed_web_crawling_system_ray.functions.codec import (
 )
 from distributed_web_crawling_system_ray.functions.phash import phash64
 
-THUMB_SCHEMA = pa.schema(
-    [
-        pa.field("image_id", pa.string()),
-        pa.field("thumb", pa.binary()),  # PNG
-        pa.field("tw", pa.int32()),
-        pa.field("th", pa.int32()),
-    ]
-)
-
-FEATURE_SCHEMA = pa.schema(
-    [
-        pa.field("image_id", pa.string()),
-        pa.field("w", pa.int32()),
-        pa.field("h", pa.int32()),
-        pa.field("fmt", pa.string()),
-        pa.field("mean_r", pa.int32()),
-        pa.field("mean_g", pa.int32()),
-        pa.field("mean_b", pa.int32()),
-        pa.field("phash", pa.int64()),
-    ]
-)
-
-
 def _mean_pool_resize(img: np.ndarray, max_side: int) -> np.ndarray:
     """Deterministic area-mean downscale keeping aspect ratio (no-op if the
     image already fits)."""

@@ -19,6 +19,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from conftest import oracle_rows, table_rows
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distributed_web_crawling_system_ray.pipelines import search, search_index
 from distributed_web_crawling_system_ray.pipelines.search_index import SearchIndex
@@ -414,12 +416,12 @@ def test_update_from_parquet_directory(ray_session, tmp_path):
 
 
 def test_vocabulary_sidecar_and_fallback(ray_session, tmp_path, corpus):
-    """update() writes per-partition vocab sidecars (wildcard expansion
-    domain); _vocabulary equals the distinct indexed terms, survives
-    compaction, and falls back to the postings' term column for a
-    generation written without sidecars (pre-vocab format)."""
+    """update() writes one vocab file per generation (the wildcard
+    expansion domain); _vocabulary equals the distinct indexed terms and
+    survives compaction.  An index in an older on-disk format, whose
+    postings are not term-sorted, is refused by open() rather than read."""
+    import json
     import os
-    import shutil
 
     sub1 = corpus[0]
     idx = SearchIndex.create(str(tmp_path / "idx_vocab"))
@@ -432,11 +434,18 @@ def test_vocabulary_sidecar_and_fallback(ray_session, tmp_path, corpus):
             + search._TOKEN.findall(text[: search.TITLE_CHARS].lower())
         }
     )
+    gd = idx._gen_dir(0)
+    assert "vocab.parquet" in os.listdir(gd) and not os.path.exists(
+        os.path.join(gd, "vocab")
+    )
+    assert pq.read_table(os.path.join(gd, "vocab.parquet")).column(
+        "term"
+    ).to_pylist() == want
     assert list(idx._vocabulary()) == want
     assert idx._expand_wildcard("custom*") == [
         t for t in want if t.startswith("custom")
     ]
-    # wildcard search answers from the sidecar
+    # wildcard search answers from the vocab file
     got = idx.search("custom*", k=5)
     assert got.num_rows == 5
 
@@ -446,11 +455,213 @@ def test_vocabulary_sidecar_and_fallback(ray_session, tmp_path, corpus):
     assert "zebra" in set(idx._vocabulary())
     assert set(want) <= set(idx._vocabulary())
 
-    # pre-vocab-format fallback: remove the sidecar dirs, clear the cache
-    for e in idx.meta["generations"]:
-        shutil.rmtree(
-            os.path.join(idx._gen_dir(e["gen"]), "vocab"), ignore_errors=True
+    # an older format is refused, not misread
+    meta_path = os.path.join(idx.index_dir, "meta.json")
+    with open(meta_path) as f:
+        meta = json.load(f)
+    meta["format"] = search_index.INDEX_FORMAT_VERSION - 1
+    with open(meta_path, "w") as f:
+        json.dump(meta, f)
+    with pytest.raises(ValueError, match="rebuild"):
+        SearchIndex.open(idx.index_dir)
+
+
+def _per_doc_postings(docs: pa.Table, stem: bool) -> pa.Table:
+    """The postings rows of ``docs`` built one doc at a time from
+    ``search.tokenize``: the reference ``_postings`` is pinned to."""
+    rows = []
+    for did, text in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
+        fields = [
+            search.tokenize(text, stem),
+            search.tokenize(text[: search.TITLE_CHARS], stem),
+        ]
+        pos = [{}, {}]
+        for f, toks in enumerate(fields):
+            for p, tok in enumerate(toks):
+                pos[f].setdefault(tok, []).append(p)
+        dl = search.BOOST_TITLE * len(fields[1]) + len(fields[0])
+        for t in pos[0].keys() | pos[1].keys():
+            c, ti = pos[0].get(t, []), pos[1].get(t, [])
+            rows.append((t, did, len(c), len(ti), dl, c, ti, search_index._term_part(t, 32)))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    types = {
+        "term": pa.string(), "doc_id": pa.int64(), "tf": pa.int64(),
+        "tf_title": pa.int64(), "dl": pa.int64(), "pos": pa.list_(pa.int32()),
+        "pos_title": pa.list_(pa.int32()), "part": pa.int32(),
+    }
+    return pa.table(
+        {c: pa.array([r[i] for r in rows], ty) for i, (c, ty) in enumerate(types.items())}
+    )
+
+
+def _kernel_rows(docs: pa.Table, stem: bool) -> pa.Table:
+    post, _ = search_index._postings(docs, stem, 32, 16)
+    return post.sort_by([("term", "ascending"), ("doc_id", "ascending")])
+
+
+@pytest.mark.parametrize("sf", ["sf0.001", "sf0.01"])
+@pytest.mark.parametrize("stem", [False, True])
+def test_postings_kernel_matches_per_doc_tokenize(sf, stem):
+    """``_postings`` gives exactly the rows of a per-doc build from
+    ``search.tokenize`` on the test corpora, and its doc rows carry the
+    per-doc token counts, dl and stored fields."""
+    docs = pq.read_table(
+        f"/root/testdata/{sf}/documents.parquet", columns=["doc_id", "text", "source"]
+    )
+    # shuffled: the kernel may not lean on the input's doc_id order
+    docs = docs.take(np.random.default_rng(0).permutation(docs.num_rows))
+    assert _kernel_rows(docs, stem).equals(_per_doc_postings(docs, stem))
+    rows = search_index._postings(docs, stem, 32, 16)[1]
+    texts = dict(zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()))
+    for r in rows.to_pylist():
+        text = texts[r["doc_id"]]
+        n_title = len(search.tokenize(text[: search.TITLE_CHARS]))
+        assert r["n_tokens"] == len(search.tokenize(text))
+        assert r["dl"] == search.BOOST_TITLE * n_title + r["n_tokens"]
+        assert r["snippet"] == text[: search.SNIPPET_CHARS]
+        assert r["title"] == text[: search.TITLE_CHARS]
+        assert r["crawl_date"] == search.derive_crawl_date(r["doc_id"])
+        assert r["dpart"] == r["doc_id"] % 16
+
+
+_UNICODE_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list("İıKÅßΣσς\u0307\u0301\u00a0\u2028 \t\n_-.,AZaz09")),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=120,
+)
+
+
+@given(st.lists(_UNICODE_TEXT, min_size=1, max_size=6), st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(["İx aİb", "\u212aelvin KELVIN"], False)
+@example(["e\u0301t\u00e9 stra\u00dfe", "x" * 63 + "İy"], True)
+def test_postings_kernel_unicode(texts, stem):
+    """On arbitrary Unicode text (``İ``, which Python lowers to two code
+    points, the Kelvin sign, combining marks, Unicode whitespace) the
+    kernel tokenizes exactly like ``search.tokenize``."""
+    docs = pa.table(
+        {
+            "doc_id": pa.array(range(len(texts)), pa.int64()),
+            "text": pa.array(texts, pa.string()),
+        }
+    )
+    assert _kernel_rows(docs, stem).equals(_per_doc_postings(docs, stem))
+
+
+def test_driver_sized_update_and_compact_run_no_ray_data_execution(
+    ray_session, tmp_path, corpus, executions
+):
+    """A submission within ``DRIVER_WRITE_DOCS`` is indexed, and an index
+    within it compacted, with zero Ray Data executions, from a table and
+    from a parquet path alike."""
+    sub1, sub2, merged = corpus
+    path = tmp_path / "sub2.parquet"
+    pq.write_table(_docs_table(sub2), str(path))
+    executions.clear()
+    idx = SearchIndex.create(str(tmp_path / "idx_nx"))
+    idx.update(_docs_table(sub1))
+    assert idx.update(str(path))["n_upserts"] == 15
+    idx.compact()
+    assert executions == []
+    assert idx.meta["live_docs"] == len(merged)
+    _assert_index_matches(idx, _oracle_over(tmp_path, merged, "snap_nx"))
+
+
+def test_dataset_write_path_writes_the_same_files(
+    ray_session, tmp_path, corpus, executions, monkeypatch
+):
+    """With ``DRIVER_WRITE_DOCS = 0`` update() runs ``_postings`` inside
+    ``map_batches`` and compact() merges partitions in Ray tasks; every
+    file they write is ``Table.equals`` to the driver path's, file by file,
+    and every query form answers the same."""
+    sub1, sub2, _ = corpus
+    rewrite = {i: " ".join(sub1[i].split()[::-1]) for i in range(0, 60, 5)}
+
+    def build(name: str) -> SearchIndex:
+        idx = SearchIndex.create(str(tmp_path / name), stem=True)
+        for sub in (sub1, sub2, rewrite):
+            idx.update(_docs_table(sub))
+        return idx
+
+    def files(idx: SearchIndex) -> dict:
+        return {
+            os.path.relpath(os.path.join(d, f), idx.index_dir): pq.read_table(
+                os.path.join(d, f)
+            )
+            for d, _, fs in os.walk(idx.index_dir)
+            for f in fs
+            if f.endswith(".parquet")
+        }
+
+    driver = build("idx_drv_w")
+    monkeypatch.setattr(search_index, "DRIVER_WRITE_DOCS", 0)
+    executions.clear()
+    dataset = build("idx_ds_w")
+    assert len(executions) >= 3
+    for stage in ("update", "compact"):
+        if stage == "compact":
+            driver.compact()
+            executions.clear()
+            dataset.compact()
+            assert executions
+        want, got = files(driver), files(dataset)
+        assert sorted(want) == sorted(got), stage
+        for name, t in want.items():
+            assert got[name].equals(t), (stage, name)
+        assert driver.meta == dataset.meta, stage
+        for a, b in zip(_all_answers(driver), _all_answers(dataset)):
+            assert a == b if isinstance(a, dict) else a.equals(b), stage
+        assert driver.term_df().equals(dataset.term_df()), stage
+
+
+def test_term_df_from_readers_matches_the_dataset_scan(
+    ray_session, tmp_path, corpus, executions, monkeypatch
+):
+    """``term_df`` answers from the handle's readers when the postings fit
+    ``DRIVER_ROW_LIMIT`` (zero Ray Data executions) and equals the Dataset
+    scan above it, across upserts that supersede rows."""
+    sub1, sub2, _ = corpus
+    idx = SearchIndex.create(str(tmp_path / "idx_df"))
+    idx.update(_docs_table(sub1))
+    idx.update(_docs_table(sub2))
+    executions.clear()
+    got = idx.term_df()
+    assert executions == []
+    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 0)
+    assert got.equals(idx.term_df().sort_by("term"))
+    assert executions
+
+
+def test_index_for_keeps_a_warm_handle(ray_session, tmp_path, monkeypatch):
+    """``index_for`` returns the same handle for the same source stamp, so
+    a repeated entry query opens no parquet file; a changed source gets a
+    rebuilt index and a new handle."""
+    monkeypatch.setattr(search_index, "_INDEX_CACHE_ROOT", str(tmp_path / "cache"))
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    pq.write_table(
+        _docs_table({0: "customer join window", 1: "join the window"}),
+        str(sf / "documents.parquet"),
+    )
+    idx = search_index.index_for(str(sf), stem=True)
+    want = idx.search(search.FIELD_QUERY, k=5)
+    assert search_index.index_for(str(sf), stem=True) is idx
+    opened = []
+    for name in ("read_table", "read_metadata"):
+        orig = getattr(pq, name)
+        monkeypatch.setattr(
+            pq, name, lambda *a, _o=orig, **kw: opened.append(a) or _o(*a, **kw)
         )
-    idx._vocab_cache = None
-    assert "zebra" in set(idx._vocabulary())
-    assert set(want) <= set(idx._vocabulary())
+    assert search_index.search_field_query(str(sf)).equals(want)
+    assert opened == []
+    monkeypatch.undo()
+    monkeypatch.setattr(search_index, "_INDEX_CACHE_ROOT", str(tmp_path / "cache"))
+    pq.write_table(
+        _docs_table({0: "customer join window", 2: "window"}),
+        str(sf / "documents.parquet"),
+    )
+    os.utime(sf / "documents.parquet", ns=(1, 1))
+    fresh = search_index.index_for(str(sf), stem=True)
+    assert fresh is not idx and fresh.meta["live_docs"] == 2
