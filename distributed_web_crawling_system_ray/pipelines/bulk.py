@@ -124,8 +124,8 @@ def _schedule_phase(chunks, store_refs, cfg) -> "ray.data.Dataset":
     schedule = fr_ds.map_batches(
         schedule_hosts_batch,
         fn_kwargs={
-            "robots_ref": store_refs[1],
-            "clocks_ref": clocks_ref,
+            "robots": store_refs[1],
+            "clocks": clocks_ref,
             "per_host_round_budget": cfg.per_host_round_budget,
         },
         batch_format="pyarrow",
@@ -181,8 +181,8 @@ def fabricate_and_schedule_host(
         )
     sched = schedule_hosts_batch(
         pa.concat_tables(parts),
-        robots_ref=robots_ref,
-        clocks_ref=clocks_ref,
+        robots=robots_ref,
+        clocks=clocks_ref,
         per_host_round_budget=per_host_round_budget,
     )
     return sched.filter(pc.equal(sched.column("verdict"), ALLOWED))

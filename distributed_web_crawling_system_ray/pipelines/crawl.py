@@ -1,7 +1,7 @@
-"""The BFS crawl driver loop: one Ray Data pipeline per frontier round.
+"""The BFS crawl driver loop: one bounded, acyclic round per frontier level.
 
 Restates the whole reference master/worker system (SURVEY §3.1-3.3) as an
-iterative sequence of bounded Dataset pipelines:
+iterative sequence of rounds (Ray tasks, or Dataset pipelines at scale):
 
     round k:  frontier ──host exchange──> politeness scheduler (robots gate +
               virtual-time slots) ──> fetch -> extract, fused into one task
@@ -16,17 +16,19 @@ iterative sequence of bounded Dataset pipelines:
           ──> image set-dedup -> exactly-once admission -> decode -> write
               payload partition round=k
 
-A driver-sized round (frontier <= ``driver_partition_limit``) is two Ray
-Data executions: E1 schedules, fetches and extracts and is pulled to the
-driver once, which splits the list columns, writes the schedule, advances
-the host clocks, dedups and admits; E2 decodes and writes the round's new
-images and is skipped when there are none.  Above the limit the same fused
+A driver-sized round (frontier <= ``driver_partition_limit``) runs no Ray
+Data execution, only plain Ray tasks.  The driver schedules the frontier;
+E1 is one fetch -> extract task per fetch batch of schedule rows, gathered
+with one ``ray.get``; the driver splits the list columns, writes the
+schedule, advances the host clocks, dedups and admits; E2 is one decode ->
+write task per decode batch of new images, each writing one payload part
+file, and is skipped when there are none.  Above the limit the same fused
 stage runs behind a groupby(host) shuffle and the dedups are
 groupby(url_hash % P) shuffles, so no per-row table reaches the driver.
 
 The feedback loop (extracted URLs re-entering the queue,
-``master/master_node.py:167-173``) lives in this driver loop; each round is a
-plain acyclic Dataset pipeline.  Termination = empty frontier (v1 semantics:
+``master/master_node.py:167-173``) lives in this driver loop; each round is
+acyclic.  Termination = empty frontier (v1 semantics:
 *loop while queue non-empty*, ``archive/master_node.py:111``) or the round
 budget.
 
@@ -91,10 +93,7 @@ from distributed_web_crawling_system_ray.stages.fetch import (
     extract_links,
     fetch_pages,
 )
-from distributed_web_crawling_system_ray.pipelines.partition import (
-    add_hash_partition,
-    host_partition_chunks,
-)
+from distributed_web_crawling_system_ray.pipelines.partition import add_hash_partition
 from distributed_web_crawling_system_ray.sources import storage
 from distributed_web_crawling_system_ray.stages.cache import get_policies
 from distributed_web_crawling_system_ray.state.scheduler import (
@@ -109,6 +108,20 @@ from distributed_web_crawling_system_ray.state.seen import SeenPool
 BASE_COLS = ["url", "canon", "url_hash", "host", "depth", "rank_path"]
 SCHED_COLS = BASE_COLS + ["verdict", "fetch_at_ms"]
 IMAGE_COLS = ["canon", "url_hash", "host"]
+
+
+@ray.remote
+def _call(fn, *args):
+    """One plain Ray task running ``fn(*args)``."""
+    return fn(*args)
+
+
+def _tasks(fn, args: list[tuple]) -> list:
+    """``fn(*a)`` for each ``a`` in ``args``, one Ray task each, in order.
+    ``fn`` is put once: a ``run_crawl`` closure is pickled by value then,
+    with the round's seen refs and this module's current bindings."""
+    ref = ray.put(fn)
+    return ray.get([_call.remote(ref, *a) for a in args])
 
 
 def _run_guarded(fn, out: dict) -> None:
@@ -327,20 +340,12 @@ class CrawlResult:
         tables = []
         for k in range(self.rounds):
             rdk = round_dir(self.work_dir, k)
-            mp = os.path.join(rdk, "frontier_manifest.json")
-            if os.path.exists(mp):
-                with open(mp) as f:
-                    names = json.load(f)
-                for n in names:
-                    tables.append(
-                        _read_table_any(os.path.join(self.work_dir, n)).select(
-                            BASE_COLS
-                        )
-                    )
-            else:  # pre-manifest layout
-                p = os.path.join(rdk, "frontier.parquet")
-                if os.path.exists(p):
-                    tables.append(pq.read_table(p).select(BASE_COLS))
+            with open(os.path.join(rdk, "frontier_manifest.json")) as f:
+                names = json.load(f)
+            tables.extend(
+                _read_table_any(os.path.join(self.work_dir, n)).select(BASE_COLS)
+                for n in names
+            )
         return pa.concat_tables(tables) if tables else None
 
     def schedule_history(self) -> pa.Table:
@@ -531,18 +536,11 @@ def run_crawl(
             if os.path.exists(mp):
                 with open(mp) as f:
                     metrics.append(json.load(f))
-        mp = os.path.join(rdl, "new_frontier_manifest.json")
-        if os.path.exists(mp):
-            with open(mp) as f:
-                names = json.load(f)
-            paths = [os.path.join(work_dir, n) for n in names]
-            frontier = FrontierHandle(
-                paths=paths, num_rows=sum(_parquet_num_rows(p) for p in paths)
-            )
-        else:  # pre-manifest checkpoint layout
-            frontier = FrontierHandle.from_table(
-                pq.read_table(os.path.join(rdl, "new_frontier.parquet"))
-            )
+        with open(os.path.join(rdl, "new_frontier_manifest.json")) as f:
+            paths = [os.path.join(work_dir, n) for n in json.load(f)]
+        frontier = FrontierHandle(
+            paths=paths, num_rows=sum(_parquet_num_rows(p) for p in paths)
+        )
         start_round = last + 1
         # wipe any partially-written later payload partitions
         for d in os.listdir(out_dir):
@@ -590,8 +588,8 @@ def run_crawl(
         stable, so the payload is the same and only ``image_seen`` (exactly
         the admitted candidates) differs.
 
-        PURE: it calls ``contains`` only.  Ray Data may re-execute a task
-        after block loss, and a retry that saw its first attempt's
+        PURE: it calls ``contains`` only.  Ray may re-execute a task after
+        a failure or block loss, and a retry that saw its first attempt's
         admissions would filter its own rows out, so the seen sets are
         mutated once, driver-side, after the round's sinks.  It is a
         closure so that cloudpickle ships it by value, together with this
@@ -620,6 +618,14 @@ def run_crawl(
             batch.append_column("status", pa.array(status, mask=verdict != ALLOWED))
             .append_column("links", _nest(links, rows, n, BASE_COLS))
             .append_column("images", _nest(images, rows, n, IMAGE_COLS))
+        )
+
+    def decode_write(images: pa.Table, out: str, part: int) -> int:
+        """E2 over one decode batch: decode the new images and write them as
+        payload part ``part`` of ``out`` (a retry replaces it).  A closure
+        for the same reason as ``fetch_extract``."""
+        return storage.write_payload_part(
+            decode_images(images, **store_kwargs), out, part
         )
 
     rnd = start_round
@@ -667,42 +673,31 @@ def run_crawl(
         payload_dir = os.path.join(out_dir, f"round={rnd}")
         os.makedirs(payload_dir, exist_ok=True)
 
-        # --- schedule: the explicit host exchange -> per-host politeness,
-        # fused with fetch -> extract (one task per fetch batch).  Rounds
-        # under driver_partition_limit are sorted by host driver-side and
-        # cut at host boundaries (each host wholly in one block -> plain map
-        # stage); larger rounds go through the Dataset-native
-        # groupby(host).map_groups shuffle.  Semantics are identical (tests
-        # pin both paths to the oracle).
-        sched_kwargs = {
-            "robots_ref": robots_ref,
-            "clocks_ref": ray.put(clocks),
-            "per_host_round_budget": cfg.per_host_round_budget,
-        }
+        # --- schedule (host exchange -> per-host politeness), then fetch ->
+        # extract: on the driver under driver_partition_limit, behind a
+        # Dataset groupby(host) above (tests pin both paths to the oracle)
         nf_tables: list[pa.Table] = []  # next-frontier pieces: driver tables
         nf_paths: list[str] = []  # ...and/or Dataset-written directories
         nf_path_rows = 0
         if small_round:
-            # E1: the one execution that schedules, fetches and extracts;
-            # its rows (schedule rows + this round's new candidates) are
-            # pulled to the driver once
-            round_ds = (
-                ray.data.from_arrow(host_partition_chunks(frontier.table()))
-                .map_batches(
-                    schedule_hosts_batch,
-                    fn_kwargs=sched_kwargs,
-                    batch_format="pyarrow",
-                    batch_size=None,
-                )
-                .map_batches(
-                    fetch_extract,
-                    batch_format="pyarrow",
-                    batch_size=cfg.fetch_batch_size,
-                )
-                .materialize()
+            # E1: one fetch_extract task per fetch batch of schedule rows;
+            # the rows and the round's new candidates come back in one get
+            sched_tbl = schedule_hosts_batch(
+                frontier.table().sort_by("host"),
+                robots=driver_policies,
+                clocks=clocks,
+                per_host_round_budget=cfg.per_host_round_budget,
             )
-            round_tbl = pa.concat_tables(ray.get(round_ds.to_arrow_refs()))
-            sched_tbl = round_tbl.select(SCHED_COLS)
+            step = cfg.fetch_batch_size
+            round_tbl = pa.concat_tables(
+                _tasks(
+                    fetch_extract,
+                    [
+                        (sched_tbl.slice(o, step),)
+                        for o in range(0, sched_tbl.num_rows, step)
+                    ],
+                )
+            )
             pq.write_table(sched_tbl, os.path.join(rd, "schedule.parquet"))
             counts = _apply_summary(
                 [_sched_summary(round_tbl)], clocks, driver_policies
@@ -719,20 +714,18 @@ def run_crawl(
                 )
             n_links_new = links.num_rows
             nf_tables.append(links)
-            if images.num_rows:  # E2: decode -> write (skipped when imageless)
-                step = cfg.decode_batch_size
-                chunks = [
-                    images.slice(o, step) for o in range(0, images.num_rows, step)
-                ]
-                storage.write_payload(
-                    ray.data.from_arrow(chunks).map_batches(
-                        decode_images,
-                        fn_kwargs=store_kwargs,
-                        batch_format="pyarrow",
-                        batch_size=step,
-                    ),
-                    payload_dir,
+            # E2: one decode_write task per decode batch (none when the
+            # round admits no new image)
+            step = cfg.decode_batch_size
+            n_images = sum(
+                _tasks(
+                    decode_write,
+                    [
+                        (images.slice(o, step), payload_dir, i)
+                        for i, o in enumerate(range(0, images.num_rows, step))
+                    ],
                 )
+            )
             # deferred rows re-enter the next round (already in the seen set)
             nf_tables.append(
                 sched_tbl.filter(pc.equal(sched_tbl.column("verdict"), DEFERRED))
@@ -743,6 +736,11 @@ def run_crawl(
             # copy of the schedule goes out via a Dataset write; the driver
             # sees only the per-host summary (counts + max allowed slot) —
             # O(#hosts), same order as the clocks dict itself.
+            sched_kwargs = {
+                "robots": robots_ref,
+                "clocks": ray.put(clocks),
+                "per_host_round_budget": cfg.per_host_round_budget,
+            }
             n_blocks = max(1, min(256, frontier.num_rows // 512 + 1))
             round_ds = (
                 ray.data.read_parquet(
@@ -830,11 +828,11 @@ def run_crawl(
             payload_thread.join()
             if "error" in payload_out:
                 raise payload_out["error"]
-        n_images = sum(
-            pq.read_metadata(os.path.join(payload_dir, f)).num_rows
-            for f in os.listdir(payload_dir)
-            if f.endswith(".parquet")
-        )
+            n_images = sum(
+                pq.read_metadata(os.path.join(payload_dir, f)).num_rows
+                for f in os.listdir(payload_dir)
+                if f.endswith(".parquet")
+            )
 
         m = {
             "round": rnd,

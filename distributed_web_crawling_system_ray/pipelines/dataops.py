@@ -823,12 +823,16 @@ def _banded_hamming_join(
         sig = rows.column("sig").to_numpy()
         by_sig = np.argsort(sig, kind="stable")
         sig = sig[by_sig]
-        ids = rows.column(id_col).to_numpy(zero_copy_only=False)[by_sig]
+        # the kernel pairs row positions; the ids stay in Arrow until here
         ab = [
-            _keyed_hamming_id_pairs(_block_keys(sig, m), sig, ids, max_ham, masks[:c])
+            _keyed_hamming_id_pairs(_block_keys(sig, m), sig, by_sig, max_ham, masks[:c])
             for c, m in enumerate(masks)
         ]
-        return _sorted_pairs(_pairs(*map(np.concatenate, zip(*ab)), id_type))
+        ids = rows.column(id_col).cast(id_type)
+        a, b = (ids.take(x) for x in map(np.concatenate, zip(*ab)))
+        swap = pc.greater(a, b)
+        out = pa.table({"a": pc.if_else(swap, b, a), "b": pc.if_else(swap, a, b)})
+        return _sorted_pairs(out.filter(pc.not_equal(out["a"], out["b"])), id_type)
     k_sub = _band_subbuckets(n_rows)
     n_blocks = len(masks)
 

@@ -1,12 +1,12 @@
-"""Driver-side host partitioning: sort by host, cut chunks at host boundaries.
+"""Driver-side host partitioning and the dedup exchange's hash partition.
 
-Shared by the BFS crawl (``pipelines/crawl.py``) and the sustained bulk pass
-(``pipelines/bulk.py``): both need the invariant *every host lands wholly in
-one chunk* so the politeness scheduler can run as a plain ``map_batches``
-over pre-partitioned blocks instead of a ``groupby(host)`` sort-shuffle
+The sustained bulk pass (``pipelines/bulk.py``) cuts its host-sorted URL set
+at host boundaries: the invariant *every host lands wholly in one chunk*
+lets the politeness scheduler run as a plain ``map_batches`` over
+pre-partitioned blocks instead of a ``groupby(host)`` sort-shuffle
 (measured ~10 s at bench scale).  Boundary detection is vectorized
-(pyarrow compare + ``np.searchsorted``) — this sits on the per-round
-critical path for frontiers up to ``driver_partition_limit`` rows.
+(pyarrow compare + ``np.searchsorted``).  The crawl's driver-sized rounds
+schedule the whole host-sorted frontier in one call on the driver.
 """
 
 from __future__ import annotations
@@ -38,13 +38,6 @@ def host_chunk_bounds(host_col: pa.ChunkedArray | pa.Array, target_rows: int) ->
         i = j + target_rows
     bounds.append(n)
     return bounds
-
-
-def host_partition_chunks(table: pa.Table, target_rows: int = 2048) -> list[pa.Table]:
-    """Sort a driver-held table by host and slice it at host boundaries."""
-    t = table.sort_by("host")
-    bounds = host_chunk_bounds(t.column("host"), target_rows)
-    return [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
 
 
 def add_hash_partition(

@@ -22,6 +22,19 @@ import ray
 _CACHE: dict = {}
 
 
+def _newest(key: tuple, build):
+    """``_CACHE[key]``, built on first use.  Building it drops the cached
+    entries of the same kind (``key[0]``), so a worker holds the state of
+    the latest broadcast only, not of every crawl it ever served: a
+    ``WebStore`` built from broadcast tables pins them in the object store
+    for as long as it is cached."""
+    if key not in _CACHE:
+        for k in [k for k in _CACHE if k[0] == key[0]]:
+            del _CACHE[k]
+        _CACHE[key] = build()
+    return _CACHE[key]
+
+
 def get_store(fixture_dir: str):
     """WebStore handle loaded from disk, one per worker process (tests /
     small fixtures; the crawl pipeline uses get_shared_store instead)."""
@@ -37,14 +50,12 @@ def get_shared_store(pages_ref, robots_ref, images_ref):
     """WebStore built from object-store-broadcast Arrow tables: the table
     buffers live ONCE per node in shared memory (ray.put on the driver);
     workers pay only the url->row index build, once per process."""
-    key = ("shared_store", pages_ref.hex(), robots_ref.hex(), images_ref.hex())
-    if key not in _CACHE:
-        from distributed_web_crawling_system_ray.sources.synthweb import WebStore
+    from distributed_web_crawling_system_ray.sources.synthweb import WebStore
 
-        _CACHE[key] = WebStore.from_tables(
-            ray.get(pages_ref), ray.get(robots_ref), ray.get(images_ref)
-        )
-    return _CACHE[key]
+    return _newest(
+        ("shared_store", pages_ref.hex(), robots_ref.hex(), images_ref.hex()),
+        lambda: WebStore.from_tables(*ray.get([pages_ref, robots_ref, images_ref])),
+    )
 
 
 def get_http_store(user_agent: str, timeout_s: float):
@@ -73,9 +84,9 @@ def get_object(ref: "ray.ObjectRef"):
 
 
 def get_policies(robots_ref: "ray.ObjectRef"):
-    key = ("policies", robots_ref.hex())
-    if key not in _CACHE:
-        from distributed_web_crawling_system_ray.state.robots import RobotsPolicies
+    from distributed_web_crawling_system_ray.state.robots import RobotsPolicies
 
-        _CACHE[key] = RobotsPolicies.from_table(ray.get(robots_ref))
-    return _CACHE[key]
+    return _newest(
+        ("policies", robots_ref.hex()),
+        lambda: RobotsPolicies.from_table(ray.get(robots_ref)),
+    )

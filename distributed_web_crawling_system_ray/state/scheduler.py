@@ -40,19 +40,38 @@ DISALLOWED = 1
 DEFERRED = 2
 
 
+def _resolve(robots, clocks):
+    """The robots policies and host clocks of a schedule call.  Ray tasks
+    pass ObjectRefs (the robots table, the clocks dict), resolved through
+    the per-worker cache (stages/cache.py); the driver passes the
+    ``RobotsPolicies`` and the dict it already holds."""
+    from distributed_web_crawling_system_ray.stages.cache import (
+        get_object,
+        get_policies,
+    )
+
+    if isinstance(robots, ray.ObjectRef):
+        robots = get_policies(robots)
+    if isinstance(clocks, ray.ObjectRef):
+        clocks = get_object(clocks)
+    return robots, clocks
+
+
 def schedule_hosts_batch(
     batch: pa.Table,
     *,
-    robots_ref,
-    clocks_ref,
+    robots,
+    clocks,
     per_host_round_budget: int,
 ) -> pa.Table:
     """Multi-host variant for inputs ALREADY partitioned by host (every row
     of a host in exactly one batch — e.g. a frontier stored host-partitioned,
     or driver-side chunks cut along host boundaries).  Avoids the groupby
     sort entirely: the partitioning key is established once upstream and
-    reused, which is the scale-out plan for frontier storage.  Semantics are
-    identical to ``schedule_host_group`` applied per host."""
+    reused, which is the scale-out plan for frontier storage.  The crawl
+    driver calls it on its host-sorted frontier; ``schedule_host_group`` is
+    the same call over one host's group.  ``robots`` and ``clocks`` are
+    ObjectRefs in a task, values on the driver (``_resolve``)."""
     if batch.num_rows == 0:
         return batch.append_column(
             "verdict", pa.array([], pa.int8())
@@ -61,19 +80,15 @@ def schedule_hosts_batch(
     groups: dict[str, list[int]] = {}
     for i, h in enumerate(hosts):
         groups.setdefault(h, []).append(i)
-    from distributed_web_crawling_system_ray.stages.cache import (
-        get_object,
-        get_policies,
-    )
-
-    policies = get_policies(robots_ref)
-    clocks: dict[str, int] = get_object(clocks_ref)
+    policies, clocks = _resolve(robots, clocks)
     depths = batch.column("depth").to_pylist()
     ranks = batch.column("rank_path").to_pylist()
     canons = batch.column("canon").to_pylist()
     n = batch.num_rows
     verdict = np.full(n, ALLOWED, dtype=np.int8)
     fetch_at = np.zeros(n, dtype=np.int64)
+    # priority queue per host: pop in (depth, rank_path) order — the
+    # deterministic scheduling contract (rank_path is the BFS discovery rank)
     for h, idx in groups.items():
         pol = policies.policy(h)
         delay = pol.crawl_delay_ms
@@ -95,13 +110,7 @@ def schedule_hosts_batch(
     ).append_column("fetch_at_ms", pa.array(fetch_at, pa.int64()))
 
 
-def schedule_host_group(
-    group: pa.Table,
-    *,
-    robots_ref,
-    clocks_ref,
-    per_host_round_budget: int,
-) -> pa.Table:
+def schedule_host_group(group: pa.Table, **kwargs) -> pa.Table:
     """``groupby('host').map_groups`` body — one call schedules one host.
 
     Task-based: parsed robots policies and the round's clock broadcast load
@@ -110,38 +119,4 @@ def schedule_host_group(
     round candidates, this worker is the host's single politeness authority
     for the round — the groupby shuffle is what guarantees that.
     """
-    from distributed_web_crawling_system_ray.stages.cache import (
-        get_object,
-        get_policies,
-    )
-
-    policies = get_policies(robots_ref)
-    clocks: dict[str, int] = get_object(clocks_ref)
-    n = group.num_rows
-    host = group.column("host")[0].as_py()
-    pol = policies.policy(host)
-    delay = pol.crawl_delay_ms
-
-    # priority queue: pop in (depth, rank_path) order — the deterministic
-    # scheduling contract (rank_path is the BFS discovery rank)
-    depths = group.column("depth").to_pylist()
-    ranks = group.column("rank_path").to_pylist()
-    order = sorted(range(n), key=lambda i: (depths[i], ranks[i]))
-    canons = group.column("canon").to_pylist()
-    verdict = np.full(n, ALLOWED, dtype=np.int8)
-    fetch_at = np.zeros(n, dtype=np.int64)
-    clock = int(clocks.get(host, 0))
-    scheduled = 0
-    for i in order:
-        if not pol.allows(canons[i]):
-            verdict[i] = DISALLOWED
-            continue
-        if scheduled >= per_host_round_budget:
-            verdict[i] = DEFERRED
-            continue
-        fetch_at[i] = clock
-        clock += delay
-        scheduled += 1
-    return group.append_column(
-        "verdict", pa.array(verdict, pa.int8())
-    ).append_column("fetch_at_ms", pa.array(fetch_at, pa.int64()))
+    return schedule_hosts_batch(group, **kwargs)
