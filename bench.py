@@ -294,8 +294,8 @@ def run_bench(num_cpus: int) -> dict:
             if crawl_s is None or dt < crawl_s:
                 crawl_s, res = dt, r
 
-    # sustained fetch+decode: one streaming pass over the full URL set — the
-    # BASELINE.json headline throughput (compute-bound, no round barriers)
+    # sustained fetch+decode: one pass over R copies of the full URL set — the
+    # BASELINE.json headline throughput (compute-bound, no BFS rounds)
     from distributed_web_crawling_system_ray.pipelines.bulk import bulk_fetch_decode
 
     # payload to RAM-backed storage: the sustained number measures the

@@ -60,8 +60,14 @@ class CrawlConfig:
     # measured in a 1-CPU perfbench-shaped session on a 1-core host (crawl
     # wall, default vs 0): 2k-page web (rounds <= 674 rows) 1.18-1.97 s vs
     # 5.4-6.8 s; 8k pages (rounds <= 3,055 rows) 4.1-4.9 s vs 11.0-11.8 s.
-    # The driver path wins at every size measured; the bound is unmeasured
-    # above that and on more than one core.
+    # The sustained bulk pass switches on n_pages * repeat at the same bound.
+    # Its pass wall, same host, both sides writing each image once per copy
+    # (default vs 0): seed-1 2k-page web, repeat=2 (4,000 rows), 6 ops
+    # each in a perfbench-shaped session, 1.23-1.40 s vs 1.44-1.82 s;
+    # bench.py's 50k-page web, repeat=6 (300,000 rows), 1 CPU, min of 3
+    # trials, 88-92 s vs 135-149 s.  The driver path wins at every size
+    # measured; the bound is unmeasured above that and on more than one
+    # core.
     driver_partition_limit: int = 2_000_000
 
     real_time_politeness: bool = False

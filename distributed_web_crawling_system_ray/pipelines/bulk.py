@@ -1,28 +1,38 @@
-"""Sustained fetch+decode: the whole URL set through one streaming pipeline.
+"""Sustained fetch+decode: every page URL fetched, its images decoded, once
+per copy.
 
-This is the BASELINE.json headline measurement ("sustained fetch+decode
-throughput, URLs/sec and rows/sec"): a single bounded pass with no BFS
-feedback — every page URL scheduled (robots + virtual politeness), fetched,
-its image refs decoded, payload written partitioned.  One pipeline = the
-streaming executor overlaps every stage, so throughput is bounded by compute
-(decode) rather than per-round barriers.
+The BASELINE.json headline ("sustained fetch+decode throughput, URLs/sec
+and rows/sec"): one bounded pass with no BFS feedback.  Every page URL is
+scheduled (robots + virtual politeness) and fetched, its image refs are
+robots-gated and decoded, and the payload is written.  ``repeat`` stacks R
+copies of the URL set (copy r at depth r, so a host's fetches in copy r
+take the slots after copy r-1's) to lengthen the measured window.
 
-Measurement protocol (``bench.py --scaling``): input loading + store
-broadcast are setup, not throughput; a small warmup pass spins up the worker
-pool; ``repeat`` stacks R copies of the URL set (distinct rank paths) into
-one pipeline so the measured window is long enough to amortize the fixed
-pipeline start/stop cost at the higher parallelism level.  With repeat>1 the
-image set-dedup shuffle is skipped (every copy decodes its refs) — image
-dedup is measured by the BFS crawl bench; this pass measures raw sustained
-fetch+decode.
+The plan follows ``n_pages * repeat`` against
+``CrawlConfig.driver_partition_limit`` (shared with the crawl):
 
-The BFS crawl (pipelines/crawl.py) shares every stage with this; the only
-difference is the frontier source (full set vs per-round discovery).
+- Driver-sized, the shape of a driver-sized crawl round (``crawl.py``), with
+  no Ray Data execution.  The driver schedules all copies in one
+  ``schedule_hosts_batch`` call.  E1 is one fetch -> extract -> robots gate
+  task per ``fetch_batch_size`` slice, gathered with one ``ray.get``; the
+  driver dedups; E2 is one decode -> write task per ``decode_batch_size``
+  slice, each writing one payload part file.
+- Cluster-scale: a groupby(host) shuffle fabricates and schedules each
+  host's copies, then one streaming Dataset fetches, extracts, gates,
+  dedups (a groupby(url_hash % P) shuffle), decodes and writes.
+
+Both extract each copy's rows of a batch apart and keep one row per (copy,
+image), so each image is written exactly R times whatever the batches.
+
+``bench.py`` times the pass alone: input loading, the store broadcast and
+the warm-up (a pass of the same plan over at most 2,048 pages) are setup.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
 
 import numpy as np
@@ -34,12 +44,16 @@ import ray.data
 
 from distributed_web_crawling_system_ray.config import CrawlConfig
 from distributed_web_crawling_system_ray.oracle import RANK_BYTES
-from distributed_web_crawling_system_ray.pipelines.partition import host_chunk_bounds
+from distributed_web_crawling_system_ray.pipelines.crawl import _tasks
+from distributed_web_crawling_system_ray.pipelines.partition import add_hash_partition
+from distributed_web_crawling_system_ray.sources import storage
+from distributed_web_crawling_system_ray.stages.cache import get_policies
 from distributed_web_crawling_system_ray.stages.fetch import (
     decode_images,
     extract_image_candidates,
     fetch_pages,
 )
+from distributed_web_crawling_system_ray.state.robots import RobotsPolicies
 from distributed_web_crawling_system_ray.state.scheduler import (
     ALLOWED,
     schedule_hosts_batch,
@@ -63,85 +77,120 @@ def _rank_bytes_arr(idx: np.ndarray) -> pa.Array:
     )
 
 
-def _frontier_chunks(pages: pa.Table, repeat: int, n_chunks: int) -> list[pa.Table]:
-    """R stacked copies of the URL set, HOST-PARTITIONED driver-side: the
-    table is sorted by host once and chunk boundaries are cut along host
-    changes (shared vectorized helper, ``pipelines/partition.py``), so every
-    host lands wholly in one block.  The scheduler can then run as a plain
-    map_batches — the politeness partitioning key is established at the
-    source and reused, replacing a 10-second groupby sort (measured at bench
-    scale) with zero shuffle.
-
-    This is the under-``driver_partition_limit`` path; above it the URL set
-    cannot be driver-held and ``_schedule_phase_distributed`` takes over."""
-    pages = pages.sort_by("host")
+def _copies(pages: pa.Table, repeat: int) -> pa.Table:
+    """R stacked copies of ``pages`` (url, host) as frontier rows, copy-major
+    and each in ``pages`` order: copy r at depth r, rank_path = the row's
+    position in its copy."""
     n = pages.num_rows
-    target = max(1, n // max(1, n_chunks // max(1, repeat)))
-    bounds = host_chunk_bounds(pages.column("host"), target)
     rank = _rank_bytes_arr(np.arange(n, dtype=np.int64))
-    chunks: list[pa.Table] = []
-    for r in range(repeat):
-        base = pa.table(
+    zeros = pa.array(np.zeros(n, dtype=np.uint64), pa.uint64())
+    return pa.concat_tables(
+        pa.table(
             {
                 "url": pages.column("url"),
                 "canon": pages.column("url"),
-                "url_hash": pa.array(np.zeros(n, dtype=np.uint64), pa.uint64()),
+                "url_hash": zeros,
                 "host": pages.column("host"),
                 "depth": pa.array(np.full(n, r, dtype=np.int32), pa.int32()),
                 "rank_path": rank,
             }
         )
-        for a, b in zip(bounds, bounds[1:]):
-            chunks.append(base.slice(a, b - a))
-    return chunks
-
-
-def _schedule_phase(chunks, store_refs, cfg) -> "ray.data.Dataset":
-    """Phase 1: politeness/robots scheduling over host-partitioned chunks
-    (cheap, metadata-sized).  Returns the ALLOWED rows as a materialized
-    Dataset of bounded, balanced blocks — hot-host skew ends here WITHOUT
-    pulling rows to the driver (the r2 judge flagged the old concat +
-    re-slice as the same scale-killer as the crawl frontier concat);
-    politeness stays host-authoritative because each host was scheduled in
-    exactly one batch."""
-    # Hot-host skew control without an extra pass: a single host's chunk can
-    # hold ~7x the median rows, and one oversized output block becomes ONE
-    # serial fetch+decode task downstream.  The filter stage yields bounded
-    # ~2k-row batches and the block-size budget is shrunk for this
-    # (metadata-sized) phase by mutating THIS dataset's own captured
-    # context (each Dataset copies the DataContext at creation) — never
-    # the process-global one, which a concurrently-created Dataset on
-    # another driver thread would silently capture (r3 advice; the crawl
-    # loop legitimately overlaps two Dataset-producing branches).  The cap
-    # lets Ray's dynamic block splitting re-emit a hot host as several
-    # blocks.  This replaced a measured ~1.1 s/trial repartition
-    # all-to-all (and, before that, the r2 driver re-chunk the judge
-    # flagged as a scale-killer).
-    clocks_ref = ray.put({})
-    fr_ds = ray.data.from_arrow(chunks)
-    prev = fr_ds.context.target_max_block_size
-    fr_ds.context.target_max_block_size = 160 * 1024
-    schedule = fr_ds.map_batches(
-        schedule_hosts_batch,
-        fn_kwargs={
-            "robots": store_refs[1],
-            "clocks": clocks_ref,
-            "per_host_round_budget": cfg.per_host_round_budget,
-        },
-        batch_format="pyarrow",
-        batch_size=None,
-    ).map_batches(
-        lambda t: t.filter(pc.equal(t["verdict"], ALLOWED)),
-        batch_format="pyarrow",
-        batch_size=2048,
+        for r in range(repeat)
     )
-    allowed = schedule.materialize()
-    # derived datasets share the captured context object — restore the cap
-    # so the downstream fetch+decode+write phase gets full-size blocks
-    # (a lingering 160 KB cap shreds image-payload outputs into tiny
-    # blocks and one mini parquet file per block; r3 review, Ray 2.49)
-    allowed.context.target_max_block_size = prev
-    return allowed
+
+
+def _allowed(sched: pa.Table) -> pa.Table:
+    return sched.filter(pc.equal(sched.column("verdict"), ALLOWED))
+
+
+def _schedule_driver(pages: pa.Table, repeat: int, policies, cfg) -> pa.Table:
+    """The ALLOWED rows of the R copies of the host-sorted URL set,
+    copy-major: one driver-side schedule over all copies from empty clocks,
+    so a host's slots never repeat across copies."""
+    return _allowed(
+        schedule_hosts_batch(
+            _copies(pages.sort_by("host"), repeat),
+            robots=policies,
+            clocks={},
+            per_host_round_budget=cfg.per_host_round_budget,
+        )
+    )
+
+
+def _robots_gate(images: pa.Table, robots_ref) -> pa.Table:
+    """The image candidates whose own URL robots allows."""
+    ok = get_policies(robots_ref).allowed_mask(
+        images.column("host").to_pylist(), images.column("canon").to_pylist()
+    )
+    return images.filter(pa.array(ok, pa.bool_()))
+
+
+def _extract_per_copy(fetched: pa.Table) -> pa.Table:
+    """``extract_image_candidates`` over each copy's rows of one fetch batch
+    apart, with the copy's ``depth``: the extract dedups by url_hash within
+    its input, so a batch that mixes copies would drop the later copy's
+    refs."""
+    depth = fetched.column("depth").to_numpy()
+    cands = []
+    for d in np.unique(depth) if len(depth) else [0]:
+        c = extract_image_candidates(fetched.filter(pa.array(depth == d)))
+        cands.append(
+            c.append_column("depth", pa.array(np.full(c.num_rows, d, np.int32)))
+        )
+    return pa.concat_tables(cands)
+
+
+def _dedup_per_copy(cands: pa.Table) -> pa.Table:
+    """One row per (copy, image): the first with its (depth, url_hash),
+    in input order."""
+    depth = cands.column("depth").to_numpy()
+    h = cands.column("url_hash").to_numpy()
+    order = np.lexsort((h, depth))  # stable: a key's rows keep input order
+    d, h = depth[order], h[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (d[1:] != d[:-1]) | (h[1:] != h[:-1])
+    return cands.take(pa.array(np.sort(order[first]), pa.int64()))
+
+
+def _driver_pass(
+    pages: pa.Table, repeat: int, store_refs, policies, cfg, out_dir: str
+) -> int:
+    """The driver-sized pass over the R copies of ``pages``; returns the
+    payload rows written."""
+
+    def fetch_extract(batch: pa.Table) -> pa.Table:
+        """E1 over one fetch batch of schedule rows.  A closure, so
+        cloudpickle ships it by value with this module's current
+        ``fetch_pages`` binding (as crawl.py's round bodies)."""
+        fetched = fetch_pages(batch, store_refs=store_refs)
+        return _robots_gate(_extract_per_copy(fetched), store_refs[1])
+
+    def decode_write(images: pa.Table, part: int) -> int:
+        """E2 over one decode batch: payload part ``part`` of ``out_dir``
+        (a retry replaces it).  A closure for the same reason."""
+        return storage.write_payload_part(
+            decode_images(images, store_refs=store_refs), out_dir, part
+        )
+
+    allowed = _schedule_driver(pages, repeat, policies, cfg)
+    step = cfg.fetch_batch_size
+    cands = _tasks(
+        fetch_extract,
+        [(allowed.slice(o, step),) for o in range(0, allowed.num_rows, step)],
+    )
+    if not cands:
+        return 0
+    images = _dedup_per_copy(pa.concat_tables(cands))
+    step = cfg.decode_batch_size
+    return sum(
+        _tasks(
+            decode_write,
+            [
+                (images.slice(o, step), i)
+                for i, o in enumerate(range(0, images.num_rows, step))
+            ],
+        )
+    )
 
 
 def fabricate_and_schedule_host(
@@ -152,54 +201,29 @@ def fabricate_and_schedule_host(
     per_host_round_budget: int,
     repeat: int,
 ) -> pa.Table:
-    """``groupby('host').map_groups`` body for the cluster-scale bulk
-    source: one call fabricates one host's frontier rows (deterministic
-    url-sorted order, PER-HOST rank bytes — politeness ordering is within-
-    host only, so local ranks suffice and never overflow RANK_BYTES the way
-    a global row index would) and schedules them, returning only the
-    ALLOWED rows.  The groupby shuffle is what makes this worker the host's
-    single politeness authority — same contract as crawl.py's
+    """``groupby('host').map_groups`` body for the cluster-scale pass: one
+    host's copies, url-sorted with per-host rank bytes (politeness orders
+    within a host only), scheduled; the ALLOWED rows.  The shuffle makes
+    this worker the host's single politeness authority, as crawl.py's
     schedule_host_group."""
-    g = group.sort_by("url")
-    n = g.num_rows
-    rank = _rank_bytes_arr(np.arange(n, dtype=np.int64))
-    parts = []
-    for r in range(repeat):
-        parts.append(
-            pa.table(
-                {
-                    "url": g.column("url"),
-                    "canon": g.column("url"),
-                    "url_hash": pa.array(
-                        np.zeros(n, dtype=np.uint64), pa.uint64()
-                    ),
-                    "host": g.column("host"),
-                    "depth": pa.array(np.full(n, r, dtype=np.int32), pa.int32()),
-                    "rank_path": rank,
-                }
-            )
+    return _allowed(
+        schedule_hosts_batch(
+            _copies(group.sort_by("url"), repeat),
+            robots=robots_ref,
+            clocks=clocks_ref,
+            per_host_round_budget=per_host_round_budget,
         )
-    sched = schedule_hosts_batch(
-        pa.concat_tables(parts),
-        robots=robots_ref,
-        clocks=clocks_ref,
-        per_host_round_budget=per_host_round_budget,
     )
-    return sched.filter(pc.equal(sched.column("verdict"), ALLOWED))
 
 
 def _schedule_phase_distributed(
-    pages_path: str, repeat: int, store_refs, cfg
+    fr: "ray.data.Dataset", repeat: int, store_refs, cfg
 ) -> "ray.data.Dataset":
-    """Cluster-scale phase 1: the URL set never lands on the driver.
-
-    ``read_parquet`` (url+host only) -> ``groupby('host')`` shuffle ->
-    per-host fabricate+schedule — the crawl.py cluster-frontier path
-    (crawl.py schedule_host_group) applied to the bulk source, sharing its
-    ``driver_partition_limit`` switch.  Block budget is shrunk on THIS
-    dataset's context (metadata-sized rows) so a hot host re-emits as
-    several blocks downstream."""
-    fr = ray.data.read_parquet(pages_path, columns=["url", "host"])
+    """Cluster-scale phase 1 over a Dataset of (url, host) page rows: a
+    ``groupby('host')`` shuffle -> per-host fabricate+schedule, the crawl's
+    cluster-frontier path.  The block budget is shrunk on THIS dataset's
+    context (metadata-sized rows) so a hot host re-emits as several
+    blocks downstream."""
     prev = fr.context.target_max_block_size
     fr.context.target_max_block_size = 160 * 1024
     clocks_ref = ray.put({})
@@ -222,63 +246,48 @@ def _schedule_phase_distributed(
 
 
 def _fetch_decode_phase(
-    sched_ds: "ray.data.Dataset", store_refs, cfg, dedup: bool
+    sched_ds: "ray.data.Dataset", store_refs, cfg
 ) -> "ray.data.Dataset":
-    """Phase 2: the heavy streaming pipeline over evenly-sized blocks."""
-    results = sched_ds.map_batches(
-        fetch_pages,
-        fn_kwargs={"store_refs": store_refs},
-        batch_format="pyarrow",
-        batch_size=cfg.fetch_batch_size,
-    )
-    img_cands = results.map_batches(extract_image_candidates, batch_format="pyarrow")
-    robots_ref = store_refs[1]
-
-    def _robots_gate(batch: pa.Table) -> pa.Table:
-        from distributed_web_crawling_system_ray.stages.cache import get_policies
-
-        ok = get_policies(robots_ref).allowed_mask(
-            batch.column("host").to_pylist(), batch.column("canon").to_pylist()
+    """Phase 2: the heavy streaming pipeline over evenly-sized blocks, with
+    the image dedup shuffle: groupby(url_hash % P), one row per (copy,
+    image)."""
+    return (
+        sched_ds.map_batches(
+            fetch_pages,
+            fn_kwargs={"store_refs": store_refs},
+            batch_format="pyarrow",
+            batch_size=cfg.fetch_batch_size,
         )
-        return batch.filter(pa.array(ok, pa.bool_()))
-
-    img_cands = img_cands.map_batches(_robots_gate, batch_format="pyarrow")
-    if dedup:
-        # Dataset-native set-dedup (bounded hash partition + per-group first)
-        # — retry-safe (no actor mutation inside retryable tasks) and fully
-        # deterministic; only the repeat=1 correctness path pays the shuffle.
-        from distributed_web_crawling_system_ray.stages.fetch import (
-            dedup_first_by_hash,
+        .map_batches(_extract_per_copy, batch_format="pyarrow")
+        .map_batches(
+            _robots_gate,
+            fn_kwargs={"robots_ref": store_refs[1]},
+            batch_format="pyarrow",
         )
-
-        from distributed_web_crawling_system_ray.pipelines.partition import (
+        .map_batches(
             add_hash_partition,
+            fn_kwargs={"P": cfg.dedup_partitions},
+            batch_format="pyarrow",
         )
-
-        img_cands = (
-            img_cands.map_batches(
-                add_hash_partition,
-                fn_kwargs={"P": cfg.dedup_partitions},
-                batch_format="pyarrow",
-            )
-            .groupby("part")
-            .map_groups(dedup_first_by_hash, batch_format="pyarrow")
+        .groupby("part")
+        .map_groups(_dedup_per_copy, batch_format="pyarrow")
+        .map_batches(
+            decode_images,
+            fn_kwargs={"store_refs": store_refs},
+            batch_format="pyarrow",
+            batch_size=cfg.decode_batch_size,
         )
-    return img_cands.map_batches(
-        decode_images,
-        fn_kwargs={"store_refs": store_refs},
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
     )
 
 
-def _build_pipeline(chunks, store_refs, cfg, dedup: bool) -> "ray.data.Dataset":
-    sched_ds = _schedule_phase(chunks, store_refs, cfg)
-    if sched_ds.count() == 0:  # materialized upstream — a metadata check
-        from distributed_web_crawling_system_ray.schema import PAYLOAD
-
-        return ray.data.from_arrow(PAYLOAD.empty_table())
-    return _fetch_decode_phase(sched_ds, store_refs, cfg, dedup)
+def _cluster_pass(
+    fr: "ray.data.Dataset", repeat: int, store_refs, cfg, out_dir: str
+) -> None:
+    """The cluster-scale pass over the R copies of the (url, host) rows of
+    ``fr``, writing its payload to ``out_dir``."""
+    sched_ds = _schedule_phase_distributed(fr, repeat, store_refs, cfg)
+    if sched_ds.count():  # materialized upstream — a metadata check
+        storage.write_payload(_fetch_decode_phase(sched_ds, store_refs, cfg), out_dir)
 
 
 def bulk_fetch_decode(
@@ -292,60 +301,48 @@ def bulk_fetch_decode(
     excludes input loading, store broadcast and the warmup pass)."""
     cfg = cfg or CrawlConfig()
     if out_dir is None:
-        import tempfile
-
         out_dir = tempfile.mkdtemp(prefix="graft_bulk_")
+    os.makedirs(out_dir, exist_ok=True)
     # ---- setup (untimed): load input, broadcast the store once ----
     pages_path = os.path.join(fixture_dir, "web_pages.parquet")
     n_pages = pq.read_metadata(pages_path).num_rows
-    # scale-adaptive source (r3 verdict item 5): under the limit the URL
-    # set is chunked driver-side (no shuffle at all); above it the set
-    # cannot be driver-held and the schedule is a Dataset groupby('host')
-    small = n_pages <= cfg.driver_partition_limit
-    pages_full = pq.read_table(pages_path)  # read once; chunk table selects
-    pages = pages_full.select(["url", "host"]) if small else None
+    small = n_pages * repeat <= cfg.driver_partition_limit
+    pages = pq.read_table(pages_path)
+    robots = pq.read_table(os.path.join(fixture_dir, "robots.parquet"))
     store_refs = (
-        ray.put(pages_full),
-        ray.put(pq.read_table(os.path.join(fixture_dir, "robots.parquet"))),
+        ray.put(pages),
+        ray.put(robots),
         ray.put(pq.read_table(os.path.join(fixture_dir, "images.parquet"))),
     )
-    del pages_full
-    dedup = repeat == 1
-    if warmup:  # spin up the worker pool + per-worker store handles
-        wpages = (
-            pages
-            if pages is not None
-            else pa.Table.from_batches(
-                [next(pq.ParquetFile(pages_path).iter_batches(batch_size=2048))]
-            )
-        )
-        wchunks = _frontier_chunks(wpages.slice(0, min(2048, wpages.num_rows)), 1, 32)
-        _build_pipeline(wchunks, store_refs, cfg, dedup=False).count()
+    policies = RobotsPolicies.from_table(robots)
+    pages = pages.select(["url", "host"])
+    if warmup:  # spin up the worker pool, its store handles and, above
+        # the limit, the Ray Data executor the timed pass uses
+        wdir = tempfile.mkdtemp(prefix="graft_bulk_warmup_")
+        if small:
+            _driver_pass(pages.slice(0, 2048), 1, store_refs, policies, cfg, wdir)
+        else:
+            fr = ray.data.from_arrow(pages.slice(0, 2048))
+            _cluster_pass(fr, 1, store_refs, cfg, wdir)
+        shutil.rmtree(wdir)
 
-    # ---- timed window: one streaming pipeline over R copies ----
+    # ---- timed window: the pass over R copies ----
     t0 = time.time()
     if small:
-        chunks = _frontier_chunks(pages, repeat, n_chunks=256)
-        payload = _build_pipeline(chunks, store_refs, cfg, dedup)
+        n_images = _driver_pass(pages, repeat, store_refs, policies, cfg, out_dir)
     else:
-        sched_ds = _schedule_phase_distributed(pages_path, repeat, store_refs, cfg)
-        if sched_ds.count() == 0:  # materialized upstream — metadata check
-            from distributed_web_crawling_system_ray.schema import PAYLOAD
-
-            payload = ray.data.from_arrow(PAYLOAD.empty_table())
-        else:
-            payload = _fetch_decode_phase(sched_ds, store_refs, cfg, dedup)
-    from distributed_web_crawling_system_ray.sources.storage import write_payload
-
-    write_payload(payload, out_dir)
+        del pages  # the cluster pass holds no URL row on the driver
+        fr = ray.data.read_parquet(pages_path, columns=["url", "host"])
+        _cluster_pass(fr, repeat, store_refs, cfg, out_dir)
     wall = time.time() - t0
+    if not small:
+        n_images = sum(
+            pq.read_metadata(os.path.join(out_dir, f)).num_rows
+            for f in os.listdir(out_dir)
+            if f.endswith(".parquet")
+        )
 
     n_urls = n_pages * repeat
-    n_images = sum(
-        pq.read_metadata(os.path.join(out_dir, f)).num_rows
-        for f in os.listdir(out_dir)
-        if f.endswith(".parquet")
-    )
     return {
         "wall_s": round(wall, 3),
         "repeat": repeat,

@@ -118,8 +118,9 @@ def _call(fn, *args):
 
 def _tasks(fn, args: list[tuple]) -> list:
     """``fn(*a)`` for each ``a`` in ``args``, one Ray task each, in order.
-    ``fn`` is put once: a ``run_crawl`` closure is pickled by value then,
-    with the round's seen refs and this module's current bindings."""
+    ``fn`` is put once: a closure (``run_crawl``'s round bodies, bulk.py's
+    E1 and E2) is pickled by value then, with the refs it captures and its
+    module's current bindings."""
     ref = ray.put(fn)
     return ray.get([_call.remote(ref, *a) for a in args])
 

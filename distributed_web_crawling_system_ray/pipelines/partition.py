@@ -1,43 +1,13 @@
-"""Driver-side host partitioning and the dedup exchange's hash partition.
-
-The sustained bulk pass (``pipelines/bulk.py``) cuts its host-sorted URL set
-at host boundaries: the invariant *every host lands wholly in one chunk*
-lets the politeness scheduler run as a plain ``map_batches`` over
-pre-partitioned blocks instead of a ``groupby(host)`` sort-shuffle
-(measured ~10 s at bench scale).  Boundary detection is vectorized
-(pyarrow compare + ``np.searchsorted``).  The crawl's driver-sized rounds
-schedule the whole host-sorted frontier in one call on the driver.
+"""The dedup exchange's hash partition, shared by the crawl's cluster
+rounds and the cluster-scale bulk pass.  Driver-sized crawl rounds and
+bulk passes schedule their host-sorted rows in one call on the driver and
+need no partitioning.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
-
-
-def host_chunk_bounds(host_col: pa.ChunkedArray | pa.Array, target_rows: int) -> list[int]:
-    """Chunk boundary offsets for a host-sorted column: the first host-change
-    at-or-after each ``target_rows`` stride.  Returns ``[0, ..., n]``."""
-    n = len(host_col)
-    if n == 0:
-        return [0]
-    if isinstance(host_col, pa.ChunkedArray):
-        host_col = host_col.combine_chunks()
-    # positions where a new host starts (vectorized string compare)
-    neq = pc.not_equal(host_col.slice(1), host_col.slice(0, n - 1))
-    changes = np.flatnonzero(neq.to_numpy(zero_copy_only=False)) + 1
-    bounds = [0]
-    i = target_rows
-    while i < n:
-        k = np.searchsorted(changes, i)
-        if k == len(changes):
-            break
-        j = int(changes[k])
-        bounds.append(j)
-        i = j + target_rows
-    bounds.append(n)
-    return bounds
 
 
 def add_hash_partition(

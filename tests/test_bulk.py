@@ -101,42 +101,82 @@ def test_bulk_distributed_source_matches_driver_path(bulk_t1, tmp_path_factory):
     assert stats["urls"] == stats_driver["urls"]
 
 
-def test_bulk_distributed_schedule_is_host_spaced(bulk_t1):
-    """Politeness holds on the distributed schedule path too: per-host
-    fetch_at spacing >= the host's crawl delay."""
+def test_bulk_paths_agree_at_repeat_2(bulk_t1, tmp_path_factory):
+    """With repeat=2 both paths write each expected image exactly twice:
+    the cluster path's batches mix copies, so it too must extract and
+    dedup each copy apart."""
     import collections
 
-    import pyarrow.parquet as pq2
-    import ray
-
-    from distributed_web_crawling_system_ray.pipelines import bulk
+    from distributed_web_crawling_system_ray.pipelines.bulk import bulk_fetch_decode
 
     fixture, _, _ = bulk_t1
-    cfg = CrawlConfig(seen_shards=2, driver_partition_limit=0)
-    store_refs = (
-        ray.put(pq2.read_table(os.path.join(fixture, "web_pages.parquet"))),
-        ray.put(pq2.read_table(os.path.join(fixture, "robots.parquet"))),
-        ray.put(pq2.read_table(os.path.join(fixture, "images.parquet"))),
-    )
-    sched_ds = bulk._schedule_phase_distributed(
-        os.path.join(fixture, "web_pages.parquet"), 1, store_refs, cfg
-    )
-    robots = RobotsPolicies.from_table(
-        pq2.read_table(os.path.join(fixture, "robots.parquet"))
-    )
+    want = _expected_image_ids(fixture)
+    for limit in (CrawlConfig().driver_partition_limit, 0):
+        out = str(tmp_path_factory.mktemp(f"bulk_r2_limit{limit}"))
+        stats = bulk_fetch_decode(
+            fixture,
+            CrawlConfig(seen_shards=2, driver_partition_limit=limit),
+            out_dir=out,
+            repeat=2,
+            warmup=False,
+        )
+        ids = collections.Counter(
+            i for t in _payload(out).values() for i in t.column("image_id").to_pylist()
+        )
+        assert set(ids) == want and set(ids.values()) == {2}, limit
+        assert stats["images_written"] == 2 * len(want)
+
+
+def _slots_by_host(tables) -> dict[str, list[int]]:
+    """Sorted ``fetch_at_ms`` slots of every host in the schedule tables."""
+    import collections
+
     per = collections.defaultdict(list)
-    for t in ray.get(sched_ds.to_arrow_refs()):
-        if t.num_rows == 0:
+    for t in tables:
+        if t.num_rows == 0:  # an empty Dataset block has no columns
             continue
         for h, at in zip(
             t.column("host").to_pylist(), t.column("fetch_at_ms").to_pylist()
         ):
             per[h].append(at)
-    assert per  # non-vacuous
-    for h, ts in per.items():
-        ts = sorted(ts)
+    return {h: sorted(ts) for h, ts in per.items()}
+
+
+def _assert_host_spaced(slots: dict[str, list[int]], fixture: str) -> None:
+    robots = RobotsPolicies.from_table(
+        pq.read_table(os.path.join(fixture, "robots.parquet"))
+    )
+    assert slots  # non-vacuous
+    for h, ts in slots.items():
         gaps = [b - a for a, b in zip(ts, ts[1:])]
         assert all(g >= robots.delay_ms(h) for g in gaps), h
+
+
+def _distributed_slots(fixture: str, repeat: int) -> dict[str, list[int]]:
+    import ray
+
+    from distributed_web_crawling_system_ray.pipelines import bulk
+
+    store_refs = tuple(
+        ray.put(pq.read_table(os.path.join(fixture, f"{name}.parquet")))
+        for name in ("web_pages", "robots", "images")
+    )
+    sched_ds = bulk._schedule_phase_distributed(
+        ray.data.read_parquet(
+            os.path.join(fixture, "web_pages.parquet"), columns=["url", "host"]
+        ),
+        repeat,
+        store_refs,
+        CrawlConfig(seen_shards=2, driver_partition_limit=0),
+    )
+    return _slots_by_host(ray.get(sched_ds.to_arrow_refs()))
+
+
+def test_bulk_distributed_schedule_is_host_spaced(bulk_t1):
+    """Politeness holds on the distributed schedule path too: per-host
+    fetch_at spacing >= the host's crawl delay."""
+    fixture, _, _ = bulk_t1
+    _assert_host_spaced(_distributed_slots(fixture, 1), fixture)
 
 
 def test_rank_bytes_arr_matches_int_to_bytes():
@@ -150,47 +190,73 @@ def test_rank_bytes_arr_matches_int_to_bytes():
     assert got == [int(i).to_bytes(RANK_BYTES, "big") for i in idx]
 
 
-def test_bulk_politeness_is_host_spaced(bulk_t1, tmp_path_factory):
-    """Re-run the schedule phase and assert per-host spacing (the bulk
-    scheduler path: host-partitioned chunks, no groupby)."""
-    import collections
-
-    import pyarrow.parquet as pq2
-    import ray
-
+def test_bulk_politeness_is_host_spaced(bulk_t1):
+    """With repeat=2 on both paths, each host's slots are spaced by its
+    crawl delay across the copies too: the driver path schedules every copy
+    in one call (scheduling each copy from clock 0 gave the copies the same
+    slots), and both paths give each host the same slots."""
     from distributed_web_crawling_system_ray.pipelines import bulk
 
     fixture, _, _ = bulk_t1
-    cfg = CrawlConfig(seen_shards=2)
-    pages = pq2.read_table(
+    pages = pq.read_table(
         os.path.join(fixture, "web_pages.parquet"), columns=["url", "host"]
     )
-    store_refs = (
-        ray.put(pq2.read_table(os.path.join(fixture, "web_pages.parquet"))),
-        ray.put(pq2.read_table(os.path.join(fixture, "robots.parquet"))),
-        ray.put(pq2.read_table(os.path.join(fixture, "images.parquet"))),
+    policies = RobotsPolicies.from_table(
+        pq.read_table(os.path.join(fixture, "robots.parquet"))
     )
-    chunks = bulk._frontier_chunks(pages, 1, 16)
-    # every host is wholly inside one chunk
-    seen_hosts: dict[str, int] = {}
-    for ci, c in enumerate(chunks):
-        for h in set(c.column("host").to_pylist()):
-            assert seen_hosts.setdefault(h, ci) == ci
-    sched_ds = bulk._schedule_phase(chunks, store_refs, cfg)
-    sched = ray.get(sched_ds.to_arrow_refs())
-    robots = RobotsPolicies.from_table(
-        pq2.read_table(os.path.join(fixture, "robots.parquet"))
+    driver = _slots_by_host(
+        [bulk._schedule_driver(pages, 2, policies, CrawlConfig(seen_shards=2))]
     )
-    per = collections.defaultdict(list)
-    for t in sched:
-        for h, at in zip(
-            t.column("host").to_pylist(), t.column("fetch_at_ms").to_pylist()
-        ):
-            per[h].append(at)
-    for h, ts in per.items():
-        ts = sorted(ts)
-        gaps = [b - a for a, b in zip(ts, ts[1:])]
-        assert all(g >= robots.delay_ms(h) for g in gaps), h
+    _assert_host_spaced(driver, fixture)
+    assert driver == _distributed_slots(fixture, 2)
+
+
+def _payload(out: str) -> dict:
+    return {
+        f: pq.read_table(os.path.join(out, f))
+        for f in sorted(os.listdir(out))
+        if f.endswith(".parquet")
+    }
+
+
+def test_driver_sized_bulk_runs_no_ray_data_execution(
+    ray_session, executions, tmp_path
+):
+    """A driver-sized pass (warm-up included) starts no Ray Data execution,
+    writes one row per (copy, image) whatever the batch sizes, and two
+    fresh runs write the same part files."""
+    import collections
+
+    from distributed_web_crawling_system_ray.pipelines.bulk import bulk_fetch_decode
+
+    fixture = build_fixture("t1")
+    want = _expected_image_ids(fixture)
+
+    def run(name, repeat, **cfg):
+        out = str(tmp_path / name)
+        stats = bulk_fetch_decode(
+            fixture,
+            CrawlConfig(seen_shards=2, **cfg),
+            out_dir=out,
+            repeat=repeat,
+            warmup=name == "r1",
+        )
+        parts = _payload(out)
+        ids = [i for t in parts.values() for i in t.column("image_id").to_pylist()]
+        assert stats["images_written"] == len(ids)
+        return parts, collections.Counter(ids)
+
+    _, ids = run("r1", 1)
+    assert len(executions) == 0
+    assert set(ids) == want and set(ids.values()) == {1}
+    parts, ids = run("r2", 2)
+    assert set(ids) == want and set(ids.values()) == {2}
+    _, small = run("r2_small_batches", 2, fetch_batch_size=7, decode_batch_size=5)
+    assert small == ids
+    again, _ = run("r2_again", 2)
+    assert list(again) == list(parts)
+    assert all(again[f].equals(parts[f]) for f in parts)
+    assert len(executions) == 0
 
 
 def test_real_time_resume_rebases_per_host(ray_session):
