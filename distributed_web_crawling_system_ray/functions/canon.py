@@ -18,6 +18,7 @@ what the URL-seen shards key on.
 from __future__ import annotations
 
 import hashlib
+import re
 from urllib.parse import urljoin, urlsplit
 
 # schemes that urljoin would happily "resolve" but that can never be crawled;
@@ -71,12 +72,53 @@ def _encode_ws(s: str) -> str:
     return s.translate(_WS_TABLE)
 
 
+# The fast path's character classes: a lowercase LDH host with no port or
+# userinfo, then a path, query and fragment of RFC 3986 characters other
+# than "[]" and ";" (urljoin drops an empty trailing ";params").  urllib
+# changes nothing in such a URL beyond what ``_canonicalize_fast`` does.
+_HOST = r"https?://[a-z0-9.-]*[a-z0-9-]"
+_TAIL = r"[A-Za-z0-9\-._~!$&'()*+,=:@/?#%]*"
+_ABSOLUTE = re.compile(f"({_HOST})((?:[/?#]{_TAIL})?)")
+_ROOT_RELATIVE = re.compile(f"/(?!/){_TAIL}")
+_ORIGIN = re.compile(f"{_HOST}(?=[/?#]|\\Z)")
+
+
+def _canonicalize_fast(url: str, base: str | None) -> str | None:
+    """``canonicalize`` by string operations for an href that is canonical
+    up to its fragment: an absolute ``http(s)://`` URL of the classes above
+    whose path has no dot segment, or a root-relative one (``/...``), where
+    the base, if any, starts with such an origin.  None for every other
+    href, which ``canonicalize`` then sends through urllib."""
+    b = None if base is None else _ORIGIN.match(base)
+    if base is not None and b is None:
+        return None  # urljoin parses any base, and may raise on it
+    m = _ABSOLUTE.fullmatch(url)
+    if m is not None:
+        origin, rest = m.groups()
+    elif b is not None and _ROOT_RELATIVE.fullmatch(url):
+        origin, rest = b.group(), url
+    else:
+        return None
+    path, _, query = rest.split("#", 1)[0].partition("?")
+    if "/." in path:
+        return None
+    return f"{origin}{path or '/'}{'?' + query if query else ''}"
+
+
 def canonicalize(url: str, base: str | None = None) -> str | None:
     """Canonical form of ``url`` (resolved against ``base`` if relative).
 
     Returns None for non-http(s) / unparseable URLs — the reference drops
-    those silently at extraction (crawler/crawler_node.py:313-315).
+    those silently at extraction (crawler/crawler_node.py:313-315).  Most
+    hrefs of a crawl are canonical already, up to their fragment; those
+    skip urllib (``_canonicalize_fast``), with the same result.
     """
+    fast = _canonicalize_fast(url, base)
+    return fast if fast is not None else _canonicalize_urllib(url, base)
+
+
+def _canonicalize_urllib(url: str, base: str | None) -> str | None:
+    """``canonicalize`` through ``urljoin`` + ``urlsplit``: every input."""
     u = url.strip()
     if not u:
         return None

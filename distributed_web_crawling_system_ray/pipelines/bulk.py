@@ -47,7 +47,7 @@ from distributed_web_crawling_system_ray.oracle import RANK_BYTES
 from distributed_web_crawling_system_ray.pipelines.crawl import _tasks
 from distributed_web_crawling_system_ray.pipelines.partition import add_hash_partition
 from distributed_web_crawling_system_ray.sources import storage
-from distributed_web_crawling_system_ray.stages.cache import get_policies
+from distributed_web_crawling_system_ray.stages.cache import get_policies, web_refs
 from distributed_web_crawling_system_ray.stages.fetch import (
     decode_images,
     extract_image_candidates,
@@ -303,17 +303,13 @@ def bulk_fetch_decode(
     if out_dir is None:
         out_dir = tempfile.mkdtemp(prefix="graft_bulk_")
     os.makedirs(out_dir, exist_ok=True)
-    # ---- setup (untimed): load input, broadcast the store once ----
+    # ---- setup (untimed): load input, broadcast the store once per
+    # process and fixture (web_refs) ----
     pages_path = os.path.join(fixture_dir, "web_pages.parquet")
     n_pages = pq.read_metadata(pages_path).num_rows
     small = n_pages * repeat <= cfg.driver_partition_limit
-    pages = pq.read_table(pages_path)
-    robots = pq.read_table(os.path.join(fixture_dir, "robots.parquet"))
-    store_refs = (
-        ray.put(pages),
-        ray.put(robots),
-        ray.put(pq.read_table(os.path.join(fixture_dir, "images.parquet"))),
-    )
+    store_refs = web_refs(fixture_dir)
+    pages, robots = ray.get(list(store_refs[:2]))
     policies = RobotsPolicies.from_table(robots)
     pages = pages.select(["url", "host"])
     if warmup:  # spin up the worker pool, its store handles and, above

@@ -26,6 +26,21 @@ file, and is skipped when there are none.  Above the limit the same fused
 stage runs behind a groupby(host) shuffle and the dedups are
 groupby(url_hash % P) shuffles, so no per-row table reaches the driver.
 
+Driver-sized rounds run two deep, with no barrier at the payload:
+
+    driver:  schedule k, submit E1(k) + E2(k-1), commit k-2 | gather E1(k),
+             dedup + admit k | schedule k+1, submit E1(k+1) + E2(k), ...
+    worker:  E1(k) | E2(k-1) | E1(k+1) | E2(k) | ...
+
+Round k's E2 is submitted behind round k+1's E1, so one worker runs E2(k)
+while the driver admits round k+1; ``commit_round(k)`` runs in round k+2,
+after E2(k) returns, and writes the seen-set views, clocks and metrics held
+from the end of round k (``_PendingRound``).  At most two rounds are
+uncommitted, commits go in round order, and every pending round commits
+before a cluster-scale round and before ``run_crawl`` returns.  Fetch order
+is fixed inside E1 and images are admitted before E2 runs, so the FIFO
+order, the seen sets and the payload do not depend on when E2 runs.
+
 The feedback loop (extracted URLs re-entering the queue,
 ``master/master_node.py:167-173``) lives in this driver loop; each round is
 acyclic.  Termination = empty frontier (v1 semantics:
@@ -47,10 +62,13 @@ above ``driver_partition_limit``):
   per-host summary — counts + max slot — ever reaches the driver).  Below
   the limit the driver holds the round's schedule rows and its new link
   and image candidates (at most the frontier times its fan-out).
-- *admission happens after the dependent sink completes*: a Ray lineage
-  reconstruction of a lost block re-runs the PURE ``contains()`` anti-join;
-  admitting before the frontier/payload write would make that retry observe
-  its own round's keys and silently drop rows.
+- *admission happens after every task that reads the seen sets*: a retried
+  task or a Ray lineage reconstruction of a lost block re-runs the PURE
+  ``contains()`` anti-join, and must not observe its own round's keys or it
+  silently drops rows.  A driver-sized round admits once its E1 is
+  gathered, before its E2, which reads neither set; a cluster round admits
+  after each branch's sink returns, since the sink re-reads the fused
+  stage's blocks.
 - per-round fetch results are materialized (URL/metadata-sized — the image
   payload stream is NOT materialized, it flows straight to the partitioned
   parquet/Lance sink); the dedup shuffle is an explicit hash partition
@@ -95,7 +113,7 @@ from distributed_web_crawling_system_ray.stages.fetch import (
 )
 from distributed_web_crawling_system_ray.pipelines.partition import add_hash_partition
 from distributed_web_crawling_system_ray.sources import storage
-from distributed_web_crawling_system_ray.stages.cache import get_policies
+from distributed_web_crawling_system_ray.stages.cache import get_policies, web_refs
 from distributed_web_crawling_system_ray.state.scheduler import (
     ALLOWED,
     DEFERRED,
@@ -116,13 +134,18 @@ def _call(fn, *args):
     return fn(*args)
 
 
-def _tasks(fn, args: list[tuple]) -> list:
-    """``fn(*a)`` for each ``a`` in ``args``, one Ray task each, in order.
-    ``fn`` is put once: a closure (``run_crawl``'s round bodies, bulk.py's
-    E1 and E2) is pickled by value then, with the refs it captures and its
-    module's current bindings."""
+def _submit(fn, args: list[tuple]) -> list:
+    """Submit ``fn(*a)`` for each ``a`` in ``args``, one Ray task each, in
+    order; returns their refs.  ``fn`` is put once: a closure
+    (``run_crawl``'s round bodies, bulk.py's E1 and E2) is pickled by value
+    then, with the refs it captures and its module's current bindings."""
     ref = ray.put(fn)
-    return ray.get([_call.remote(ref, *a) for a in args])
+    return [_call.remote(ref, *a) for a in args]
+
+
+def _tasks(fn, args: list[tuple]) -> list:
+    """The values of ``_submit(fn, args)``, in order."""
+    return ray.get(_submit(fn, args))
 
 
 def _run_guarded(fn, out: dict) -> None:
@@ -364,6 +387,39 @@ class CrawlResult:
         return pa.concat_tables(tables) if tables else None
 
 
+@dataclass
+class _PendingRound:
+    """A driver-sized round between its admission and its commit.  It holds
+    E2's input until E2 is submitted, then E2's refs, and the
+    ``commit_round`` arguments as of the end of the round: ``SeenPool.frozen``
+    views of both seen sets, a copy of the clocks and its metrics, whose
+    ``images_written`` is E2's row count."""
+
+    rnd: int
+    images: pa.Table | None
+    payload_dir: str
+    commit: dict
+    e2: list | None = None
+
+    def submit(self, decode_write, step: int) -> None:
+        """Submit E2: one ``decode_write`` task per decode batch (none when
+        the round admitted no image)."""
+        if self.e2 is None:
+            self.e2 = _submit(
+                decode_write,
+                [
+                    (self.images.slice(o, step), self.payload_dir, i)
+                    for i, o in enumerate(range(0, self.images.num_rows, step))
+                ],
+            )
+            self.images = None
+
+    def finish(self, work_dir: str) -> None:
+        """Wait for E2, then commit the round."""
+        self.commit["metrics"]["images_written"] = int(sum(ray.get(self.e2)))
+        commit_round(work_dir, self.rnd, **self.commit)
+
+
 def seed_frontier(fixture_dir: str, seen: SeenPool) -> pa.Table:
     """Round-0 frontier from the seeds table: canonicalize, first-seen dedup
     (duplicates and fragment variants collapse), rank = seed_rank bytes.
@@ -475,7 +531,29 @@ def run_crawl(
         metrics.json, _SUCCESS
       work_dir/payload/round=K/*.parquet
     """
-    cfg = cfg or CrawlConfig()
+    pending: list[_PendingRound] = []
+    try:
+        return _crawl(fixture_dir, cfg or CrawlConfig(), work_dir, resume, pending)
+    except BaseException:
+        # let every submitted E2 task end before the error leaves, so none
+        # writes a payload part after a resume has wiped its round
+        refs = [r for p in pending for r in p.e2 or []]
+        if refs:
+            ray.wait(refs, num_returns=len(refs))
+        raise
+
+
+def _crawl(
+    fixture_dir: str,
+    cfg: CrawlConfig,
+    work_dir: str | None,
+    resume: bool,
+    pending: list[_PendingRound],
+) -> CrawlResult:
+    """``run_crawl``'s body.  ``pending`` holds the driver-sized rounds not
+    yet committed: round k's E2 and commit wait while round k+1 is
+    scheduled and fetched, at most two rounds are uncommitted, and commits
+    go in round order."""
     if work_dir is None:
         import tempfile
 
@@ -497,24 +575,21 @@ def run_crawl(
     seen = SeenPool.create(cfg.seen_shards)
     image_seen = SeenPool.create(max(2, cfg.seen_shards // 2))
     robots_table = pq.read_table(os.path.join(fixture_dir, "robots.parquet"))
-    robots_ref = ray.put(robots_table)
     from distributed_web_crawling_system_ray.state.robots import RobotsPolicies
 
     driver_policies = RobotsPolicies.from_table(robots_table)
-    # broadcast the synthetic-web store once through the object store: all
-    # workers on a node share ONE zero-copy Arrow buffer (per-worker parquet
-    # parses of the images table cost 35-50 s each under I/O contention).
-    # The http backend needs no table broadcast — each worker holds a
-    # requests.Session (sources/httpstore.py); seeds + robots still come
-    # from fixture_dir.
+    # broadcast the synthetic-web store through the object store, once per
+    # process and fixture (web_refs): all workers on a node share ONE
+    # zero-copy Arrow buffer (per-worker parquet parses of the images table
+    # cost 35-50 s each under I/O contention).  The http backend needs no
+    # table broadcast — each worker holds a requests.Session
+    # (sources/httpstore.py); seeds + robots still come from fixture_dir.
     if cfg.store_backend == "http":
         store_refs = None
+        robots_ref = ray.put(robots_table)
     else:
-        store_refs = (
-            ray.put(pq.read_table(os.path.join(fixture_dir, "web_pages.parquet"))),
-            robots_ref,
-            ray.put(pq.read_table(os.path.join(fixture_dir, "images.parquet"))),
-        )
+        store_refs = web_refs(fixture_dir)
+        robots_ref = store_refs[1]
     store_kwargs = {
         "store_refs": store_refs,
         "store_backend": cfg.store_backend,
@@ -629,6 +704,19 @@ def run_crawl(
             decode_images(images, **store_kwargs), out, part
         )
 
+    def commit_to(n: int) -> None:
+        """Commit the oldest pending rounds until ``n`` are left; a round
+        leaves ``pending`` only once committed, so an error still waits
+        for its E2 (``run_crawl``)."""
+        while len(pending) > n:
+            pending[0].finish(work_dir)
+            del pending[0]
+
+    def drain() -> None:
+        for p in pending:
+            p.submit(decode_write, cfg.decode_batch_size)
+        commit_to(0)
+
     rnd = start_round
     while True:
         rd = round_dir(work_dir, rnd)
@@ -681,8 +769,10 @@ def run_crawl(
         nf_paths: list[str] = []  # ...and/or Dataset-written directories
         nf_path_rows = 0
         if small_round:
-            # E1: one fetch_extract task per fetch batch of schedule rows;
-            # the rows and the round's new candidates come back in one get
+            # E1(k): one fetch_extract task per fetch batch of schedule rows,
+            # submitted ahead of E2(k-1), so a worker runs E1(k) and then
+            # E2(k-1) while the driver commits round k-2 and splits, dedups
+            # and admits round k
             sched_tbl = schedule_hosts_batch(
                 frontier.table().sort_by("host"),
                 robots=driver_policies,
@@ -690,15 +780,17 @@ def run_crawl(
                 per_host_round_budget=cfg.per_host_round_budget,
             )
             step = cfg.fetch_batch_size
-            round_tbl = pa.concat_tables(
-                _tasks(
-                    fetch_extract,
-                    [
-                        (sched_tbl.slice(o, step),)
-                        for o in range(0, sched_tbl.num_rows, step)
-                    ],
-                )
+            e1 = _submit(
+                fetch_extract,
+                [
+                    (sched_tbl.slice(o, step),)
+                    for o in range(0, sched_tbl.num_rows, step)
+                ],
             )
+            for p in pending:
+                p.submit(decode_write, cfg.decode_batch_size)
+            commit_to(1)
+            round_tbl = pa.concat_tables(ray.get(e1))
             pq.write_table(sched_tbl, os.path.join(rd, "schedule.parquet"))
             counts = _apply_summary(
                 [_sched_summary(round_tbl)], clocks, driver_policies
@@ -706,7 +798,9 @@ def run_crawl(
             # one row per url_hash (links: the minimum (depth, rank_path)),
             # then exactly-once first-seen admission: every key passed the
             # exact contains() anti-join and the dedup, and nothing else
-            # mutates the seen sets mid-round, so all of them are new
+            # mutates the seen sets mid-round, so all of them are new.  E2
+            # reads neither set, so admitting before it runs changes
+            # nothing it writes.
             links = dedup_min_rank(_unnest(round_tbl, "links"))
             images = dedup_first_by_hash(_unnest(round_tbl, "images"))
             for pool, t in ((seen, links), (image_seen, images)):
@@ -714,29 +808,20 @@ def run_crawl(
                     t.column("url_hash").to_numpy(zero_copy_only=False)
                 )
             n_links_new = links.num_rows
+            n_images = None  # E2's row count, filled in at the commit
             nf_tables.append(links)
-            # E2: one decode_write task per decode batch (none when the
-            # round admits no new image)
-            step = cfg.decode_batch_size
-            n_images = sum(
-                _tasks(
-                    decode_write,
-                    [
-                        (images.slice(o, step), payload_dir, i)
-                        for i, o in enumerate(range(0, images.num_rows, step))
-                    ],
-                )
-            )
             # deferred rows re-enter the next round (already in the seen set)
             nf_tables.append(
                 sched_tbl.filter(pc.equal(sched_tbl.column("verdict"), DEFERRED))
                 .select(BASE_COLS)
             )
         else:
-            # cluster-scale: the round's rows stay distributed.  The audit
-            # copy of the schedule goes out via a Dataset write; the driver
-            # sees only the per-host summary (counts + max allowed slot) —
-            # O(#hosts), same order as the clocks dict itself.
+            # cluster-scale: every pending round commits first.  The round's
+            # rows stay distributed.  The audit copy of the schedule goes
+            # out via a Dataset write; the driver sees only the per-host
+            # summary (counts + max allowed slot) — O(#hosts), same order
+            # as the clocks dict itself.
+            drain()
             sched_kwargs = {
                 "robots": robots_ref,
                 "clocks": ray.put(clocks),
@@ -846,7 +931,7 @@ def run_crawl(
             "urls_disallowed": counts["n_disallowed"],
             "urls_deferred": counts["n_deferred"],
             "links_new": int(n_links_new),
-            "images_written": int(n_images),
+            "images_written": n_images,
             "wall_s": round(time.time() - t0, 3),
         }
         metrics.append(m)
@@ -873,18 +958,20 @@ def run_crawl(
             next_frontier = FrontierHandle(
                 paths=nf_paths_all, num_rows=nf_path_rows
             )
-        commit_round(
-            work_dir,
-            rnd,
-            new_frontier_files=[
+        commit = {  # the state at the end of this round
+            "new_frontier_files": [
                 os.path.relpath(p, work_dir) for p in nf_paths_all
             ],
-            clocks=clocks,
-            metrics=m,
-            seen=seen,
-            image_seen=image_seen,
-        )
+            "clocks": dict(clocks),
+            "metrics": m,
+            "seen": seen.frozen(),
+            "image_seen": image_seen.frozen(),
+        }
+        if small_round:
+            pending.append(_PendingRound(rnd, images, payload_dir, commit))
+        else:
+            commit_round(work_dir, rnd, **commit)
         frontier = next_frontier
         rnd += 1
-
+    drain()
     return CrawlResult(out_dir=out_dir, work_dir=work_dir, rounds=rnd, metrics=metrics)

@@ -13,9 +13,15 @@ This keeps the reference's "load once per worker" semantics (the per-crawler
 with zero per-round overhead.  Genuinely *mutable* cross-round state (the
 URL-seen sets) is replaced, never mutated, by the driver: each admit
 ``ray.put``s new sorted key arrays (state/seen.py).
+
+The driver keeps one entry of its own here: the refs of the newest
+fixture's web tables (``web_refs``), so the crawls and sustained passes of
+one process broadcast a web once.
 """
 
 from __future__ import annotations
+
+import os
 
 import ray
 
@@ -33,6 +39,27 @@ def _newest(key: tuple, build):
             del _CACHE[k]
         _CACHE[key] = build()
     return _CACHE[key]
+
+
+def web_refs(fixture_dir: str) -> tuple:
+    """Driver side: refs to the fixture's ``web_pages``, ``robots`` and
+    ``images`` tables, each read and put once per process while its files
+    stay the same (keyed by the Ray node, the fixture's absolute path and
+    each file's size and mtime).  Every crawl and sustained pass over the
+    fixture then shares one copy in the object store, and the workers'
+    cached ``WebStore`` stays valid across them.  Only the newest fixture is
+    held, so a large web is never pinned beside another."""
+    import pyarrow.parquet as pq
+
+    paths = [
+        os.path.join(os.path.abspath(fixture_dir), f"{name}.parquet")
+        for name in ("web_pages", "robots", "images")
+    ]
+    stamp = tuple((p, s.st_size, s.st_mtime_ns) for p in paths for s in [os.stat(p)])
+    return _newest(
+        ("web", ray.get_runtime_context().get_node_id(), stamp),
+        lambda: tuple(ray.put(pq.read_table(p)) for p in paths),
+    )
 
 
 def get_store(fixture_dir: str):

@@ -33,6 +33,7 @@ next to the shard's data; that is not implemented here.
 
 from __future__ import annotations
 
+import copy
 import os
 
 import numpy as np
@@ -95,6 +96,14 @@ class SeenPool:
             run = ray.get(self.refs[s])
             self.refs[s] = ray.put(np.insert(run, np.searchsorted(run, add), add))
         return seen | repeat
+
+    def frozen(self) -> "SeenPool":
+        """A handle on the keys held now.  Admission replaces shard refs in
+        ``self`` only and never changes a shard array, so the view is a
+        snapshot that costs K refs."""
+        view = copy.copy(self)
+        view.refs = list(self.refs)
+        return view
 
     def total(self) -> int:
         return sum(len(run) for run in ray.get(self.refs))

@@ -8,6 +8,8 @@ extended with full RFC-3986 normalization.
 import pytest
 
 from distributed_web_crawling_system_ray.functions.canon import (
+    _canonicalize_fast,
+    _canonicalize_urllib,
     canonicalize,
     host_of,
     md5_hex,
@@ -68,3 +70,43 @@ def test_hash_stability():
     assert url_hash("http://example.com/a") != h1
     # url_hash is the top 8 bytes of the md5 content address (image_id scheme)
     assert md5_hex("http://example.com/")[:16] == format(h1, "016x")
+
+
+def _perfbench_pages(seed: int):
+    """The pages table of perfbench's 2k-page crawl web (``inputs.web``)."""
+    from distributed_web_crawling_system_ray.sources import synthweb
+
+    params = synthweb.WebParams(
+        n_pages=2000, seed=seed, include_pixel_oracle=False, max_dim=256
+    )
+    return synthweb.generate(params)["web_pages"]
+
+
+@pytest.mark.parametrize("web", ["t1", "t2", 1, 3])
+def test_fast_path_matches_urllib_on_fixture_hrefs(web):
+    """Every outlink and image ref of the test fixtures and of perfbench's
+    seed-1 and seed-3 webs canonicalizes the same through the string fast
+    path as through urllib, against its page's URL and redirect target and
+    without a base, and most of them take the fast path."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from distributed_web_crawling_system_ray.sources.synthweb import build_fixture
+
+    if isinstance(web, str):
+        pages = pq.read_table(os.path.join(build_fixture(web), "web_pages.parquet"))
+    else:
+        pages = _perfbench_pages(web)
+    n = fast = 0
+    for page in pages.select(
+        ["url", "redirect_to", "outlinks", "image_refs"]
+    ).to_pylist():
+        for href in page["outlinks"] + page["image_refs"]:
+            for base in (page["url"], page["redirect_to"], None):
+                got = _canonicalize_fast(href, base)
+                n += 1
+                if got is not None:
+                    fast += 1
+                    assert got == _canonicalize_urllib(href, base), (href, base)
+    assert fast > 0.5 * n, (fast, n)

@@ -4,7 +4,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distributed_web_crawling_system_ray.functions.canon import canonicalize, url_hash
+from distributed_web_crawling_system_ray.functions.canon import (
+    _canonicalize_fast,
+    _canonicalize_urllib,
+    canonicalize,
+    url_hash,
+)
 from distributed_web_crawling_system_ray.functions.codec import (
     decode_image,
     encode_lossy,
@@ -48,6 +53,40 @@ def test_canonicalize_relative_resolution_total(base_path, href):
     c = canonicalize(href, base=base)
     if c is not None:
         assert canonicalize(c) == c
+
+
+# hrefs near the fast path's edge: its own classes mixed with what it must
+# refuse (";", "\\", whitespace, non-ASCII, uppercase, ports, userinfo,
+# dot segments, trailing-dot and empty hosts)
+href_part = st.lists(
+    st.sampled_from(list("a0.-~!'=:@/?#%Z;\\ é") + ["..", "/.", "/..", "//"]),
+    max_size=8,
+).map("".join)
+href_origin = st.tuples(
+    st.sampled_from(["http://", "https://", "HTTP://", "http:"]),
+    st.sampled_from(
+        ["a.com", "h1.example-3.test", "x", "a..b", ".a", "a.", "-", "A.com",
+         "a_b.c", "a.com:80", "a.com:8080", "u@a.com", "[::1]", ""]
+    ),
+).map("".join)
+href = st.one_of(
+    st.tuples(href_origin, href_part).map("".join),
+    href_part.map(lambda t: "/" + t),
+    href_part,
+)
+
+
+@given(href, st.one_of(st.none(), st.tuples(href_origin, href_part).map("".join)))
+@settings(max_examples=3000, deadline=None)
+# urljoin drops an empty trailing ";params", and parses (and may reject) a
+# base even for an absolute href
+@example("/a;", "http://a.com/")
+@example("http://a.com/a", "http://[a.com/")
+def test_canonicalize_fast_path_matches_urllib(url, base):
+    """Where the string fast path answers, urllib gives the same answer."""
+    fast = _canonicalize_fast(url, base)
+    if fast is not None:
+        assert fast == _canonicalize_urllib(url, base)
 
 
 seen_key = st.one_of(

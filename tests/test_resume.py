@@ -202,3 +202,128 @@ def test_resume_after_corrupted_last_round(ray_session, tmp_path_factory):
     payload = result.payload_dataset().to_pandas()
     assert payload["image_id"].is_unique
     assert set(payload["image_id"]) == set(oracle.images.keys())
+
+
+def _committed_rounds(work: str) -> list[int]:
+    """The rounds with a ``_SUCCESS`` marker, in order."""
+    import os
+
+    ckpt = os.path.join(work, "checkpoint")
+    return sorted(
+        int(d.split("=")[1])
+        for d in os.listdir(ckpt)
+        if os.path.exists(os.path.join(ckpt, d, "_SUCCESS"))
+    )
+
+
+def _assert_metrics_match_payload(work: str) -> None:
+    """Each committed round's ``metrics.json`` ``images_written`` equals the
+    rows in its payload partition."""
+    import json
+    import os
+
+    import pyarrow.parquet as pq
+
+    from distributed_web_crawling_system_ray.pipelines.checkpoint import round_dir
+
+    rounds = _committed_rounds(work)
+    assert rounds
+    for k in rounds:
+        with open(os.path.join(round_dir(work, k), "metrics.json")) as f:
+            written = json.load(f)["images_written"]
+        part = os.path.join(work, "payload", f"round={k}")
+        rows = sum(
+            pq.read_metadata(os.path.join(part, f)).num_rows
+            for f in os.listdir(part)
+            if f.endswith(".parquet")
+        )
+        assert written == rows, (k, written, rows)
+
+
+@pytest.mark.parametrize("fault", ["decode_write", "commit_round"])
+def test_resume_after_fault_behind_the_next_round(
+    ray_session, tmp_path, monkeypatch, fault
+):
+    """A driver-sized round's E2 (decode -> write) and commit run behind the
+    next round's fetch -> extract.  A fault in round K's E2 task, or in its
+    commit, surfaces after round K+1's E1 has been gathered and admitted;
+    resume must restart from round K-1's commit, so that commit's seen sets
+    must hold round K-1's keys only, and end with the oracle's seen set,
+    FIFO order and payload, with no duplicate image_id."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from distributed_web_crawling_system_ray.functions.canon import md5_hex
+    from distributed_web_crawling_system_ray.pipelines import crawl
+    from distributed_web_crawling_system_ray.pipelines.checkpoint import round_dir
+
+    fixture = build_fixture("t1")
+    cfg = CrawlConfig(seen_shards=2)
+    K = 1
+    clean = crawl.run_crawl(fixture, cfg, work_dir=str(tmp_path / "clean"))
+    assert clean.rounds >= K + 3
+    doomed = set(
+        pq.read_table(os.path.join(clean.out_dir, f"round={K}"))
+        .column("image_id")
+        .to_pylist()
+    )
+    assert doomed  # round K writes images, so its E2 runs
+
+    if fault == "decode_write":
+        decode = crawl.decode_images
+
+        def failing_decode(images, **kwargs):
+            canons = images.column("canon").to_pylist()
+            if any(md5_hex(c) in doomed for c in canons):
+                raise RuntimeError("injected E2 fault")
+            return decode(images, **kwargs)
+
+        monkeypatch.setattr(crawl, "decode_images", failing_decode)
+    else:
+        commit = crawl.commit_round
+
+        def failing_commit(work_dir, k, **kwargs):
+            if k == K:
+                raise RuntimeError("injected commit fault")
+            return commit(work_dir, k, **kwargs)
+
+        monkeypatch.setattr(crawl, "commit_round", failing_commit)
+
+    work = str(tmp_path / "work")
+    with pytest.raises(Exception, match="injected"):
+        crawl.run_crawl(fixture, cfg, work_dir=work)
+    monkeypatch.undo()
+    # the fault hit after round K+1 was gathered and admitted (its next
+    # frontier is on disk), with rounds K and K+1 uncommitted
+    assert _committed_rounds(work) == list(range(K))
+    assert os.path.exists(
+        os.path.join(round_dir(work, K + 1), "new_frontier.parquet")
+    )
+
+    result = crawl.run_crawl(fixture, cfg, work_dir=work, resume=True)
+    oracle = crawl_oracle(WebStore(fixture))
+    hist = result.frontier_history()
+    got = dict(
+        zip(
+            hist.column("canon").to_pylist(),
+            zip(hist.column("depth").to_pylist(), hist.column("rank_path").to_pylist()),
+        )
+    )
+    assert got == oracle.seen
+    sched = result.schedule_history()
+    allowed = sched.filter(pc.equal(sched.column("verdict"), 0))
+    rows = sorted(
+        zip(
+            allowed.column("depth").to_pylist(),
+            allowed.column("rank_path").to_pylist(),
+            allowed.column("canon").to_pylist(),
+        )
+    )
+    assert [c for _, _, c in rows] == [o["canon_url"] for o in oracle.order]
+    payload = result.payload_dataset().to_pandas()
+    assert payload["image_id"].is_unique
+    assert set(payload["image_id"]) == set(oracle.images.keys())
+    assert _committed_rounds(work) == list(range(result.rounds))
+    _assert_metrics_match_payload(work)
