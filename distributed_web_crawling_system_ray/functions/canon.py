@@ -125,14 +125,16 @@ def _canonicalize_urllib(url: str, base: str | None) -> str | None:
     low = u[:11].lower()
     if low.startswith(_NON_HTTP_PREFIXES):
         return None
-    if base is not None:
-        u = urljoin(base, u)
-    # strip again after fragment removal: "path #frag" would otherwise keep
-    # a trailing space and break idempotence (found by hypothesis)
-    u = u.split("#", 1)[0].strip()
-    if not u:
-        return None
     try:
+        # urljoin parses the href too: a malformed one ("http://[a/") raises
+        # here as it would in urlsplit without a base
+        if base is not None:
+            u = urljoin(base, u)
+        # strip again after fragment removal: "path #frag" would otherwise
+        # keep a trailing space and break idempotence (found by hypothesis)
+        u = u.split("#", 1)[0].strip()
+        if not u:
+            return None
         p = urlsplit(u)
         port = p.port  # may raise ValueError on a bad port
     except ValueError:

@@ -42,6 +42,13 @@ Scale shape:
   folded with numpy over Σ df(term) rows, the classic query-cost bound of
   an inverted index.  Only a topk / AND / term_df whose files exceed that
   limit becomes a Dataset.
+- reader lifecycle: every table ``update()``/``compact()`` writes on the
+  driver (postings and docs parts, vocab, supersede list) enters the LRU
+  under its path as written, and the first query through it decodes it
+  into the reader a parquet read would build, positions included.  So the
+  handle that wrote an index answers from memory; a part written by a Ray
+  task, and any file of a freshly opened handle, is read from parquet on
+  first use.  ``compact()`` drops the readers of the generations it folds.
 - overlap detection on update is a hash-partitioned intersection above
   ``driver_id_limit`` (a Dataset groupby path, pytest-forced at limit=0);
   driver-side ``np.isin`` below it.
@@ -196,10 +203,15 @@ def _term_part(term: str, n_parts: int) -> int:
     ) % n_parts
 
 
-def _atomic_write_table(tbl: pa.Table, path: str) -> None:
+def _atomic_write_table(tbl: pa.Table, path: str, keep=None) -> None:
+    """Write ``tbl`` to ``path`` by atomic replace, then hand both to
+    ``keep(path, tbl)`` when given (a driver-side handle keeps the table as
+    that file's reader)."""
     tmp = path + ".tmp"
     pq.write_table(tbl, tmp)
     os.replace(tmp, path)
+    if keep is not None:
+        keep(path, tbl)
 
 
 # A submission of at most this many docs is indexed on the driver by
@@ -227,7 +239,9 @@ def _part_path(gen_dir: str, kind: str, p: int) -> str:
     return os.path.join(gen_dir, kind, f"{prefix}_{p:05d}.parquet")
 
 
-def _write_part(t: pa.Table, gen_dir: str, kind: str, p: int, gen: int) -> pa.Table:
+def _write_part(
+    t: pa.Table, gen_dir: str, kind: str, p: int, gen: int, keep=None
+) -> pa.Table:
     """Write partition ``p`` of ``kind`` ("postings" or "docs") of
     generation ``gen`` in ``_SORT_KEYS`` order, by atomic replace (a retried
     task rewrites the identical file); an empty partition writes no file.
@@ -236,19 +250,20 @@ def _write_part(t: pa.Table, gen_dir: str, kind: str, p: int, gen: int) -> pa.Ta
         "gen", pa.array(np.full(t.num_rows, gen, np.int32))
     )
     if t.num_rows:
-        _atomic_write_table(t, _part_path(gen_dir, kind, p))
+        _atomic_write_table(t, _part_path(gen_dir, kind, p), keep)
     if kind == "postings":
         return pa.table({"term": pc.unique(t.column("term"))})
     return t.select(["doc_id", "dl"])
 
 
-def _write_vocab(terms: list[pa.Table], gen_dir: str) -> None:
+def _write_vocab(terms: list[pa.Table], gen_dir: str, keep) -> None:
     """The generation's one vocabulary file: its sorted distinct terms, the
     wildcard-expansion domain (vocab-sized, never index-sized)."""
     col = pa.chunked_array([t.column("term") for t in terms], pa.string())
     _atomic_write_table(
         pa.table({"term": pc.unique(col)}).sort_by("term"),
         os.path.join(gen_dir, "vocab.parquet"),
+        keep,
     )
 
 
@@ -384,30 +399,55 @@ def _footer_rows(files: list[str], readers: dict | None = None) -> int:
     )
 
 
-class _PostingsReader:
-    """One committed postings file, decoded once: the non-positional
-    columns as numpy arrays in file order, which is term order, plus the
-    sorted distinct ``terms`` and their run offsets ``starts``.  A query
-    term is then a ``searchsorted`` slice.  The ``pos``/``pos_title``
-    columns load on the first phrase query that needs them.  A committed
-    file never changes, so the reader never goes stale."""
+class _Reader:
+    """One committed file, decoded once: ``cls(path)`` reads its
+    ``COLUMNS`` from parquet, and ``cls.from_table(path, t)`` decodes the
+    table the handle has just written to ``path`` into the same arrays with
+    no read.  A committed file never changes, so a reader never goes
+    stale."""
+
+    COLUMNS: list[str] | None = None
 
     def __init__(self, path: str):
         self.path = path
-        t = pq.read_table(
-            path, columns=["term", "doc_id", "tf", "tf_title", "dl", "gen"]
-        )
+        self._decode(pq.read_table(path, columns=self.COLUMNS))
+
+    @classmethod
+    def from_table(cls, path: str, t: pa.Table) -> "_Reader":
+        r = cls.__new__(cls)
+        r.path = path
+        r._decode(t)
+        return r
+
+
+def _positions(t: pa.Table) -> dict:
+    """The ``pos``/``pos_title`` list columns of a postings table, as one
+    type whether they were read from parquet or just built."""
+    return {
+        c: t.column(c).combine_chunks().cast(pa.list_(pa.int32()))
+        for c in ("pos", "pos_title")
+    }
+
+
+class _PostingsReader(_Reader):
+    """A postings file: the non-positional columns as numpy arrays in file
+    order, which is term order, plus the sorted distinct ``terms`` and their
+    run offsets ``starts``.  A query term is then a ``searchsorted`` slice.
+    Read from parquet, the ``pos``/``pos_title`` columns load on the first
+    phrase query that needs them; a written table holds them already."""
+
+    COLUMNS = ["term", "doc_id", "tf", "tf_title", "dl", "gen"]
+
+    def _decode(self, t: pa.Table) -> None:
         # the file is sorted by term: its dictionary is in sorted order and
         # each term's rows are one run
         enc = pc.dictionary_encode(t.column("term").combine_chunks())
         self.terms = np.asarray(enc.dictionary.to_pylist(), dtype=object)
         runs = np.bincount(enc.indices.to_numpy(), minlength=len(self.terms))
         self.starts = np.r_[0, np.cumsum(runs)]
-        self.cols = {
-            c: t.column(c).to_numpy() for c in ("doc_id", "tf", "tf_title", "dl", "gen")
-        }
+        self.cols = {c: t.column(c).to_numpy() for c in self.COLUMNS[1:]}
         self.rows = t.num_rows
-        self._pos: dict | None = None
+        self._pos = _positions(t) if "pos" in t.column_names else None
 
     def run(self, term: str) -> tuple[int, int]:
         """``[start, end)`` of ``term``'s rows; empty when it is absent."""
@@ -418,22 +458,18 @@ class _PostingsReader:
 
     def positions(self) -> dict:
         if self._pos is None:
-            t = pq.read_table(self.path, columns=["pos", "pos_title"])
-            self._pos = {c: t.column(c).combine_chunks() for c in t.column_names}
+            self._pos = _positions(pq.read_table(self.path, columns=["pos", "pos_title"]))
         return self._pos
 
 
-class _DocsReader:
-    """One committed docs file (sorted by doc_id), decoded once: the
-    stored result fields plus ``gen`` and ``dl``."""
+class _DocsReader(_Reader):
+    """A docs file (sorted by doc_id): the stored result fields plus
+    ``gen`` and ``dl``."""
 
-    def __init__(self, path: str):
-        t = self.table = pq.read_table(
-            path,
-            columns=[
-                "doc_id", "gen", "dl", "title", "domain", "crawl_date", "snippet"
-            ],
-        )
+    COLUMNS = ["doc_id", "gen", "dl", "title", "domain", "crawl_date", "snippet"]
+
+    def _decode(self, t: pa.Table) -> None:
+        self.table = t.select(self.COLUMNS)
         self.ids, self.gen, self.dl = (
             self.table.column(c).to_numpy() for c in ("doc_id", "gen", "dl")
         )
@@ -446,13 +482,21 @@ class _DocsReader:
         return pos[self.ids[pos] == ids]
 
 
-class _VocabReader:
-    """One generation's vocabulary file: its sorted distinct terms."""
+class _ColumnReader(_Reader):
+    """A generation's one-column file as a numpy array ``values``: the
+    sorted terms of ``vocab.parquet`` or the ids of ``superseded.parquet``."""
 
-    def __init__(self, path: str):
-        col = pq.read_table(path, columns=["term"]).column("term")
-        self.terms = np.asarray(col.to_pylist(), dtype=object)
-        self.rows = len(self.terms)
+    def _decode(self, t: pa.Table) -> None:
+        self.values = t.column(0).to_numpy()
+        self.rows = len(self.values)
+
+
+class _Written:
+    """A table the handle has just written, held in its reader LRU under
+    the file's path until a query decodes it with ``from_table``."""
+
+    def __init__(self, table: pa.Table):
+        self.table, self.rows = table, table.num_rows
 
 
 def _read_dataset(files: list[str], columns: list[str], keep) -> "ray.data.Dataset":
@@ -497,11 +541,18 @@ class SearchIndex:
     def __init__(self, index_dir: str, meta: dict):
         self.index_dir = index_dir
         self.meta = meta
-        self._lg_cache: tuple | None = None  # supersede map arrays
-        self._vocab_cache: np.ndarray | None = None  # sorted distinct terms
-        # path -> reader of a committed file, least recently used first
+        self._committed()
+        # path -> reader (or ``_Written`` table) of a file, least recently
+        # used first
         self._readers: OrderedDict = OrderedDict()
         self._held_rows = 0
+
+    def _committed(self) -> None:
+        """Drop what is derived from the committed generation list: the
+        supersede map, the vocabulary and the file listings."""
+        self._lg_cache: tuple | None = None  # supersede map arrays
+        self._vocab_cache: np.ndarray | None = None  # sorted distinct terms
+        self._files: dict[str, dict[int, list[str]]] = {}  # kind -> part -> files
 
     # ------------------------------------------------------------ lifecycle
 
@@ -565,6 +616,7 @@ class SearchIndex:
         a crashed write go first."""
         gd = self._gen_dir(g)
         shutil.rmtree(gd, ignore_errors=True)
+        self._drop_readers([gd])
         for kind in ("postings", "docs"):
             os.makedirs(os.path.join(gd, kind))
         return gd
@@ -604,12 +656,15 @@ class SearchIndex:
             all_ids = docs.column("doc_id").to_numpy()
             docs = _collapse_dups(docs)
             post, rows = _postings(docs, stem, n_parts, n_dparts)
-            terms = [_write_part(t, gd, "postings", p, g) for p, t in _groups(post, "part")]
-            dls = [_write_part(t, gd, "docs", p, g) for p, t in _groups(rows, "dpart")]
+            keep = self._keep
+            terms = [
+                _write_part(t, gd, "postings", p, g, keep) for p, t in _groups(post, "part")
+            ]
+            dls = [_write_part(t, gd, "docs", p, g, keep) for p, t in _groups(rows, "dpart")]
         else:
             all_ids, terms, dls = self._update_dataset(docs, gd, g)
         new_ids = np.unique(all_ids)
-        _write_vocab(terms, gd)
+        _write_vocab(terms, gd, self._keep)
         _atomic_write_table(
             pa.table({"doc_id": pa.array(new_ids, pa.int64())}),
             os.path.join(gd, "doc_ids.parquet"),
@@ -633,6 +688,7 @@ class SearchIndex:
         _atomic_write_table(
             pa.table({"doc_id": pa.array(np.unique(overlap), pa.int64())}),
             os.path.join(gd, "superseded.parquet"),
+            self._keep,
         )
 
         # total_dl delta: + this submission's dl sum, - the superseded docs'
@@ -641,8 +697,7 @@ class SearchIndex:
         old_dl = self._dl_of_ids(np.unique(overlap)) if len(overlap) else 0
 
         # commit: meta lists the generation only after every file is final
-        self._lg_cache = None
-        self._vocab_cache = None
+        self._committed()
         self.meta["generations"].append(
             {"gen": g, "n_docs": int(len(new_ids)), "n_superseded": int(len(overlap))}
         )
@@ -688,20 +743,8 @@ class SearchIndex:
 
     def _dl_of_ids(self, ids: np.ndarray) -> int:
         """Σ dl of the CURRENTLY-LIVE rows for ``ids`` (the rows a pending
-        supersede is about to kill): the docs readers of their doc
-        partitions, max-gen row per id across the COMMITTED generations."""
-        if not len(ids):
-            return 0
-        parts = {int(i) % self.meta["n_dparts"] for i in ids}
-        best: dict[int, tuple[int, int]] = {}  # id -> (gen, dl)
-        for f in self._all_files("docs", parts):
-            r = self._reader(f, _DocsReader)
-            rows = r.find(ids)
-            for d, dl, g in zip(r.ids[rows], r.dl[rows], r.gen[rows]):
-                di = int(d)
-                if di not in best or int(g) > best[di][0]:
-                    best[di] = (int(g), int(dl))
-        return sum(dl for _, dl in best.values())
+        supersede is about to kill) across the COMMITTED generations."""
+        return sum(int(r.dl[rows].sum()) for r, rows in self._latest_rows(ids))
 
     def _collapse_submission_dups(self, docs_mat) -> "ray.data.Dataset":
         """``_collapse_dups`` over a Dataset submission: hash-partitioned by
@@ -797,17 +840,17 @@ class SearchIndex:
         n = {"postings": self.meta["n_parts"], "docs": self.meta["n_dparts"]}
         files = {(k, p): self._all_files(k, {p}) for k in n for p in range(n[k])}
 
-        def merge(kind: str, p: int) -> pa.Table:
+        def merge(kind: str, p: int, keep=None) -> pa.Table:
             t = pa.concat_tables([pq.read_table(f) for f in files[kind, p]])
             t = t.filter(_live_mask(t["doc_id"], t["gen"], last_gen))
-            return _write_part(t.drop_columns(["gen"]), gd, kind, p, new_g)
+            return _write_part(t.drop_columns(["gen"]), gd, kind, p, new_g, keep)
 
         on_driver = sum(e["n_docs"] for e in self.meta["generations"]) <= DRIVER_WRITE_DOCS
         out: dict[str, list[pa.Table]] = {}
         for kind in ("postings", "docs"):
             parts = [p for (k, p), fs in files.items() if k == kind and fs]
             if on_driver or not parts:
-                out[kind] = [merge(kind, p) for p in parts]
+                out[kind] = [merge(kind, p, self._keep) for p in parts]
                 continue
             ds = ray.data.from_items(
                 [{"p": p} for p in parts], override_num_blocks=len(parts)
@@ -819,7 +862,7 @@ class SearchIndex:
                 batch_size=1,
             )
             out[kind] = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
-        _write_vocab(out["postings"], gd)
+        _write_vocab(out["postings"], gd, self._keep)
         all_ids = np.unique(_doc_ids(out["docs"]))
         new_total_dl = _dl_sum(out["docs"])
         _atomic_write_table(
@@ -829,10 +872,10 @@ class SearchIndex:
         _atomic_write_table(
             pa.table({"doc_id": pa.array([], pa.int64())}),
             os.path.join(gd, "superseded.parquet"),
+            self._keep,
         )
         old_dirs = [self._gen_dir(g) for g in gens]
-        self._lg_cache = None
-        self._vocab_cache = None
+        self._committed()
         self._drop_readers(old_dirs)
         self.meta["generations"] = [
             {"gen": new_g, "n_docs": int(len(all_ids)), "n_superseded": 0}
@@ -856,10 +899,9 @@ class SearchIndex:
             ids, gens = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
             for e in self.meta["generations"]:
                 f = os.path.join(self._gen_dir(e["gen"]), "superseded.parquet")
-                if os.path.exists(f):
-                    d = pq.read_table(f).column("doc_id").to_numpy()
-                    ids.append(d)
-                    gens.append(np.full(len(d), e["gen"], dtype=np.int64))
+                d = self._reader(f, _ColumnReader).values
+                ids.append(d)
+                gens.append(np.full(len(d), e["gen"], dtype=np.int64))
             ids, gens = np.concatenate(ids), np.concatenate(gens)
             order = np.lexsort((gens, ids))
             ids, gens = ids[order], gens[order]
@@ -869,17 +911,31 @@ class SearchIndex:
 
     def _reader(self, path: str, kind):
         """The handle's ``kind`` reader of one committed file, decoded on
-        first use and then served from memory.  Least-recently-used readers
-        are evicted so that together they hold at most ``DRIVER_ROW_LIMIT``
-        rows; a file larger than that is read for the caller only."""
+        first use (from the table the handle wrote there, else from parquet)
+        and then served from memory."""
         r = self._readers.pop(path, None)
         if r is None:
             r = kind(path)
             self._held_rows += r.rows
-        self._readers[path] = r
+        elif isinstance(r, _Written):
+            r = kind.from_table(path, r.table)
+        self._hold(path, r)
+        return r
+
+    def _keep(self, path: str, t: pa.Table) -> None:
+        """Hold the table just written to ``path`` as that file's entry, so
+        the handle's next query through it reads no parquet file."""
+        old = self._readers.pop(path, None)
+        self._held_rows += t.num_rows - (old.rows if old is not None else 0)
+        self._hold(path, _Written(t))
+
+    def _hold(self, path: str, entry) -> None:
+        """Make ``entry`` the most recently used; least-recently-used entries
+        are evicted so that together they hold at most ``DRIVER_ROW_LIMIT``
+        rows (an entry larger than that is held for the caller only)."""
+        self._readers[path] = entry
         while self._held_rows > DRIVER_ROW_LIMIT:
             self._held_rows -= self._readers.popitem(last=False)[1].rows
-        return r
 
     def _drop_readers(self, gen_dirs: list[str]) -> None:
         """Forget the readers of files under ``gen_dirs`` (deleted)."""
@@ -888,20 +944,20 @@ class SearchIndex:
             self._held_rows -= self._readers.pop(p).rows
 
     def _all_files(self, kind: str, parts: set[int] | None = None) -> list[str]:
-        """Every generation's committed ``kind`` files ("postings" or
-        "docs"), only those of partitions ``parts`` when given."""
-        files: list[str] = []
-        for e in self.meta["generations"]:
-            gd = self._gen_dir(e["gen"])
-            if parts is None:
-                d = os.path.join(gd, kind)
-                files += [
-                    os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")
-                ]
-            else:
-                paths = (_part_path(gd, kind, p) for p in sorted(parts))
-                files += [f for f in paths if os.path.exists(f)]
-        return files
+        """Every committed generation's ``kind`` files ("postings" or
+        "docs"), only those of partitions ``parts`` when given, by partition
+        and then generation.  Listed once per committed state."""
+        if kind not in self._files:
+            by_part = self._files[kind] = {}
+            for e in self.meta["generations"]:
+                d = os.path.join(self._gen_dir(e["gen"]), kind)
+                for f in sorted(os.listdir(d)):
+                    if f.endswith(".parquet"):  # "[d]part_00012.parquet"
+                        p = int(f[f.index("_") + 1 : -len(".parquet")])
+                        by_part.setdefault(p, []).append(os.path.join(d, f))
+        by_part = self._files[kind]
+        parts = sorted(by_part if parts is None else parts)
+        return [f for p in parts for f in by_part.get(p, ())]
 
     def _vocabulary(self) -> np.ndarray:
         """Sorted distinct indexed terms — the wildcard-expansion domain.
@@ -919,8 +975,8 @@ class SearchIndex:
                     + [
                         self._reader(
                             os.path.join(self._gen_dir(e["gen"]), "vocab.parquet"),
-                            _VocabReader,
-                        ).terms
+                            _ColumnReader,
+                        ).values
                         for e in self.meta["generations"]
                     ]
                 )
@@ -1492,61 +1548,60 @@ class SearchIndex:
             running = np.unique(np.concatenate([running, ids]))[:want]
         return [int(d) for d in running]
 
-    def _stored_fields(self, ids: list[int]) -> dict[int, dict]:
-        """The stored result fields (title/domain/crawl_date/snippet) for
-        the k winners from the docs readers of their doc partitions, latest
-        generation wins — the Whoosh stored=True retrieval
-        (indexer/indexer_node.py:174-181)."""
-        if not ids:
-            return {}
-        n_dparts = self.meta["n_dparts"]
-        parts = {int(d) % n_dparts for d in ids}
-        winners = np.unique(np.asarray(ids, dtype=np.int64))
-        cols = ["doc_id", "title", "domain", "crawl_date", "snippet", "gen"]
-        best: dict[int, tuple[int, dict]] = {}
-        for f in self._all_files("docs", parts):
+    def _latest_rows(self, ids: np.ndarray) -> list[tuple[_DocsReader, np.ndarray]]:
+        """Where each of ``ids``' latest-generation docs row is: the docs
+        readers of their doc partitions that hold one, each with its row
+        numbers.  One ``searchsorted`` per file finds the ids, and one
+        ``lexsort`` of the found rows by (doc_id, gen) keeps each id's last
+        -- the live row, since a re-indexing generation is the later one."""
+        readers, rows = [], []
+        for f in self._all_files("docs", set((ids % self.meta["n_dparts"]).tolist())):
             r = self._reader(f, _DocsReader)
-            # only the winners' rows reach Python objects
-            t = r.table.take(pa.array(r.find(winners)))
-            rows = [t.column(c).to_pylist() for c in cols]
-            for d, title, domain, cdate, snip, g in zip(*rows):
-                if d not in best or g > best[d][0]:
-                    best[d] = (
-                        g,
-                        {
-                            "title": title,
-                            "domain": domain,
-                            "crawl_date": cdate,
-                            "snippet": snip,
-                        },
-                    )
-        return {d: fields for d, (_, fields) in best.items()}
+            found = r.find(ids)
+            if len(found):
+                readers.append(r)
+                rows.append(found)
+        if not readers:
+            return []
+        which = np.repeat(np.arange(len(rows)), [len(x) for x in rows])
+        doc = np.concatenate([r.ids[x] for r, x in zip(readers, rows)])
+        gen = np.concatenate([r.gen[x] for r, x in zip(readers, rows)])
+        order = np.lexsort((gen, doc))
+        last = order[np.append(doc[order][1:] != doc[order][:-1], True)]
+        rows = np.concatenate(rows)
+        return [(readers[i], rows[last[which[last] == i]]) for i in np.unique(which[last])]
 
     def _result_table(self, ranked: list[tuple[int, int]]) -> pa.Table:
         """Ranked ``(doc_id, score)`` pairs as the reference's result dicts
         (indexer/indexer_node.py:174-181) in columns: rank, doc_id, url,
-        title, domain, crawl_date, score, snippet — the stored fields come
-        from a doc-partition-pruned read of the ranked docs only."""
+        title, domain, crawl_date, score, snippet.  The stored fields are
+        the Whoosh stored=True retrieval: one ``take`` of the four stored
+        columns per docs file that holds a winner's latest row."""
         ids = [d for d, _ in ranked]
-        fields = self._stored_fields(ids)
+        stored = ["doc_id", "title", "domain", "crawl_date", "snippet"]
+        takes = [
+            r.table.select(stored).take(pa.array(rows))
+            for r, rows in self._latest_rows(np.asarray(ids, dtype=np.int64))
+        ]
+        got = pa.concat_tables(takes).to_pydict() if takes else {}
+        at = {d: i for i, d in enumerate(got.get("doc_id", []))}
 
-        def fld(d: int, name: str) -> str:
-            return fields.get(d, {}).get(name, "")
+        def fld(name: str) -> list[str]:
+            return [got[name][at[d]] if d in at else "" for d in ids]
 
+        domain = fld("domain")
         return pa.table(
             {
                 "rank": pa.array(np.arange(1, len(ids) + 1), pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "url": pa.array(
-                    [derive_url(d, fld(d, "domain")) for d in ids], pa.string()
+                    [derive_url(d, x) for d, x in zip(ids, domain)], pa.string()
                 ),
-                "title": pa.array([fld(d, "title") for d in ids], pa.string()),
-                "domain": pa.array([fld(d, "domain") for d in ids], pa.string()),
-                "crawl_date": pa.array(
-                    [fld(d, "crawl_date") for d in ids], pa.string()
-                ),
+                "title": pa.array(fld("title"), pa.string()),
+                "domain": pa.array(domain, pa.string()),
+                "crawl_date": pa.array(fld("crawl_date"), pa.string()),
                 "score": pa.array([x for _, x in ranked], pa.int64()),
-                "snippet": pa.array([fld(d, "snippet") for d in ids], pa.string()),
+                "snippet": pa.array(fld("snippet"), pa.string()),
             }
         )
 

@@ -44,6 +44,9 @@ CASES = [
     ("#frag", "http://e.com/a", "http://e.com/a"),
     # trailing space ahead of a fragment must not survive (idempotence)
     ("http://e.com/a #frag", None, "http://e.com/a"),
+    # a malformed IPv6 host is dropped with a base as without one
+    ("http://[a/", None, None),
+    ("http://[a/", "http://a.com/", None),
 ]
 
 
@@ -56,6 +59,32 @@ def test_idempotent():
     for url, base, expected in CASES:
         if expected is not None:
             assert canonicalize(expected) == expected
+
+
+def test_extractors_drop_a_malformed_href():
+    """A page holding an href that urllib cannot parse yields the page's
+    other links and images, not an error."""
+    import pyarrow as pa
+
+    from distributed_web_crawling_system_ray.oracle import RANK_BYTES
+    from distributed_web_crawling_system_ray.stages.fetch import (
+        extract_image_candidates,
+        extract_links,
+    )
+
+    hrefs = ["http://[a/", "/ok.html"]
+    page = pa.table(
+        {
+            "final_url": ["http://a.com/"],
+            "outlinks": [hrefs],
+            "image_refs": [hrefs],
+            "depth": [0],
+            "rank_path": [bytes(RANK_BYTES)],
+        }
+    )
+    assert extract_links(page).column("canon").to_pylist() == ["http://a.com/ok.html"]
+    got = extract_image_candidates(page).column("canon").to_pylist()
+    assert got == ["http://a.com/ok.html"]
 
 
 def test_host_of():

@@ -279,6 +279,72 @@ def test_warm_handle_answers_like_a_fresh_open(
     assert (reloads > 0) if evict else (reloads == 0)
 
 
+def _same_arrays(a, b) -> bool:
+    """Two readers of one file hold equal arrays (positions included)."""
+    if isinstance(a, search_index._DocsReader):
+        return a.table.equals(b.table)
+    pos_a, pos_b = a.positions(), b.positions()
+    return (
+        list(a.terms) == list(b.terms)
+        and np.array_equal(a.starts, b.starts)
+        and all(np.array_equal(a.cols[c], b.cols[c]) for c in a.cols)
+        and all(pos_a[c].equals(pos_b[c]) for c in pos_a)
+    )
+
+
+@pytest.mark.parametrize("driver_write", [True, False])
+def test_writing_handle_answers_without_opening_a_file(
+    ray_session, tmp_path, corpus, monkeypatch, driver_write
+):
+    """After each ``update()`` and ``compact()`` on the driver write path,
+    the handle that wrote the index answers every query form from the
+    tables it wrote: no ``pq.read_table``, footer read or ``ParquetFile``,
+    and every answer equals a freshly opened handle's.  A written table
+    decodes into the arrays a parquet read gives.  With
+    ``DRIVER_WRITE_DOCS = 0`` the parts are written by Ray tasks, the handle
+    reads them from parquet and answers the same."""
+    if not driver_write:
+        monkeypatch.setattr(search_index, "DRIVER_WRITE_DOCS", 0)
+    sub1, sub2, _ = corpus
+    idx = SearchIndex.create(str(tmp_path / "idx_wt"), stem=True)
+    rewrite = {i: " ".join(sub1[i].split()[::-1]) + " join" for i in range(0, 60, 3)}
+    again = {**{i: sub2[i] for i in range(60, 70)}, 91: "customer window"}
+    steps = [
+        lambda: idx.update(_docs_table(sub1)),
+        lambda: idx.update(_docs_table(sub2)),
+        lambda: idx.update(_docs_table(rewrite)),
+        idx.compact,
+        lambda: idx.update(_docs_table(again)),
+        lambda: idx.update(_docs_table(rewrite)),
+        idx.compact,
+    ]
+    opened = []
+    for name in ("read_table", "read_metadata", "ParquetFile"):
+        orig = getattr(pq, name)
+        monkeypatch.setattr(
+            pq, name, lambda *a, _o=orig, **kw: opened.append(a) or _o(*a, **kw)
+        )
+    for i, step in enumerate(steps):
+        step()
+        held = sum(r.rows for r in idx._readers.values())
+        assert held == idx._held_rows <= search_index.DRIVER_ROW_LIMIT, i
+        for path, entry in list(idx._readers.items()):
+            if isinstance(entry, search_index._Written) and "part_" in path:
+                kind = (
+                    search_index._DocsReader
+                    if "dpart_" in path
+                    else search_index._PostingsReader
+                )
+                assert _same_arrays(kind.from_table(path, entry.table), kind(path)), path
+        want = _all_answers(SearchIndex.open(idx.index_dir))
+        opened.clear()
+        got = _all_answers(idx)
+        assert (opened == []) if driver_write else opened, i
+        for a, b in zip(got[:-1], want[:-1]):
+            assert a.equals(b), i
+        assert got[-1] == want[-1], i
+
+
 def test_footer_rows_choose_the_distributed_branch(
     ray_session, tmp_path, corpus, executions, monkeypatch
 ):
