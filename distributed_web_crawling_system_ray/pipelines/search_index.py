@@ -40,15 +40,18 @@ Scale shape:
   has touched (at most ``DRIVER_ROW_LIMIT`` rows in all, LRU), so a warm
   query reads no parquet file: each term is a ``searchsorted`` slice,
   folded with numpy over Σ df(term) rows, the classic query-cost bound of
-  an inverted index.  Only a topk / AND / term_df whose files exceed that
-  limit becomes a Dataset.
+  an inverted index.  The k winners' stored fields are read by row, found
+  in the doc directory (each live doc_id's latest docs file and row).  Only
+  a topk / AND / term_df whose files exceed that limit becomes a Dataset.
 - reader lifecycle: every table ``update()``/``compact()`` writes on the
   driver (postings and docs parts, vocab, supersede list) enters the LRU
   under its path as written, and the first query through it decodes it
   into the reader a parquet read would build, positions included.  So the
-  handle that wrote an index answers from memory; a part written by a Ray
-  task, and any file of a freshly opened handle, is read from parquet on
-  first use.  ``compact()`` drops the readers of the generations it folds.
+  handle that wrote an index (``index_for`` serves it) answers from memory;
+  a part written by a Ray task, and any file of a freshly opened handle,
+  is read from parquet on first use.  ``compact()`` drops the readers of
+  the generations it folds.  The doc directory is built on first use after
+  each commit and names files, not readers, so the LRU bound holds.
 - overlap detection on update is a hash-partitioned intersection above
   ``driver_id_limit`` (a Dataset groupby path, pytest-forced at limit=0);
   driver-side ``np.isin`` below it.
@@ -56,6 +59,7 @@ Scale shape:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -466,7 +470,8 @@ class _DocsReader(_Reader):
     """A docs file (sorted by doc_id): the stored result fields plus
     ``gen`` and ``dl``."""
 
-    COLUMNS = ["doc_id", "gen", "dl", "title", "domain", "crawl_date", "snippet"]
+    STORED = ["title", "domain", "crawl_date", "snippet"]
+    COLUMNS = ["doc_id", "gen", "dl"] + STORED
 
     def _decode(self, t: pa.Table) -> None:
         self.table = t.select(self.COLUMNS)
@@ -475,11 +480,11 @@ class _DocsReader(_Reader):
         )
         self.rows = t.num_rows
 
-    def find(self, ids: np.ndarray) -> np.ndarray:
-        """Row numbers of those of ``ids`` this file holds (a docs file is
-        never empty: only a non-empty doc partition writes one)."""
-        pos = np.minimum(np.searchsorted(self.ids, ids), self.rows - 1)
-        return pos[self.ids[pos] == ids]
+    @functools.cached_property
+    def fields(self) -> dict[str, list]:
+        """The ``STORED`` columns as Python lists, decoded on first use: a
+        query's winners are then read by row number."""
+        return {c: self.table.column(c).to_pylist() for c in self.STORED}
 
 
 class _ColumnReader(_Reader):
@@ -549,10 +554,11 @@ class SearchIndex:
 
     def _committed(self) -> None:
         """Drop what is derived from the committed generation list: the
-        supersede map, the vocabulary and the file listings."""
+        supersede map, vocabulary, file listings and doc directory."""
         self._lg_cache: tuple | None = None  # supersede map arrays
         self._vocab_cache: np.ndarray | None = None  # sorted distinct terms
         self._files: dict[str, dict[int, list[str]]] = {}  # kind -> part -> files
+        self._doc_dir: tuple | None = None  # see _doc_directory
 
     # ------------------------------------------------------------ lifecycle
 
@@ -743,8 +749,9 @@ class SearchIndex:
 
     def _dl_of_ids(self, ids: np.ndarray) -> int:
         """Σ dl of the CURRENTLY-LIVE rows for ``ids`` (the rows a pending
-        supersede is about to kill) across the COMMITTED generations."""
-        return sum(int(r.dl[rows].sum()) for r, rows in self._latest_rows(ids))
+        supersede is about to kill): each is a committed doc_id."""
+        keys, _, _, dl, _ = self._doc_directory()
+        return int(dl[np.searchsorted(keys, ids)].sum())
 
     def _collapse_submission_dups(self, docs_mat) -> "ray.data.Dataset":
         """``_collapse_dups`` over a Dataset submission: hash-partitioned by
@@ -936,6 +943,14 @@ class SearchIndex:
         self._readers[path] = entry
         while self._held_rows > DRIVER_ROW_LIMIT:
             self._held_rows -= self._readers.popitem(last=False)[1].rows
+
+    def _moved(self, index_dir: str) -> None:
+        """Follow a just-built index (the handle holds only ``_Written``
+        tables) to ``index_dir``, where it was renamed: re-key its tables."""
+        n = len(self.index_dir)
+        self._readers = OrderedDict((index_dir + p[n:], r) for p, r in self._readers.items())
+        self.index_dir = index_dir
+        self._committed()
 
     def _drop_readers(self, gen_dirs: list[str]) -> None:
         """Forget the readers of files under ``gen_dirs`` (deleted)."""
@@ -1531,77 +1546,59 @@ class SearchIndex:
 
     # ------------------------------------------------------------- helpers
 
+    def _doc_directory(self) -> tuple:
+        """``(keys, file, row, dl, paths)``: every live doc_id ascending,
+        with the file (index into ``paths``), row and ``dl`` of its latest
+        docs row -- its live row, since nothing deletes a doc.  Built once
+        per committed state: one ``lexsort`` of the docs readers' ids."""
+        if self._doc_dir is None:
+            paths = self._all_files("docs")
+            cols = [np.zeros((5, 0), np.int64)]
+            for i, f in enumerate(paths):
+                r = self._reader(f, _DocsReader)
+                at = [np.full(r.rows, i), np.arange(r.rows)]
+                cols.append(np.stack([r.ids, r.gen, r.dl] + at))
+            ids, gen, dl, file, row = np.concatenate(cols, axis=1)
+            order = np.lexsort((gen, ids))
+            last = order[np.append(ids[order][1:] != ids[order][:-1], True)[: len(ids)]]
+            self._doc_dir = (ids[last], file[last], row[last], dl[last], paths)
+        return self._doc_dir
+
     def _live_doc_ids_ascending(self, exclude: set[int], want: int) -> list[int]:
         """Smallest ``want`` live doc_ids not in ``exclude`` — zero-score
-        tail fill for degenerate queries (matched < k).  Each docs reader is
-        sorted by doc_id, so a file contributes its first ``want`` live ids
-        and the running selection stays O(want)."""
-        last_gen = self._last_gen_map()
+        tail fill for degenerate queries (matched < k): the head of the
+        directory's keys, long enough to hold ``want`` after the exclusions."""
+        head = self._doc_directory()[0][: want + len(exclude)]
         ex = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-        running = np.zeros(0, dtype=np.int64)
-        for f in self._all_files("docs"):
-            r = self._reader(f, _DocsReader)
-            ids = r.ids[_live_mask(r.ids, r.gen, last_gen)]
-            ids = ids[np.isin(ids, ex, invert=True)][:want]
-            # a doc_id can recur across generations (upserts): np.unique
-            # dedups AND sorts, so the head is the smallest `want`
-            running = np.unique(np.concatenate([running, ids]))[:want]
-        return [int(d) for d in running]
-
-    def _latest_rows(self, ids: np.ndarray) -> list[tuple[_DocsReader, np.ndarray]]:
-        """Where each of ``ids``' latest-generation docs row is: the docs
-        readers of their doc partitions that hold one, each with its row
-        numbers.  One ``searchsorted`` per file finds the ids, and one
-        ``lexsort`` of the found rows by (doc_id, gen) keeps each id's last
-        -- the live row, since a re-indexing generation is the later one."""
-        readers, rows = [], []
-        for f in self._all_files("docs", set((ids % self.meta["n_dparts"]).tolist())):
-            r = self._reader(f, _DocsReader)
-            found = r.find(ids)
-            if len(found):
-                readers.append(r)
-                rows.append(found)
-        if not readers:
-            return []
-        which = np.repeat(np.arange(len(rows)), [len(x) for x in rows])
-        doc = np.concatenate([r.ids[x] for r, x in zip(readers, rows)])
-        gen = np.concatenate([r.gen[x] for r, x in zip(readers, rows)])
-        order = np.lexsort((gen, doc))
-        last = order[np.append(doc[order][1:] != doc[order][:-1], True)]
-        rows = np.concatenate(rows)
-        return [(readers[i], rows[last[which[last] == i]]) for i in np.unique(which[last])]
+        return head[np.isin(head, ex, invert=True)][:want].tolist()
 
     def _result_table(self, ranked: list[tuple[int, int]]) -> pa.Table:
         """Ranked ``(doc_id, score)`` pairs as the reference's result dicts
         (indexer/indexer_node.py:174-181) in columns: rank, doc_id, url,
         title, domain, crawl_date, score, snippet.  The stored fields are
-        the Whoosh stored=True retrieval: one ``take`` of the four stored
-        columns per docs file that holds a winner's latest row."""
+        the Whoosh stored=True retrieval: one ``searchsorted`` of the
+        winners in the doc directory, then each winner's fields by row from
+        its docs reader's ``fields`` lists."""
         ids = [d for d, _ in ranked]
-        stored = ["doc_id", "title", "domain", "crawl_date", "snippet"]
-        takes = [
-            r.table.select(stored).take(pa.array(rows))
-            for r, rows in self._latest_rows(np.asarray(ids, dtype=np.int64))
-        ]
-        got = pa.concat_tables(takes).to_pydict() if takes else {}
-        at = {d: i for i, d in enumerate(got.get("doc_id", []))}
-
-        def fld(name: str) -> list[str]:
-            return [got[name][at[d]] if d in at else "" for d in ids]
-
-        domain = fld("domain")
+        keys, file, row, _, paths = self._doc_directory()
+        at = np.searchsorted(keys, ids)
+        got = {c: [] for c in _DocsReader.STORED}
+        fields: dict[int, dict] = {}  # file index -> its reader's lists
+        for f, r in zip(file[at].tolist(), row[at].tolist()):
+            if f not in fields:
+                fields[f] = self._reader(paths[f], _DocsReader).fields
+            for c, v in got.items():
+                v.append(fields[f][c][r])
         return pa.table(
             {
                 "rank": pa.array(np.arange(1, len(ids) + 1), pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
-                "url": pa.array(
-                    [derive_url(d, x) for d, x in zip(ids, domain)], pa.string()
-                ),
-                "title": pa.array(fld("title"), pa.string()),
-                "domain": pa.array(domain, pa.string()),
-                "crawl_date": pa.array(fld("crawl_date"), pa.string()),
+                "url": pa.array(list(map(derive_url, ids, got["domain"])), pa.string()),
+                "title": pa.array(got["title"], pa.string()),
+                "domain": pa.array(got["domain"], pa.string()),
+                "crawl_date": pa.array(got["crawl_date"], pa.string()),
                 "score": pa.array([x for _, x in ranked], pa.int64()),
-                "snippet": pa.array(fld("snippet"), pa.string()),
+                "snippet": pa.array(got["snippet"], pa.string()),
             }
         )
 
@@ -1631,8 +1628,8 @@ def index_for(sf_dir: str, stem: bool = False) -> SearchIndex:
     ``os.replace``: a crashed build leaves only an ignored staging dir, a
     reader of the previous index keeps its open files, and a process that
     loses the race to swap uses the winner's index when its stamp matches.
-    The process keeps one handle per cache dir and stamp, so every query
-    after the first through ``index_for`` is served by warm readers."""
+    The process keeps one handle per cache dir and stamp, after a build the
+    one that wrote the index, so even the first query reads no file."""
     import hashlib
 
     src = os.path.join(sf_dir, "documents.parquet")
@@ -1687,8 +1684,9 @@ def index_for(sf_dir: str, stem: bool = False) -> SearchIndex:
                 shutil.rmtree(old, ignore_errors=True)
         raise
     shutil.rmtree(old, ignore_errors=True)
-    _HANDLES.pop(d, None)
-    return _handle()
+    idx._moved(d)
+    _HANDLES[d] = (stamp, idx)
+    return idx
 
 
 def search_topk_indexed(sf_dir: str) -> pa.Table:

@@ -279,6 +279,144 @@ def test_warm_handle_answers_like_a_fresh_open(
     assert (reloads > 0) if evict else (reloads == 0)
 
 
+def _stored(text: str, source: str, doc_id: int) -> dict:
+    """The stored result fields ``update()`` keeps for one submitted doc."""
+    return {
+        "url": search.derive_url(doc_id, source),
+        "title": text[: search.TITLE_CHARS],
+        "domain": source,
+        "crawl_date": search.derive_crawl_date(doc_id),
+        "snippet": text[: search.SNIPPET_CHARS],
+    }
+
+
+def _submit(idx: SearchIndex, docs: dict[int, tuple[str, str]]) -> None:
+    ids = sorted(docs)
+    idx.update(
+        pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "text": pa.array([docs[i][0] for i in ids], pa.string()),
+                "source": pa.array([docs[i][1] for i in ids], pa.string()),
+            }
+        )
+    )
+
+
+def _assert_fields(t: pa.Table, live: dict[int, tuple[str, str]]) -> None:
+    """Every row of a result table is a live doc with its last-submitted
+    stored fields (every field the table has)."""
+    for row in t.to_pylist():
+        want = _stored(*live[row["doc_id"]], row["doc_id"])
+        assert all(row[c] == want[c] for c in want if c in row), row
+
+
+def test_upsert_and_compact_serve_the_new_stored_fields(ray_session, tmp_path):
+    """An upsert that re-uses doc_ids with another text and source changes
+    their stored title, domain, snippet and url (``crawl_date`` derives
+    from the doc_id); the handle that answered before the upsert, its doc
+    directory built, answers ``search``/``topk``/``topk_bm25f`` with the new
+    generation's fields, and again after ``compact()`` deleted the old
+    generations' files."""
+    idx = SearchIndex.create(str(tmp_path / "idx_fields"))
+    live = {i: (f"window join number {i} " + "x" * i, "old.example") for i in range(8)}
+    _submit(idx, live)
+    queries = [
+        lambda: idx.search("window", k=5),
+        lambda: idx.search('title:"window join"', k=8),
+        lambda: idx.topk(["window", "customer"], k=12),
+        lambda: idx.topk_bm25f(["join"], k=12),
+    ]
+    for q in queries:
+        _assert_fields(q(), live)
+    again = {i: (f"customer window news {i} " + "y" * 70, "new.example") for i in (1, 4, 6)}
+    _submit(idx, again)
+    live.update(again)
+    for step in (lambda: None, idx.compact):
+        step()
+        for q in queries:
+            t = q()
+            assert t.num_rows
+            _assert_fields(t, live)
+        assert set(queries[2]().column("doc_id").to_pylist()) == set(live)
+
+
+_WORDS = ["customer", "join", "window", "stream", "data"]
+_SUBMISSION = st.dictionaries(
+    st.integers(0, 11),
+    st.tuples(
+        st.lists(st.sampled_from(_WORDS), max_size=14).map(" ".join),
+        st.sampled_from(["a.example", "b.example", "unknown"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+_SEARCHES = ["window OR customer", 'title:"customer join" OR stream', "cust* AND NOT data"]
+# (method, terms); a no-term top-k opens no postings file, so it folds on the
+# driver at any DRIVER_ROW_LIMIT
+_TOPKS = [
+    ("topk", []),
+    ("topk_bm25f", []),
+    ("topk", ["window", "join"]),
+    ("topk", ["nosuchterm"]),
+    ("topk_bm25f", ["customer", "stream"]),
+]
+
+
+@pytest.mark.parametrize("evict", [False, True])
+def test_stored_fields_match_brute_force_across_upserts(
+    ray_session, tmp_path, monkeypatch, evict
+):
+    """Upserts that re-use doc_ids, interleaved with ``compact()``: after
+    every step each answer equals a freshly opened handle's and holds each
+    doc's last-submitted fields; a top-k ranks its scoring docs, then the
+    smallest other live doc_ids ascending (every live doc when ``k``
+    passes the live count); ``live_docs`` and ``total_dl`` equal their
+    recount over the last submissions.  With ``DRIVER_ROW_LIMIT`` at 8
+    rows, readers are evicted (and read back from parquet) while the doc
+    directory that names their rows is live."""
+    import tempfile
+
+    if evict:
+        monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 8)
+    topks = [(m, t) for m, t in _TOPKS if not (evict and t)]
+
+    @given(st.lists(st.one_of(st.just("compact"), _SUBMISSION), min_size=1, max_size=5))
+    @settings(max_examples=15 if evict else 25, deadline=None)
+    def run(steps):
+        idx = SearchIndex.create(tempfile.mkdtemp(dir=tmp_path), n_parts=4, n_dparts=3)
+        live: dict[int, tuple[str, str]] = {}
+        for step in steps:
+            if step == "compact":
+                idx.compact()
+            else:
+                _submit(idx, step)
+                live.update(step)
+            fresh = SearchIndex.open(idx.index_dir)
+            assert idx.meta["live_docs"] == len(live)
+            assert idx.meta["total_dl"] == sum(
+                search.BOOST_TITLE * len(search.tokenize(text[: search.TITLE_CHARS]))
+                + len(search.tokenize(text))
+                for text, _ in live.values()
+            )
+            for k in (2, len(live) + 2):
+                for q in _SEARCHES:
+                    got = idx.search(q, k=k)
+                    assert got.equals(fresh.search(q, k=k)), q
+                    _assert_fields(got, live)
+                for m, terms in topks:
+                    got = getattr(idx, m)(terms, k=k)
+                    assert got.equals(getattr(fresh, m)(terms, k=k)), (m, terms)
+                    _assert_fields(got, live)
+                    ids, scores = got["doc_id"].to_pylist(), got["score"].to_pylist()
+                    hit = [d for d, s in zip(ids, scores) if s > 0]
+                    assert ids == hit + sorted(set(live) - set(hit))[: k - len(hit)]
+            held = sum(r.rows for r in idx._readers.values())
+            assert held == idx._held_rows <= search_index.DRIVER_ROW_LIMIT
+
+    run()
+
+
 def _same_arrays(a, b) -> bool:
     """Two readers of one file hold equal arrays (positions included)."""
     if isinstance(a, search_index._DocsReader):
@@ -701,8 +839,10 @@ def test_term_df_from_readers_matches_the_dataset_scan(
 
 
 def test_index_for_keeps_a_warm_handle(ray_session, tmp_path, monkeypatch):
-    """``index_for`` returns the same handle for the same source stamp, so
-    a repeated entry query opens no parquet file; a changed source gets a
+    """``index_for`` serves the handle that built the index, moved to the
+    cache dir, so even the first entry query after the build opens no
+    parquet file, and returns the same handle for the same source stamp;
+    its answers equal a freshly opened handle's.  A changed source gets a
     rebuilt index and a new handle."""
     monkeypatch.setattr(search_index, "_INDEX_CACHE_ROOT", str(tmp_path / "cache"))
     sf = tmp_path / "sf"
@@ -712,17 +852,18 @@ def test_index_for_keeps_a_warm_handle(ray_session, tmp_path, monkeypatch):
         str(sf / "documents.parquet"),
     )
     idx = search_index.index_for(str(sf), stem=True)
-    want = idx.search(search.FIELD_QUERY, k=5)
-    assert search_index.index_for(str(sf), stem=True) is idx
     opened = []
-    for name in ("read_table", "read_metadata"):
+    for name in ("read_table", "read_metadata", "ParquetFile"):
         orig = getattr(pq, name)
         monkeypatch.setattr(
             pq, name, lambda *a, _o=orig, **kw: opened.append(a) or _o(*a, **kw)
         )
-    assert search_index.search_field_query(str(sf)).equals(want)
+    got = [search_index.search_field_query(str(sf)) for _ in range(2)]
+    assert search_index.index_for(str(sf), stem=True) is idx
     assert opened == []
     monkeypatch.undo()
+    want = SearchIndex.open(idx.index_dir).search(search.FIELD_QUERY, k=search.BM25_TOP_K)
+    assert got[0].num_rows and all(t.equals(want) for t in got)
     monkeypatch.setattr(search_index, "_INDEX_CACHE_ROOT", str(tmp_path / "cache"))
     pq.write_table(
         _docs_table({0: "customer join window", 2: "window"}),
