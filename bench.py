@@ -144,13 +144,10 @@ def _spilled_mib(session_dir: str) -> float:
     return last
 
 
-def sf1_op(name: str, sf1_dir: str, dataset: bool = False) -> tuple[int, float, float]:
-    """One call of ``dataops.<name>`` over the sf1 fixture: ``(output rows,
-    wall s, driver peak RSS MB)``, RSS sampled every 10 ms.  ``dataset``
-    forces the Dataset plan by zeroing the driver bounds for the call."""
+def _peak_rss_call(fn) -> tuple:
+    """``(fn(), wall s, driver peak RSS MB)``, RSS sampled every 10 ms."""
     import threading
 
-    from distributed_web_crawling_system_ray.pipelines import dataops
     from perfbench.run import _rss_mb
 
     peak = [_rss_mb()]
@@ -160,22 +157,34 @@ def sf1_op(name: str, sf1_dir: str, dataset: bool = False) -> tuple[int, float, 
         while not done.wait(0.01):
             peak.append(max(peak[-1], _rss_mb()))
 
-    bounds = {k: getattr(dataops, k) for k in ("DOC_DRIVER_ROWS", "IMAGE_DRIVER_ROWS")}
-    if dataset:
-        for k in bounds:
-            setattr(dataops, k, 0)
     t = threading.Thread(target=sample, daemon=True)
     t.start()
     t0 = time.perf_counter()
     try:
-        rows = getattr(dataops, name)(sf1_dir).num_rows
+        out = fn()
     finally:
         wall = time.perf_counter() - t0
         done.set()
         t.join()
+    return out, wall, max(peak)
+
+
+def sf1_op(name: str, sf1_dir: str, dataset: bool = False) -> tuple[int, float, float]:
+    """One call of ``dataops.<name>`` over the sf1 fixture: ``(output rows,
+    wall s, driver peak RSS MB)``.  ``dataset`` forces the Dataset plan by
+    zeroing the driver bounds for the call."""
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    bounds = {k: getattr(dataops, k) for k in ("DOC_DRIVER_ROWS", "IMAGE_DRIVER_ROWS")}
+    if dataset:
+        for k in bounds:
+            setattr(dataops, k, 0)
+    try:
+        t, wall, peak = _peak_rss_call(lambda: getattr(dataops, name)(sf1_dir))
+    finally:
         for k, v in bounds.items():
             setattr(dataops, k, v)
-    return rows, wall, max(peak)
+    return t.num_rows, wall, peak
 
 
 def sf1_index_build(sf1_dir: str, dataset: bool = False):
@@ -204,8 +213,10 @@ def sf1_gate(num_cpus: int) -> dict:
     spilled during them, and the output rows; then the same for
     ``SF1_DATASET_OPS`` with the Dataset plan forced (keys
     ``<op>_dataset``).  Then the build's cold and warm wall on each write
-    path (``search_index_build``, ``search_index_build_dataset``) and the
-    query-mix p50/p95 on the driver-built index."""
+    path (``search_index_build``, ``search_index_build_dataset``), the
+    query-mix p50/p95 on the driver-built index, and the wall and driver
+    peak RSS of ``topk``/``topk_bm25f`` over its whole vocabulary
+    (``search_vocab_topk``, ``search_vocab_topk_bm25f``)."""
     import ray
 
     from distributed_web_crawling_system_ray.sources.scaleup import build_sf1
@@ -237,6 +248,12 @@ def sf1_gate(num_cpus: int) -> dict:
         }
     idx = sf1_index_build(sf1_dir)[0]
     out.update(query_mix_latency(idx))
+    # the whole stemmed vocabulary as one ranked query: every postings row
+    # of the index folds into the score vector
+    vocab = list(idx._vocabulary())
+    for name, k in (("topk", 20), ("topk_bm25f", 10)):
+        _, wall, peak = _peak_rss_call(lambda: getattr(idx, name)(vocab, k))
+        out["search_vocab_" + name] = {"s": round(wall, 3), "driver_peak_rss_mb": round(peak, 1)}
     shutil.rmtree(idx.index_dir, ignore_errors=True)
     ray.shutdown()
     return out

@@ -69,6 +69,14 @@ def _ensure_ray(num_cpus: int | None) -> bool:
     return owned
 
 
+def _count(v: str) -> int:
+    """A non-negative int: a negative ``-k`` would drop answers."""
+    k = int(v)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+    return k
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(prog="distributed_web_crawling_system_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -111,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     pq_ = sub.add_parser("search", help="query a persistent search index")
     pq_.add_argument("--index-dir", required=True)
     pq_.add_argument("--query", required=True, help="space-separated terms")
-    pq_.add_argument("-k", type=int, default=20)
+    pq_.add_argument("-k", type=_count, default=20)
     pq_.add_argument(
         "--mode", default="topk",
         choices=["topk", "and", "df", "bm25f", "query", "stats"],

@@ -38,11 +38,14 @@ Scale shape:
   never the text column (snippets are stored at index time and fetched for
   the k winners only).  A handle keeps one reader per committed file it
   has touched (at most ``DRIVER_ROW_LIMIT`` rows in all, LRU), so a warm
-  query reads no parquet file: each term is a ``searchsorted`` slice,
-  folded with numpy over Σ df(term) rows, the classic query-cost bound of
-  an inverted index.  The k winners' stored fields are read by row, found
-  in the doc directory (each live doc_id's latest docs file and row).  Only
-  a topk / AND / term_df whose files exceed that limit becomes a Dataset.
+  query reads no parquet file: each term is a ``searchsorted`` slice of
+  each generation's file of its partition.  Every query, at every size,
+  folds those slices on the driver one term at a time
+  (``_term_rows``): a ranked query adds each term into one int64
+  score per live doc of the doc directory (each live doc_id's latest docs
+  file and row), so it holds O(live docs) plus one term's rows; the k
+  winners' stored fields are read by row through the same directory.  No
+  query runs a Ray Data execution.
 - reader lifecycle: every table ``update()``/``compact()`` writes on the
   driver (postings and docs parts, vocab, supersede list) enters the LRU
   under its path as written, and the first query through it decodes it
@@ -52,9 +55,9 @@ Scale shape:
   is read from parquet on first use.  ``compact()`` drops the readers of
   the generations it folds.  The doc directory is built on first use after
   each commit and names files, not readers, so the LRU bound holds.
-- overlap detection on update is a hash-partitioned intersection above
-  ``driver_id_limit`` (a Dataset groupby path, pytest-forced at limit=0);
-  driver-side ``np.isin`` below it.
+- overlap detection on update: the submission's ids ``∩`` the doc
+  directory's keys (built from the committed generations; a first build
+  has none and builds no directory).
 """
 
 from __future__ import annotations
@@ -384,23 +387,16 @@ def _doc_ids(parts: list[pa.Table]) -> np.ndarray:
     )
 
 
-# A query whose pruned postings files hold at most this many footer rows
-# reads and folds them on the driver (``topk``, ``topk_bm25f``,
-# ``and_terms``); above it they are read as a Dataset and folded there.
-# The same bound caps the rows a handle's warm readers hold together.
+# The rows a handle's readers hold together (least recently used evicted).
+# It caps reader memory only; no query changes plan on it.
 DRIVER_ROW_LIMIT = 2_000_000
 
 
-def _footer_rows(files: list[str], readers: dict | None = None) -> int:
-    """Rows in ``files`` by their parquet footers, read before any data: an
-    upper bound on the matched postings and exactly the rows a driver read
-    decodes, so it bounds driver memory.  A file with a warm reader in
-    ``readers`` counts its rows without opening the file."""
-    readers = readers or {}
-    return sum(
-        readers[f].rows if f in readers else pq.read_metadata(f).num_rows
-        for f in files
-    )
+def _check_k(k: int) -> None:
+    """A query's ``k`` counts rows to return; a negative one would slice
+    off the last ``|k|`` answers."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
 
 
 class _Reader:
@@ -504,40 +500,6 @@ class _Written:
         self.table, self.rows = table, table.num_rows
 
 
-def _read_dataset(files: list[str], columns: list[str], keep) -> "ray.data.Dataset":
-    """A ``_pruned_postings`` plan as a lazy Dataset, for the distributed
-    branches only."""
-    return ray.data.read_parquet(files, columns=columns).map_batches(
-        keep, batch_format="pyarrow"
-    )
-
-
-def _df_table(ds: "ray.data.Dataset") -> pa.Table:
-    """(term, df) sorted by term over a Dataset of live postings rows:
-    per-batch ``value_counts``, summed on the driver.  Postings files are
-    term-sorted, so a batch holds few terms and the partials stay about
-    vocabulary-sized."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("term").combine_chunks())
-        return pa.table(
-            {"term": vc.field("values"), "df": pc.cast(vc.field("counts"), pa.int64())}
-        )
-
-    out = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    # an empty block may carry no columns
-    parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows] or [
-        pa.table({"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())})
-    ]
-    df = pa.concat_tables(parts).group_by("term").aggregate([("df", "sum")])
-    return pa.table({"term": df["term"], "df": df["df_sum"]}).sort_by("term")
-
-
-def _idf(df: dict[str, int], n: int) -> dict[str, int]:
-    """Integer idf per term: (N * IDF_SCALE) // df, 0 for an unseen term."""
-    return {t: (n * IDF_SCALE) // d if d > 0 else 0 for t, d in df.items()}
-
-
 class SearchIndex:
     """Handle over one on-disk index.  ``create``/``open`` + ``update`` /
     ``compact`` + query surface (``topk`` / ``topk_bm25f`` / ``search`` /
@@ -568,7 +530,6 @@ class SearchIndex:
         index_dir: str,
         n_parts: int = 32,
         n_dparts: int = 16,
-        driver_id_limit: int = 2_000_000,
         stem: bool = False,
     ) -> "SearchIndex":
         """``stem=True`` builds a STEMMED index (the v3 StemmingAnalyzer
@@ -580,7 +541,6 @@ class SearchIndex:
         meta = {
             "n_parts": n_parts,
             "n_dparts": n_dparts,
-            "driver_id_limit": driver_id_limit,
             "stem": stem,
             "format": INDEX_FORMAT_VERSION,
             "generations": [],
@@ -676,40 +636,27 @@ class SearchIndex:
             os.path.join(gd, "doc_ids.parquet"),
         )
 
-        # ---- supersede detection: which of new_ids already live in the
-        # index?  (their older postings become dead).  Driver np.isin under
-        # driver_id_limit; hash-partitioned Dataset intersection above it.
-        prior_files = [
-            os.path.join(self._gen_dir(e["gen"]), "doc_ids.parquet")
-            for e in self.meta["generations"]
-        ]
-        overlap = np.zeros(0, dtype=np.int64)
-        if prior_files and len(new_ids):
-            total_prior = sum(e["n_docs"] for e in self.meta["generations"])
-            if total_prior <= self.meta["driver_id_limit"]:
-                prior = _doc_ids([pq.read_table(f) for f in prior_files])
-                overlap = new_ids[np.isin(new_ids, prior)]
-            else:
-                overlap = self._distributed_overlap(prior_files, gd)
+        # supersede detection: which of new_ids are live in the committed
+        # index (their older postings become dead), and their OLD dl, for
+        # the total_dl delta
+        overlap, old_dl = np.zeros(0, dtype=np.int64), 0
+        if self.meta["generations"]:
+            keys, _, _, dl, _ = self._doc_directory()
+            live = np.isin(keys, new_ids, assume_unique=True)
+            overlap, old_dl = keys[live], int(dl[live].sum())
         _atomic_write_table(
-            pa.table({"doc_id": pa.array(np.unique(overlap), pa.int64())}),
+            pa.table({"doc_id": pa.array(overlap, pa.int64())}),
             os.path.join(gd, "superseded.parquet"),
             self._keep,
         )
-
-        # total_dl delta: + this submission's dl sum, - the superseded docs'
-        # OLD dl (dpart-pruned read bounded by n_superseded, not the corpus)
         new_dl = _dl_sum(dls)
-        old_dl = self._dl_of_ids(np.unique(overlap)) if len(overlap) else 0
 
         # commit: meta lists the generation only after every file is final
         self._committed()
         self.meta["generations"].append(
             {"gen": g, "n_docs": int(len(new_ids)), "n_superseded": int(len(overlap))}
         )
-        self.meta["live_docs"] = int(
-            self.meta["live_docs"] + len(new_ids) - len(np.unique(overlap))
-        )
+        self.meta["live_docs"] = int(self.meta["live_docs"] + len(new_ids) - len(overlap))
         self.meta["total_dl"] = int(
             self.meta.get("total_dl", 0) + new_dl - old_dl
         )
@@ -747,12 +694,6 @@ class SearchIndex:
 
         return all_ids, written(0, "postings", "part"), written(1, "docs", "dpart")
 
-    def _dl_of_ids(self, ids: np.ndarray) -> int:
-        """Σ dl of the CURRENTLY-LIVE rows for ``ids`` (the rows a pending
-        supersede is about to kill): each is a committed doc_id."""
-        keys, _, _, dl, _ = self._doc_directory()
-        return int(dl[np.searchsorted(keys, ids)].sum())
-
     def _collapse_submission_dups(self, docs_mat) -> "ray.data.Dataset":
         """``_collapse_dups`` over a Dataset submission: hash-partitioned by
         doc_id, so each id's rows meet in one group.  Runs only when
@@ -787,41 +728,6 @@ class SearchIndex:
                 for t in terms
             ]
         return list(terms)
-
-    def _distributed_overlap(self, prior_files: list[str], gd: str) -> np.ndarray:
-        """new_ids ∩ prior_ids without driver-side id sets: tag, hash-
-        partition by doc_id, intersect per partition."""
-        P = self.meta["n_dparts"]
-
-        def tag(flag: int):
-            def f(batch: pa.Table) -> pa.Table:
-                ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-                is_new = np.full(len(ids), flag, np.int8)
-                return pa.table(
-                    {"doc_id": ids, "is_new": is_new, "part": (ids % P).astype(np.int32)}
-                )
-
-            return f
-
-        old_ds = ray.data.read_parquet(prior_files).map_batches(
-            tag(0), batch_format="pyarrow"
-        )
-        new_ds = ray.data.read_parquet(
-            os.path.join(gd, "doc_ids.parquet")
-        ).map_batches(tag(1), batch_format="pyarrow")
-
-        def intersect(group: pa.Table) -> pa.Table:
-            flags = group.column("is_new").to_numpy(zero_copy_only=False)
-            ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-            both = np.intersect1d(ids[flags == 1], ids[flags == 0])
-            return pa.table({"doc_id": pa.array(both, pa.int64())})
-
-        out = (
-            old_ds.union(new_ds)
-            .groupby("part")
-            .map_groups(intersect, batch_format="pyarrow")
-        ).materialize()
-        return _doc_ids(ray.get(out.to_arrow_refs()))
 
     # ------------------------------------------------------------- compact
 
@@ -901,7 +807,7 @@ class SearchIndex:
         re-indexed doc_id and the latest generation that re-indexed it.
         Bounded by the number of UPSERTED docs (re-crawled pages), not the
         corpus; built once per handle and invalidated by update()/compact().
-        ``_live_mask`` probes it, and the Dataset passes ``ray.put`` it."""
+        ``_live_mask`` probes it, and compact's merge tasks capture it."""
         if self._lg_cache is None:
             ids, gens = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
             for e in self.meta["generations"]:
@@ -1007,108 +913,64 @@ class SearchIndex:
         rx = _re.compile(fnmatch.translate(pattern))
         return [t for t in self._vocabulary() if rx.match(t)]
 
-    def _pruned_postings(self, terms: list[str] | None, require_content_tf=True) -> tuple:
-        """The Dataset read plan ``(files, columns, keep)`` for ``terms``:
-        ONLY the hash partitions that can hold them, and the one filter to
-        the terms and to live (non-superseded) rows, for ``_read_dataset``.
-        ``_read_on_driver`` reads the same files and rows through the
-        handle's readers.  ``terms=None`` plans every live row.
-
-        ``require_content_tf`` (the default) additionally drops title-only
-        rows (tf == 0): the v1 TF-IDF/AND/df queries are defined over
-        full-text tokens and must not see a token that exists only as a
-        title truncation.  BM25F passes False — it scores the field union.
-        """
-        n_parts = self.meta["n_parts"]
-        files = self._all_files(
-            "postings", None if terms is None else {_term_part(t, n_parts) for t in terms}
-        )
-        columns = ["term", "doc_id", "tf", "tf_title", "dl", "gen"]
-        last_gen = self._last_gen_map()
-        value_set = None if terms is None else pa.array(sorted(set(terms)), pa.string())
-
-        def keep(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return batch
-            m = np.ones(batch.num_rows, bool)
-            if value_set is not None:
-                m &= pc.is_in(batch.column("term"), value_set=value_set).to_numpy(False)
-            if require_content_tf:
-                m &= batch.column("tf").to_numpy() > 0
-            t = batch.filter(m)
-            return t.filter(_live_mask(t["doc_id"], t["gen"], last_gen))
-
-        return files, columns, keep
-
-    def _read_on_driver(
+    def _term_rows(
         self,
         terms: list[str],
         require_content_tf: bool = True,
         with_positions: bool = False,
-    ) -> dict[str, dict]:
-        """Each query term's live postings, as ``term -> {column: array}``
-        over ``doc_id``/``tf``/``tf_title``/``dl`` (and the ``pos``/
-        ``pos_title`` list arrays ``with_positions``); a term with no live
-        row is absent.  The rows come from the pruned files' readers: one
-        ``searchsorted`` slice per term and file, and the ``tf > 0`` and
-        live filters run on that slice alone.  No Ray Data execution, and no
-        parquet read once the files' readers are warm."""
+    ):
+        """Yield ``(term, {column: array})`` for each distinct query term
+        with a live row: its live postings over ``doc_id``/``tf``/
+        ``tf_title``/``dl`` (and the ``pos``/``pos_title`` list arrays
+        ``with_positions``), one row per doc.  The rows come from the
+        handle's readers of the term's partition, one per generation: one
+        ``searchsorted`` slice per term and file, and the live filter runs on
+        that slice alone.  A partition's readers are taken once for all its
+        terms, so a caller that folds term by term holds one term's rows.
+
+        ``require_content_tf`` (the default) drops title-only rows (tf ==
+        0): the v1 TF-IDF/AND/df queries are defined over full-text tokens
+        and must not see a token that exists only as a title truncation.
+        BM25F passes False -- it scores the field union."""
         n_parts = self.meta["n_parts"]
         last_gen = self._last_gen_map()
-        by_part: dict[int, set] = {}
-        for t in terms:
-            by_part.setdefault(_term_part(t, n_parts), set()).add(t)
-        pieces: dict[str, list] = {}
+        by_part: dict[int, list] = {}
+        for t in dict.fromkeys(terms):
+            by_part.setdefault(_term_part(t, n_parts), []).append(t)
         for p, part_terms in by_part.items():
-            for f in self._all_files("postings", {p}):
-                r = self._reader(f, _PostingsReader)
-                for t in part_terms:
+            readers = [self._reader(f, _PostingsReader) for f in self._all_files("postings", {p})]
+            for t in part_terms:
+                subs = []
+                for r in readers:
                     lo, hi = r.run(t)
                     if lo == hi:
                         continue
                     cols = {c: v[lo:hi] for c, v in r.cols.items()}
-                    m = _live_mask(cols["doc_id"], cols["gen"], last_gen)
+                    m = _live_mask(cols["doc_id"], cols.pop("gen"), last_gen)
                     if require_content_tf:
                         m &= cols["tf"] > 0
-                    sub = {c: v[m] for c, v in cols.items() if c != "gen"}
+                    if not m.any():
+                        continue
+                    sub = {c: v[m] for c, v in cols.items()}
                     if with_positions:
                         for c, v in r.positions().items():
                             sub[c] = v.slice(lo, hi - lo).filter(pa.array(m))
-                    if len(sub["doc_id"]):
-                        pieces.setdefault(t, []).append(sub)
-        return {
-            t: {
-                c: (pa.concat_arrays if c.startswith("pos") else np.concatenate)(
-                    [x[c] for x in subs]
-                )
-                for c in subs[0]
-            }
-            for t, subs in pieces.items()
-        }
-
-    @staticmethod
-    def _idf_weights(term_col, idf: dict[str, int]) -> np.ndarray:
-        """Per-row idf via Arrow dictionary-encode + take: the idf dict is
-        looked up once per UNIQUE term (a handful), never per row — no
-        pandas/Python-object detour in the scoring hot loop."""
-        arr = (
-            term_col.combine_chunks()
-            if isinstance(term_col, pa.ChunkedArray)
-            else term_col
-        )
-        enc = pc.dictionary_encode(arr)
-        vals = np.array(
-            [idf.get(v, 0) for v in enc.dictionary.to_pylist()], dtype=np.int64
-        )
-        if not len(vals):
-            return np.zeros(len(arr), dtype=np.int64)
-        return vals[enc.indices.to_numpy(zero_copy_only=False)]
+                    subs.append(sub)
+                if len(subs) > 1:
+                    yield t, {
+                        c: (pa.concat_arrays if c.startswith("pos") else np.concatenate)(
+                            [x[c] for x in subs]
+                        )
+                        for c in subs[0]
+                    }
+                elif subs:
+                    yield t, subs[0]
 
     def query_df(self, terms: list[str]) -> dict[str, int]:
         """Per-term document frequency for a query — pruned partitions only.
         Terms stem first iff the index is stemmed (keys are the stems)."""
         terms = self._prep_terms(terms)
-        runs = self._read_on_driver(terms)
+        runs = dict(self._term_rows(terms))
         return {t: len(runs[t]["doc_id"]) if t in runs else 0 for t in terms}
 
     def topk(self, terms: list[str], k: int = 20) -> pa.Table:
@@ -1119,8 +981,8 @@ class SearchIndex:
         ``tf >= 1`` and ``idf >= IDF_SCALE`` make every matched doc score
         > 0; docs with no query term pad the tail at score 0."""
 
-        def tfidf(rows, idf_row: np.ndarray) -> np.ndarray:
-            return np.asarray(rows["tf"]) * idf_row
+        def tfidf(rows, idf: int) -> np.ndarray:
+            return rows["tf"] * idf
 
         ranked = self._rank(self._prep_terms(terms), k, tfidf, True)
         return self._result_table(ranked).select(
@@ -1135,169 +997,56 @@ class SearchIndex:
         require_content_tf: bool,
     ) -> list[tuple[int, int]]:
         """The one scorer behind ``topk`` and ``topk_bm25f``: the k best
-        ``(doc_id, score)`` pairs by score DESC, doc_id ASC.
+        ``(doc_id, score)`` pairs of the live docs by score DESC, doc_id ASC.
 
-        ``row_contrib(rows, idf_row) -> int64[]`` gives each posting row's
-        score contribution (``rows[column]`` is an Arrow or numpy column).
+        ``row_contrib(rows, idf) -> int64[]`` gives each of a term's live
+        posting rows its score contribution, given the term's integer idf.
         A (term, doc) pair is exactly one live row, so every per-(term, doc)
         model — TF-IDF and BM25F alike — is a per-doc sum of row
-        contributions.  Only docs scoring > 0 rank; when fewer
-        than k do, the smallest remaining live doc_ids pad the tail at
-        score 0, like unmatched docs in a full ranking of the corpus.
-
-        Scale-adaptive, decided before any read: the pruned files' footer
-        row count (``_footer_rows``) at or under ``DRIVER_ROW_LIMIT`` reads
-        them through the handle's readers and folds on the driver; above it
-        runs ``_topk_distributed``, because a stopword query matches the whole
-        corpus and must never fold on the driver."""
+        contributions.  The terms fold one at a time into one int64 score
+        per key of the doc directory (every live doc_id, ascending), so the
+        driver holds O(live docs) plus one term's rows, whatever the terms'
+        document frequencies.  A doc no term matches keeps score 0 and ranks
+        after every scoring doc by doc_id, like an unmatched doc in a full
+        ranking of the corpus.  ``np.partition`` cuts the vector to k
+        candidates before the sort."""
+        _check_k(k)
+        keys = self._doc_directory()[0]
         n = int(self.meta["live_docs"])
-        plan = self._pruned_postings(terms, require_content_tf=require_content_tf)
-        if _footer_rows(plan[0], self._readers) > DRIVER_ROW_LIMIT:
-            ranked = self._topk_distributed(
-                _read_dataset(*plan), terms, n, k, row_contrib
-            )
-        else:
-            runs = self._read_on_driver(terms, require_content_tf)
-            ranked = []
-            if runs:
-                idf = _idf({t: len(r["doc_id"]) for t, r in runs.items()}, n)
-                ids = np.concatenate([r["doc_id"] for r in runs.values()])
-                contrib = np.concatenate(
-                    [
-                        row_contrib(r, np.full(len(r["doc_id"]), idf[t]))
-                        for t, r in runs.items()
-                    ]
-                )
-                # per-doc sum: a doc's rows can span term partitions
-                docs, inv = np.unique(ids, return_inverse=True)
-                score = np.zeros(len(docs), dtype=np.int64)
-                np.add.at(score, inv, contrib)
-                pos = score > 0
-                docs, score = docs[pos], score[pos]
-                top = np.lexsort((docs, -score))[:k]
-                ranked = [(int(d), int(x)) for d, x in zip(docs[top], score[top])]
-        if len(ranked) < k:
-            ranked += [
-                (d, 0)
-                for d in self._live_doc_ids_ascending(
-                    exclude={d for d, _ in ranked}, want=k - len(ranked)
-                )
-            ]
-        return ranked
-
-    def _topk_distributed(
-        self,
-        ds: "ray.data.Dataset",
-        terms: list[str],
-        n: int,
-        k: int,
-        row_contrib,
-    ) -> list[tuple[int, int]]:
-        """Stopword-scale ``_rank``: df by ``_df_table``, per-doc score via
-        ``groupby(doc_id).sum`` of ``row_contrib``, then per-block local
-        top-k of the docs scoring > 0 and a tiny driver merge — the driver
-        never sees more than blocks x k rows.  pytest pins equality with the
-        driver fold at limit=0."""
-        from ray.data.aggregate import Sum
-
-        df = dict.fromkeys(terms, 0)
-        df.update(zip(*_df_table(ds).to_pydict().values()))
-        idf = _idf(df, n)
-
-        def add_score(batch: pa.Table) -> pa.Table:
-            contrib = row_contrib(
-                batch, SearchIndex._idf_weights(batch.column("term"), idf)
-            )
-            return pa.table(
-                {
-                    "doc_id": batch.column("doc_id"),
-                    "score_part": pa.array(contrib, pa.int64()),
-                }
-            )
-
-        def local_topk(batch: pa.Table) -> pa.Table:
-            batch = batch.filter(pc.greater(batch.column("score"), 0))
-            order = pc.sort_indices(
-                batch,
-                sort_keys=[("score", "descending"), ("doc_id", "ascending")],
-            )
-            return batch.take(order.slice(0, k))
-
-        tops = [
-            t
-            for t in ray.get(
-                ds.map_batches(add_score, batch_format="pyarrow")
-                .groupby("doc_id")
-                .aggregate(Sum("score_part", alias_name="score"))
-                .map_batches(local_topk, batch_format="pyarrow")
-                .materialize()
-                .to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        if not tops:
-            return []
-        merged = pa.concat_tables(tops)
-        order = pc.sort_indices(
-            merged, sort_keys=[("score", "descending"), ("doc_id", "ascending")]
-        )
-        top = merged.take(order.slice(0, k))
-        return list(
-            zip(
-                (int(x) for x in top.column("doc_id").to_pylist()),
-                (int(x) for x in top.column("score").to_pylist()),
-            )
-        )
+        score = np.zeros(len(keys), dtype=np.int64)
+        for _, r in self._term_rows(terms, require_content_tf):
+            idf = (n * IDF_SCALE) // len(r["doc_id"])
+            score[np.searchsorted(keys, r["doc_id"])] += row_contrib(r, idf)
+        cand = np.arange(len(keys))
+        if 0 < k < len(keys):
+            cut = np.partition(score, -k)[-k]
+            above = np.flatnonzero(score > cut)
+            cand = np.r_[above, np.flatnonzero(score == cut)[: k - len(above)]]
+        top = cand[np.lexsort((keys[cand], -score[cand]))[:k]]
+        return list(zip(keys[top].tolist(), score[top].tolist()))
 
     def and_terms(self, terms: list[str]) -> pa.Table:
         """doc_ids containing ALL terms (v1 posting-list AND, D5) from the
-        pruned partitions.  The same footer-row switch as ``_rank``: at or
-        under ``DRIVER_ROW_LIMIT`` a pyarrow read and ``np.unique`` count on
-        the driver; above it a distributed ``groupby(doc_id).count == Q``,
-        so the candidate rows never concentrate on the driver (only the
-        intersection RESULT does — it is the output)."""
+        pruned partitions: each term's live doc_ids from the handle's
+        readers, counted with one ``np.unique``."""
         terms = self._prep_terms(terms)
-        q = len(set(terms))
-        plan = self._pruned_postings(terms)
-        if _footer_rows(plan[0], self._readers) > DRIVER_ROW_LIMIT:
-            from ray.data.aggregate import Count
-
-            hits_ds = (
-                _read_dataset(*plan)
-                .groupby("doc_id")
-                .aggregate(Count(alias_name="n_terms"))
-                .map_batches(
-                    lambda t: t.filter(pc.equal(t["n_terms"], q)).select(
-                        ["doc_id"]
-                    ),
-                    batch_format="pyarrow",
-                )
-            ).materialize()
-            hits = _doc_ids(ray.get(hits_ds.to_arrow_refs()))
-        else:
-            runs = self._read_on_driver(terms)
-            ids_u, counts = np.unique(
-                np.concatenate(
-                    [np.zeros(0, np.int64)] + [r["doc_id"] for r in runs.values()]
-                ),
-                return_counts=True,
-            )
-            hits = ids_u[counts == q]
-        return pa.table({"doc_id": pa.array(np.sort(hits), pa.int64())})
+        runs = dict(self._term_rows(terms))
+        ids_u, counts = np.unique(
+            np.concatenate([np.zeros(0, np.int64)] + [r["doc_id"] for r in runs.values()]),
+            return_counts=True,
+        )
+        hits = ids_u[counts == len(set(terms))]
+        return pa.table({"doc_id": pa.array(hits, pa.int64())})
 
     def term_df(self) -> pa.Table:
         """Full document-frequency table (term, df), sorted by term — the
         index-statistics scan; reads postings metadata columns only, never
-        text.  When the postings footers fit ``DRIVER_ROW_LIMIT`` the counts
-        come from the handle's readers, one ``np.add.reduceat`` over each
-        file's term runs after the live and ``tf > 0`` masks; above it
-        ``_df_table`` folds a Dataset read."""
-        files = self._all_files("postings")
-        if _footer_rows(files, self._readers) > DRIVER_ROW_LIMIT:
-            return _df_table(_read_dataset(*self._pruned_postings(None)))
+        text.  The counts come from the handle's readers, one
+        ``np.add.reduceat`` over each file's term runs after the live and
+        ``tf > 0`` masks."""
         last_gen = self._last_gen_map()
         terms, counts = [np.zeros(0, dtype=object)], [np.zeros(0, np.int64)]
-        for f in files:
+        for f in self._all_files("postings"):
             r = self._reader(f, _PostingsReader)
             # df is defined over full-text tokens: drop title-only rows
             m = _live_mask(r.cols["doc_id"], r.cols["gen"], last_gen) & (r.cols["tf"] > 0)
@@ -1321,13 +1070,11 @@ class SearchIndex:
         n = int(self.meta["live_docs"])
         total_dl = int(self.meta.get("total_dl", 0))
 
-        def bm25f(rows, idf_row: np.ndarray) -> np.ndarray:
-            tf_w = BOOST_TITLE * np.asarray(rows["tf_title"])
-            tf_w = tf_w + np.asarray(rows["tf"])
-            dl = np.asarray(rows["dl"])
+        def bm25f(rows, idf: int) -> np.ndarray:
+            tf_w = BOOST_TITLE * rows["tf_title"] + rows["tf"]
             # overflow-guarded vector kernel (r4 advice): falls back to
             # Python-int arithmetic when int64 intermediates could wrap
-            return bm25f_contrib_vec(idf_row, tf_w, dl, total_dl, n)
+            return bm25f_contrib_vec(idf, tf_w, rows["dl"], total_dl, n)
 
         ranked = self._rank(self._prep_terms(list(terms)), k, bm25f, False)
         return self._result_table(ranked)
@@ -1361,15 +1108,14 @@ class SearchIndex:
         the phrase), summed per matching doc.
 
         Reads: the candidate postings for the query's terms are slices of
-        the handle's readers of the pruned files (``_read_on_driver``: no Ray
+        the handle's readers of the pruned files (``_term_rows``: no Ray
         Data execution, and no parquet read once the readers are warm; a
         phrase constituent's file also loads its position columns once).
         The fold is numpy over those slices — one int64 score per matched
         doc, phrase counts by ``_phrase_counts`` — bounded by the per-term
-        document frequencies, the classic inverted-index query cost.  There
-        is no distributed branch: corpus-scale stopword queries belong on
-        ``topk``/``topk_bm25f``, which switch to one.
+        document frequencies, the classic inverted-index query cost.
         """
+        _check_k(k)
         groups = parse_query(query_str)
         if not groups:
             return self.topk_bm25f([], k)
@@ -1402,10 +1148,10 @@ class SearchIndex:
         # tf/df/dl for every query term, NO position columns — positions
         # are the bulk of the postings bytes and only phrase constituents
         # need them
-        cat = self._read_on_driver(all_terms, require_content_tf=False)
+        cat = dict(self._term_rows(all_terms, require_content_tf=False))
         phrase_terms = {x for t in leaf_terms if isinstance(t, tuple) for x in t}
-        pos_cat = self._read_on_driver(
-            sorted(phrase_terms), require_content_tf=False, with_positions=True
+        pos_cat = dict(
+            self._term_rows(sorted(phrase_terms), require_content_tf=False, with_positions=True)
         )
 
         none = np.zeros(0, dtype=np.int64)
@@ -1550,7 +1296,9 @@ class SearchIndex:
         """``(keys, file, row, dl, paths)``: every live doc_id ascending,
         with the file (index into ``paths``), row and ``dl`` of its latest
         docs row -- its live row, since nothing deletes a doc.  Built once
-        per committed state: one ``lexsort`` of the docs readers' ids."""
+        per committed state: one ``lexsort`` of the docs readers' ids.  The
+        ranked fold scores over its keys, the winners' stored fields are read
+        through it, and ``update()`` finds its overlap in it."""
         if self._doc_dir is None:
             paths = self._all_files("docs")
             cols = [np.zeros((5, 0), np.int64)]
@@ -1563,14 +1311,6 @@ class SearchIndex:
             last = order[np.append(ids[order][1:] != ids[order][:-1], True)[: len(ids)]]
             self._doc_dir = (ids[last], file[last], row[last], dl[last], paths)
         return self._doc_dir
-
-    def _live_doc_ids_ascending(self, exclude: set[int], want: int) -> list[int]:
-        """Smallest ``want`` live doc_ids not in ``exclude`` — zero-score
-        tail fill for degenerate queries (matched < k): the head of the
-        directory's keys, long enough to hold ``want`` after the exclusions."""
-        head = self._doc_directory()[0][: want + len(exclude)]
-        ex = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-        return head[np.isin(head, ex, invert=True)][:want].tolist()
 
     def _result_table(self, ranked: list[tuple[int, int]]) -> pa.Table:
         """Ranked ``(doc_id, score)`` pairs as the reference's result dicts

@@ -228,9 +228,12 @@ def test_indexed_bm25f_matches_direct(ray_session, tmp_path, corpus):
     assert table_rows(got) == want
 
 
-def test_indexed_bm25f_distributed_path_matches(
+def test_indexed_bm25f_evicted_fold_matches(
     ray_session, tmp_path, corpus, monkeypatch
 ):
+    """With ``DRIVER_ROW_LIMIT = 0`` the handle keeps no reader: each file
+    the fold needs is read from parquet and dropped, and the answer still
+    equals the oracle."""
     d = tmp_path / "sf"
     d.mkdir()
     pq.write_table(_docs_table(corpus), str(d / "documents.parquet"))
@@ -239,7 +242,7 @@ def test_indexed_bm25f_distributed_path_matches(
     idx.update(str(d / "documents.parquet"))
     monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 0)
     got = idx.topk_bm25f(list(search.QUERY_TERMS), search.BM25_TOP_K)
-    assert table_rows(got) == want
+    assert table_rows(got) == want and idx._held_rows == 0
 
 
 def test_indexed_bm25f_tracks_upserts(ray_session, tmp_path, corpus):

@@ -77,6 +77,12 @@ def test_cli_stats_and_and_mode(capsys, index_dir):
     assert len(anded) > 0
 
 
+def test_cli_rejects_negative_k(capsys, index_dir):
+    with pytest.raises(SystemExit):
+        main(["search", "--index-dir", index_dir, "--query", "query", "-k", "-1"])
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_cli_does_not_shut_down_foreign_ray_session(index_dir):
     import ray
 

@@ -8,7 +8,8 @@ Contract under test:
 - index-backed queries equal the DuckDB oracle (``__ray_entry__.oracle_sql``,
   a direct recompute over the documents) run over the merged "current"
   corpus (latest text per doc_id).
-- the distributed overlap path (driver_id_limit=0) produces the same index.
+- every query folds on the driver through the handle's readers, with its
+  readers evicting or not, with no Ray Data execution.
 - compaction folds generations and preserves every query result.
 """
 
@@ -110,16 +111,6 @@ def test_incremental_update_reflects_latest_text(ray_session, tmp_path, corpus):
     _assert_index_matches(idx, _oracle_over(tmp_path, merged, "snap2"))
 
 
-def test_distributed_overlap_path_matches(ray_session, tmp_path, corpus):
-    sub1, sub2, merged = corpus
-    idx = SearchIndex.create(str(tmp_path / "idx_dist"), driver_id_limit=0)
-    idx.update(_docs_table(sub1))
-    stats = idx.update(_docs_table(sub2))
-    assert stats["n_upserts"] == 15
-    assert idx.meta["live_docs"] == len(merged)
-    _assert_index_matches(idx, _oracle_over(tmp_path, merged, "snap3"))
-
-
 def test_compact_preserves_queries(ray_session, tmp_path, corpus):
     sub1, sub2, merged = corpus
     idx = SearchIndex.create(str(tmp_path / "idx_c"))
@@ -142,25 +133,6 @@ def test_compact_preserves_queries(ray_session, tmp_path, corpus):
     assert idx2.topk(TERMS).equals(before[0])
 
 
-def test_distributed_topk_path_matches_driver_fold(
-    ray_session, tmp_path, corpus, monkeypatch
-):
-    """Stopword-scale scoring path (groupby(doc_id) + local top-k + merge,
-    forced via DRIVER_ROW_LIMIT = 0) returns exactly the driver-fold result —
-    TF-IDF and BM25F alike, including a high-df term so many docs match."""
-    sub1, sub2, merged = corpus
-    idx = SearchIndex.create(str(tmp_path / "idx_dtk"))
-    idx.update(_docs_table(merged))
-    cases = (TERMS, ["the", "data"], ["customer"])
-    want = [(idx.topk(t, k=10), idx.topk_bm25f(t, k=10), idx.and_terms(t)) for t in cases]
-    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 0)
-    for terms, (a, b, c) in zip(cases, want):
-        assert idx.topk(terms, k=10).equals(a), terms
-        assert idx.topk_bm25f(terms, k=10).equals(b), terms
-        d = idx.and_terms(terms)
-        assert c.column("doc_id").to_pylist() == d.column("doc_id").to_pylist()
-
-
 # one query string per Whoosh form: bare terms, field-restricted, phrase,
 # nested boolean, wildcard
 FIVE_FORMS = (
@@ -175,25 +147,30 @@ FIVE_FORMS = (
 def test_driver_sized_queries_run_no_ray_data_execution(
     ray_session, tmp_path, corpus, executions, monkeypatch
 ):
-    """Every query whose pruned postings fit ``DRIVER_ROW_LIMIT`` reads them
-    on the driver: zero Ray Data executions, even across an upsert (so the
-    live filter runs on the driver read too).  Repeated on the now-warm
-    handle, the same queries open no parquet file at all: no
-    ``pq.read_table`` and no footer read."""
+    """Every query reads its postings on the driver: zero Ray Data
+    executions, even across an upsert (so the live filter runs on the
+    driver read too).  Repeated on the now-warm handle, the same queries
+    open no parquet file at all: no ``pq.read_table`` and no footer read.
+    With ``DRIVER_ROW_LIMIT`` at 8 rows the readers evict each other, and
+    every query still runs no Ray Data execution and answers the same."""
     sub1, sub2, _ = corpus
     idx = SearchIndex.create(str(tmp_path / "idx_drv"))
     idx.update(_docs_table(sub1))
     idx.update(_docs_table(sub2))
 
     def run_all():
-        for q in FIVE_FORMS:
-            assert idx.search(q, k=5).num_rows > 0, q
-        return [
+        out = [idx.search(q, k=5) for q in FIVE_FORMS]
+        assert all(t.num_rows for t in out)
+        return out + [
             idx.topk(TERMS),
             idx.topk_bm25f(TERMS),
             idx.and_terms(TERMS),
+            idx.term_df(),
             idx.query_df(TERMS),
         ]
+
+    def same(a, b) -> bool:
+        return all(x.equals(y) for x, y in zip(a[:-1], b[:-1])) and a[-1] == b[-1]
 
     executions.clear()
     cold = run_all()
@@ -206,8 +183,12 @@ def test_driver_sized_queries_run_no_ray_data_execution(
         )
     warm = run_all()
     assert opened == [] and executions == []
-    assert all(a.equals(b) for a, b in zip(cold[:3], warm[:3]))
-    assert cold[3] == warm[3]
+    assert same(cold, warm)
+    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 8)
+    evicting = run_all()
+    assert opened and executions == []
+    assert same(cold, evicting)
+    assert idx._held_rows <= 8
 
 
 def _all_answers(idx: SearchIndex) -> list:
@@ -263,7 +244,7 @@ def test_warm_handle_answers_like_a_fresh_open(
     for i, step in enumerate(steps):
         step()
         if evict and i == 0:
-            total = search_index._footer_rows(idx._all_files("postings"))
+            total = sum(pq.read_metadata(f).num_rows for f in idx._all_files("postings"))
             monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", total // 3)
         for _ in range(2):  # the first pass loads readers, the second is warm
             want = _all_answers(SearchIndex.open(idx.index_dir))
@@ -352,8 +333,6 @@ _SUBMISSION = st.dictionaries(
     max_size=6,
 )
 _SEARCHES = ["window OR customer", 'title:"customer join" OR stream', "cust* AND NOT data"]
-# (method, terms); a no-term top-k opens no postings file, so it folds on the
-# driver at any DRIVER_ROW_LIMIT
 _TOPKS = [
     ("topk", []),
     ("topk_bm25f", []),
@@ -372,14 +351,15 @@ def test_stored_fields_match_brute_force_across_upserts(
     doc's last-submitted fields; a top-k ranks its scoring docs, then the
     smallest other live doc_ids ascending (every live doc when ``k``
     passes the live count); ``live_docs`` and ``total_dl`` equal their
-    recount over the last submissions.  With ``DRIVER_ROW_LIMIT`` at 8
-    rows, readers are evicted (and read back from parquet) while the doc
-    directory that names their rows is live."""
+    recount over the last submissions, and so do ``and_terms`` and
+    ``term_df``.  With ``DRIVER_ROW_LIMIT`` at 8 rows, readers are evicted
+    (and read back from parquet) while the doc directory that names their
+    rows is live."""
     import tempfile
+    from collections import Counter
 
     if evict:
         monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 8)
-    topks = [(m, t) for m, t in _TOPKS if not (evict and t)]
 
     @given(st.lists(st.one_of(st.just("compact"), _SUBMISSION), min_size=1, max_size=5))
     @settings(max_examples=15 if evict else 25, deadline=None)
@@ -404,13 +384,21 @@ def test_stored_fields_match_brute_force_across_upserts(
                     got = idx.search(q, k=k)
                     assert got.equals(fresh.search(q, k=k)), q
                     _assert_fields(got, live)
-                for m, terms in topks:
+                for m, terms in _TOPKS:
                     got = getattr(idx, m)(terms, k=k)
                     assert got.equals(getattr(fresh, m)(terms, k=k)), (m, terms)
                     _assert_fields(got, live)
                     ids, scores = got["doc_id"].to_pylist(), got["score"].to_pylist()
                     hit = [d for d, s in zip(ids, scores) if s > 0]
                     assert ids == hit + sorted(set(live) - set(hit))[: k - len(hit)]
+            tokens = {d: set(search.tokenize(text)) for d, (text, _) in live.items()}
+            for terms in (["window", "join"], ["customer", "customer"], ["stream", "nosuchterm"]):
+                want = sorted(d for d, ts in tokens.items() if ts >= set(terms))
+                assert idx.and_terms(terms)["doc_id"].to_pylist() == want, terms
+            df = Counter(t for ts in tokens.values() for t in ts)
+            got = idx.term_df()
+            assert dict(zip(got["term"].to_pylist(), got["df"].to_pylist())) == df
+            assert got["term"].to_pylist() == sorted(df)
             held = sum(r.rows for r in idx._readers.values())
             assert held == idx._held_rows <= search_index.DRIVER_ROW_LIMIT
 
@@ -481,41 +469,6 @@ def test_writing_handle_answers_without_opening_a_file(
         for a, b in zip(got[:-1], want[:-1]):
             assert a.equals(b), i
         assert got[-1] == want[-1], i
-
-
-def test_footer_rows_choose_the_distributed_branch(
-    ray_session, tmp_path, corpus, executions, monkeypatch
-):
-    """The driver-vs-distributed switch reads parquet footers, before any
-    data: limit 0 and any limit below the pruned files' footer-row sum —
-    even one at or above the matched-row count — go distributed (>= 1 Ray
-    Data execution), and both branches give the driver fold's answer."""
-    from distributed_web_crawling_system_ray.pipelines.search_index import (
-        _footer_rows,
-    )
-
-    sub1, sub2, _ = corpus
-    idx = SearchIndex.create(str(tmp_path / "idx_sw"))
-    idx.update(_docs_table(sub1))
-    idx.update(_docs_table(sub2))
-    plan = idx._pruned_postings(TERMS)
-    matched = sum(len(r["doc_id"]) for r in idx._read_on_driver(TERMS).values())
-    footer = _footer_rows(plan[0])
-    assert 0 < matched < footer
-    want_topk, want_and = idx.topk(TERMS), idx.and_terms(TERMS)
-    for limit in (0, matched, footer - 1):
-        monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", limit)
-        executions.clear()
-        assert idx.topk(TERMS).equals(want_topk), limit
-        assert len(executions) >= 1, limit
-        executions.clear()
-        got = idx.and_terms(TERMS)
-        assert got.column("doc_id").equals(want_and.column("doc_id")), limit
-        assert len(executions) >= 1, limit
-    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", footer)
-    executions.clear()
-    assert idx.topk(TERMS).equals(want_topk)
-    assert executions == []
 
 
 def test_stemmed_index_matches_both_sides(ray_session, tmp_path):
@@ -597,6 +550,28 @@ def test_zero_match_query_pads_with_ascending_ids(ray_session, tmp_path):
     assert t.column("doc_id").to_pylist() == [0, 1, 2]
     assert t.column("score").to_pylist() == [0, 0, 0]
     assert t.column("snippet").to_pylist() == ["alpha beta gamma"] * 3
+
+
+def test_k_counts_rows_and_rejects_negative_values(ray_session, tmp_path):
+    """``k = 0`` gives no row, ``k < 0`` raises (it would slice off the last
+    answers), and ``k`` past the live count gives every live doc, on an
+    index whose re-used ids leave fewer live docs than submitted rows."""
+    idx = SearchIndex.create(str(tmp_path / "idx_k"))
+    idx.update(_docs_table({i: "alpha beta" + " gamma" * (i % 2) for i in range(6)}))
+    idx.update(_docs_table({4: "alpha gamma", 5: "alpha"}))
+    queries = [
+        lambda k: idx.topk(["gamma"], k=k),
+        lambda k: idx.topk_bm25f(["gamma"], k=k),
+        lambda k: idx.search("alpha", k=k),
+    ]
+    for q in queries:
+        assert q(0).num_rows == 0
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            q(-1)
+        assert sorted(q(100)["doc_id"].to_pylist()) == list(range(6))
+    t = idx.topk(["gamma"], k=4)
+    assert t["doc_id"].to_pylist() == [1, 3, 4, 0]
+    assert t["score"].to_pylist()[2:] == [t["score"][0].as_py(), 0]
 
 
 def test_update_from_parquet_directory(ray_session, tmp_path):
@@ -818,24 +793,6 @@ def test_dataset_write_path_writes_the_same_files(
         for a, b in zip(_all_answers(driver), _all_answers(dataset)):
             assert a == b if isinstance(a, dict) else a.equals(b), stage
         assert driver.term_df().equals(dataset.term_df()), stage
-
-
-def test_term_df_from_readers_matches_the_dataset_scan(
-    ray_session, tmp_path, corpus, executions, monkeypatch
-):
-    """``term_df`` answers from the handle's readers when the postings fit
-    ``DRIVER_ROW_LIMIT`` (zero Ray Data executions) and equals the Dataset
-    scan above it, across upserts that supersede rows."""
-    sub1, sub2, _ = corpus
-    idx = SearchIndex.create(str(tmp_path / "idx_df"))
-    idx.update(_docs_table(sub1))
-    idx.update(_docs_table(sub2))
-    executions.clear()
-    got = idx.term_df()
-    assert executions == []
-    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", 0)
-    assert got.equals(idx.term_df().sort_by("term"))
-    assert executions
 
 
 def test_index_for_keeps_a_warm_handle(ray_session, tmp_path, monkeypatch):
