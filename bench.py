@@ -10,9 +10,11 @@ Also times a sample of the training-data operators over $GRAFT_SF_DIR
 (default /root/testdata/sf0.1).
 
 Usage:
-    python bench.py                # one run at $RAY_GRAFT_CPUS (default 32)
-    python bench.py --scaling      # fresh processes at 8 and 32 cpus,
-                                   # reports throughputs + scaling efficiency
+    python bench.py                # one run at $RAY_GRAFT_CPUS (default: the
+                                   # CPUs this process may run on)
+    python bench.py --scaling      # fresh processes at 4 and 16 cpus
+                                   # ($GRAFT_SCALING_LO/HI), reports
+                                   # throughputs + scaling efficiency
     python bench.py --sf1          # the sf1 near-dup ops alone, in a
                                    # perfbench-shaped session at
                                    # $RAY_GRAFT_CPUS (default 1); the
@@ -292,11 +294,7 @@ def run_bench(num_cpus: int) -> dict:
             while fh.read(1 << 24):
                 pass
 
-    cfg = CrawlConfig(
-        seen_shards=8,
-        fetch_batch_size=512,
-        dedup_partitions=max(16, num_cpus * 2),
-    )
+    cfg = CrawlConfig(seen_shards=8, fetch_batch_size=512)
     if sustained_only:
         crawl_s, res = 0.0, None
     else:
@@ -573,7 +571,7 @@ def main() -> None:
     if "--sf1" in sys.argv:
         print(json.dumps(sf1_gate(int(os.environ.get("RAY_GRAFT_CPUS", "1")))))
         return
-    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    ncpu = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
     print(json.dumps(run_bench(ncpu)))
 
 

@@ -1,15 +1,20 @@
-"""Ray-Data-native rebuild of the Trimbex Distributed-Web-Crawling-System.
+"""A Ray rebuild of the Trimbex Distributed-Web-Crawling-System.
 
-A from-scratch URL-frontier + fetch scheduler expressed as Ray Data pipelines:
+A from-scratch URL-frontier + fetch scheduler on Ray:
 
-- frontier rounds are ``ray.data.Dataset``s of URL rows (BFS levels),
-- fetch + decode is an actor-pool ``map_batches`` stage over zero-copy Arrow,
+- each BFS round is three waves of plain Ray tasks (``pipelines/crawl.py``):
+  dedup + schedule per host shard, fetch + extract per fetch batch, decode
+  + write per image piece; the driver holds url_hash keys and per-host
+  summaries only,
 - URL-seen dedup is an exact set: one sorted uint64 key array per shard in
   the object store,
-- politeness / robots scheduling is a per-host-sharded actor pool,
+- politeness / robots scheduling runs in the per-host-shard tasks, in
+  virtual time,
 - output is a partitioned (per-round) image+caption table
   (``image_id, bytes, w, h, fmt, caption, phash``), Lance when the ``lance``
-  package is importable, Parquet otherwise.
+  package is importable, Parquet otherwise,
+- the training-data operators and the search index use Ray Data
+  (``pipelines/dataops.py``, ``pipelines/search_index.py``).
 
 The reference system (studied for semantics only, never copied) is
 Trimbex/Distributed-Web-Crawling-System: a Flask+SQS+S3 master/worker crawler
@@ -26,14 +31,14 @@ def _stabilize_fsspec_http() -> None:
     In containers without ``aiohttp`` that submodule FAILS to import; a
     failed import is removed from ``sys.modules`` and re-attempted on every
     Ray datasink/datasource path resolution (``_is_http_filesystem``).  Two
-    driver threads issuing Dataset writes concurrently (the crawl loop
-    overlaps its payload and frontier sinks) can race the per-module import
-    lock into a partially-initialized module, which surfaces as a plain
-    ``ImportError`` that escapes Ray's ``except ModuleNotFoundError`` guard
-    and kills the write.  Registering a minimal stub once makes the import
-    deterministic; ``isinstance`` checks against the stub class are always
-    False, which is the correct answer for the local-filesystem paths this
-    package uses (reading ``http://`` parquet would need real aiohttp).
+    driver threads issuing Dataset writes concurrently can race the
+    per-module import lock into a partially-initialized module, which
+    surfaces as a plain ``ImportError`` that escapes Ray's ``except
+    ModuleNotFoundError`` guard and kills the write.  Registering a minimal
+    stub once makes the import deterministic; ``isinstance`` checks against
+    the stub class are always False, which is the correct answer for the
+    local-filesystem paths this package uses (reading ``http://`` parquet
+    would need real aiohttp).
     """
     try:
         from fsspec.implementations.http import HTTPFileSystem  # noqa: F401

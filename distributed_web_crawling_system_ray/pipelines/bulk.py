@@ -8,24 +8,24 @@ robots-gated and decoded, and the payload is written.  ``repeat`` stacks R
 copies of the URL set (copy r at depth r, so a host's fetches in copy r
 take the slots after copy r-1's) to lengthen the measured window.
 
-The plan follows ``n_pages * repeat`` against
-``CrawlConfig.driver_partition_limit`` (shared with the crawl):
+The pass is one round of the crawl's engine (``crawl.py``), with no seen
+sets and S = ``crawl._shard_count()``:
 
-- Driver-sized, the shape of a driver-sized crawl round (``crawl.py``), with
-  no Ray Data execution.  The driver schedules all copies in one
-  ``schedule_hosts_batch`` call.  E1 is one fetch -> extract -> robots gate
-  task per ``fetch_batch_size`` slice, gathered with one ``ray.get``; the
-  driver dedups; E2 is one decode -> write task per ``decode_batch_size``
-  slice, each writing one payload part file.
-- Cluster-scale: a groupby(host) shuffle fabricates and schedules each
-  host's copies, then one streaming Dataset fetches, extracts, gates,
-  dedups (a groupby(url_hash % P) shuffle), decodes and writes.
+- R(s): host shard s of the broadcast pages table, its R copies, scheduled
+  from empty clocks in one ``schedule_hosts_batch`` call; returns the
+  ALLOWED rows and their count.
+- F: one fetch -> extract -> robots gate task per ``fetch_batch_size`` slice
+  of R's rows, cut from R's counts; returns the image candidates split into
+  S pieces by ``url_hash % S``.
+- W(p): one row per (copy, image) of piece p across every F task, decoded
+  and written as payload parts ``part-{p}-{i}``.
 
-Both extract each copy's rows of a batch apart and keep one row per (copy,
-image), so each image is written exactly R times whatever the batches.
+F extracts each copy's rows of a batch apart, and W keeps one row per
+(copy, image), so each image is written exactly R times whatever the
+batches.  The driver holds counts only.
 
 ``bench.py`` times the pass alone: input loading, the store broadcast and
-the warm-up (a pass of the same plan over at most 2,048 pages) are setup.
+the warm-up (a pass over at most 2,048 pages) are setup.
 """
 
 from __future__ import annotations
@@ -40,20 +40,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data
 
 from distributed_web_crawling_system_ray.config import CrawlConfig
 from distributed_web_crawling_system_ray.oracle import RANK_BYTES
-from distributed_web_crawling_system_ray.pipelines.crawl import _tasks
-from distributed_web_crawling_system_ray.pipelines.partition import add_hash_partition
-from distributed_web_crawling_system_ray.sources import storage
+from distributed_web_crawling_system_ray.pipelines import crawl
 from distributed_web_crawling_system_ray.stages.cache import get_policies, web_refs
 from distributed_web_crawling_system_ray.stages.fetch import (
     decode_images,
     extract_image_candidates,
     fetch_pages,
 )
-from distributed_web_crawling_system_ray.state.robots import RobotsPolicies
 from distributed_web_crawling_system_ray.state.scheduler import (
     ALLOWED,
     schedule_hosts_batch,
@@ -99,24 +95,6 @@ def _copies(pages: pa.Table, repeat: int) -> pa.Table:
     )
 
 
-def _allowed(sched: pa.Table) -> pa.Table:
-    return sched.filter(pc.equal(sched.column("verdict"), ALLOWED))
-
-
-def _schedule_driver(pages: pa.Table, repeat: int, policies, cfg) -> pa.Table:
-    """The ALLOWED rows of the R copies of the host-sorted URL set,
-    copy-major: one driver-side schedule over all copies from empty clocks,
-    so a host's slots never repeat across copies."""
-    return _allowed(
-        schedule_hosts_batch(
-            _copies(pages.sort_by("host"), repeat),
-            robots=policies,
-            clocks={},
-            per_host_round_budget=cfg.per_host_round_budget,
-        )
-    )
-
-
 def _robots_gate(images: pa.Table, robots_ref) -> pa.Table:
     """The image candidates whose own URL robots allows."""
     ok = get_policies(robots_ref).allowed_mask(
@@ -152,142 +130,56 @@ def _dedup_per_copy(cands: pa.Table) -> pa.Table:
     return cands.take(pa.array(np.sort(order[first]), pa.int64()))
 
 
-def _driver_pass(
-    pages: pa.Table, repeat: int, store_refs, policies, cfg, out_dir: str
-) -> int:
-    """The driver-sized pass over the R copies of ``pages``; returns the
-    payload rows written."""
+def _pass(n_pages: int, repeat: int, store_refs, cfg, out_dir: str) -> int:
+    """One pass over the R copies of the first ``n_pages`` pages of the
+    broadcast web; returns the payload rows written.  The task bodies are
+    closures, so that cloudpickle ships them by value with this module's
+    current ``schedule_hosts_batch``/``fetch_pages``/``decode_images``
+    bindings (as crawl.py's round bodies)."""
+    S = crawl._shard_count()
 
-    def fetch_extract(batch: pa.Table) -> pa.Table:
-        """E1 over one fetch batch of schedule rows.  A closure, so
-        cloudpickle ships it by value with this module's current
-        ``fetch_pages`` binding (as crawl.py's round bodies)."""
-        fetched = fetch_pages(batch, store_refs=store_refs)
-        return _robots_gate(_extract_per_copy(fetched), store_refs[1])
+    def schedule(s: int):
+        """R(s): the ALLOWED rows of host shard s's copies, and their count."""
+        pages = ray.get(store_refs[0]).slice(0, n_pages).select(["url", "host"])
+        mine = pages.filter(pa.array(crawl._host_shard(pages.column("host"), S) == s))
+        sched = schedule_hosts_batch(
+            _copies(mine, repeat),
+            robots=store_refs[1],
+            clocks={},
+            per_host_round_budget=cfg.per_host_round_budget,
+        )
+        allowed = sched.filter(pc.equal(sched.column("verdict"), ALLOWED))
+        return allowed.num_rows, allowed
 
-    def decode_write(images: pa.Table, part: int) -> int:
-        """E2 over one decode batch: payload part ``part`` of ``out_dir``
-        (a retry replaces it).  A closure for the same reason."""
-        return storage.write_payload_part(
-            decode_images(images, store_refs=store_refs), out_dir, part
+    def fetch_extract(spec: list, *parts):
+        """F over one batch of ALLOWED rows: per-piece row counts, then the
+        robots-allowed image candidates of each piece."""
+        fetched = fetch_pages(crawl._gather(spec, parts), store_refs=store_refs)
+        images = _robots_gate(_extract_per_copy(fetched), store_refs[1])
+        part = (images.column("url_hash").to_numpy() % np.uint64(S)).astype(np.int64)
+        return (np.bincount(part, minlength=S), *crawl._split(images, part, S))
+
+    def decode_write(p: int, *pieces) -> int:
+        """W over image piece ``p`` of every F task."""
+        return crawl._write_parts(
+            _dedup_per_copy(pa.concat_tables(pieces)),
+            lambda t: decode_images(t, store_refs=store_refs),
+            out_dir,
+            p,
+            cfg.decode_batch_size,
         )
 
-    allowed = _schedule_driver(pages, repeat, policies, cfg)
-    step = cfg.fetch_batch_size
-    cands = _tasks(
+    reduce = crawl._submit(schedule, [(s,) for s in range(S)], num_returns=2)
+    counts = ray.get([r[0] for r in reduce])
+    fetch = crawl._submit(
         fetch_extract,
-        [(allowed.slice(o, step),) for o in range(0, allowed.num_rows, step)],
+        crawl._fetch_args(counts, [r[1] for r in reduce], cfg.fetch_batch_size),
+        num_returns=1 + S,
     )
-    if not cands:
-        return 0
-    images = _dedup_per_copy(pa.concat_tables(cands))
-    step = cfg.decode_batch_size
-    return sum(
-        _tasks(
-            decode_write,
-            [
-                (images.slice(o, step), i)
-                for i, o in enumerate(range(0, images.num_rows, step))
-            ],
-        )
-    )
-
-
-def fabricate_and_schedule_host(
-    group: pa.Table,
-    *,
-    robots_ref,
-    clocks_ref,
-    per_host_round_budget: int,
-    repeat: int,
-) -> pa.Table:
-    """``groupby('host').map_groups`` body for the cluster-scale pass: one
-    host's copies, url-sorted with per-host rank bytes (politeness orders
-    within a host only), scheduled; the ALLOWED rows.  The shuffle makes
-    this worker the host's single politeness authority, as crawl.py's
-    schedule_host_group."""
-    return _allowed(
-        schedule_hosts_batch(
-            _copies(group.sort_by("url"), repeat),
-            robots=robots_ref,
-            clocks=clocks_ref,
-            per_host_round_budget=per_host_round_budget,
-        )
-    )
-
-
-def _schedule_phase_distributed(
-    fr: "ray.data.Dataset", repeat: int, store_refs, cfg
-) -> "ray.data.Dataset":
-    """Cluster-scale phase 1 over a Dataset of (url, host) page rows: a
-    ``groupby('host')`` shuffle -> per-host fabricate+schedule, the crawl's
-    cluster-frontier path.  The block budget is shrunk on THIS dataset's
-    context (metadata-sized rows) so a hot host re-emits as several
-    blocks downstream."""
-    prev = fr.context.target_max_block_size
-    fr.context.target_max_block_size = 160 * 1024
-    clocks_ref = ray.put({})
-    allowed = (
-        fr.groupby("host")
-        .map_groups(
-            fabricate_and_schedule_host,
-            fn_kwargs={
-                "robots_ref": store_refs[1],
-                "clocks_ref": clocks_ref,
-                "per_host_round_budget": cfg.per_host_round_budget,
-                "repeat": repeat,
-            },
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
-    allowed.context.target_max_block_size = prev
-    return allowed
-
-
-def _fetch_decode_phase(
-    sched_ds: "ray.data.Dataset", store_refs, cfg
-) -> "ray.data.Dataset":
-    """Phase 2: the heavy streaming pipeline over evenly-sized blocks, with
-    the image dedup shuffle: groupby(url_hash % P), one row per (copy,
-    image)."""
-    return (
-        sched_ds.map_batches(
-            fetch_pages,
-            fn_kwargs={"store_refs": store_refs},
-            batch_format="pyarrow",
-            batch_size=cfg.fetch_batch_size,
-        )
-        .map_batches(_extract_per_copy, batch_format="pyarrow")
-        .map_batches(
-            _robots_gate,
-            fn_kwargs={"robots_ref": store_refs[1]},
-            batch_format="pyarrow",
-        )
-        .map_batches(
-            add_hash_partition,
-            fn_kwargs={"P": cfg.dedup_partitions},
-            batch_format="pyarrow",
-        )
-        .groupby("part")
-        .map_groups(_dedup_per_copy, batch_format="pyarrow")
-        .map_batches(
-            decode_images,
-            fn_kwargs={"store_refs": store_refs},
-            batch_format="pyarrow",
-            batch_size=cfg.decode_batch_size,
-        )
-    )
-
-
-def _cluster_pass(
-    fr: "ray.data.Dataset", repeat: int, store_refs, cfg, out_dir: str
-) -> None:
-    """The cluster-scale pass over the R copies of the (url, host) rows of
-    ``fr``, writing its payload to ``out_dir``."""
-    sched_ds = _schedule_phase_distributed(fr, repeat, store_refs, cfg)
-    if sched_ds.count():  # materialized upstream — a metadata check
-        storage.write_payload(_fetch_decode_phase(sched_ds, store_refs, cfg), out_dir)
+    rows = np.sum([np.zeros(S, np.int64)] + ray.get([f[0] for f in fetch]), axis=0)
+    pieces = np.flatnonzero(rows).tolist()
+    write = [(p, *[f[1 + p] for f in fetch]) for p in pieces]
+    return sum(ray.get(crawl._submit(decode_write, write)))
 
 
 def bulk_fetch_decode(
@@ -303,40 +195,19 @@ def bulk_fetch_decode(
     if out_dir is None:
         out_dir = tempfile.mkdtemp(prefix="graft_bulk_")
     os.makedirs(out_dir, exist_ok=True)
-    # ---- setup (untimed): load input, broadcast the store once per
-    # process and fixture (web_refs) ----
-    pages_path = os.path.join(fixture_dir, "web_pages.parquet")
-    n_pages = pq.read_metadata(pages_path).num_rows
-    small = n_pages * repeat <= cfg.driver_partition_limit
+    # ---- setup (untimed): broadcast the store once per process and
+    # fixture (web_refs) ----
+    n_pages = pq.read_metadata(os.path.join(fixture_dir, "web_pages.parquet")).num_rows
     store_refs = web_refs(fixture_dir)
-    pages, robots = ray.get(list(store_refs[:2]))
-    policies = RobotsPolicies.from_table(robots)
-    pages = pages.select(["url", "host"])
-    if warmup:  # spin up the worker pool, its store handles and, above
-        # the limit, the Ray Data executor the timed pass uses
+    if warmup:  # spin up the worker pool and its store handles
         wdir = tempfile.mkdtemp(prefix="graft_bulk_warmup_")
-        if small:
-            _driver_pass(pages.slice(0, 2048), 1, store_refs, policies, cfg, wdir)
-        else:
-            fr = ray.data.from_arrow(pages.slice(0, 2048))
-            _cluster_pass(fr, 1, store_refs, cfg, wdir)
+        _pass(min(n_pages, 2048), 1, store_refs, cfg, wdir)
         shutil.rmtree(wdir)
 
     # ---- timed window: the pass over R copies ----
     t0 = time.time()
-    if small:
-        n_images = _driver_pass(pages, repeat, store_refs, policies, cfg, out_dir)
-    else:
-        del pages  # the cluster pass holds no URL row on the driver
-        fr = ray.data.read_parquet(pages_path, columns=["url", "host"])
-        _cluster_pass(fr, repeat, store_refs, cfg, out_dir)
+    n_images = _pass(n_pages, repeat, store_refs, cfg, out_dir)
     wall = time.time() - t0
-    if not small:
-        n_images = sum(
-            pq.read_metadata(os.path.join(out_dir, f)).num_rows
-            for f in os.listdir(out_dir)
-            if f.endswith(".parquet")
-        )
 
     n_urls = n_pages * repeat
     return {

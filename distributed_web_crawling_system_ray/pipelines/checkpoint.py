@@ -6,23 +6,31 @@ loses the frontier, ``archive/master_node.py:91-101``; v3 persists nothing).
 Here every round commits atomically:
 
     work_dir/checkpoint/round=K/
-        frontier_manifest.json      (pieces composing round K's input)
-        frontier.parquet            (the single piece, driver-sized rounds)
-        schedule.parquet | schedule/ (robots verdicts + politeness slots —
-                                     file on driver-sized rounds, a
-                                     Dataset-written dir at cluster scale)
-        new_frontier_manifest.json  (pieces composing round K+1's input)
-        new_frontier*.parquet | new_frontier_links/ | new_frontier_deferred/
+        frontier_manifest.json      (round K's frontier pieces)
+        frontier-{s}.parquet        (R(K, s)'s frontier piece, first round
+                                     of a run only; later rounds' pieces
+                                     are the round before's new_frontier)
+        schedule-{s}.parquet        (R(K, s)'s robots verdicts + politeness
+                                     slots, one per host shard with rows)
+        new_frontier_manifest.json  (round K+1's frontier pieces)
+        new_frontier-{s}.parquet    (R(K+1, s)'s frontier piece)
         seen/ image_seen/           (seen_shard_{s}.npy: each shard's
                                      sorted uint64 keys)
         clocks.json                 (per-host virtual politeness clocks)
         metrics.json                (per-round counters, METRICS schema)
         _SUCCESS                    (commit marker — written last)
 
+The R tasks of round K+1 write its frontier into round K's directory, so
+``commit_round(K)`` lists it and a resume, which deletes every round after
+the last ``_SUCCESS``, keeps it.  Piece paths in the manifests are relative
+to ``work_dir``.
+
 Resume = restore shards + clocks from the last ``_SUCCESS`` round, re-enter
-the loop at round K+1 with the ``new_frontier_manifest.json`` pieces.
-Payload partitions beyond the committed round are deleted and rewritten
-(idempotent: the restored image-seen set reproduces the same decisions).
+the loop at round K+1 with the ``new_frontier_manifest.json`` pieces (each
+R task reads them all and keeps its host shard's rows, so a resume may run
+at another shard count).  Payload partitions beyond the committed round are
+deleted and rewritten (idempotent: the restored image-seen set reproduces
+the same decisions).
 """
 
 from __future__ import annotations
@@ -59,11 +67,10 @@ def commit_round(
     seen,
     image_seen,
 ) -> None:
-    """Commit round ``k``.  ``new_frontier_files`` are the already-persisted
-    parquet pieces (files or Dataset-written directories, paths relative to
-    ``work_dir``) composing round k+1's frontier — written distributed by the
-    crawl loop so frontier rows never concentrate on the driver; the commit
-    only records the manifest."""
+    """Commit round ``k``.  ``new_frontier_files`` are the parquet pieces
+    (paths relative to ``work_dir``) composing round k+1's frontier, already
+    written by round k+1's R tasks, so frontier rows never reach the
+    driver; the commit only records the manifest."""
     rd = round_dir(work_dir, k)
     os.makedirs(rd, exist_ok=True)
     with open(os.path.join(rd, "new_frontier_manifest.json"), "w") as f:

@@ -1,86 +1,78 @@
-"""The BFS crawl driver loop: one bounded, acyclic round per frontier level.
+"""The BFS crawl: one bounded, acyclic round per frontier level, run as three
+waves of plain Ray tasks.
 
 Restates the whole reference master/worker system (SURVEY §3.1-3.3) as an
-iterative sequence of rounds (Ray tasks, or Dataset pipelines at scale):
+iterative sequence of rounds.  S is the cluster's CPU count
+(``_shard_count``, read once per run): a URL row belongs to host shard
+``url_hash(host) % S`` and an image candidate to piece ``url_hash % S``.
 
-    round k:  frontier ──host exchange──> politeness scheduler (robots gate +
-              virtual-time slots) ──> fetch -> extract, fused into one task
-              per fetch batch (fetches the ALLOWED rows; returns every
-              schedule row + status and two candidate list columns):
-                ├─ links: outlinks -> canonicalize + min-rank batch combiner
-                │   -> pure seen-set contains() anti-join
-                └─ images: image refs -> pure image-seen contains() + robots
-                    gate
-          ──> min-rank link dedup -> exactly-once admission -> round k+1
-              frontier
-          ──> image set-dedup -> exactly-once admission -> decode -> write
-              payload partition round=k
+    R(k, s)  dedup + schedule, one task per host shard: the min-(depth,
+             rank_path) row per url_hash of shard s's link pieces from every
+             F(k-1) task, its deferred rows and its injected rows (on
+             resume: the committed frontier files, filtered to the shard).
+             It writes that frontier, then schedules its hosts (robots gate
+             + virtual-time politeness slots from the round's clock
+             broadcast) and writes its schedule part.  It returns a summary
+             (verdict counts, each fetched host's next free slot), its
+             ALLOWED rows and its DEFERRED rows.
+    F(k, b)  fetch -> extract, one task per ``fetch_batch_size`` slice of
+             the round's ALLOWED rows: it fetches them, extracts links and
+             image refs below the depth cap, drops the known ones (the pure
+             seen-set ``contains`` anti-joins) and the robots-disallowed
+             images, and returns a meta (200 count, the url_hash keys of its
+             candidates), its link pieces (one per host shard) and its image
+             pieces (one per image piece).
+    W(k, p)  decode -> write, one task per image piece holding a new image:
+             the first row per url_hash of piece p across F(k), decoded and
+             written as payload parts ``part-{p}-{i}``, one per
+             ``decode_batch_size`` slice.
 
-A driver-sized round (frontier <= ``driver_partition_limit``) runs no Ray
-Data execution, only plain Ray tasks.  The driver schedules the frontier;
-E1 is one fetch -> extract task per fetch batch of schedule rows, gathered
-with one ``ray.get``; the driver splits the list columns, writes the
-schedule, advances the host clocks, dedups and admits; E2 is one decode ->
-write task per decode batch of new images, each writing one payload part
-file, and is skipped when there are none.  Above the limit the same fused
-stage runs behind a groupby(host) shuffle and the dedups are
-groupby(url_hash % P) shuffles, so no per-row table reaches the driver.
+Host grouping is needed in R only: the politeness slots are in virtual time,
+so a host's R task is its single politeness authority, and F batches are cut
+from R's counts and stay balanced whatever the host skew.
 
-Driver-sized rounds run two deep, with no barrier at the payload:
+The driver holds url_hash keys and per-host summaries, never a row table.
+Per round it gathers R(k)'s summaries and advances the host clocks, then
+submits F(k) and R(k+1) behind it: R(k+1) reads F(k)'s link pieces, R(k)'s
+deferred rows and the clocks after round k, none of which waits for round
+k's admission.  It then gathers F(k)'s metas, submits W(k-1) and admits the
+metas' keys into both seen sets (``check_and_add``, once per round, after
+every task that reads the sets; F(k+1) is submitted after it).  Rounds run
+two deep, with no barrier at the payload:
 
-    driver:  schedule k, submit E1(k) + E2(k-1), commit k-2 | gather E1(k),
-             dedup + admit k | schedule k+1, submit E1(k+1) + E2(k), ...
-    worker:  E1(k) | E2(k-1) | E1(k+1) | E2(k) | ...
+    driver:  R(k) summaries, submit F(k) + R(k+1), commit k-2 | F(k) metas,
+             submit W(k-1), admit k | R(k+1) summaries, submit F(k+1) +
+             R(k+2), commit k-1 | ...
+    workers: R(k) | W(k-2) | F(k) | R(k+1) | W(k-1) | F(k+1) | R(k+2) | ...
 
-Round k's E2 is submitted behind round k+1's E1, so one worker runs E2(k)
-while the driver admits round k+1; ``commit_round(k)`` runs in round k+2,
-after E2(k) returns, and writes the seen-set views, clocks and metrics held
-from the end of round k (``_PendingRound``).  At most two rounds are
-uncommitted, commits go in round order, and every pending round commits
-before a cluster-scale round and before ``run_crawl`` returns.  Fetch order
-is fixed inside E1 and images are admitted before E2 runs, so the FIFO
-order, the seen sets and the payload do not depend on when E2 runs.
+``commit_round(k)`` runs once W(k) and R(k+1) have returned, with the
+seen-set views, clocks and metrics held from the end of round k
+(``_PendingRound``).  Commits go in round order, and every pending round
+commits before ``run_crawl`` returns.  Fetch order is fixed by the schedule
+slots and images are admitted before W runs, so the FIFO order, the seen
+sets and the payload do not depend on when W runs.
+
+Retry safety: F calls ``contains`` only, on the seen-set refs captured when
+it was submitted, and the sets change on the driver only, each change
+putting new refs, so a retried F reads what its first attempt read; R reads
+immutable inputs and W a fixed set of pieces, and both
+write their files through ``.tmp`` + ``os.replace`` under deterministic
+names.  So a re-executed task rewrites the same files and returns the same
+values.
 
 The feedback loop (extracted URLs re-entering the queue,
 ``master/master_node.py:167-173``) lives in this driver loop; each round is
-acyclic.  Termination = empty frontier (v1 semantics:
-*loop while queue non-empty*, ``archive/master_node.py:111``) or the round
-budget.
-
-Frontier rounds are persisted as parquet under the work dir — that plus
-the seen sets' sorted key arrays and host clocks is the checkpoint; resume
-re-reads the last committed round's outputs (see ``checkpoint.py``).
-
-Scale discipline (every driver pull is hash- or host-sized, never row-sized,
-above ``driver_partition_limit``):
-
-- *frontier rows never concentrate on the driver above
-  ``driver_partition_limit``*: the post-dedup survivors stay in the object
-  store and are written to the next round's frontier with a distributed
-  Dataset write; only the 8-byte ``url_hash`` column is pulled for the
-  exactly-once seen-pool admission (and, from the schedule, only a
-  per-host summary — counts + max slot — ever reaches the driver).  Below
-  the limit the driver holds the round's schedule rows and its new link
-  and image candidates (at most the frontier times its fan-out).
-- *admission happens after every task that reads the seen sets*: a retried
-  task or a Ray lineage reconstruction of a lost block re-runs the PURE
-  ``contains()`` anti-join, and must not observe its own round's keys or it
-  silently drops rows.  A driver-sized round admits once its E1 is
-  gathered, before its E2, which reads neither set; a cluster round admits
-  after each branch's sink returns, since the sink re-reads the fused
-  stage's blocks.
-- per-round fetch results are materialized (URL/metadata-sized — the image
-  payload stream is NOT materialized, it flows straight to the partitioned
-  parquet/Lance sink); the dedup shuffle is an explicit hash partition
-  ``groupby(url_hash % P)``; the groupby(host) shuffle is bounded by the
-  per-host round budget (see scheduler.py).
+acyclic.  Termination = empty frontier (v1 semantics: *loop while queue
+non-empty*, ``archive/master_node.py:111``) or the round budget.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -89,7 +81,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data
 
 from distributed_web_crawling_system_ray.config import CrawlConfig
 from distributed_web_crawling_system_ray.functions.canon import (
@@ -103,6 +94,8 @@ from distributed_web_crawling_system_ray.pipelines.checkpoint import (
     latest_round,
     round_dir,
 )
+from distributed_web_crawling_system_ray.sources import storage
+from distributed_web_crawling_system_ray.stages.cache import get_policies, web_refs
 from distributed_web_crawling_system_ray.stages.fetch import (
     decode_images,
     dedup_first_by_hash,
@@ -111,20 +104,15 @@ from distributed_web_crawling_system_ray.stages.fetch import (
     extract_links,
     fetch_pages,
 )
-from distributed_web_crawling_system_ray.pipelines.partition import add_hash_partition
-from distributed_web_crawling_system_ray.sources import storage
-from distributed_web_crawling_system_ray.stages.cache import get_policies, web_refs
 from distributed_web_crawling_system_ray.state.scheduler import (
     ALLOWED,
     DEFERRED,
     DISALLOWED,
-    schedule_host_group,
     schedule_hosts_batch,
 )
 from distributed_web_crawling_system_ray.state.seen import SeenPool
 
 BASE_COLS = ["url", "canon", "url_hash", "host", "depth", "rank_path"]
-SCHED_COLS = BASE_COLS + ["verdict", "fetch_at_ms"]
 IMAGE_COLS = ["canon", "url_hash", "host"]
 
 
@@ -134,26 +122,80 @@ def _call(fn, *args):
     return fn(*args)
 
 
-def _submit(fn, args: list[tuple]) -> list:
+def _submit(fn, args: list[tuple], num_returns: int = 1) -> list:
     """Submit ``fn(*a)`` for each ``a`` in ``args``, one Ray task each, in
-    order; returns their refs.  ``fn`` is put once: a closure
-    (``run_crawl``'s round bodies, bulk.py's E1 and E2) is pickled by value
-    then, with the refs it captures and its module's current bindings."""
+    order; returns their refs (a list of ``num_returns`` refs per task when
+    it is above 1).  ``fn`` is put once: a closure (the round bodies of
+    ``run_crawl`` and of bulk.py) is pickled by value then, with the refs it
+    captures and its module's current bindings."""
+    if not args:
+        return []
     ref = ray.put(fn)
-    return [_call.remote(ref, *a) for a in args]
+    call = _call.options(num_returns=num_returns)
+    return [call.remote(ref, *a) for a in args]
 
 
-def _tasks(fn, args: list[tuple]) -> list:
-    """The values of ``_submit(fn, args)``, in order."""
-    return ray.get(_submit(fn, args))
+def _shard_count() -> int:
+    """S, the number of host shards and image pieces of a run: the
+    cluster's CPU count."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
-def _run_guarded(fn, out: dict) -> None:
-    """Thread target: capture any exception for re-raise on the main thread."""
-    try:
-        fn()
-    except BaseException as e:  # noqa: BLE001 — transported, not swallowed
-        out["error"] = e
+def _host_shard(hosts, S: int) -> np.ndarray:
+    """Each row's host shard, ``url_hash(host) % S``; each distinct host is
+    hashed once."""
+    uniq = pc.unique(hosts)
+    shard = np.array([url_hash(h) % S for h in uniq.to_pylist()], dtype=np.int64)
+    return shard[pc.index_in(hosts, value_set=uniq).to_numpy(zero_copy_only=False)]
+
+
+def _split(t: pa.Table, part: np.ndarray, n: int) -> list[pa.Table]:
+    """The rows of ``t`` with ``part == p``, for p in 0..n-1, in order."""
+    return [t.filter(pa.array(part == p)) for p in range(n)]
+
+
+def _write_table(t: pa.Table, path: str) -> None:
+    """Write ``t`` to ``path`` through ``.tmp`` + ``os.replace``, so a
+    retried task replaces the same file."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(t, path + ".tmp")
+    os.replace(path + ".tmp", path)
+
+
+def _fetch_args(counts: list[int], refs: list, step: int) -> list[tuple]:
+    """F's arguments: the rows of the R outputs ``refs`` (``counts[s]``
+    rows each), taken in shard order and cut into ``step``-row batches.
+    Each is ``(spec, *parts)``: one (offset, length) per R output it reads
+    (``_gather``)."""
+    args, spec, parts, room = [], [], [], step
+    for n, ref in zip(counts, refs):
+        o = 0
+        while o < n:
+            take = min(room, n - o)
+            spec.append((o, take))
+            parts.append(ref)
+            o, room = o + take, room - take
+            if not room:
+                args.append((spec, *parts))
+                spec, parts, room = [], [], step
+    if spec:
+        args.append((spec, *parts))
+    return args
+
+
+def _gather(spec: list, parts: tuple) -> pa.Table:
+    """One F batch: the ``spec`` slices of the R outputs ``parts``."""
+    return pa.concat_tables([t.slice(o, n) for t, (o, n) in zip(parts, spec)])
+
+
+def _write_parts(images: pa.Table, decode, out_dir: str, p: int, step: int) -> int:
+    """W's sink: ``decode`` each ``step``-row slice of ``images`` and write
+    it as payload part ``part-{p}-{i}`` of ``out_dir``; returns the rows
+    written."""
+    return sum(
+        storage.write_payload_part(decode(images.slice(o, step)), out_dir, p, i)
+        for i, o in enumerate(range(0, images.num_rows, step))
+    )
 
 
 def _empty_frontier() -> pa.Table:
@@ -169,181 +211,55 @@ def _empty_frontier() -> pa.Table:
     )
 
 
-def _read_table_any(path: str) -> pa.Table:
-    """Read a parquet file OR a directory of parquet files (Dataset write)."""
-    if os.path.isdir(path):
-        import pyarrow.dataset as pads
-
-        return pads.dataset(path, format="parquet").to_table()
-    return pq.read_table(path)
-
-
-def _expand_parquet_paths(paths: list[str]) -> list[str]:
-    """Flatten directories into their parquet files: a LIST passed to
-    ``read_parquet`` is treated as file paths (a directory entry raises
-    'Cannot open for reading: ... is a directory'), while a single dir path
-    would work — mixed manifests (Dataset-written dir + injected file) need
-    explicit expansion."""
-    out: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            for root, _dirs, files in os.walk(p):
-                out.extend(
-                    os.path.join(root, f)
-                    for f in sorted(files)
-                    if f.endswith(".parquet")
-                )
-        else:
-            out.append(p)
-    return out
+def _frontier_file(k: int, first: int, s: int) -> str:
+    """Where R(k, s) writes round k's frontier piece, relative to the work
+    dir: in round k-1's directory, which ``commit_round(k-1)`` lists as its
+    new frontier and a resume keeps once committed.  The first round of a
+    run has no uncommitted round before it and uses its own directory."""
+    if k == first:
+        return os.path.join(round_dir("", k), f"frontier-{s:05d}.parquet")
+    return os.path.join(round_dir("", k - 1), f"new_frontier-{s:05d}.parquet")
 
 
-def _parquet_num_rows(path: str) -> int:
-    """Row count from parquet footers only (file or directory)."""
-    if os.path.isdir(path):
-        total = 0
-        for root, _dirs, files in os.walk(path):
-            for f in files:
-                if f.endswith(".parquet"):
-                    total += pq.read_metadata(os.path.join(root, f)).num_rows
-        return total
-    return pq.read_metadata(path).num_rows
+def _restore(work_dir: str, last: int, seen, image_seen) -> tuple:
+    """Resume from committed round ``last``: restore both seen sets; return
+    its clocks, every committed round's metrics and its new frontier's
+    files."""
+    rdl = round_dir(work_dir, last)
+    seen.restore(os.path.join(rdl, "seen"))
+    image_seen.restore(os.path.join(rdl, "image_seen"))
+    with open(os.path.join(rdl, "clocks.json")) as f:
+        clocks = {k: int(v) for k, v in json.load(f).items()}
+    metrics = []
+    for k in range(last + 1):
+        with open(os.path.join(round_dir(work_dir, k), "metrics.json")) as f:
+            metrics.append(json.load(f))
+    with open(os.path.join(rdl, "new_frontier_manifest.json")) as f:
+        files = [os.path.join(work_dir, n) for n in json.load(f)]
+    return clocks, metrics, files
 
 
-@dataclass
-class FrontierHandle:
-    """One round's frontier: a driver-held table (small rounds) OR a list of
-    persisted parquet paths whose rows stay in storage/object store (cluster
-    rounds).  ``num_rows`` is always known without loading rows (parquet
-    footers).  This is what keeps 10^8-URL discovery rounds off driver heap —
-    the round-2 judge's last flagged scale-killer."""
-
-    paths: list[str]
-    num_rows: int
-    _table: pa.Table | None = None
-
-    @classmethod
-    def from_table(cls, tbl: pa.Table) -> "FrontierHandle":
-        return cls(paths=[], num_rows=tbl.num_rows, _table=tbl)
-
-    def table(self) -> pa.Table:
-        """Driver-side load — only call when ``num_rows`` is driver-sized."""
-        if self._table is None:
-            tables = [_read_table_any(p).select(BASE_COLS) for p in self.paths]
-            self._table = (
-                pa.concat_tables(tables).combine_chunks()
-                if tables
-                else _empty_frontier()
-            )
-        return self._table
-
-
-_COUNTS = ("n_allowed", "n_disallowed", "n_deferred", "n_ok")
-
-
-def _by_host(t: pa.Table) -> pa.Table:
-    """Sum the counts and max the slot per host."""
-    g = t.group_by("host").aggregate(
-        [(c, "sum") for c in _COUNTS] + [("max_at", "max")]
-    )
-    cols = {"host": g["host"], **{c: g[f"{c}_sum"] for c in _COUNTS}}
-    return pa.table({**cols, "max_at": g["max_at_max"]})
-
-
-def _sched_summary(batch: pa.Table) -> pa.Table:
-    """Per-batch partial aggregate of the round rows: per-host verdict
-    counts, 200-status count and max allowed slot.  The driver merge is
-    O(#hosts in round) — the same order as the clocks dict it feeds — never
-    O(frontier rows)."""
-    v = batch.column("verdict").to_numpy(zero_copy_only=False)
-    allowed = v == ALLOWED
-    return _by_host(
-        pa.table(
-            {
-                "host": batch.column("host"),
-                "n_allowed": allowed.astype(np.int64),
-                "n_disallowed": (v == DISALLOWED).astype(np.int64),
-                "n_deferred": (v == DEFERRED).astype(np.int64),
-                "n_ok": pc.cast(
-                    pc.fill_null(pc.equal(batch.column("status"), 200), False),
-                    pa.int64(),
-                ),
-                "max_at": np.where(
-                    allowed,
-                    batch.column("fetch_at_ms").to_numpy(zero_copy_only=False),
-                    np.int64(-1),
-                ),
-            }
-        )
-    )
-
-
-def _apply_summary(parts: list[pa.Table], clocks: dict, policies) -> dict:
-    """Merge the per-batch schedule summaries on the driver: advance each
-    fetched host's virtual clock to its last slot + crawl delay, and return
-    the round's verdict and 200-status counts."""
-    s = _by_host(pa.concat_tables(parts))
-    fetched = s.filter(pc.greater(s["n_allowed"], 0))
-    for host, last_at in zip(
-        fetched["host"].to_pylist(), fetched["max_at"].to_pylist()
-    ):
-        clocks[host] = last_at + policies.delay_ms(host)
-    return {c: pc.sum(s[c]).as_py() or 0 for c in _COUNTS}
-
-
-def _nest(cands: pa.Table, rows: np.ndarray, n: int, cols: list[str]) -> pa.Array:
-    """Extractor output as a list column over a batch of ``n`` rows:
-    ``rows`` maps the extractor's input rows to the batch, and batch row i
-    lists, as structs of ``cols``, the candidates whose ``src`` maps to it
-    (``_unnest`` flattens them back)."""
-    at = rows[cands.column("src").to_numpy(zero_copy_only=False)]
-    offsets = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(at, minlength=n), out=offsets[1:])
-    vals = cands.select(cols).take(pa.array(np.argsort(at, kind="stable")))
-    return pa.ListArray.from_arrays(
-        pa.array(offsets),
-        pa.StructArray.from_arrays(
-            [c.combine_chunks() for c in vals.columns], names=cols
-        ),
-    )
-
-
-def _unnest(batch: pa.Table, col: str) -> pa.Table:
-    """The candidate rows of one ``_nest`` list column (zero-copy)."""
-    flat = pc.list_flatten(batch.column(col))
-    names = [f.name for f in flat.type]
-    return pa.Table.from_arrays(
-        [pc.struct_field(flat, [i]) for i in range(len(names))], names=names
-    )
-
-
-def _dedup_shuffle(ds, col: str, dedup_fn, partitions: int):
-    """Cluster-scale intra-round dedup of one candidate list column: flatten
-    -> bounded hash partition -> groupby(url_hash % P) -> ``dedup_fn``.
-    Materialized: its sink and the admission's url_hash pull both read it."""
-    return (
-        ds.map_batches(_unnest, fn_kwargs={"col": col}, batch_format="pyarrow")
-        .map_batches(
-            add_hash_partition, fn_kwargs={"P": partitions}, batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(dedup_fn, batch_format="pyarrow")
-        .materialize()
-    )
-
-
-def _hashes(ds) -> np.ndarray:
-    """The url_hash column of a materialized Dataset, pulled to the driver
-    (8 bytes a row: the only per-row data a cluster round sends it)."""
-    parts = ray.get(ds.select_columns(["url_hash"]).materialize().to_arrow_refs())
-    return np.concatenate(
-        [np.zeros(0, np.uint64)]
-        + [
-            t.column("url_hash").to_numpy(zero_copy_only=False)
-            for t in parts
-            if t.num_rows
-        ]
-    )
+def _stores(fixture_dir: str, cfg: CrawlConfig) -> tuple[dict, ray.ObjectRef]:
+    """The store arguments of ``fetch_pages``/``decode_images``, and the
+    robots table's ref.  The synthetic web goes through the object store
+    once per process and fixture (``web_refs``): all workers on a node share
+    ONE zero-copy Arrow buffer.  The http backend needs no table broadcast —
+    each worker holds a requests.Session (sources/httpstore.py); robots
+    still come from ``fixture_dir``."""
+    if cfg.store_backend == "http":
+        store_refs = None
+        robots = pq.read_table(os.path.join(fixture_dir, "robots.parquet"))
+        robots_ref = ray.put(robots)
+    else:
+        store_refs = web_refs(fixture_dir)
+        robots_ref = store_refs[1]
+    store_kwargs = {
+        "store_refs": store_refs,
+        "store_backend": cfg.store_backend,
+        "user_agent": cfg.user_agent,
+        "timeout_s": cfg.fetch_timeout_s,
+    }
+    return store_kwargs, robots_ref
 
 
 @dataclass
@@ -358,66 +274,95 @@ class CrawlResult:
 
     def frontier_history(self) -> pa.Table:
         """Union of all rounds' frontiers == the final URL-seen set with
-        (depth, rank_path) lineage.  Each round records a manifest of the
-        parquet pieces (file or Dataset-written directory) composing its
-        frontier; pieces are listed exactly once across rounds."""
+        (depth, rank_path) lineage.  Each round's manifest lists the files
+        of its frontier."""
         tables = []
         for k in range(self.rounds):
-            rdk = round_dir(self.work_dir, k)
-            with open(os.path.join(rdk, "frontier_manifest.json")) as f:
+            with open(
+                os.path.join(round_dir(self.work_dir, k), "frontier_manifest.json")
+            ) as f:
                 names = json.load(f)
             tables.extend(
-                _read_table_any(os.path.join(self.work_dir, n)).select(BASE_COLS)
+                pq.read_table(os.path.join(self.work_dir, n)).select(BASE_COLS)
                 for n in names
             )
         return pa.concat_tables(tables) if tables else None
 
     def schedule_history(self) -> pa.Table:
-        tables = []
-        for k in range(self.rounds):
-            rdk = round_dir(self.work_dir, k)
-            for p in (
-                os.path.join(rdk, "schedule.parquet"),
-                os.path.join(rdk, "schedule"),
-            ):
-                if os.path.exists(p):
-                    t = _read_table_any(p)
-                    tables.append(t.select(SCHED_COLS))
-                    break
+        """Every round's schedule rows: one part per host shard that had
+        rows."""
+        tables = [
+            pq.read_table(p)
+            for k in range(self.rounds)
+            for p in sorted(
+                glob.glob(
+                    os.path.join(round_dir(self.work_dir, k), "schedule-*.parquet")
+                )
+            )
+        ]
         return pa.concat_tables(tables) if tables else None
 
 
 @dataclass
 class _PendingRound:
-    """A driver-sized round between its admission and its commit.  It holds
-    E2's input until E2 is submitted, then E2's refs, and the
-    ``commit_round`` arguments as of the end of the round: ``SeenPool.frozen``
-    views of both seen sets, a copy of the clocks and its metrics, whose
-    ``images_written`` is E2's row count."""
+    """A round between its admission and its commit.  It holds F's refs
+    until W is submitted, then W's refs, and the ``commit_round`` arguments
+    as of the end of the round: ``SeenPool.frozen`` views of both seen sets,
+    a copy of the clocks and its metrics, whose ``images_written`` is W's
+    row count."""
 
     rnd: int
-    images: pa.Table | None
+    fetch: list | None
+    pieces: np.ndarray  # the image pieces that hold an admitted image
     payload_dir: str
     commit: dict
-    e2: list | None = None
+    w: list | None = None
 
-    def submit(self, decode_write, step: int) -> None:
-        """Submit E2: one ``decode_write`` task per decode batch (none when
-        the round admitted no image)."""
-        if self.e2 is None:
-            self.e2 = _submit(
+    def submit(self, decode_write, S: int, writers: list) -> None:
+        """Submit W: one ``decode_write`` task per image piece in
+        ``pieces``, over that piece of every F task."""
+        if self.w is None:
+            self.w = _submit(
                 decode_write,
                 [
-                    (self.images.slice(o, step), self.payload_dir, i)
-                    for i, o in enumerate(range(0, self.images.num_rows, step))
+                    (self.payload_dir, p, *[f[1 + S + p] for f in self.fetch])
+                    for p in self.pieces.tolist()
                 ],
             )
-            self.images = None
+            writers.extend(self.w)
+            self.fetch = None
 
     def finish(self, work_dir: str) -> None:
-        """Wait for E2, then commit the round."""
-        self.commit["metrics"]["images_written"] = int(sum(ray.get(self.e2)))
+        """Wait for W, then commit the round."""
+        self.commit["metrics"]["images_written"] = int(sum(ray.get(self.w)))
         commit_round(work_dir, self.rnd, **self.commit)
+
+
+def _new_rows(urls: list[str], ranks: list[bytes], depth: int, seen) -> pa.Table:
+    """Frontier rows at ``depth`` for ``urls``, ranked ``ranks``: each URL
+    canonicalizes (or is dropped), the first URL of each url_hash is kept,
+    and those ``seen`` does not hold are admitted (``check_and_add``) and
+    returned."""
+    rows: dict[int, tuple] = {}
+    for url, rank in zip(urls, ranks):
+        c = canonicalize(url)
+        if c is not None:
+            rows.setdefault(url_hash(c), (url, c, rank))
+    hashes = np.array(list(rows), dtype=np.uint64)
+    urls, canons, ranks = (
+        (list(c) for c in zip(*rows.values())) if rows else ([], [], [])
+    )
+    tbl = pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "canon": pa.array(canons, pa.string()),
+            "url_hash": pa.array(hashes, pa.uint64()),
+            "host": pa.array([host_of(c) for c in canons], pa.string()),
+            "depth": pa.array(np.full(len(rows), depth, np.int32), pa.int32()),
+            "rank_path": pa.array(ranks, pa.binary()),
+        }
+    )
+    return tbl.filter(pa.array(~seen.check_and_add(hashes), pa.bool_()))
 
 
 def seed_frontier(fixture_dir: str, seen: SeenPool) -> pa.Table:
@@ -425,96 +370,46 @@ def seed_frontier(fixture_dir: str, seen: SeenPool) -> pa.Table:
     (duplicates and fragment variants collapse), rank = seed_rank bytes.
 
     Reference analog: seed enqueue with dedup (master/master_node.py:62-67,
-    archive/master_node.py:26-44).  Seeds are assumed driver-sized; a huge
-    seed list would go through the same Dataset path as a round instead.
+    archive/master_node.py:26-44).  Seeds are assumed driver-sized.
     """
     seeds = pq.read_table(os.path.join(fixture_dir, "seeds.parquet")).to_pydict()
     rows = sorted(zip(seeds["seed_rank"], seeds["url"]))
-    urls, canons, hashes, hosts, ranks = [], [], [], [], []
-    local: set[int] = set()
-    for rank, url in rows:
-        c = canonicalize(url)
-        if c is None:
-            continue
-        h = url_hash(c)
-        if h in local:
-            continue
-        local.add(h)
-        urls.append(url)
-        canons.append(c)
-        hashes.append(h)
-        hosts.append(host_of(c))
-        ranks.append(int(rank).to_bytes(RANK_BYTES, "big"))
-    new_mask = ~seen.check_and_add(np.asarray(hashes, dtype=np.uint64))
-    tbl = pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "canon": pa.array(canons, pa.string()),
-            "url_hash": pa.array(np.asarray(hashes, np.uint64), pa.uint64()),
-            "host": pa.array(hosts, pa.string()),
-            "depth": pa.array([0] * len(urls), pa.int32()),
-            "rank_path": pa.array(ranks, pa.binary()),
-        }
+    return _new_rows(
+        [u for _, u in rows],
+        [int(r).to_bytes(RANK_BYTES, "big") for r, _ in rows],
+        0,
+        seen,
     )
-    return tbl.filter(pa.array(new_mask, pa.bool_()))
 
 
-def ingest_injected_urls(work_dir: str, seen, rnd: int) -> pa.Table | None:
+def ingest_injected_urls(work_dir: str, seen, rnd: int) -> pa.Table:
     """Consume ``work_dir/inject/*.txt`` into frontier rows.
 
     Mirrors the reference's ``/add_urls`` dedup-then-enqueue
     (master/master_node.py:212-220): each URL canonicalizes, passes the
     seen-set ``check_and_add`` (idempotent — re-posting a known URL is a
-    no-op), and enters the CURRENT round at depth=rnd with a rank that sorts
+    no-op), and enters round ``rnd`` at depth=rnd with a rank that sorts
     after organically-discovered rows (0xFF-prefixed).  Files are consumed
     (renamed ``.done``) so ingestion never duplicates across resumes; a crash
-    between consumption and the round's commit drops that batch (re-post to
-    re-ingest) — still strictly better than the reference's at-most-once
-    delivery (SQS delete-before-process, SURVEY §4.3).
+    between consumption and the commit of the round before ``rnd`` drops
+    that batch (re-post to re-ingest) — still strictly better than the
+    reference's at-most-once delivery (SQS delete-before-process, SURVEY
+    §4.3).
     """
     inject_dir = os.path.join(work_dir, "inject")
-    if not os.path.isdir(inject_dir):
-        return None
     files = sorted(
         f for f in os.listdir(inject_dir) if f.endswith(".txt")
-    )
+    ) if os.path.isdir(inject_dir) else []
     if not files:
-        return None
+        return _empty_frontier()
     urls: list[str] = []
     for fn in files:
         p = os.path.join(inject_dir, fn)
         with open(p) as f:
             urls.extend(line.strip() for line in f if line.strip())
         os.replace(p, p + ".done")
-    rows_url, canons, hashes, hosts, ranks = [], [], [], [], []
-    local: set[int] = set()
-    for k, url in enumerate(urls):
-        c = canonicalize(url)
-        if c is None:
-            continue
-        h = url_hash(c)
-        if h in local:
-            continue
-        local.add(h)
-        rows_url.append(url)
-        canons.append(c)
-        hashes.append(h)
-        hosts.append(host_of(c))
-        ranks.append(b"\xff" + int(k).to_bytes(RANK_BYTES, "big"))
-    if not rows_url:
-        return None
-    new_mask = ~seen.check_and_add(np.asarray(hashes, dtype=np.uint64))
-    tbl = pa.table(
-        {
-            "url": pa.array(rows_url, pa.string()),
-            "canon": pa.array(canons, pa.string()),
-            "url_hash": pa.array(np.asarray(hashes, np.uint64), pa.uint64()),
-            "host": pa.array(hosts, pa.string()),
-            "depth": pa.array([rnd] * len(rows_url), pa.int32()),
-            "rank_path": pa.array(ranks, pa.binary()),
-        }
-    )
-    return tbl.filter(pa.array(new_mask, pa.bool_()))
+    ranks = [b"\xff" + k.to_bytes(RANK_BYTES, "big") for k in range(len(urls))]
+    return _new_rows(urls, ranks, rnd, seen)
 
 
 def run_crawl(
@@ -525,21 +420,20 @@ def run_crawl(
 ) -> CrawlResult:
     """Run a full crawl; returns handles to the payload table + lineage.
 
-    ``work_dir`` layout (the checkpoint):
-      work_dir/checkpoint/round=K/{frontier,schedule}[.parquet | /],
-        new_frontier pieces + manifests, seen/, image_seen/, clocks.json,
-        metrics.json, _SUCCESS
-      work_dir/payload/round=K/*.parquet
+    ``work_dir`` layout (the checkpoint, see ``checkpoint.py``):
+      work_dir/checkpoint/round=K/  frontier manifest, schedule parts,
+        round K+1's frontier pieces + manifest, seen/, image_seen/,
+        clocks.json, metrics.json, _SUCCESS
+      work_dir/payload/round=K/part-{p}-{i}.parquet
     """
-    pending: list[_PendingRound] = []
+    writers: list = []  # refs of the submitted R and W tasks (they write files)
     try:
-        return _crawl(fixture_dir, cfg or CrawlConfig(), work_dir, resume, pending)
+        return _crawl(fixture_dir, cfg or CrawlConfig(), work_dir, resume, writers)
     except BaseException:
-        # let every submitted E2 task end before the error leaves, so none
-        # writes a payload part after a resume has wiped its round
-        refs = [r for p in pending for r in p.e2 or []]
-        if refs:
-            ray.wait(refs, num_returns=len(refs))
+        # let every R and W task end before the error leaves, so none
+        # writes a file after a resume has wiped its round
+        if writers:
+            ray.wait(writers, num_returns=len(writers))
         raise
 
 
@@ -548,430 +442,236 @@ def _crawl(
     cfg: CrawlConfig,
     work_dir: str | None,
     resume: bool,
-    pending: list[_PendingRound],
+    writers: list,
 ) -> CrawlResult:
-    """``run_crawl``'s body.  ``pending`` holds the driver-sized rounds not
-    yet committed: round k's E2 and commit wait while round k+1 is
-    scheduled and fetched, at most two rounds are uncommitted, and commits
-    go in round order."""
+    """``run_crawl``'s body.  Round k's W and commit wait while round k+1
+    is scheduled and fetched; at most two rounds are uncommitted, and
+    commits go in round order."""
     if work_dir is None:
-        import tempfile
-
         work_dir = tempfile.mkdtemp(prefix="raycrawl_")
     ckpt_root = os.path.join(work_dir, "checkpoint")
     out_dir = os.path.join(work_dir, "payload")
     last = latest_round(ckpt_root) if resume else None
-    if last is None:
-        # Fresh start — including resume=True with NO committed round (a
-        # crash during round 0 before the first commit_round): partial
-        # parquet left in payload/ must not survive, or the re-run's
-        # uniquely-named files land beside them and duplicate payload rows.
-        for d in (ckpt_root, out_dir):
-            if os.path.isdir(d):
-                shutil.rmtree(d)
-    os.makedirs(ckpt_root, exist_ok=True)
-    os.makedirs(out_dir, exist_ok=True)
+    for root in (ckpt_root, out_dir):
+        # A fresh start (resume=True with no committed round included)
+        # wipes everything; a resume wipes the rounds after the last commit.
+        # Either way no file of a crashed attempt survives beside the files
+        # the re-run writes.
+        if last is None:
+            shutil.rmtree(root, ignore_errors=True)
+        else:
+            for d in os.listdir(root):
+                if int(d.split("=")[1]) > last:
+                    shutil.rmtree(os.path.join(root, d))
+        os.makedirs(root, exist_ok=True)
 
+    S = _shard_count()
     seen = SeenPool.create(cfg.seen_shards)
     image_seen = SeenPool.create(max(2, cfg.seen_shards // 2))
-    robots_table = pq.read_table(os.path.join(fixture_dir, "robots.parquet"))
-    from distributed_web_crawling_system_ray.state.robots import RobotsPolicies
-
-    driver_policies = RobotsPolicies.from_table(robots_table)
-    # broadcast the synthetic-web store through the object store, once per
-    # process and fixture (web_refs): all workers on a node share ONE
-    # zero-copy Arrow buffer (per-worker parquet parses of the images table
-    # cost 35-50 s each under I/O contention).  The http backend needs no
-    # table broadcast — each worker holds a requests.Session
-    # (sources/httpstore.py); seeds + robots still come from fixture_dir.
-    if cfg.store_backend == "http":
-        store_refs = None
-        robots_ref = ray.put(robots_table)
-    else:
-        store_refs = web_refs(fixture_dir)
-        robots_ref = store_refs[1]
-    store_kwargs = {
-        "store_refs": store_refs,
-        "store_backend": cfg.store_backend,
-        "user_agent": cfg.user_agent,
-        "timeout_s": cfg.fetch_timeout_s,
-    }
-
-    clocks: dict[str, int] = {}
-    metrics: list[dict] = []
-    start_round = 0
+    store_kwargs, robots_ref = _stores(fixture_dir, cfg)
 
     if last is not None:
-        rdl = round_dir(work_dir, last)
-        seen.restore(os.path.join(rdl, "seen"))
-        image_seen.restore(os.path.join(rdl, "image_seen"))
-        with open(os.path.join(rdl, "clocks.json")) as f:
-            clocks = {k: int(v) for k, v in json.load(f).items()}
-        for k in range(last + 1):
-            mp = os.path.join(round_dir(work_dir, k), "metrics.json")
-            if os.path.exists(mp):
-                with open(mp) as f:
-                    metrics.append(json.load(f))
-        with open(os.path.join(rdl, "new_frontier_manifest.json")) as f:
-            paths = [os.path.join(work_dir, n) for n in json.load(f)]
-        frontier = FrontierHandle(
-            paths=paths, num_rows=sum(_parquet_num_rows(p) for p in paths)
-        )
-        start_round = last + 1
-        # wipe any partially-written later payload partitions
-        for d in os.listdir(out_dir):
-            if d.startswith("round=") and int(d.split("=")[1]) >= start_round:
-                shutil.rmtree(os.path.join(out_dir, d))
+        clocks, metrics, files = _restore(work_dir, last, seen, image_seen)
+        start, fresh = last + 1, _empty_frontier()
     else:
-        frontier = FrontierHandle.from_table(seed_frontier(fixture_dir, seen))
+        clocks, metrics, files = {}, [], []
+        start, fresh = 0, seed_frontier(fixture_dir, seen)
 
     # wall-clock base for real-time politeness replay: anchored ONCE here on
-    # the driver and shared by all fetch workers (per-worker monotonic epochs
-    # drifted by pipeline spin-up and broke same-host spacing)
-    rt_epoch = time.time() if cfg.real_time_politeness else None
-    rt_offsets_ref = None
-    if rt_epoch is not None and clocks:
-        # resume rebase (r2 ADVICE): restored clocks carry the prior run's
-        # cumulative virtual schedule — without rebasing, the first fetch of
-        # a resumed real-time crawl would sleep through all of it.  The
-        # rebase is PER HOST (a single global shift would put every host
-        # except the furthest-ahead one behind the wall clock and collapse
-        # its spacing to a burst): each host's slots are measured relative
-        # to its own restored clock, so its first resumed fetch is due ~now
-        # and within-host gaps (slot deltas >= crawl delay) are preserved.
-        rt_offsets_ref = ray.put({h: int(c) for h, c in clocks.items()})
+    # the driver and shared by all fetch workers.  A resume rebases PER HOST
+    # (rt_offsets): each host's slots count from its own restored clock, so
+    # its first resumed fetch is due ~now and within-host gaps are kept.
+    rt = cfg.real_time_politeness
     fetch_kwargs = {
         **store_kwargs,
-        "real_time": cfg.real_time_politeness,
-        "rt_epoch": rt_epoch,
-        "rt_offsets_ref": rt_offsets_ref,
+        "real_time": rt,
+        "rt_epoch": time.time() if rt else None,
+        "rt_offsets_ref": ray.put(dict(clocks)) if rt and clocks else None,
     }
     max_depth = cfg.max_depth
 
-    def fetch_extract(batch: pa.Table) -> pa.Table:
-        """The fused round body over one fetch batch of schedule rows.
+    def reduce_schedule(k: int, s: int, clocks: dict, files: list, *pieces):
+        """R(k, s).  A closure, so that cloudpickle ships it by value with
+        this module's current ``schedule_hosts_batch`` binding."""
+        for path in files:
+            t = pq.read_table(path).select(BASE_COLS)
+            pieces += (t.filter(pa.array(_host_shard(t.column("host"), S) == s)),)
+        frontier = dedup_min_rank(pa.concat_tables(pieces))
+        _write_table(frontier, os.path.join(work_dir, _frontier_file(k, start, s)))
+        if k >= cfg.max_rounds:  # written for the commit's manifest only
+            return (np.zeros(3, np.int64), {}), None, None
+        sched = schedule_hosts_batch(
+            frontier,
+            robots=robots_ref,
+            clocks=clocks,
+            per_host_round_budget=cfg.per_host_round_budget,
+        )
+        if sched.num_rows:
+            part = f"schedule-{s:05d}.parquet"
+            _write_table(sched, os.path.join(round_dir(work_dir, k), part))
+        verdict = sched.column("verdict").to_numpy(zero_copy_only=False)
+        allowed = sched.filter(pa.array(verdict == ALLOWED))
+        last_at = allowed.group_by("host").aggregate([("fetch_at_ms", "max")])
+        policies = get_policies(robots_ref)
+        next_free = {
+            h: at + policies.delay_ms(h)
+            for h, at in zip(
+                last_at.column("host").to_pylist(),
+                last_at.column("fetch_at_ms_max").to_pylist(),
+            )
+        }
+        deferred = sched.filter(pa.array(verdict == DEFERRED)).select(BASE_COLS)
+        return (np.bincount(verdict, minlength=3), next_free), allowed, deferred
 
-        Fetches the ALLOWED rows and extracts from the pages below the depth
-        cap (a page AT the cap is fetched but yields neither links nor
-        images: oracle.crawl_oracle's max_depth semantics).  Returns the
-        schedule rows plus ``status`` (null where not fetched) and two list
-        columns holding the batch's NEW candidates under the row that found
-        them: ``links`` (min-rank batch combiner, then the ``seen``
-        anti-join) and ``images`` (the ``image_seen`` anti-join and the
-        robots gate).  Unlike the oracle, which marks a robots-disallowed
-        image ref seen at first reference, disallowed refs are never
-        admitted and are re-gated on every re-reference; the verdict is
-        stable, so the payload is the same and only ``image_seen`` (exactly
-        the admitted candidates) differs.
+    def fetch_extract(spec: list, *parts):
+        """F over one batch of ALLOWED rows.  A page AT the depth cap is
+        fetched but yields neither links nor images (oracle.crawl_oracle's
+        max_depth semantics).  Unlike the oracle, which marks a
+        robots-disallowed image ref seen at first reference, disallowed
+        refs are never admitted and are re-gated on every re-reference; the
+        verdict is stable, so the payload is the same and only
+        ``image_seen`` (exactly the admitted candidates) differs.
 
         PURE: it calls ``contains`` only.  Ray may re-execute a task after
-        a failure or block loss, and a retry that saw its first attempt's
-        admissions would filter its own rows out, so the seen sets are
-        mutated once, driver-side, after the round's sinks.  It is a
-        closure so that cloudpickle ships it by value, together with this
-        module's current ``fetch_pages``/``extract_links`` bindings.
-        """
-        n = batch.num_rows
-        verdict = batch.column("verdict").to_numpy(zero_copy_only=False)
-        rows = np.flatnonzero(verdict == ALLOWED)
-        fetched = fetch_pages(batch.take(pa.array(rows)), **fetch_kwargs)
-        status = np.zeros(n, dtype=np.int16)
-        status[rows] = fetched.column("status").to_numpy(zero_copy_only=False)
-        expand = batch.column("depth").to_numpy(zero_copy_only=False)[rows] < max_depth
-        pages = fetched.filter(pa.array(expand, pa.bool_()))
-        rows = rows[expand]  # batch row of each page
-
+        a failure or object loss, and a retry that saw its first attempt's
+        admissions would filter its own rows out.  A closure, so that
+        cloudpickle ships it by value with this module's current
+        ``fetch_pages``/``extract_links`` bindings."""
+        batch = _gather(spec, parts)
+        fetched = fetch_pages(batch, **fetch_kwargs)
+        status = fetched.column("status").to_numpy(zero_copy_only=False)
+        depth = batch.column("depth").to_numpy(zero_copy_only=False)
+        pages = fetched.filter(pa.array(depth < max_depth))
         links = extract_links(pages)
         keys = links.column("url_hash").to_numpy(zero_copy_only=False)
-        links = links.filter(pa.array(~seen.contains(keys), pa.bool_()))
+        links = links.filter(pa.array(~seen.contains(keys)))
         images = extract_image_candidates(pages)
         keys = images.column("url_hash").to_numpy(zero_copy_only=False)
         ok = ~image_seen.contains(keys) & get_policies(robots_ref).allowed_mask(
             images.column("host").to_pylist(), images.column("canon").to_pylist()
         )
-        images = images.filter(pa.array(ok, pa.bool_()))
+        images = images.filter(pa.array(ok))
+        link_keys = links.column("url_hash").to_numpy(zero_copy_only=False)
+        image_keys = images.column("url_hash").to_numpy(zero_copy_only=False)
+        meta = {
+            "n_ok": int((status == 200).sum()),
+            "links": link_keys,
+            "images": image_keys,
+        }
         return (
-            batch.append_column("status", pa.array(status, mask=verdict != ALLOWED))
-            .append_column("links", _nest(links, rows, n, BASE_COLS))
-            .append_column("images", _nest(images, rows, n, IMAGE_COLS))
+            meta,
+            *_split(links.select(BASE_COLS), _host_shard(links.column("host"), S), S),
+            *_split(images.select(IMAGE_COLS), image_keys % np.uint64(S), S),
         )
 
-    def decode_write(images: pa.Table, out: str, part: int) -> int:
-        """E2 over one decode batch: decode the new images and write them as
-        payload part ``part`` of ``out`` (a retry replaces it).  A closure
-        for the same reason as ``fetch_extract``."""
-        return storage.write_payload_part(
-            decode_images(images, **store_kwargs), out, part
+    def decode_write(out: str, p: int, *pieces) -> int:
+        """W over image piece ``p`` of every F task.  A closure for the
+        same reason as ``fetch_extract``."""
+        images = dedup_first_by_hash(pa.concat_tables(pieces))
+        decode = lambda t: decode_images(t, **store_kwargs)  # noqa: E731
+        return _write_parts(images, decode, out, p, cfg.decode_batch_size)
+
+    def shards(t: pa.Table) -> list[pa.Table]:
+        """A driver-held table's rows by host shard."""
+        return _split(t, _host_shard(t.column("host"), S), S)
+
+    def submit_reduce(k: int, files: list, pieces: list[list]) -> list:
+        """R(k): one task per host shard s over ``pieces[s]``."""
+        clocks_ref = ray.put(clocks)
+        refs = _submit(
+            reduce_schedule,
+            [(k, s, clocks_ref, files, *pieces[s]) for s in range(S)],
+            num_returns=3,
         )
+        writers.extend(r[0] for r in refs)
+        return refs
+
+    pending: list[_PendingRound] = []
 
     def commit_to(n: int) -> None:
-        """Commit the oldest pending rounds until ``n`` are left; a round
-        leaves ``pending`` only once committed, so an error still waits
-        for its E2 (``run_crawl``)."""
+        """Commit the oldest pending rounds until ``n`` are left."""
         while len(pending) > n:
+            pending[0].submit(decode_write, S, writers)
             pending[0].finish(work_dir)
             del pending[0]
 
-    def drain() -> None:
-        for p in pending:
-            p.submit(decode_write, cfg.decode_batch_size)
-        commit_to(0)
-
-    rnd = start_round
+    fresh = pa.concat_tables([fresh, ingest_injected_urls(work_dir, seen, start)])
+    reduce = submit_reduce(start, files, [[t] for t in shards(fresh)])
+    rnd = start
     while True:
-        rd = round_dir(work_dir, rnd)
-        # wipe partial state from a crashed (uncommitted) attempt at this
-        # round — a re-run's Dataset writes must not land beside stale files
-        if os.path.isdir(rd) and not os.path.exists(os.path.join(rd, "_SUCCESS")):
-            shutil.rmtree(rd)
-        os.makedirs(rd, exist_ok=True)
-
-        # --- URL ingest between rounds (reference /add_urls endpoint,
-        # master/master_node.py:212-220,260-265 / SURVEY S3): consume
-        # work_dir/inject/*.txt (one URL per line), canonicalize, first-seen
-        # dedup through the same seen set, enqueue at the current round.
-        injected = ingest_injected_urls(work_dir, seen, rnd)
-        if injected is not None and injected.num_rows:
-            if frontier.paths:
-                ip = os.path.join(rd, "injected.parquet")
-                pq.write_table(injected, ip)
-                frontier = FrontierHandle(
-                    paths=frontier.paths + [ip],
-                    num_rows=frontier.num_rows + injected.num_rows,
-                )
-            else:
-                base = frontier.table()
-                frontier = FrontierHandle.from_table(
-                    pa.concat_tables([base, injected])
-                    if base.num_rows
-                    else injected
-                )
-        if frontier.num_rows == 0 or rnd >= cfg.max_rounds:
-            break
         t0 = time.time()
-
-        small_round = frontier.num_rows <= cfg.driver_partition_limit
-        if frontier.paths:
-            fr_paths = frontier.paths
-        else:
-            fp = os.path.join(rd, "frontier.parquet")
-            pq.write_table(frontier.table(), fp)
-            fr_paths = [fp]
+        writers[:] = ray.wait(writers, num_returns=len(writers), timeout=0)[1]
+        summaries = ray.get([r[0] for r in reduce])
+        counts = np.sum([c for c, _ in summaries], axis=0)
+        if rnd >= cfg.max_rounds or not counts.sum():
+            break
+        for _, next_free in summaries:
+            clocks.update(next_free)
+        rd = round_dir(work_dir, rnd)
+        os.makedirs(rd, exist_ok=True)
         with open(os.path.join(rd, "frontier_manifest.json"), "w") as f:
-            json.dump([os.path.relpath(p, work_dir) for p in fr_paths], f)
+            json.dump([_frontier_file(rnd, start, s) for s in range(S)], f)
         payload_dir = os.path.join(out_dir, f"round={rnd}")
         os.makedirs(payload_dir, exist_ok=True)
 
-        # --- schedule (host exchange -> per-host politeness), then fetch ->
-        # extract: on the driver under driver_partition_limit, behind a
-        # Dataset groupby(host) above (tests pin both paths to the oracle)
-        nf_tables: list[pa.Table] = []  # next-frontier pieces: driver tables
-        nf_paths: list[str] = []  # ...and/or Dataset-written directories
-        nf_path_rows = 0
-        if small_round:
-            # E1(k): one fetch_extract task per fetch batch of schedule rows,
-            # submitted ahead of E2(k-1), so a worker runs E1(k) and then
-            # E2(k-1) while the driver commits round k-2 and splits, dedups
-            # and admits round k
-            sched_tbl = schedule_hosts_batch(
-                frontier.table().sort_by("host"),
-                robots=driver_policies,
-                clocks=clocks,
-                per_host_round_budget=cfg.per_host_round_budget,
-            )
-            step = cfg.fetch_batch_size
-            e1 = _submit(
-                fetch_extract,
-                [
-                    (sched_tbl.slice(o, step),)
-                    for o in range(0, sched_tbl.num_rows, step)
-                ],
-            )
-            for p in pending:
-                p.submit(decode_write, cfg.decode_batch_size)
-            commit_to(1)
-            round_tbl = pa.concat_tables(ray.get(e1))
-            pq.write_table(sched_tbl, os.path.join(rd, "schedule.parquet"))
-            counts = _apply_summary(
-                [_sched_summary(round_tbl)], clocks, driver_policies
-            )
-            # one row per url_hash (links: the minimum (depth, rank_path)),
-            # then exactly-once first-seen admission: every key passed the
-            # exact contains() anti-join and the dedup, and nothing else
-            # mutates the seen sets mid-round, so all of them are new.  E2
-            # reads neither set, so admitting before it runs changes
-            # nothing it writes.
-            links = dedup_min_rank(_unnest(round_tbl, "links"))
-            images = dedup_first_by_hash(_unnest(round_tbl, "images"))
-            for pool, t in ((seen, links), (image_seen, images)):
-                pool.check_and_add(
-                    t.column("url_hash").to_numpy(zero_copy_only=False)
-                )
-            n_links_new = links.num_rows
-            n_images = None  # E2's row count, filled in at the commit
-            nf_tables.append(links)
-            # deferred rows re-enter the next round (already in the seen set)
-            nf_tables.append(
-                sched_tbl.filter(pc.equal(sched_tbl.column("verdict"), DEFERRED))
-                .select(BASE_COLS)
-            )
-        else:
-            # cluster-scale: every pending round commits first.  The round's
-            # rows stay distributed.  The audit copy of the schedule goes
-            # out via a Dataset write; the driver sees only the per-host
-            # summary (counts + max allowed slot) — O(#hosts), same order
-            # as the clocks dict itself.
-            drain()
-            sched_kwargs = {
-                "robots": robots_ref,
-                "clocks": ray.put(clocks),
-                "per_host_round_budget": cfg.per_host_round_budget,
-            }
-            n_blocks = max(1, min(256, frontier.num_rows // 512 + 1))
-            round_ds = (
-                ray.data.read_parquet(
-                    _expand_parquet_paths(fr_paths), override_num_blocks=n_blocks
-                )
-                .groupby("host")
-                .map_groups(
-                    schedule_host_group,
-                    fn_kwargs=sched_kwargs,
-                    batch_format="pyarrow",
-                )
-                .map_batches(
-                    fetch_extract,
-                    batch_format="pyarrow",
-                    batch_size=cfg.fetch_batch_size,
-                )
-                .materialize()
-            )
-            round_ds.select_columns(SCHED_COLS).write_parquet(
-                os.path.join(rd, "schedule")
-            )
-            counts = _apply_summary(
-                ray.get(
-                    round_ds.map_batches(_sched_summary, batch_format="pyarrow")
-                    .materialize()
-                    .to_arrow_refs()
-                ),
-                clocks,
-                driver_policies,
-            )
+        # F(k), and R(k+1) behind it: R(k+1) reads F(k)'s link pieces, R(k)'s
+        # deferred rows and the clocks after round k, none of which waits
+        # for round k's admission
+        allowed = [int(c[ALLOWED]) for c, _ in summaries]
+        args = _fetch_args(allowed, [r[1] for r in reduce], cfg.fetch_batch_size)
+        fetch = _submit(fetch_extract, args, num_returns=1 + 2 * S)
+        # --- URL ingest between rounds (reference /add_urls endpoint,
+        # master/master_node.py:212-220,260-265 / SURVEY S3): work_dir/inject/
+        # *.txt joins the next round, deduped through the same seen set.  F(k)
+        # holds the seen-set refs of its submission, so it is not affected; an
+        # injected URL that F(k) also finds loses R(k+1)'s min-rank dedup.
+        injected = shards(ingest_injected_urls(work_dir, seen, rnd + 1))
+        next_reduce = submit_reduce(
+            rnd + 1,
+            [],
+            [[*(f[1 + s] for f in fetch), reduce[s][2], injected[s]] for s in range(S)],
+        )
+        commit_to(1)
+        metas = ray.get([f[0] for f in fetch])
+        # W(k-1) now, queued behind R(k+1): a worker runs it while the driver
+        # admits round k and gathers R(k+1)'s summaries
+        for p in pending:
+            p.submit(decode_write, S, writers)
 
-            # Both candidate branches dedup through a bounded
-            # groupby(url_hash % P) shuffle, sink their rows with a
-            # distributed write and pull only url_hash for the exactly-once
-            # admission.  Admission runs AFTER the sink returns: once it
-            # has drained, a lineage-reconstructed block re-runs the pure
-            # contains() anti-join against pre-admission state and
-            # reproduces its rows.  The payload branch runs on a driver
-            # thread, overlapped with the frontier branch (both just submit
-            # Ray work and touch disjoint seen pools).
-            def _payload_branch() -> None:
-                deduped = _dedup_shuffle(
-                    round_ds, "images", dedup_first_by_hash, cfg.dedup_partitions
-                )
-                storage.write_payload(
-                    deduped.map_batches(
-                        decode_images,
-                        fn_kwargs=store_kwargs,
-                        batch_format="pyarrow",
-                        batch_size=cfg.decode_batch_size,
-                    ),
-                    payload_dir,
-                )
-                image_seen.check_and_add(_hashes(deduped))
-
-            import threading
-
-            payload_out: dict = {}
-            payload_thread = threading.Thread(
-                target=_run_guarded, args=(_payload_branch, payload_out)
+        # exactly-once first-seen admission: every key passed the exact
+        # contains() anti-join, and only the ingest above mutates the seen
+        # sets mid-round, so each distinct key is new or injected.  W reads
+        # neither set, so admitting before it runs changes nothing it writes.
+        keys = {
+            kind: np.unique(
+                np.concatenate([np.zeros(0, np.uint64)] + [m[kind] for m in metas])
             )
-            payload_thread.start()
-            deduped_nf = _dedup_shuffle(
-                round_ds, "links", dedup_min_rank, cfg.dedup_partitions
-            )
-            links_dir = os.path.join(rd, "new_frontier_links")
-            deduped_nf.select_columns(BASE_COLS).write_parquet(links_dir)
-            keys = _hashes(deduped_nf)
-            seen.check_and_add(keys)
-            n_links_new = len(keys)
-            if n_links_new:  # an empty write leaves no directory behind
-                nf_paths.append(links_dir)
-                nf_path_rows += n_links_new
-            # deferred rows re-enter the next round (already in the seen set)
-            if counts["n_deferred"]:
-                def_dir = os.path.join(rd, "new_frontier_deferred")
-                round_ds.map_batches(
-                    lambda t: t.filter(pc.equal(t["verdict"], DEFERRED)).select(
-                        BASE_COLS
-                    ),
-                    batch_format="pyarrow",
-                ).write_parquet(def_dir)
-                nf_paths.append(def_dir)
-                nf_path_rows += counts["n_deferred"]
-            payload_thread.join()
-            if "error" in payload_out:
-                raise payload_out["error"]
-            n_images = sum(
-                pq.read_metadata(os.path.join(payload_dir, f)).num_rows
-                for f in os.listdir(payload_dir)
-                if f.endswith(".parquet")
-            )
-
+            for kind in ("links", "images")
+        }
+        seen.check_and_add(keys["links"])
+        image_seen.check_and_add(keys["images"])
+        n_ok = sum(m["n_ok"] for m in metas)
         m = {
             "round": rnd,
-            "urls_scheduled": counts["n_allowed"]
-            + counts["n_disallowed"]
-            + counts["n_deferred"],
-            # every ALLOWED row is fetched
-            "urls_fetched": counts["n_allowed"],
-            "urls_failed": counts["n_allowed"] - counts["n_ok"],
-            "urls_disallowed": counts["n_disallowed"],
-            "urls_deferred": counts["n_deferred"],
-            "links_new": int(n_links_new),
-            "images_written": n_images,
+            "urls_scheduled": int(counts.sum()),
+            "urls_fetched": int(counts[ALLOWED]),  # every ALLOWED row is fetched
+            "urls_failed": int(counts[ALLOWED]) - n_ok,
+            "urls_disallowed": int(counts[DISALLOWED]),
+            "urls_deferred": int(counts[DEFERRED]),
+            "links_new": len(keys["links"]),
+            "images_written": None,  # W's row count, filled in at the commit
             "wall_s": round(time.time() - t0, 3),
         }
         metrics.append(m)
-
-        # ---- assemble + persist the next frontier, then commit the round
-        nf_tables = [t for t in nf_tables if t.num_rows]
-        if not nf_paths:
-            nf_tbl = (
-                pa.concat_tables(nf_tables).combine_chunks()
-                if nf_tables
-                else _empty_frontier()
-            )
-            p = os.path.join(rd, "new_frontier.parquet")
-            pq.write_table(nf_tbl, p)
-            nf_paths_all = [p]
-            next_frontier = FrontierHandle.from_table(nf_tbl)
-        else:
-            nf_paths_all = list(nf_paths)
-            for i, t in enumerate(nf_tables):
-                p = os.path.join(rd, f"new_frontier_part{i}.parquet")
-                pq.write_table(t, p)
-                nf_paths_all.append(p)
-                nf_path_rows += t.num_rows
-            next_frontier = FrontierHandle(
-                paths=nf_paths_all, num_rows=nf_path_rows
-            )
         commit = {  # the state at the end of this round
-            "new_frontier_files": [
-                os.path.relpath(p, work_dir) for p in nf_paths_all
-            ],
+            "new_frontier_files": [_frontier_file(rnd + 1, start, s) for s in range(S)],
             "clocks": dict(clocks),
             "metrics": m,
             "seen": seen.frozen(),
             "image_seen": image_seen.frozen(),
         }
-        if small_round:
-            pending.append(_PendingRound(rnd, images, payload_dir, commit))
-        else:
-            commit_round(work_dir, rnd, **commit)
-        frontier = next_frontier
-        rnd += 1
-    drain()
+        pieces = np.unique(keys["images"] % np.uint64(S))
+        pending.append(_PendingRound(rnd, fetch, pieces, payload_dir, commit))
+        reduce, rnd = next_reduce, rnd + 1
+    commit_to(0)
     return CrawlResult(out_dir=out_dir, work_dir=work_dir, rounds=rnd, metrics=metrics)

@@ -37,7 +37,7 @@ Scale shape:
   Q hash buckets out of n_parts, across generations — never the corpus and
   never the text column (snippets are stored at index time and fetched for
   the k winners only).  A handle keeps one reader per committed file it
-  has touched (at most ``DRIVER_ROW_LIMIT`` rows in all, LRU), so a warm
+  has touched (at most ``DRIVER_ROW_LIMIT`` rows in all), so a warm
   query reads no parquet file: each term is a ``searchsorted`` slice of
   each generation's file of its partition.  Every query, at every size,
   folds those slices on the driver one term at a time
@@ -47,14 +47,14 @@ Scale shape:
   winners' stored fields are read by row through the same directory.  No
   query runs a Ray Data execution.
 - reader lifecycle: every table ``update()``/``compact()`` writes on the
-  driver (postings and docs parts, vocab, supersede list) enters the LRU
-  under its path as written, and the first query through it decodes it
-  into the reader a parquet read would build, positions included.  So the
+  driver (postings and docs parts, vocab, supersede list) is held under its
+  path as written, while it fits, and the first query through it decodes
+  it into the reader a parquet read would build, positions included.  So the
   handle that wrote an index (``index_for`` serves it) answers from memory;
   a part written by a Ray task, and any file of a freshly opened handle,
   is read from parquet on first use.  ``compact()`` drops the readers of
   the generations it folds.  The doc directory is built on first use after
-  each commit and names files, not readers, so the LRU bound holds.
+  each commit and names files, not readers, so the row bound holds.
 - overlap detection on update: the submission's ids ``∩`` the doc
   directory's keys (built from the committed generations; a first build
   has none and builds no directory).
@@ -387,8 +387,8 @@ def _doc_ids(parts: list[pa.Table]) -> np.ndarray:
     )
 
 
-# The rows a handle's readers hold together (least recently used evicted).
-# It caps reader memory only; no query changes plan on it.
+# The rows a handle's readers hold together (a reader that does not fit is
+# not held).  It caps reader memory only; no query changes plan on it.
 DRIVER_ROW_LIMIT = 2_000_000
 
 
@@ -493,7 +493,7 @@ class _ColumnReader(_Reader):
 
 
 class _Written:
-    """A table the handle has just written, held in its reader LRU under
+    """A table the handle has just written, held among its readers under
     the file's path until a query decodes it with ``from_table``."""
 
     def __init__(self, table: pa.Table):
@@ -825,11 +825,10 @@ class SearchIndex:
     def _reader(self, path: str, kind):
         """The handle's ``kind`` reader of one committed file, decoded on
         first use (from the table the handle wrote there, else from parquet)
-        and then served from memory."""
-        r = self._readers.pop(path, None)
+        and then served from memory while it is held."""
+        r = self._readers.get(path)
         if r is None:
             r = kind(path)
-            self._held_rows += r.rows
         elif isinstance(r, _Written):
             r = kind.from_table(path, r.table)
         self._hold(path, r)
@@ -838,17 +837,24 @@ class SearchIndex:
     def _keep(self, path: str, t: pa.Table) -> None:
         """Hold the table just written to ``path`` as that file's entry, so
         the handle's next query through it reads no parquet file."""
-        old = self._readers.pop(path, None)
-        self._held_rows += t.num_rows - (old.rows if old is not None else 0)
         self._hold(path, _Written(t))
 
     def _hold(self, path: str, entry) -> None:
-        """Make ``entry`` the most recently used; least-recently-used entries
-        are evicted so that together they hold at most ``DRIVER_ROW_LIMIT``
-        rows (an entry larger than that is held for the caller only)."""
-        self._readers[path] = entry
+        """Hold ``entry`` as ``path``'s, most recently used, if it fits: the
+        held entries take at most ``DRIVER_ROW_LIMIT`` rows together.  An
+        entry that does not fit is served to its caller only.  Evicting
+        older entries to make room would, on a scan of more rows than the
+        limit, evict each file before the next scan reaches it again; not
+        holding the newcomer keeps the held share warm.  Entries leave when
+        their files are deleted (``_drop_readers``), or least recently used
+        first if the limit is lowered."""
+        old = self._readers.pop(path, None)
+        self._held_rows -= old.rows if old is not None else 0
         while self._held_rows > DRIVER_ROW_LIMIT:
             self._held_rows -= self._readers.popitem(last=False)[1].rows
+        if self._held_rows + entry.rows <= DRIVER_ROW_LIMIT:
+            self._readers[path] = entry
+            self._held_rows += entry.rows
 
     def _moved(self, index_dir: str) -> None:
         """Follow a just-built index (the handle holds only ``_Written``

@@ -23,21 +23,24 @@ except ImportError:
 
 
 def write_payload(ds, out_dir: str) -> None:
-    """Write a payload Dataset to ``out_dir`` (one partition directory)."""
+    """Write a payload Dataset to ``out_dir`` (one partition directory).
+    The crawl and the bulk pass write through ``write_payload_part``, so no
+    pipeline calls it; ``perfbench/trace.py`` still wraps it by name."""
     if HAVE_LANCE:  # pragma: no cover
         ds.write_lance(os.path.join(out_dir, "data.lance"))
     else:
         ds.write_parquet(out_dir, compression="none")
 
 
-def write_payload_part(table, out_dir: str, part: int) -> int:
-    """Write one payload part, ``part-{part:05d}``, into ``out_dir`` and
-    return its row count; an empty table writes nothing.  A Parquet part is
-    written to a ``.tmp`` path and moved into place with ``os.replace``, and
-    a Lance part overwrites its own dataset, so a retried task rewrites the
-    same part and never adds a second copy of its rows."""
+def write_payload_part(table, out_dir: str, *part: int) -> int:
+    """Write one payload part into ``out_dir`` and return its row count; an
+    empty table writes nothing.  The part is named by its ``part`` numbers
+    (``part-00003-00001`` for ``3, 1``).  A Parquet part is written to a
+    ``.tmp`` path and moved into place with ``os.replace``, and a Lance part
+    overwrites its own dataset, so a retried task rewrites the same part
+    and never adds a second copy of its rows."""
     if table.num_rows:
-        path = os.path.join(out_dir, f"part-{part:05d}")
+        path = os.path.join(out_dir, "part-" + "-".join(f"{i:05d}" for i in part))
         if HAVE_LANCE:  # pragma: no cover
             lance.write_dataset(table, path + ".lance", mode="overwrite")
         else:

@@ -1,12 +1,12 @@
-"""Per-worker-process state cache for task-based map stages.
+"""Per-worker-process state cache for the crawl's task bodies.
 
-The crawl runs as one short Dataset pipeline per BFS round.  A class-based
-``map_batches`` actor pool would pay actor startup + state load EVERY round
-(pools die with their pipeline).  Ray *task* workers, by contrast, are
-long-lived processes reused across rounds — so stateful-but-immutable stage
-state (the synthetic-web store handle, parsed robots policies, broadcast
-round inputs) lives in a module-level cache keyed by its identity and loads
-once per worker process for the whole crawl.
+The crawl runs as a few waves of short Ray tasks per BFS round.  An actor
+pool created per round would pay actor startup + state load EVERY round.
+Ray *task* workers, by contrast, are long-lived processes reused across
+rounds — so stateful-but-immutable stage state (the synthetic-web store
+handle, parsed robots policies, broadcast round inputs) lives in a
+module-level cache keyed by its identity and loads once per worker process
+for the whole crawl.
 
 This keeps the reference's "load once per worker" semantics (the per-crawler
 ``requests.Session`` / ``RobotsCache``, crawler/crawler_node.py:27-55,79-83)

@@ -11,7 +11,7 @@ equality test against the sorted keys, and admission merges a batch of new
 keys into them.  Verdicts are exact — no false positives, no false negatives.
 
 Mutation discipline: ``check_and_add`` is called ONLY from driver code (once
-per round / seed batch), never from inside retryable Ray Data tasks — a
+per round / seed batch), never from inside retryable Ray tasks — a
 retried task would see its first attempt's inserts and filter its own rows
 out, silently dropping URLs (lineage reconstruction loses the original
 output).  Tasks use the pure ``contains`` anti-join: a task closure carries
@@ -55,8 +55,8 @@ def _member(run: np.ndarray, keys: np.ndarray) -> np.ndarray:
 class SeenPool:
     """Driver-/task-side handle over K logical shards of sorted keys.
 
-    The handle (K ObjectRefs) is cheap to capture in ``map_batches``
-    closures; its size does not grow with the number of keys.
+    The handle (K ObjectRefs) is cheap to capture in task closures; its
+    size does not grow with the number of keys.
     """
 
     def __init__(self, k: int):

@@ -104,3 +104,33 @@ def check_cluster_labels(pairs, clusters, id_col):
     assert all(lbl[s] == s for s in set(lbl) - set(comp))
     assert clusters.num_rows == len(lbl)
     return comp
+
+
+def check_crawl_matches_oracle(result, oracle) -> None:
+    """The crawl's seen set with its (depth, rank_path) lineage, its FIFO
+    fetch order and its payload ids (each once) are the oracle's."""
+    import pyarrow.compute as pc
+
+    from distributed_web_crawling_system_ray.state.scheduler import ALLOWED
+
+    hist = result.frontier_history()
+    got = dict(
+        zip(
+            hist.column("canon").to_pylist(),
+            zip(hist.column("depth").to_pylist(), hist.column("rank_path").to_pylist()),
+        )
+    )
+    assert got == oracle.seen
+    sched = result.schedule_history()
+    allowed = sched.filter(pc.equal(sched.column("verdict"), ALLOWED))
+    rows = sorted(
+        zip(
+            allowed.column("depth").to_pylist(),
+            allowed.column("rank_path").to_pylist(),
+            allowed.column("canon").to_pylist(),
+        )
+    )
+    assert [c for _, _, c in rows] == [o["canon_url"] for o in oracle.order]
+    payload = result.payload_dataset().to_pandas()
+    assert payload["image_id"].is_unique
+    assert set(payload["image_id"]) == set(oracle.images.keys())

@@ -16,6 +16,7 @@ from distributed_web_crawling_system_ray.functions.canon import canonicalize, md
 from distributed_web_crawling_system_ray.functions.canon import host_of as _host
 from distributed_web_crawling_system_ray.sources.synthweb import WebStore, build_fixture
 from distributed_web_crawling_system_ray.state.robots import RobotsPolicies
+from distributed_web_crawling_system_ray.state.scheduler import ALLOWED
 
 
 @pytest.fixture(scope="module")
@@ -67,79 +68,60 @@ def test_bulk_payload_matches_expectation(bulk_t1):
     ).num_rows
 
 
-def test_bulk_distributed_source_matches_driver_path(bulk_t1, tmp_path_factory):
-    """driver_partition_limit=0 forces the cluster-scale source (Dataset
-    groupby('host') fabricate+schedule — the URL set never driver-held);
-    payload must equal the driver-chunked path row-for-row (same image set,
-    no duplicates)."""
-    from distributed_web_crawling_system_ray.pipelines.bulk import bulk_fetch_decode
-
-    fixture, out_driver, stats_driver = bulk_t1
-    out = str(tmp_path_factory.mktemp("bulk_dist"))
-    stats = bulk_fetch_decode(
-        fixture,
-        CrawlConfig(seen_shards=2, driver_partition_limit=0),
-        out_dir=out,
-        repeat=1,
-        warmup=False,
+def _ids(d: str) -> list[str]:
+    return sorted(
+        i
+        for f in os.listdir(d)
+        if f.endswith(".parquet")
+        for i in pq.read_table(os.path.join(d, f), columns=["image_id"])
+        .column("image_id")
+        .to_pylist()
     )
 
-    def _ids(d):
-        return sorted(
-            i
-            for f in os.listdir(d)
-            if f.endswith(".parquet")
-            for i in pq.read_table(os.path.join(d, f), columns=["image_id"])
-            .column("image_id")
-            .to_pylist()
+
+def test_bulk_distributed_source_matches_driver_path(
+    bulk_t1, tmp_path, monkeypatch
+):
+    """The pass at S=1 and at S=3 (R tasks per host shard, W tasks per
+    image piece) writes the same rows as at the session's shard count: the
+    same image set, no duplicates."""
+    from distributed_web_crawling_system_ray.pipelines import crawl
+    from distributed_web_crawling_system_ray.pipelines.bulk import bulk_fetch_decode
+
+    fixture, out_default, stats_default = bulk_t1
+    for S in (1, 3):
+        monkeypatch.setattr(crawl, "_shard_count", lambda: S)
+        out = str(tmp_path / f"S{S}")
+        stats = bulk_fetch_decode(
+            fixture, CrawlConfig(seen_shards=2), out_dir=out, repeat=1, warmup=False
         )
+        got = _ids(out)
+        assert len(got) == len(set(got))  # no duplicates
+        assert got == _ids(out_default)
+        assert stats["images_written"] == stats_default["images_written"]
+        assert stats["urls"] == stats_default["urls"]
 
-    got, want = _ids(out), _ids(out_driver)
-    assert len(got) == len(set(got))  # no duplicates
-    assert got == want
-    assert stats["images_written"] == stats_driver["images_written"]
-    assert stats["urls"] == stats_driver["urls"]
 
-
-def test_bulk_paths_agree_at_repeat_2(bulk_t1, tmp_path_factory):
-    """With repeat=2 both paths write each expected image exactly twice:
-    the cluster path's batches mix copies, so it too must extract and
-    dedup each copy apart."""
+def test_bulk_paths_agree_at_repeat_2(bulk_t1, tmp_path, monkeypatch):
+    """With repeat=2 the pass writes each expected image exactly twice at
+    S=1 and at S=3: F batches mix copies, so it must extract and dedup each
+    copy apart."""
     import collections
 
+    from distributed_web_crawling_system_ray.pipelines import crawl
     from distributed_web_crawling_system_ray.pipelines.bulk import bulk_fetch_decode
 
     fixture, _, _ = bulk_t1
     want = _expected_image_ids(fixture)
-    for limit in (CrawlConfig().driver_partition_limit, 0):
-        out = str(tmp_path_factory.mktemp(f"bulk_r2_limit{limit}"))
+    for S in (1, 3):
+        monkeypatch.setattr(crawl, "_shard_count", lambda: S)
+        out = str(tmp_path / f"S{S}")
         stats = bulk_fetch_decode(
-            fixture,
-            CrawlConfig(seen_shards=2, driver_partition_limit=limit),
-            out_dir=out,
-            repeat=2,
-            warmup=False,
+            fixture, CrawlConfig(seen_shards=2), out_dir=out, repeat=2, warmup=False
         )
-        ids = collections.Counter(
-            i for t in _payload(out).values() for i in t.column("image_id").to_pylist()
-        )
-        assert set(ids) == want and set(ids.values()) == {2}, limit
+        ids = collections.Counter(_ids(out))
+        assert set(ids) == want and set(ids.values()) == {2}, S
         assert stats["images_written"] == 2 * len(want)
-
-
-def _slots_by_host(tables) -> dict[str, list[int]]:
-    """Sorted ``fetch_at_ms`` slots of every host in the schedule tables."""
-    import collections
-
-    per = collections.defaultdict(list)
-    for t in tables:
-        if t.num_rows == 0:  # an empty Dataset block has no columns
-            continue
-        for h, at in zip(
-            t.column("host").to_pylist(), t.column("fetch_at_ms").to_pylist()
-        ):
-            per[h].append(at)
-    return {h: sorted(ts) for h, ts in per.items()}
 
 
 def _assert_host_spaced(slots: dict[str, list[int]], fixture: str) -> None:
@@ -152,31 +134,46 @@ def _assert_host_spaced(slots: dict[str, list[int]], fixture: str) -> None:
         assert all(g >= robots.delay_ms(h) for g in gaps), h
 
 
-def _distributed_slots(fixture: str, repeat: int) -> dict[str, list[int]]:
-    import ray
+def _slots(fixture: str, repeat: int, S: int, tmp_path, monkeypatch) -> dict:
+    """Sorted ``fetch_at_ms`` slots of every ALLOWED row of a pass at S host
+    shards, recorded by the R tasks' ``schedule_hosts_batch``."""
+    import collections
+    import uuid
 
-    from distributed_web_crawling_system_ray.pipelines import bulk
+    from distributed_web_crawling_system_ray.pipelines import bulk, crawl
 
-    store_refs = tuple(
-        ray.put(pq.read_table(os.path.join(fixture, f"{name}.parquet")))
-        for name in ("web_pages", "robots", "images")
+    rec = tmp_path / f"sched_r{repeat}_S{S}"
+    rec.mkdir()
+    schedule = bulk.schedule_hosts_batch
+
+    def recorded(batch, **kwargs):
+        out = schedule(batch, **kwargs)
+        pq.write_table(out, str(rec / f"{uuid.uuid4().hex}.parquet"))
+        return out
+
+    monkeypatch.setattr(crawl, "_shard_count", lambda: S)
+    monkeypatch.setattr(bulk, "schedule_hosts_batch", recorded)
+    bulk.bulk_fetch_decode(
+        fixture, out_dir=str(tmp_path / f"out_r{repeat}_S{S}"), repeat=repeat,
+        warmup=False,
     )
-    sched_ds = bulk._schedule_phase_distributed(
-        ray.data.read_parquet(
-            os.path.join(fixture, "web_pages.parquet"), columns=["url", "host"]
-        ),
-        repeat,
-        store_refs,
-        CrawlConfig(seen_shards=2, driver_partition_limit=0),
-    )
-    return _slots_by_host(ray.get(sched_ds.to_arrow_refs()))
+    monkeypatch.undo()
+    per = collections.defaultdict(list)
+    for f in rec.iterdir():
+        t = pq.read_table(f)
+        for h, v, at in zip(
+            *(t.column(c).to_pylist() for c in ("host", "verdict", "fetch_at_ms"))
+        ):
+            if v == ALLOWED:
+                per[h].append(at)
+    return {h: sorted(ts) for h, ts in per.items()}
 
 
-def test_bulk_distributed_schedule_is_host_spaced(bulk_t1):
-    """Politeness holds on the distributed schedule path too: per-host
-    fetch_at spacing >= the host's crawl delay."""
+def test_bulk_distributed_schedule_is_host_spaced(bulk_t1, tmp_path, monkeypatch):
+    """Politeness holds when the schedule is split over S=3 host shards:
+    per-host fetch_at spacing >= the host's crawl delay."""
     fixture, _, _ = bulk_t1
-    _assert_host_spaced(_distributed_slots(fixture, 1), fixture)
+    _assert_host_spaced(_slots(fixture, 1, 3, tmp_path, monkeypatch), fixture)
 
 
 def test_rank_bytes_arr_matches_int_to_bytes():
@@ -190,25 +187,15 @@ def test_rank_bytes_arr_matches_int_to_bytes():
     assert got == [int(i).to_bytes(RANK_BYTES, "big") for i in idx]
 
 
-def test_bulk_politeness_is_host_spaced(bulk_t1):
-    """With repeat=2 on both paths, each host's slots are spaced by its
-    crawl delay across the copies too: the driver path schedules every copy
-    in one call (scheduling each copy from clock 0 gave the copies the same
-    slots), and both paths give each host the same slots."""
-    from distributed_web_crawling_system_ray.pipelines import bulk
-
+def test_bulk_politeness_is_host_spaced(bulk_t1, tmp_path, monkeypatch):
+    """With repeat=2, each host's slots are spaced by its crawl delay across
+    the copies too (one schedule call covers every copy of a host: scheduling
+    each copy from clock 0 gave the copies the same slots), and S=1 and S=3
+    give each host the same slots."""
     fixture, _, _ = bulk_t1
-    pages = pq.read_table(
-        os.path.join(fixture, "web_pages.parquet"), columns=["url", "host"]
-    )
-    policies = RobotsPolicies.from_table(
-        pq.read_table(os.path.join(fixture, "robots.parquet"))
-    )
-    driver = _slots_by_host(
-        [bulk._schedule_driver(pages, 2, policies, CrawlConfig(seen_shards=2))]
-    )
-    _assert_host_spaced(driver, fixture)
-    assert driver == _distributed_slots(fixture, 2)
+    one = _slots(fixture, 2, 1, tmp_path, monkeypatch)
+    _assert_host_spaced(one, fixture)
+    assert one == _slots(fixture, 2, 3, tmp_path, monkeypatch)
 
 
 def _payload(out: str) -> dict:
@@ -222,7 +209,7 @@ def _payload(out: str) -> dict:
 def test_driver_sized_bulk_runs_no_ray_data_execution(
     ray_session, executions, tmp_path
 ):
-    """A driver-sized pass (warm-up included) starts no Ray Data execution,
+    """A pass (warm-up included) starts no Ray Data execution,
     writes one row per (copy, image) whatever the batch sizes, and two
     fresh runs write the same part files."""
     import collections

@@ -1,7 +1,7 @@
 """Oracle conformance for the Ray crawl pipeline (FIXTURES.md §6 gates 1-5).
 
 The oracle is the pure-Python v1-semantics crawler (oracle.py); the pipeline
-is the full Ray Data round loop.  Gates:
+is the full round loop of Ray tasks.  Gates:
 
 1. URL-seen set equality (dedup semantics, master/master_node.py:167-173)
 2. crawl-order equality under the (depth, rank_path) contract (v1 FIFO)
@@ -13,6 +13,7 @@ is the full Ray Data round loop.  Gates:
 import numpy as np
 import pyarrow.compute as pc
 import pytest
+from conftest import check_crawl_matches_oracle
 
 from distributed_web_crawling_system_ray.config import CrawlConfig
 from distributed_web_crawling_system_ray.oracle import crawl_oracle
@@ -159,21 +160,21 @@ def test_url_injection_between_rounds(ray_session, tmp_path_factory):
     assert payload["image_id"].is_unique
 
 
-def test_url_injection_onto_distributed_frontier(ray_session, tmp_path_factory):
-    """Injection when the frontier is DIR-backed (cluster layout,
-    driver_partition_limit=0): injected rows land as an extra parquet piece
-    beside the Dataset-written frontier and crawl exactly like the
-    driver-table path."""
+def test_url_injection_onto_distributed_frontier(
+    ray_session, tmp_path, monkeypatch
+):
+    """Injection on a resume, where R reads the committed frontier files
+    and filters them to its host shard: the injected rows join the R tasks
+    of their host shards and crawl exactly like organic rows, at S=1 and
+    at S=3."""
     import os
 
-    from distributed_web_crawling_system_ray.oracle import crawl_oracle
-    from distributed_web_crawling_system_ray.pipelines.crawl import run_crawl
-
-    fixture = build_fixture("t1")
-    store = WebStore(fixture)
-    oracle = crawl_oracle(store)
     import pyarrow.parquet as pq
 
+    from distributed_web_crawling_system_ray.pipelines import crawl
+
+    fixture = build_fixture("t1")
+    oracle = crawl_oracle(WebStore(fixture))
     pages = pq.read_table(os.path.join(fixture, "web_pages.parquet"))
     orphan = next(
         (
@@ -186,62 +187,43 @@ def test_url_injection_onto_distributed_frontier(ray_session, tmp_path_factory):
         None,
     )
     assert orphan is not None
-    work = str(tmp_path_factory.mktemp("crawl_inject_dist"))
-    # partial run creates the dir-backed frontier layout...
-    partial = run_crawl(
-        fixture,
-        CrawlConfig(seen_shards=2, driver_partition_limit=0, max_rounds=1),
-        work_dir=work,
-    )
-    assert partial.rounds == 1
-    # ...then the injected URL arrives between rounds and the crawl resumes
-    os.makedirs(os.path.join(work, "inject"))
-    with open(os.path.join(work, "inject", "late.txt"), "w") as f:
-        f.write(orphan + "\n")
-    result = run_crawl(
-        fixture,
-        CrawlConfig(seen_shards=2, driver_partition_limit=0),
-        work_dir=work,
-        resume=True,
-    )
-    hist = result.frontier_history()
-    got = set(hist.column("canon").to_pylist())
-    assert orphan in got
-    assert got >= set(oracle.seen.keys())
-    assert hist.filter(pc.equal(hist.column("canon"), orphan)).num_rows == 1
-    payload = result.payload_dataset().to_pandas()
-    assert payload["image_id"].is_unique
+    for S in (1, 3):
+        monkeypatch.setattr(crawl, "_shard_count", lambda: S)
+        work = str(tmp_path / f"S{S}")
+        partial = crawl.run_crawl(
+            fixture, CrawlConfig(seen_shards=2, max_rounds=1), work_dir=work
+        )
+        assert partial.rounds == 1
+        # the injected URL arrives between rounds and the crawl resumes
+        os.makedirs(os.path.join(work, "inject"))
+        with open(os.path.join(work, "inject", "late.txt"), "w") as f:
+            f.write(orphan + "\n")
+        result = crawl.run_crawl(
+            fixture, CrawlConfig(seen_shards=2), work_dir=work, resume=True
+        )
+        hist = result.frontier_history()
+        got = set(hist.column("canon").to_pylist())
+        assert orphan in got
+        assert got >= set(oracle.seen.keys())
+        assert hist.filter(pc.equal(hist.column("canon"), orphan)).num_rows == 1
+        payload = result.payload_dataset().to_pandas()
+        assert payload["image_id"].is_unique
 
 
-def test_groupby_exchange_path_matches_oracle(ray_session, tmp_path_factory):
-    """The Dataset-native groupby(host) exchange (cluster-scale path,
-    forced via driver_partition_limit=0) produces the same seen set, order,
-    and payload as the driver-partitioned default."""
-    from distributed_web_crawling_system_ray.pipelines.crawl import run_crawl
+def test_groupby_exchange_path_matches_oracle(ray_session, tmp_path, monkeypatch):
+    """The host-shard exchange (one R task per host shard over that shard's
+    link pieces from every F task, one W task per image piece) gives the
+    oracle's seen set, FIFO order and payload at S=1 and at S=3."""
+    from distributed_web_crawling_system_ray.pipelines import crawl
 
     fixture = build_fixture("t1")
-    work = str(tmp_path_factory.mktemp("crawl_groupby_path"))
-    result = run_crawl(
-        fixture,
-        CrawlConfig(seen_shards=2, driver_partition_limit=0),
-        work_dir=work,
-    )
     oracle = crawl_oracle(WebStore(fixture))
-    hist = result.frontier_history()
-    assert set(hist.column("canon").to_pylist()) == set(oracle.seen.keys())
-    sched = result.schedule_history()
-    allowed = sched.filter(pc.equal(sched.column("verdict"), ALLOWED))
-    rows = sorted(
-        zip(
-            allowed.column("depth").to_pylist(),
-            allowed.column("rank_path").to_pylist(),
-            allowed.column("canon").to_pylist(),
+    for S in (1, 3):
+        monkeypatch.setattr(crawl, "_shard_count", lambda: S)
+        result = crawl.run_crawl(
+            fixture, CrawlConfig(seen_shards=2), work_dir=str(tmp_path / f"S{S}")
         )
-    )
-    assert [c for _, _, c in rows] == [o["canon_url"] for o in oracle.order]
-    payload = result.payload_dataset().to_pandas()
-    assert payload["image_id"].is_unique
-    assert set(payload["image_id"]) == set(oracle.images.keys())
+        check_crawl_matches_oracle(result, oracle)
 
 
 def test_max_depth_cap_matches_oracle(ray_session, tmp_path_factory):
@@ -312,7 +294,7 @@ def test_seen_prefilter_is_pure_under_reexecution(ray_session):
 def test_driver_sized_round_runs_no_ray_data_execution(
     ray_session, tmp_path, executions, monkeypatch
 ):
-    """A driver-sized round runs plain Ray tasks only: schedule -> fetch ->
+    """Every round runs plain Ray tasks only: dedup -> schedule, fetch ->
     extract and decode -> write start no Ray Data execution, in rounds that
     admit new images and in rounds that do not; the crawl still matches the
     oracle."""
@@ -337,32 +319,11 @@ def test_driver_sized_round_runs_no_ray_data_execution(
     # non-vacuous: rounds with and without new images both occur
     assert (per_round[:, 1] > 0).any() and (per_round[:, 1] == 0).any()
 
-    oracle = crawl_oracle(WebStore(fixture))
-    hist = result.frontier_history()
-    got = dict(
-        zip(
-            hist.column("canon").to_pylist(),
-            zip(hist.column("depth").to_pylist(), hist.column("rank_path").to_pylist()),
-        )
-    )
-    assert got == oracle.seen
-    sched = result.schedule_history()
-    allowed = sched.filter(pc.equal(sched.column("verdict"), ALLOWED))
-    rows = sorted(
-        zip(
-            allowed.column("depth").to_pylist(),
-            allowed.column("rank_path").to_pylist(),
-            allowed.column("canon").to_pylist(),
-        )
-    )
-    assert [c for _, _, c in rows] == [o["canon_url"] for o in oracle.order]
-    payload = result.payload_dataset().to_pandas()
-    assert payload["image_id"].is_unique
-    assert set(payload["image_id"]) == set(oracle.images.keys())
+    check_crawl_matches_oracle(result, crawl_oracle(WebStore(fixture)))
 
 
 def test_payload_part_write_is_idempotent_under_retry(tmp_path):
-    """E2's body (decode a batch, write it as one payload part) run again
+    """W's sink (decode a batch, write it as one payload part) run again
     for the same part, as a retried task would, leaves one file equal to a
     single run's, also when the first attempt died leaving a partial
     ``.tmp`` file beside it."""
@@ -419,20 +380,20 @@ def test_fresh_crawls_write_the_same_payload_files(crawl_t1, tmp_path):
 
 
 @pytest.mark.parametrize("budget", [CrawlConfig().per_host_round_budget, 2])
-def test_round_counters_match_across_round_paths(ray_session, tmp_path, budget):
+def test_round_counters_match_across_round_paths(
+    ray_session, tmp_path, monkeypatch, budget
+):
     """Every per-round counter — urls_fetched, urls_failed (the 200 count
-    comes from the fused stage's status column), links_new, images_written,
-    urls_deferred and the rest — is the same on the driver-sized path and
-    the cluster path (driver_partition_limit=0)."""
-    from distributed_web_crawling_system_ray.pipelines.crawl import run_crawl
+    comes from F's metas), links_new, images_written, urls_deferred and the
+    rest — is the same at S=1 and at S=3."""
+    from distributed_web_crawling_system_ray.pipelines import crawl
 
     fixture = build_fixture("t1")
     counters = []
-    for limit in (CrawlConfig().driver_partition_limit, 0):
-        cfg = CrawlConfig(
-            seen_shards=2, driver_partition_limit=limit, per_host_round_budget=budget
-        )
-        result = run_crawl(fixture, cfg, work_dir=str(tmp_path / f"limit{limit}"))
+    for S in (1, 3):
+        monkeypatch.setattr(crawl, "_shard_count", lambda: S)
+        cfg = CrawlConfig(seen_shards=2, per_host_round_budget=budget)
+        result = crawl.run_crawl(fixture, cfg, work_dir=str(tmp_path / f"S{S}"))
         counters.append(
             [{k: v for k, v in m.items() if k != "wall_s"} for m in result.metrics]
         )
@@ -441,6 +402,45 @@ def test_round_counters_match_across_round_paths(ray_session, tmp_path, budget):
     assert sum(m["images_written"] for m in counters[0]) > 0
     if budget == 2:
         assert sum(m["urls_deferred"] for m in counters[0]) > 0
+
+
+def test_driver_gets_no_row_table(ray_session, tmp_path, monkeypatch):
+    """At S=3, neither a crawl nor a bulk pass hands the driver a row table:
+    no value it gets from ``ray.get`` is a table with a ``url`` or
+    ``canon`` column."""
+    import ray
+
+    import pyarrow as pa
+
+    from distributed_web_crawling_system_ray.pipelines import bulk, crawl
+
+    got = []
+    get = ray.get
+
+    def recording_get(*args, **kwargs):
+        out = get(*args, **kwargs)
+        got.append(out)
+        return out
+
+    def tables(v):
+        if isinstance(v, pa.Table):
+            yield v
+        elif isinstance(v, (list, tuple)):
+            for x in v:
+                yield from tables(x)
+        elif isinstance(v, dict):
+            for x in v.values():
+                yield from tables(x)
+
+    fixture = build_fixture("t1")
+    monkeypatch.setattr(crawl, "_shard_count", lambda: 3)
+    monkeypatch.setattr(ray, "get", recording_get)
+    crawl.run_crawl(fixture, CrawlConfig(seen_shards=2), work_dir=str(tmp_path / "c"))
+    bulk.bulk_fetch_decode(fixture, out_dir=str(tmp_path / "b"), repeat=2)
+    monkeypatch.undo()
+    assert len(got) > 10  # non-vacuous: summaries, metas, counts, seen keys
+    rows = [t.column_names for v in got for t in tables(v)]
+    assert not [c for c in rows if {"url", "canon"} & set(c)], rows
 
 
 def test_robots_allowed_mask_matches_per_url_allows():

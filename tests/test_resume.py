@@ -5,6 +5,7 @@ import io
 
 import numpy as np
 import pytest
+from conftest import check_crawl_matches_oracle
 
 from distributed_web_crawling_system_ray.config import CrawlConfig
 from distributed_web_crawling_system_ray.oracle import crawl_oracle
@@ -131,44 +132,45 @@ def test_resume_with_no_committed_round_wipes_partial_payload(
     assert set(payload["image_id"]) == set(oracle.images.keys())
 
 
-def test_resume_across_distributed_frontier_layout(ray_session, tmp_path_factory):
-    """Cluster-scale rounds persist the new frontier as Dataset-written
-    parquet directories listed in new_frontier_manifest.json (frontier rows
-    never concentrate on the driver).  Kill after round 1 and resume —
-    restoring the frontier from the manifest — must converge to the oracle
-    exactly like the driver-table layout."""
+def _resume_matches_oracle(fixture, work, before, after, monkeypatch):
+    """Run rounds 0 and 1 at ``before`` host shards, resume at ``after``
+    from the committed frontier files, and check the crawl against the
+    oracle."""
+    import glob
     import os
 
+    from distributed_web_crawling_system_ray.pipelines import crawl
     from distributed_web_crawling_system_ray.pipelines.checkpoint import round_dir
-    from distributed_web_crawling_system_ray.pipelines.crawl import run_crawl
 
-    fixture = build_fixture("t1")
-    work = str(tmp_path_factory.mktemp("crawl_dist_resume"))
-    cfg = lambda **kw: CrawlConfig(seen_shards=2, driver_partition_limit=0, **kw)
-    partial = run_crawl(fixture, cfg(max_rounds=2), work_dir=work)
+    monkeypatch.setattr(crawl, "_shard_count", lambda: before)
+    cfg = lambda **kw: CrawlConfig(seen_shards=2, **kw)
+    partial = crawl.run_crawl(fixture, cfg(max_rounds=2), work_dir=work)
     assert partial.rounds == 2
-    # the distributed layout is actually in play: round 0 committed a
-    # Dataset-written links directory, not a driver-written monolith
-    links_dir = os.path.join(round_dir(work, 0), "new_frontier_links")
-    assert os.path.isdir(links_dir)
-    assert os.path.exists(
-        os.path.join(round_dir(work, 0), "new_frontier_manifest.json")
-    )
-    result = run_crawl(fixture, cfg(), work_dir=work, resume=True)
-    oracle = crawl_oracle(WebStore(fixture))
-    hist = result.frontier_history()
-    got = {
-        c: (d, r)
-        for c, d, r in zip(
-            hist.column("canon").to_pylist(),
-            hist.column("depth").to_pylist(),
-            hist.column("rank_path").to_pylist(),
-        )
-    }
-    assert got == oracle.seen
-    payload = result.payload_dataset().to_pandas()
-    assert payload["image_id"].is_unique
-    assert set(payload["image_id"]) == set(oracle.images.keys())
+    # round 1 committed one round-2 frontier piece per host shard
+    pieces = glob.glob(os.path.join(round_dir(work, 1), "new_frontier-*.parquet"))
+    assert len(pieces) == before
+    monkeypatch.setattr(crawl, "_shard_count", lambda: after)
+    result = crawl.run_crawl(fixture, cfg(), work_dir=work, resume=True)
+    check_crawl_matches_oracle(result, crawl_oracle(WebStore(fixture)))
+
+
+def test_resume_across_distributed_frontier_layout(ray_session, tmp_path, monkeypatch):
+    """A round's R tasks write the next frontier as one parquet piece per
+    host shard, listed in new_frontier_manifest.json.  Kill after round 1
+    and resume from the manifest at the same shard count, S=1 and S=3: the
+    crawl converges to the oracle."""
+    fixture = build_fixture("t1")
+    for S in (1, 3):
+        _resume_matches_oracle(fixture, str(tmp_path / f"S{S}"), S, S, monkeypatch)
+
+
+def test_resume_at_another_shard_count(ray_session, tmp_path, monkeypatch):
+    """A resume may run at another S: its R tasks read every committed
+    frontier piece and keep the rows of their own host shard."""
+    fixture = build_fixture("t1")
+    for before, after in ((3, 1), (1, 3)):
+        work = str(tmp_path / f"S{before}to{after}")
+        _resume_matches_oracle(fixture, work, before, after, monkeypatch)
 
 
 def test_resume_after_corrupted_last_round(ray_session, tmp_path_factory):
@@ -244,12 +246,13 @@ def _assert_metrics_match_payload(work: str) -> None:
 def test_resume_after_fault_behind_the_next_round(
     ray_session, tmp_path, monkeypatch, fault
 ):
-    """A driver-sized round's E2 (decode -> write) and commit run behind the
-    next round's fetch -> extract.  A fault in round K's E2 task, or in its
-    commit, surfaces after round K+1's E1 has been gathered and admitted;
-    resume must restart from round K-1's commit, so that commit's seen sets
-    must hold round K-1's keys only, and end with the oracle's seen set,
-    FIFO order and payload, with no duplicate image_id."""
+    """A round's W (decode -> write) and commit run behind the next round's
+    fetch -> extract.  A fault in round K's W task, or in its commit,
+    surfaces after round K+1's F has been gathered and admitted; resume
+    must restart from round K-1's commit, so that commit's seen sets must
+    hold round K-1's keys only, and end with the oracle's seen set, FIFO
+    order and payload, with no duplicate image_id."""
+    import glob
     import os
 
     import pyarrow.compute as pc
@@ -269,7 +272,7 @@ def test_resume_after_fault_behind_the_next_round(
         .column("image_id")
         .to_pylist()
     )
-    assert doomed  # round K writes images, so its E2 runs
+    assert doomed  # round K writes images, so its W runs
 
     if fault == "decode_write":
         decode = crawl.decode_images
@@ -277,7 +280,7 @@ def test_resume_after_fault_behind_the_next_round(
         def failing_decode(images, **kwargs):
             canons = images.column("canon").to_pylist()
             if any(md5_hex(c) in doomed for c in canons):
-                raise RuntimeError("injected E2 fault")
+                raise RuntimeError("injected W fault")
             return decode(images, **kwargs)
 
         monkeypatch.setattr(crawl, "decode_images", failing_decode)
@@ -295,35 +298,86 @@ def test_resume_after_fault_behind_the_next_round(
     with pytest.raises(Exception, match="injected"):
         crawl.run_crawl(fixture, cfg, work_dir=work)
     monkeypatch.undo()
-    # the fault hit after round K+1 was gathered and admitted (its next
-    # frontier is on disk), with rounds K and K+1 uncommitted
+    # the fault hit after round K+1 was gathered and admitted (R(K+2) wrote
+    # its next frontier), with rounds K and K+1 uncommitted
     assert _committed_rounds(work) == list(range(K))
-    assert os.path.exists(
-        os.path.join(round_dir(work, K + 1), "new_frontier.parquet")
-    )
+    assert glob.glob(os.path.join(round_dir(work, K + 1), "new_frontier-*.parquet"))
 
     result = crawl.run_crawl(fixture, cfg, work_dir=work, resume=True)
-    oracle = crawl_oracle(WebStore(fixture))
-    hist = result.frontier_history()
-    got = dict(
-        zip(
-            hist.column("canon").to_pylist(),
-            zip(hist.column("depth").to_pylist(), hist.column("rank_path").to_pylist()),
-        )
-    )
-    assert got == oracle.seen
-    sched = result.schedule_history()
-    allowed = sched.filter(pc.equal(sched.column("verdict"), 0))
-    rows = sorted(
-        zip(
-            allowed.column("depth").to_pylist(),
-            allowed.column("rank_path").to_pylist(),
-            allowed.column("canon").to_pylist(),
-        )
-    )
-    assert [c for _, _, c in rows] == [o["canon_url"] for o in oracle.order]
-    payload = result.payload_dataset().to_pandas()
-    assert payload["image_id"].is_unique
-    assert set(payload["image_id"]) == set(oracle.images.keys())
+    check_crawl_matches_oracle(result, crawl_oracle(WebStore(fixture)))
     assert _committed_rounds(work) == list(range(result.rounds))
     _assert_metrics_match_payload(work)
+
+
+def _first_call_dies(fn, marker: str, skip: int = 0):
+    """``fn``, except that one call creates ``marker`` and kills its
+    process, as a lost worker would: the first call, in any process, that
+    comes after ``skip`` earlier calls of the same unpickled copy (one task
+    attempt).  Ray then retries the task, and the retry finds the marker
+    and runs ``fn``."""
+    import os
+
+    calls = []
+
+    def once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > skip:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return fn(*args, **kwargs)
+            os._exit(1)
+        return fn(*args, **kwargs)
+
+    return once
+
+
+@pytest.mark.parametrize("run", ["crawl", "bulk"])
+def test_exactly_once_under_task_retry(ray_session, tmp_path, monkeypatch, run):
+    """At S=3, the first attempt of one R, one F and one W task dies with
+    its worker and Ray's default retries re-run each.  W dies at its second
+    decode batch, after writing its first payload part, which the retry
+    must replace, not add to.  The crawl still matches the oracle with the
+    per-round counters of a run with no fault; a bulk pass at repeat=2
+    still writes every image exactly twice."""
+    import collections
+    import os
+
+    import pyarrow.parquet as pq
+
+    from distributed_web_crawling_system_ray.pipelines import bulk, crawl
+
+    fixture = build_fixture("t1")
+    module = crawl if run == "crawl" else bulk
+    monkeypatch.setattr(crawl, "_shard_count", lambda: 3)
+    cfg = CrawlConfig(seen_shards=2, decode_batch_size=1)
+
+    def go(name):
+        if run == "crawl":
+            return crawl.run_crawl(fixture, cfg, work_dir=str(tmp_path / name))
+        out = str(tmp_path / name)
+        bulk.bulk_fetch_decode(fixture, cfg, out_dir=out, repeat=2, warmup=False)
+        return collections.Counter(
+            i
+            for f in os.listdir(out)
+            for i in pq.read_table(os.path.join(out, f)).column("image_id").to_pylist()
+        )
+
+    clean = go("clean")
+    stages = {"schedule_hosts_batch": 0, "fetch_pages": 0, "decode_images": 1}
+    for stage, skip in stages.items():
+        marker = str(tmp_path / f"{stage}.died")
+        dies = _first_call_dies(getattr(module, stage), marker, skip)
+        monkeypatch.setattr(module, stage, dies)
+    retried = go("retried")
+    for stage in stages:
+        assert os.path.exists(tmp_path / f"{stage}.died"), stage  # non-vacuous
+    if run == "crawl":
+        check_crawl_matches_oracle(retried, crawl_oracle(WebStore(fixture)))
+
+        def counters(r):
+            return [{k: v for k, v in m.items() if k != "wall_s"} for m in r.metrics]
+
+        assert counters(retried) == counters(clean)
+    else:
+        assert set(retried.values()) == {2} and retried == clean

@@ -191,6 +191,32 @@ def test_driver_sized_queries_run_no_ray_data_execution(
     assert idx._held_rows <= 8
 
 
+def test_scan_past_the_row_limit_keeps_readers_warm(
+    ray_session, tmp_path, corpus, monkeypatch
+):
+    """A ``term_df`` scan over more postings rows than ``DRIVER_ROW_LIMIT``
+    keeps the readers that fit held: a repeat reads only the files that did
+    not fit (evicting to make room would evict each file before the next
+    scan reaches it, and re-read them all) and answers the same."""
+    sub1, sub2, _ = corpus
+    built = SearchIndex.create(str(tmp_path / "idx"))
+    built.update(_docs_table(sub1))
+    built.update(_docs_table(sub2))
+    idx = SearchIndex.open(built.index_dir)
+    files = idx._all_files("postings")
+    rows = sum(pq.read_metadata(f).num_rows for f in files)
+    monkeypatch.setattr(search_index, "DRIVER_ROW_LIMIT", rows // 2)
+    first = idx.term_df()
+    read = []
+    orig = pq.read_table
+    monkeypatch.setattr(
+        pq, "read_table", lambda *a, **kw: read.append(a[0]) or orig(*a, **kw)
+    )
+    assert idx.term_df().equals(first)
+    assert 0 < len(read) < len(files)
+    assert idx._held_rows <= rows // 2
+
+
 def _all_answers(idx: SearchIndex) -> list:
     """Every query form's answer over ``idx``: the five Whoosh forms plus a
     bare and a title-scoped phrase (``pos``/``pos_title``), ``topk``,
