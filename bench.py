@@ -124,6 +124,7 @@ SF1_OPS = (
     "image_phash_near_dup",
     "doc_dedup_clusters",
     "image_phash_clusters",
+    "doc_simhash_pairs",
 )
 # sf1 sits at the driver bounds of the near-dup switch (DOC_DRIVER_ROWS,
 # IMAGE_DRIVER_ROWS), so --sf1 runs these once more with the bounds at 0:

@@ -25,9 +25,9 @@ Operator inventory (queries()-key -> method):
 - ann_topk_lsh           hyperplane-LSH bucketed ANN (the scale path)
 - emb_label_counts       grouped aggregate over labels
 
-Determinism: every hash is keyed — blake2b-64 (or md5) over strings, and
-the MinHash band hashes fold each band's values with a chained
-``_mix64(h ^ r_j)`` — no Python ``hash()``.
+Determinism: every hash is keyed — blake2b-64 (or md5) once per distinct
+token of a batch, and a chained ``_mix64(h ^ x_j)`` folding token hashes
+into MinHash shingles and MinHash values into bands — no Python ``hash()``.
 Float outputs are excluded from SQL-checked results (only ids/integers are
 returned) so driver-side value-hash comparison is robust.
 """
@@ -97,8 +97,13 @@ def _h64(s: str) -> int:
     return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big")
 
 
-def _h64_arr(strings: list[str]) -> np.ndarray:
-    return np.fromiter((_h64(s) for s in strings), dtype=np.uint64, count=len(strings))
+def _token_codes(texts: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``str.split`` of each text of a batch, dictionary-encoded: per-text token
+    counts, each token's code in text order, and the distinct tokens by code."""
+    words = [t.split() for t in texts]
+    enc = pa.array([w for ws in words for w in ws], pa.string()).dictionary_encode()
+    n_tok = np.fromiter(map(len, words), np.int64, len(words))
+    return n_tok, enc.indices.to_numpy().astype(np.intp), enc.dictionary.to_pylist()
 
 
 def _to_table(ds_or_tbl) -> pa.Table:
@@ -316,9 +321,7 @@ N_PERM = 128
 N_BANDS = 32  # 32 bands x 4 rows
 JACCARD_TAU = 0.8
 
-_PERM_SEEDS = np.arange(1, N_PERM + 1, dtype=np.uint64) * np.uint64(
-    0x9E3779B97F4A7C15
-)
+_PERM_SEEDS = np.arange(1, N_PERM + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 
 def _shingles(text: str) -> list[str]:
@@ -327,7 +330,7 @@ def _shingles(text: str) -> list[str]:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
+    """murmur3's 64-bit finalizer, IN PLACE: every caller passes a temporary."""
     x ^= x >> np.uint64(33)
     x *= np.uint64(0xFF51AFD7ED558CCD)
     x ^= x >> np.uint64(33)
@@ -336,30 +339,37 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _minhash_sig(shingle_hashes: np.ndarray) -> np.ndarray:
-    """(N_PERM,) uint64 signature: min over shingles of seed-mixed hashes."""
-    if len(shingle_hashes) == 0:
-        return np.full(N_PERM, np.iinfo(np.uint64).max, dtype=np.uint64)
-    # (N_PERM, n): xor with per-perm seed then finalize; vectorized
-    m = _mix64(shingle_hashes[None, :] ^ _PERM_SEEDS[:, None])
-    return m.min(axis=1)
+_MINHASH_CHUNK = 512  # shingles per (N_PERM, chunk) signature temporary: 512 KiB
 
 
 def _minhash_band_matrix(batch: pa.Table) -> np.ndarray:
-    """(n, N_BANDS) uint64 LSH band hashes of a ``(doc_id, text)`` batch.
-
-    A band's hash folds its N_PERM // N_BANDS MinHash values with a chained
-    ``_mix64(h ^ r_j)``, for every doc of the batch at once.  Both
-    ``doc_lsh_candidates`` paths call it per batch (the mergeable-sketch
-    pattern: signatures are never computed centrally)."""
-    rows_per_band = N_PERM // N_BANDS
-    n = batch.num_rows
-    sigs = np.empty((n, N_PERM), dtype=np.uint64)
-    for i, text in enumerate(batch.column("text").to_pylist()):
-        sigs[i] = _minhash_sig(_h64_arr(_shingles(text)))
-    r = sigs.reshape(n, N_BANDS, rows_per_band)
-    h = np.zeros((n, N_BANDS), dtype=np.uint64)
-    for j in range(rows_per_band):
+    """(n, N_BANDS) uint64 LSH band hashes of a ``(doc_id, text)`` batch,
+    which both ``doc_lsh_candidates`` paths sign per batch.  A shingle's
+    hash folds its SHINGLE_K token hashes (``_h64``, once per distinct
+    token) with a chained ``_mix64(h ^ t_j)``, a band's hash its MinHash
+    values; per permutation, a doc's MinHash is the min of
+    ``_mix64(h ^ seed)`` over its shingles (all-max with none)."""
+    n_tok, codes, vocab = _token_codes(batch.column("text").to_pylist())
+    tok_h = np.fromiter(map(_h64, vocab), np.uint64, len(vocab))[codes]
+    n_sh = np.maximum(n_tok - (SHINGLE_K - 1), 0)
+    sh_start = np.cumsum(n_sh) - n_sh
+    # each shingle's first token: its doc's token offset + its rank in the doc
+    first = np.repeat(np.cumsum(n_tok) - n_tok - sh_start, n_sh) + np.arange(n_sh.sum())
+    sh_h = np.zeros(len(first), dtype=np.uint64)
+    for j in range(SHINGLE_K):
+        sh_h = _mix64(sh_h ^ tok_h[first + j])
+    sigs = np.full((len(n_tok), N_PERM), np.iinfo(np.uint64).max, dtype=np.uint64)
+    docs = np.flatnonzero(n_sh)  # reduceat needs strictly increasing offsets
+    starts = sh_start[docs]
+    for lo in range(0, len(sh_h), _MINHASH_CHUNK):
+        # the chunk's docs: the one holding shingle lo, then each starting in it
+        a, b = np.searchsorted(starts, [lo, lo + _MINHASH_CHUNK - 1], "right")
+        m = _mix64(_PERM_SEEDS[:, None] ^ sh_h[None, lo : lo + _MINHASH_CHUNK])
+        part = np.minimum.reduceat(m, np.maximum(starts[a - 1 : b], lo) - lo, axis=1)
+        sigs[docs[a - 1 : b]] = np.minimum(sigs[docs[a - 1 : b]], part.T)
+    r = sigs.reshape(len(n_tok), N_BANDS, N_PERM // N_BANDS)
+    h = np.zeros(r.shape[:2], dtype=np.uint64)
+    for j in range(r.shape[2]):
         h = _mix64(h ^ r[:, :, j])
     return h
 
@@ -372,14 +382,13 @@ BAND_GROUP_TARGET_ROWS = 2_000_000
 
 # The near-dup path switch for docs and images: an input of at most this
 # many rows runs the numpy kernels on the driver over pyarrow reads, with no
-# Ray Data execution; a larger one runs the Dataset plan.  The driver path
-# computes every signature serially on one core, the Dataset plan in
-# parallel tasks, so the bounds are the largest inputs at which the driver
-# was measured to win (sf1: 50k docs, 250k images; ROADMAP item 5).  Those
-# measurements ran on a 1-vCPU host: the crossover above these sizes, and on
-# more than one real core, is unverified.  Both bounds sit far below
-# BAND_GROUP_TARGET_ROWS, so the driver never holds more than one Dataset
-# group would.
+# Ray Data execution; a larger one runs the Dataset plan's parallel tasks.
+# Each bound is the largest input at which the driver was measured to win,
+# on a 1-vCPU host (sf1: 50k docs, 250k images; ROADMAP item 6); above it,
+# and on more real cores, the crossover is unverified.  sf1
+# ``doc_near_dup_pairs``, 1-CPU session, cold/warm: driver 2.5/2.7 s,
+# Dataset plan 9.2/6.6 s.  Both bounds sit far below BAND_GROUP_TARGET_ROWS,
+# so the driver never holds more than one Dataset group would.
 DOC_DRIVER_ROWS = 50_000
 IMAGE_DRIVER_ROWS = 250_000
 
@@ -885,40 +894,31 @@ def _h64_md5(s: str) -> int:
     return int(hashlib.md5(s.encode("utf-8")).hexdigest()[:16], 16)
 
 
-def _simhash64(tokens: list[str]) -> int:
-    if not tokens:
-        return 0
-    hs = np.fromiter(
-        (_h64_md5(t) for t in tokens), dtype=np.uint64, count=len(tokens)
-    )
-    bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
-        np.int32
-    )
-    v = (2 * bits - 1).sum(axis=0)
-    out = np.uint64(0)
-    for i in range(64):
-        if v[i] > 0:
-            out |= np.uint64(1) << np.uint64(i)
-    return int(out)
+def _simhash_sigs(batch: pa.Table) -> pa.Table:
+    """``(doc_id, sig)`` of a ``(doc_id, text)`` batch: SimHash bit i is set
+    when over half of the doc's tokens set bit i of their ``_h64_md5``
+    (run once per distinct token): their +-1 sign sum is positive."""
+    n_tok, codes, vocab = _token_codes(batch.column("text").to_pylist())
+    hs = np.fromiter(map(_h64_md5, vocab), dtype=np.uint64, count=len(vocab))
+    bits = ((hs >> np.arange(64, dtype=np.uint64)[:, None]) & np.uint64(1)).astype(np.int64)
+    docs = np.flatnonzero(n_tok)
+    offs = (np.cumsum(n_tok) - n_tok)[docs]
+    ones = np.zeros((len(n_tok), 64), dtype=np.int64)
+    for b in range(64):
+        ones[docs, b] = np.add.reduceat(bits[b][codes], offs)
+    sig = np.packbits(2 * ones > n_tok[:, None], axis=1, bitorder="little").view("<u8")
+    return pa.table({"doc_id": batch.column("doc_id"), "sig": pa.array(sig.ravel())})
 
 
 def doc_simhash_pairs(sf_dir: str) -> pa.Table:
     """SimHash near-dup: 64-bit simhash over tokens; pairs with Hamming <= 3
     from the banded-Hamming join on four 16-bit bands (pigeonhole: <= 3
     differing bits leave at least one of 4 bands identical)."""
-
-    def sigs(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        sh = np.fromiter(
-            (_simhash64(t.split()) for t in texts), dtype=np.uint64, count=len(texts)
-        )
-        return pa.table({"doc_id": batch.column("doc_id"), "sig": pa.array(sh)})
-
     return _banded_hamming_join(
         _docs_path(sf_dir),
         DOC_DRIVER_ROWS,
         ("doc_id", "text"),
-        sigs,
+        _simhash_sigs,
         "doc_id",
         pa.int64(),
         _SIMHASH_MASKS,

@@ -23,6 +23,149 @@ def _texts():
     return dict(zip(t.column("doc_id").to_pylist(), t.column("text").to_pylist()))
 
 
+_M64 = (1 << 64) - 1
+
+
+def _mix(x: int) -> int:
+    """``dataops._mix64`` on one Python int."""
+    x ^= x >> 33
+    x = x * 0xFF51AFD7ED558CCD & _M64
+    x ^= x >> 33
+    x = x * 0xC4CEB9FE1A85EC53 & _M64
+    return x ^ (x >> 33)
+
+
+def _ref_minhash_sig(text: str) -> np.ndarray:
+    """Per-doc reference MinHash signature: each shingle's hash folds its
+    SHINGLE_K token hashes with a chained ``_mix(h ^ t_j)``; per
+    permutation the min of ``_mix64(h ^ seed)``, all-max with no shingle."""
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    toks = [dataops._h64(w) for w in text.split()]
+    sh = []
+    for i in range(len(toks) - dataops.SHINGLE_K + 1):
+        h = 0
+        for t in toks[i : i + dataops.SHINGLE_K]:
+            h = _mix(h ^ t)
+        sh.append(h)
+    if not sh:
+        return np.full(dataops.N_PERM, np.iinfo(np.uint64).max, dtype=np.uint64)
+    m = np.array(sh, dtype=np.uint64)[None, :] ^ dataops._PERM_SEEDS[:, None]
+    return dataops._mix64(m).min(axis=1)
+
+
+def _ref_band_row(text: str) -> list[int]:
+    """Per-doc reference of one ``_minhash_band_matrix`` row."""
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    sig = _ref_minhash_sig(text).reshape(dataops.N_BANDS, -1).tolist()
+    out = []
+    for band in sig:
+        h = 0
+        for r in band:
+            h = _mix(h ^ r)
+        out.append(h)
+    return out
+
+
+def _ref_simhash64(tokens: list[str]) -> int:
+    """The per-doc SimHash loop the batched ``_simhash_sigs`` replaced."""
+    from distributed_web_crawling_system_ray.pipelines.dataops import _h64_md5
+
+    if not tokens:
+        return 0
+    hs = np.fromiter((_h64_md5(t) for t in tokens), dtype=np.uint64, count=len(tokens))
+    bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
+        np.int32
+    )
+    v = (2 * bits - 1).sum(axis=0)
+    out = np.uint64(0)
+    for i in range(64):
+        if v[i] > 0:
+            out |= np.uint64(1) << np.uint64(i)
+    return int(out)
+
+
+def _check_sketches(texts: list[str]) -> None:
+    """The batched MinHash band matrix and SimHash signatures of ``texts``
+    equal the per-doc references, bit for bit."""
+    import pyarrow as pa
+
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    ids = pa.array(range(len(texts)), pa.int64())
+    batch = pa.table({"doc_id": ids, "text": pa.array(texts, pa.string())})
+    band = dataops._minhash_band_matrix(batch)
+    assert band.shape == (len(texts), dataops.N_BANDS)
+    assert band.tolist() == [_ref_band_row(t) for t in texts]
+    sigs = dataops._simhash_sigs(batch)
+    assert sigs.column("doc_id").equals(batch.column("doc_id"))
+    assert sigs.schema.field("sig").type == pa.uint64()
+    assert sigs.column("sig").to_pylist() == [_ref_simhash64(t.split()) for t in texts]
+
+
+def test_batched_sketches_match_per_doc_references():
+    """Property test of the two doc-sketch kernels: any batch — docs of 0,
+    1 and 2 tokens, repeated shingles, whitespace ``str.split`` splits on
+    (``\\x1c``, ``\\x85``, ``\\u3000``) and ``\\u200b``, which it does not —
+    at any shingle-chunk size, so chunk boundaries fall inside and between
+    docs.  Then fixed batches: only empty docs, and a doc of more than 20k
+    tokens (many chunks at the default budget) between short ones."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    word = st.sampled_from(["a", "b", "ab", "é", "x\u200by", "\u200b", "日本"])
+    sep = st.sampled_from([" ", "\t", "\n", "  ", "\x1c", "\x85", "\u3000"])
+    words = st.lists(st.tuples(sep, word), max_size=12)
+    doc = st.tuples(words, st.sampled_from(["", " "])).map(
+        lambda d: "".join(s + w for s, w in d[0]) + d[1]
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(doc, max_size=8), chunk=st.integers(1, 9))
+    def check(texts, chunk):
+        budget = dataops._MINHASH_CHUNK
+        dataops._MINHASH_CHUNK = chunk
+        try:
+            _check_sketches(texts)
+        finally:
+            dataops._MINHASH_CHUNK = budget
+
+    check()
+    _check_sketches([""] * 3)
+    _check_sketches(["", " \x85 \u3000", "\t"])
+    rng = np.random.default_rng(5)
+    long_doc = " ".join(rng.choice(["a", "b", "c", "d", "e"], size=20_500))
+    assert len(long_doc.split()) > 40 * dataops._MINHASH_CHUNK
+    _check_sketches(["a b", long_doc, "", "c d e", long_doc[:999]])
+
+
+def test_sketches_hash_each_distinct_token_once(monkeypatch):
+    """Signing one batch calls the token hash (``_h64`` for MinHash,
+    ``_h64_md5`` for SimHash) exactly once per distinct token of the batch:
+    no per-shingle or per-occurrence hashing."""
+    import pyarrow.parquet as pq
+
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    batch = pq.read_table(f"{SF_T2}/documents.parquet", columns=["doc_id", "text"])
+    texts = batch.column("text").to_pylist()
+    distinct = {w for t in texts for w in t.split()}
+    assert sum(len(t.split()) for t in texts) > 10 * len(distinct)  # non-vacuous
+    for name, sign in (
+        ("_h64", lambda: dataops._minhash_band_matrix(batch)),
+        ("_h64_md5", lambda: dataops._simhash_sigs(batch)),
+    ):
+        calls: list[str] = []
+        fn = getattr(dataops, name)
+        with monkeypatch.context() as m:
+            m.setattr(dataops, name, lambda s, fn=fn: calls.append(s) or fn(s))
+            sign()
+        assert len(calls) == len(distinct) and set(calls) == distinct, name
+
+
 def test_near_dup_pairs_match_bruteforce():
     from distributed_web_crawling_system_ray.pipelines.dataops import (
         JACCARD_TAU,
@@ -76,16 +219,12 @@ def test_lsh_candidates_emitted_once(monkeypatch):
     """The LSH band join emits every doc pair that shares at least one band
     exactly once (from its lowest colliding band), on the driver path and
     on the Dataset plan, with and without band sub-buckets — brute force
-    compares the raw MinHash band values."""
+    compares the raw MinHash band values of the per-doc reference."""
     from distributed_web_crawling_system_ray.pipelines import dataops
 
     texts = _texts()
     ids = sorted(texts)
-    bands = {
-        d: dataops._minhash_sig(dataops._h64_arr(dataops._shingles(texts[d])))
-        .reshape(dataops.N_BANDS, -1)
-        for d in ids
-    }
+    bands = {d: _ref_minhash_sig(texts[d]).reshape(dataops.N_BANDS, -1) for d in ids}
     want = set()
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
@@ -112,12 +251,11 @@ def test_lsh_candidates_emitted_once(monkeypatch):
 def test_simhash_pairs_no_false_positives_and_deterministic():
     from distributed_web_crawling_system_ray.pipelines.dataops import (
         SIMHASH_HAMMING_MAX,
-        _simhash64,
         doc_simhash_pairs,
     )
 
     texts = _texts()
-    sigs = {d: _simhash64(t.split()) for d, t in texts.items()}
+    sigs = {d: _ref_simhash64(t.split()) for d, t in texts.items()}
     got1 = doc_simhash_pairs(SF)
     got2 = doc_simhash_pairs(SF)
     assert got1.equals(got2)  # deterministic
