@@ -18,7 +18,7 @@ Usage:
     python bench.py --sf1          # the sf1 near-dup ops alone, in a
                                    # perfbench-shaped session at
                                    # $RAY_GRAFT_CPUS (default 1); the
-                                   # pair ops also on the Dataset plan
+                                   # pair ops also on the task plan
 """
 
 from __future__ import annotations
@@ -125,11 +125,19 @@ SF1_OPS = (
     "doc_dedup_clusters",
     "image_phash_clusters",
     "doc_simhash_pairs",
+    "emb_near_dup_pairs",
 )
-# sf1 sits at the driver bounds of the near-dup switch (DOC_DRIVER_ROWS,
-# IMAGE_DRIVER_ROWS), so --sf1 runs these once more with the bounds at 0:
-# every run records both sides of the switch at the same size.
-SF1_DATASET_OPS = ("doc_near_dup_pairs", "image_phash_near_dup")
+# sf1 sits at the near-dup bounds (DOC_DRIVER_ROWS, IMAGE_DRIVER_ROWS;
+# its 20k vectors are above EMB_BLOCK_ROWS), so --sf1 runs these once more
+# with every bound at 0.  The ``_dataset`` keys keep their names but now
+# time the plain-Ray-task plan: every run records the inline and the task
+# side of each bound at the same size.
+SF1_DATASET_OPS = (
+    "doc_near_dup_pairs",
+    "image_phash_near_dup",
+    "doc_simhash_pairs",
+    "emb_near_dup_pairs",
+)
 
 
 def _spilled_mib(session_dir: str) -> float:
@@ -174,11 +182,12 @@ def _peak_rss_call(fn) -> tuple:
 
 def sf1_op(name: str, sf1_dir: str, dataset: bool = False) -> tuple[int, float, float]:
     """One call of ``dataops.<name>`` over the sf1 fixture: ``(output rows,
-    wall s, driver peak RSS MB)``.  ``dataset`` forces the Dataset plan by
-    zeroing the driver bounds for the call."""
+    wall s, driver peak RSS MB)``.  ``dataset`` forces the task plan by
+    zeroing the near-dup bounds for the call."""
     from distributed_web_crawling_system_ray.pipelines import dataops
 
-    bounds = {k: getattr(dataops, k) for k in ("DOC_DRIVER_ROWS", "IMAGE_DRIVER_ROWS")}
+    names = ("DOC_DRIVER_ROWS", "IMAGE_DRIVER_ROWS", "EMB_BLOCK_ROWS")
+    bounds = {k: getattr(dataops, k) for k in names}
     if dataset:
         for k in bounds:
             setattr(dataops, k, 0)
@@ -214,7 +223,7 @@ def sf1_gate(num_cpus: int) -> dict:
     (``perfbench.run.start_ray``).  Per op: the first (cold) and second
     (warm) call's wall, the driver's peak RSS over both, the MiB the raylet
     spilled during them, and the output rows; then the same for
-    ``SF1_DATASET_OPS`` with the Dataset plan forced (keys
+    ``SF1_DATASET_OPS`` with the task plan forced (keys
     ``<op>_dataset``).  Then the build's cold and warm wall on each write
     path (``search_index_build``, ``search_index_build_dataset``), the
     query-mix p50/p95 on the driver-built index, and the wall and driver

@@ -94,6 +94,9 @@ from distributed_web_crawling_system_ray.pipelines.checkpoint import (
     latest_round,
     round_dir,
 )
+from distributed_web_crawling_system_ray.pipelines.exchange import (
+    _gather, _shard_count, _split, _submit,
+)
 from distributed_web_crawling_system_ray.sources import storage
 from distributed_web_crawling_system_ray.stages.cache import get_policies, web_refs
 from distributed_web_crawling_system_ray.stages.fetch import (
@@ -116,42 +119,12 @@ BASE_COLS = ["url", "canon", "url_hash", "host", "depth", "rank_path"]
 IMAGE_COLS = ["canon", "url_hash", "host"]
 
 
-@ray.remote
-def _call(fn, *args):
-    """One plain Ray task running ``fn(*args)``."""
-    return fn(*args)
-
-
-def _submit(fn, args: list[tuple], num_returns: int = 1) -> list:
-    """Submit ``fn(*a)`` for each ``a`` in ``args``, one Ray task each, in
-    order; returns their refs (a list of ``num_returns`` refs per task when
-    it is above 1).  ``fn`` is put once: a closure (the round bodies of
-    ``run_crawl`` and of bulk.py) is pickled by value then, with the refs it
-    captures and its module's current bindings."""
-    if not args:
-        return []
-    ref = ray.put(fn)
-    call = _call.options(num_returns=num_returns)
-    return [call.remote(ref, *a) for a in args]
-
-
-def _shard_count() -> int:
-    """S, the number of host shards and image pieces of a run: the
-    cluster's CPU count."""
-    return max(1, int(ray.cluster_resources().get("CPU", 1)))
-
-
 def _host_shard(hosts, S: int) -> np.ndarray:
     """Each row's host shard, ``url_hash(host) % S``; each distinct host is
     hashed once."""
     uniq = pc.unique(hosts)
     shard = np.array([url_hash(h) % S for h in uniq.to_pylist()], dtype=np.int64)
     return shard[pc.index_in(hosts, value_set=uniq).to_numpy(zero_copy_only=False)]
-
-
-def _split(t: pa.Table, part: np.ndarray, n: int) -> list[pa.Table]:
-    """The rows of ``t`` with ``part == p``, for p in 0..n-1, in order."""
-    return [t.filter(pa.array(part == p)) for p in range(n)]
 
 
 def _write_table(t: pa.Table, path: str) -> None:
@@ -181,11 +154,6 @@ def _fetch_args(counts: list[int], refs: list, step: int) -> list[tuple]:
     if spec:
         args.append((spec, *parts))
     return args
-
-
-def _gather(spec: list, parts: tuple) -> pa.Table:
-    """One F batch: the ``spec`` slices of the R outputs ``parts``."""
-    return pa.concat_tables([t.slice(o, n) for t, (o, n) in zip(parts, spec)])
 
 
 def _write_parts(images: pa.Table, decode, out_dir: str, p: int, step: int) -> int:

@@ -1,14 +1,15 @@
 """Training-data operators over the documents / embeddings tables.
 
 Beyond the reference's own operator set (SURVEY §2), these are the operations
-a large-scale training-data pipeline needs, each expressed Ray-Data-first:
-vectorized ``map_batches`` + explicit hash-partition shuffles + broadcast
-small sides.  The near-dup family (MinHash, SimHash, phash and embedding
-pairs, and their clusters) picks its path by input size: up to
-``DOC_DRIVER_ROWS`` docs, ``IMAGE_DRIVER_ROWS`` images or ``EMB_BLOCK_ROWS``
-vectors, the same numpy kernels the Dataset plan runs per group run on the
-driver over pyarrow reads, with no Ray Data execution.  Near-dup via
-phash is the reference's own declared future work
+a large-scale training-data pipeline needs: vectorized ``map_batches`` +
+explicit hash-partition shuffles + broadcast small sides.  The near-dup
+family (MinHash, SimHash, phash and embedding pairs, and their clusters)
+runs one plan at every size: a sign step per slice of rows and a join step
+per set of bands or blocks.  Up to ``DOC_DRIVER_ROWS`` docs,
+``IMAGE_DRIVER_ROWS`` images or ``EMB_BLOCK_ROWS`` vectors they run inline
+on the driver over pyarrow reads; above, the same functions run as plain
+Ray tasks (``exchange``), and neither side runs a Ray Data execution.
+Near-dup via phash is the reference's own declared future work
 (``system_architecture_v3.md:319``).
 
 Operator inventory (queries()-key -> method):
@@ -374,27 +375,21 @@ def _minhash_band_matrix(batch: pa.Table) -> np.ndarray:
     return h
 
 
-# The most rows one group of a banded join's Dataset plan (MinHash LSH,
-# banded Hamming) holds: each band splits into K = ceil(n /
-# BAND_GROUP_TARGET_ROWS) hash-mod sub-buckets (every band-hash bucket
-# stays whole).
-BAND_GROUP_TARGET_ROWS = 2_000_000
-
-# The near-dup path switch for docs and images: an input of at most this
-# many rows runs the numpy kernels on the driver over pyarrow reads, with no
-# Ray Data execution; a larger one runs the Dataset plan's parallel tasks.
-# Each bound is the largest input at which the driver was measured to win,
-# on a 1-vCPU host (sf1: 50k docs, 250k images; ROADMAP item 6); above it,
-# and on more real cores, the crossover is unverified.  sf1
-# ``doc_near_dup_pairs``, 1-CPU session, cold/warm: driver 2.5/2.7 s,
-# Dataset plan 9.2/6.6 s.  Both bounds sit far below BAND_GROUP_TARGET_ROWS,
-# so the driver never holds more than one Dataset group would.
+# The near-dup bounds for docs and images: an input of at most this many
+# rows runs each op's sign and join steps inline on the driver over a
+# streamed pyarrow read; a larger one runs the same functions as plain Ray
+# tasks (``_rows``).  Inline vs task plan, warm s, prefixes of the sf1
+# fixture on a 4-vCPU host: in a 1-CPU session the task plan takes 0.8-1.35x
+# the inline wall at every size up to sf1 (50k docs: 2.9 vs 2.5 s), so no
+# crossover lies at or below the bound; in a 4-CPU session the task plan
+# wins from about 3k docs (3,125: 0.10 vs 0.23 s; 50k: 1.1 vs 3.2 s).
+# Above 50k docs, unmeasured.
 DOC_DRIVER_ROWS = 50_000
+# Images (``image_phash_near_dup``), same runs: 1-CPU session 0.99-1.3x up
+# to 250k (2.2 vs 1.7 s there); 4-CPU session, the task plan wins between
+# 15.6k (0.046 vs 0.036 s) and 62.5k images (0.17 vs 0.42 s; 250k: 0.56 vs
+# 1.7 s).
 IMAGE_DRIVER_ROWS = 250_000
-
-
-def _band_subbuckets(n_rows_per_band: int) -> int:
-    return max(1, -(-int(n_rows_per_band) // BAND_GROUP_TARGET_ROWS))
 
 
 def _num_rows(path: str) -> int:
@@ -411,6 +406,69 @@ def _driver_batches(path: str, columns):
         yield pa.Table.from_batches([batch])
 
 
+def _rows(path: str, columns, bound: int) -> tuple:
+    """Where a near-dup op over the parquet file's ``columns`` runs, as
+    ``(ref, cuts, S)``.  At most ``bound`` rows: ``ref`` is None and every
+    step runs inline on the driver (S = 1).  Above: S is the session's CPU
+    count, ``ref`` one task's read of the file (the fixtures are one row
+    group, so rows split after the read, not in the reader) and ``cuts``
+    the bounds of its consecutive, non-empty slices."""
+    n = _num_rows(path)
+    if n <= bound:
+        return None, [0, n], 1
+    from distributed_web_crawling_system_ray.pipelines import exchange
+
+    S = exchange._shard_count()
+    ref = exchange._submit(_read_columns, [(path, list(columns))])[0]
+    return ref, sorted({n * s // S for s in range(S + 1)}), S
+
+
+def _read_columns(path: str, columns: list) -> pa.Table:
+    return pq.read_table(path, columns=columns)
+
+
+def _on_slice(fn, t: pa.Table, lo: int, hi: int, *args):
+    """``fn`` over rows [lo, hi) of ``t`` in 1024-row batches: a task's twin
+    of the driver's ``_driver_batches``."""
+    return fn((t.slice(o, min(1024, hi - o)) for o in range(lo, hi, 1024)), *args)
+
+
+def _map_rows(fn, path: str, columns, rows: tuple, *args, num_returns: int = 1) -> list:
+    """The map step ``fn(batches, *args)`` over ``_rows``'s ``rows``: one
+    inline call over a streamed read (a list of its value), or one task per
+    slice (their refs, which stay in the object store)."""
+    ref, cuts, _ = rows
+    if ref is None:
+        return [fn(_driver_batches(path, columns), *args)]
+    from distributed_web_crawling_system_ray.pipelines import exchange
+
+    slices = [(fn, ref, lo, hi, *args) for lo, hi in zip(cuts, cuts[1:])]
+    return exchange._submit(_on_slice, slices, num_returns)
+
+
+def _run(fn, args: list[tuple], rows: tuple) -> list:
+    """``fn(*a)`` for each ``a`` in ``args``: inline on the driver when
+    ``rows`` runs there, else one plain Ray task each; their values."""
+    if rows[0] is None:
+        return [fn(*a) for a in args]
+    from distributed_web_crawling_system_ray.pipelines import exchange
+
+    return ray.get(exchange._submit(fn, args))
+
+
+def _sign_join(sign, join, n_keys: int, path: str, columns, rows: tuple, *args) -> pa.Table:
+    """A banded join over ``rows``: the sign step ``sign(batches, *args)``
+    per slice, then join piece t of min(S, ``n_keys``) runs ``join(keys,
+    *signed)`` over the bands or blocks ``keys`` = c ≡ t (mod S), reading
+    every sign output (as refs above the bound).  A pair leaves only the
+    lowest band or block it collides in, so the pieces' pair tables are
+    disjoint."""
+    signed = _map_rows(sign, path, columns, rows, *args)
+    S = rows[2]
+    joins = [(range(t, n_keys, S), *signed) for t in range(min(S, n_keys))]
+    return pa.concat_tables(_run(join, joins, rows))
+
+
 def _pairs(a, b, id_type: pa.DataType = pa.int64()) -> pa.Table:
     return pa.table({"a": pa.array(a, id_type), "b": pa.array(b, id_type)})
 
@@ -419,15 +477,6 @@ def _sorted_pairs(out, id_type: pa.DataType = pa.int64()) -> pa.Table:
     """A pair table sorted by (a, b); ``None`` (no rows) becomes empty."""
     out = _pairs([], [], id_type) if out is None else out
     return out.sort_by([("a", "ascending"), ("b", "ascending")])
-
-
-def _band_matrix(col: pa.ChunkedArray) -> np.ndarray:
-    """(n, N_BANDS) uint64 view of a ``bands`` fixed_size_binary column."""
-    arr = col.combine_chunks()
-    flat = np.frombuffer(arr.buffers()[1], dtype=np.uint64)
-    return flat[arr.offset * N_BANDS : (arr.offset + len(arr)) * N_BANDS].reshape(
-        -1, N_BANDS
-    )
 
 
 def _band_candidates(c: int, ids: np.ndarray, band: np.ndarray):
@@ -465,63 +514,38 @@ def _band_candidates(c: int, ids: np.ndarray, band: np.ndarray):
     return i, j
 
 
-def _lsh_candidate_ds(sf_dir: str) -> "ray.data.Dataset":
-    """The Dataset plan of ``doc_lsh_candidates``: one
-    ``(band_id, sub, doc_id, bands)`` row per (doc, band), grouped by
-    ``(band_id, sub)`` — ``sub = band_hash % K``, bucket-preserving — with
-    ``_band_candidates`` per group.  ``bands`` carries all N_BANDS of the
-    doc's band hashes (little-endian uint64, one ``fixed_size_binary``) for
-    the kernel's lower-band test."""
-    path = _docs_path(sf_dir)
-    k_sub = _band_subbuckets(_num_rows(path))
+_DOC_COLS = ("doc_id", "text")
 
-    def band_rows(batch: pa.Table) -> pa.Table:
-        h = _minhash_band_matrix(batch)
-        n = len(h)
-        per_doc = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(8 * N_BANDS), n, [None, pa.py_buffer(h.tobytes())]
-        )
-        take = pa.array(np.repeat(np.arange(n, dtype=np.int64), N_BANDS))
-        return pa.table(
-            {
-                "band_id": pa.array(np.tile(np.arange(N_BANDS, dtype=np.int16), n)),
-                "sub": pa.array((h.ravel() % np.uint64(k_sub)).astype(np.int32)),
-                "doc_id": batch.column("doc_id").take(take),
-                "bands": per_doc.take(take),
-            }
-        )
 
-    def pairs(group: pa.Table) -> pa.Table:
-        c = int(group.column("band_id")[0].as_py())
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        i, j = _band_candidates(c, ids, _band_matrix(group.column("bands")))
-        return _pairs(ids[i], ids[j])
+def _doc_bands(batches) -> tuple[np.ndarray, np.ndarray]:
+    """The LSH sign step: the doc ids of ``batches`` and their
+    ``_minhash_band_matrix`` rows."""
+    ids, band = [np.zeros(0, np.int64)], [np.zeros((0, N_BANDS), np.uint64)]
+    for batch in batches:
+        ids.append(batch.column("doc_id").to_numpy(zero_copy_only=False))
+        band.append(_minhash_band_matrix(batch))
+    return np.concatenate(ids), np.concatenate(band)
 
-    return (
-        _read_pq(path, columns=["doc_id", "text"])
-        .map_batches(band_rows, batch_format="pyarrow")
-        .groupby(["band_id", "sub"])
-        .map_groups(pairs, batch_format="pyarrow")
-    )
+
+def _lsh_join(bands, *signed) -> pa.Table:
+    """The LSH join step: ``_band_candidates`` of every band in ``bands``
+    over all the signed ``(ids, band matrix)`` pieces, as doc id pairs."""
+    ids, band = map(np.concatenate, zip(*signed))
+    i, j = map(np.concatenate, zip(*[_band_candidates(c, ids, band) for c in bands]))
+    return _pairs(ids[i], ids[j])
+
+
+def _lsh_candidates(path: str, rows: tuple) -> pa.Table:
+    return _sorted_pairs(_sign_join(_doc_bands, _lsh_join, N_BANDS, path, _DOC_COLS, rows))
 
 
 def doc_lsh_candidates(sf_dir: str) -> pa.Table:
     """Candidate pairs (a < b) sharing at least one LSH band bucket, one row
-    per pair (from the lowest band the two docs collide in), sorted.  A
-    corpus of at most ``DOC_DRIVER_ROWS`` docs runs ``_band_candidates``
-    per band on the driver, over a streamed read that keeps only the ids
-    and the band matrix; a larger one runs ``_lsh_candidate_ds``."""
+    per pair (from the lowest band the two docs collide in), sorted.  The
+    docs are signed per slice and joined per band (``_sign_join``): on the
+    driver up to ``DOC_DRIVER_ROWS`` docs, in plain Ray tasks above."""
     path = _docs_path(sf_dir)
-    if _num_rows(path) > DOC_DRIVER_ROWS:
-        return _sorted_pairs(_to_table(_lsh_candidate_ds(sf_dir)))
-    ids, band = [np.zeros(0, np.int64)], [np.zeros((0, N_BANDS), np.uint64)]
-    for batch in _driver_batches(path, ("doc_id", "text")):
-        ids.append(batch.column("doc_id").to_numpy(zero_copy_only=False))
-        band.append(_minhash_band_matrix(batch))
-    ids, band = np.concatenate(ids), np.concatenate(band)
-    ij = [_band_candidates(c, ids, band) for c in range(N_BANDS)]
-    i, j = map(np.concatenate, zip(*ij))
-    return _sorted_pairs(_pairs(ids[i], ids[j]))
+    return _lsh_candidates(path, _rows(path, _DOC_COLS, DOC_DRIVER_ROWS))
 
 
 def _jaccard_verified(a: np.ndarray, b: np.ndarray, ids: list, texts: list):
@@ -538,17 +562,36 @@ def _jaccard_verified(a: np.ndarray, b: np.ndarray, ids: list, texts: list):
     return a[keep], b[keep]
 
 
-# A verify group holds one bucket's pairs plus the texts they reference — at
-# ~2 KB/doc text, VERIFY_TARGET_PAIRS pairs ≈ 64 MB of group payload
-# worst-case — so the bucket count grows with the candidate count, floored
-# at VERIFY_BUCKETS so small corpora keep the pinned layout.
-VERIFY_BUCKETS = 32
-VERIFY_TARGET_PAIRS = 16_384
+def _route_texts(batches, need: tuple, S: int):
+    """The verify map step: each ``(doc_id, text)`` row of ``batches`` that a
+    candidate pair references, once per verify piece whose pairs reference
+    it, split into the S pieces (one table when S is 1, as ``num_returns``
+    takes it).  ``need`` maps the referenced doc ids (sorted) to their
+    pieces as a CSR: ``flat[offs[k]:offs[k + 1]]`` are ``ids[k]``'s."""
+    from distributed_web_crawling_system_ray.pipelines.exchange import _split
+
+    ids, offs, flat = need
+    value_set = pa.array(ids)
+    kept, piece = [], []
+    for batch in batches:
+        batch = batch.filter(pc.is_in(batch.column("doc_id"), value_set=value_set))
+        pos = np.searchsorted(ids, batch.column("doc_id").to_numpy(zero_copy_only=False))
+        starts, counts = offs[pos], offs[pos + 1] - offs[pos]
+        # ragged ranges: row r's pieces are flat[starts[r]:][:counts[r]]
+        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        kept.append(batch.take(pa.array(np.repeat(np.arange(len(pos)), counts))))
+        piece.append(flat[np.repeat(starts, counts) + within])
+    pieces = _split(pa.concat_tables(kept), np.concatenate(piece), S)
+    return pieces if S > 1 else pieces[0]
 
 
-def _auto_verify_buckets(n_pairs: int) -> int:
-    """Verify-bucket count sized so one group's pairs stay ~target rows."""
-    return max(VERIFY_BUCKETS, -(-int(n_pairs) // max(1, VERIFY_TARGET_PAIRS)))
+def _verify(a: np.ndarray, b: np.ndarray, *pieces) -> pa.Table:
+    """The verify reduce step: the pairs ``(a[k], b[k])`` of one piece that
+    pass ``_jaccard_verified`` against the texts its route pieces hold."""
+    t = pa.concat_tables(pieces)
+    return _pairs(
+        *_jaccard_verified(a, b, t.column("doc_id").to_pylist(), t.column("text").to_pylist())
+    )
 
 
 def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
@@ -559,107 +602,36 @@ def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
     missing a tau-level pair is < 1e-6 per pair.  Candidates come from
     ``doc_lsh_candidates``, duplicate-free by construction.
 
-    The verify takes the candidates' path (``DOC_DRIVER_ROWS``).  On the
-    driver, a second streamed read keeps only the candidate members' texts
-    for ``_jaccard_verified``: the driver never holds the corpus text.  The
-    Dataset verify is a BUCKET JOIN: the candidate list is broadcast once
-    as bucket-sorted ``(a, b)`` arrays plus offsets (pair -> bucket
-    ``a % P``); a flat-map replicates a doc's text ONLY to the buckets
-    whose pairs reference it (most docs are in no pair and drop there);
-    ``groupby(bucket)`` co-locates each bucket's pairs with exactly their
-    texts for ``_jaccard_verified``.  P grows with the candidate count
-    (``_auto_verify_buckets``); assignment is hash-mod, so the output is
-    invariant to it (pytest-pinned at a forced tiny budget).
+    The verify runs where the candidates ran.  Pair ``(a, b)`` belongs to
+    piece ``a % S``; a map step per slice (``_route_texts``) keeps only the
+    texts some pair references and routes each to every piece whose pairs
+    reference it, and one reduce per piece runs ``_verify``.  On the driver
+    (S = 1) that is one streamed read keeping the referenced texts: the
+    driver never holds the corpus text, and above the bound it gets no text
+    at all, only pair tables.
     """
-    cands = doc_lsh_candidates(sf_dir)
+    path = _docs_path(sf_dir)
+    rows = _rows(path, _DOC_COLS, DOC_DRIVER_ROWS)
+    cands = _lsh_candidates(path, rows)
     if cands.num_rows == 0:
         return cands
-    a_arr = cands.column("a").to_numpy(zero_copy_only=False)
-    b_arr = cands.column("b").to_numpy(zero_copy_only=False)
-    path = _docs_path(sf_dir)
-    if _num_rows(path) <= DOC_DRIVER_ROWS:
-        need = pa.array(np.unique(np.concatenate([a_arr, b_arr])))
-        ids: list[int] = []
-        texts: list[str] = []
-        for batch in _driver_batches(path, ("doc_id", "text")):
-            batch = batch.filter(pc.is_in(batch.column("doc_id"), value_set=need))
-            ids += batch.column("doc_id").to_pylist()
-            texts += batch.column("text").to_pylist()
-        return _pairs(*_jaccard_verified(a_arr, b_arr, ids, texts))
-    verify_buckets = _auto_verify_buckets(cands.num_rows)
-    bucket_of_pair = (a_arr.astype(np.uint64) % verify_buckets).astype(np.int32)
-    # doc_id -> buckets that need its text, as a CSR ragged structure
-    # (sorted unique ids + offsets + flat bucket list) so the routing stage
-    # is pure numpy — no Python dict walk in the hot path (r4 verdict item 7)
-    member_ids = np.concatenate([a_arr, b_arr])
-    member_bks = np.concatenate([bucket_of_pair, bucket_of_pair])
-    memb = np.unique(np.stack([member_ids, member_bks.astype(np.int64)], axis=1), axis=0)
-    need_ids = memb[:, 0]  # sorted, repeated once per distinct bucket
-    need_flat_bks = memb[:, 1].astype(np.int32)
-    uniq_need_ids, need_counts = np.unique(need_ids, return_counts=True)
-    need_offsets = np.concatenate([[0], np.cumsum(need_counts)]).astype(np.int64)
-    need_ref = ray.put((uniq_need_ids, need_offsets, need_flat_bks))
-    need_ids_ref = ray.put(pa.array(uniq_need_ids, pa.int64()))
-    # bucket k's pairs are by_a[pair_offs[k]:pair_offs[k + 1]] (same for b)
-    by_bucket = np.argsort(bucket_of_pair, kind="stable")
-    pair_offs = np.searchsorted(
-        bucket_of_pair[by_bucket], np.arange(verify_buckets + 1)
-    )
-    pairs_ref = ray.put((a_arr[by_bucket], b_arr[by_bucket], pair_offs))
-
-    def route_texts(batch: pa.Table) -> pa.Table:
-        from distributed_web_crawling_system_ray.stages.cache import get_object
-
-        # vectorized pre-filter: ~all docs are in no pair — drop them before
-        # the replicate ever sees a row (r2 judge note); the value_set is
-        # broadcast once and cached per worker
-        batch = batch.filter(
-            pc.is_in(batch.column("doc_id"), value_set=get_object(need_ids_ref))
-        )
-        ids_, offs_, flat_bks_ = get_object(need_ref)
-        dids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        # every did survives the is_in filter, so searchsorted is exact
-        pos = np.searchsorted(ids_, dids)
-        starts = offs_[pos]
-        counts = (offs_[pos + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
-        # ragged-range: flat indices into flat_bks_ for each row's buckets
-        row_take = np.repeat(np.arange(len(dids), dtype=np.int64), counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        flat_idx = np.repeat(starts, counts) + within
-        replicated = batch.take(pa.array(row_take, pa.int64()))
-        return pa.table(
-            {
-                "bucket": pa.array(flat_bks_[flat_idx], pa.int32()),
-                "doc_id": replicated.column("doc_id"),
-                "text": replicated.column("text"),
-            }
-        )
-
-    def verify_bucket(group: pa.Table) -> pa.Table:
-        """Exact shingle-Jaccard check of one bucket's pairs."""
-        from distributed_web_crawling_system_ray.stages.cache import get_object
-
-        bk = int(group.column("bucket")[0].as_py())
-        all_a, all_b, offs = get_object(pairs_ref)
-        return _pairs(
-            *_jaccard_verified(
-                all_a[offs[bk] : offs[bk + 1]],
-                all_b[offs[bk] : offs[bk + 1]],
-                group.column("doc_id").to_pylist(),
-                group.column("text").to_pylist(),
-            )
-        )
-
-    verified = (
-        _docs(sf_dir)
-        .map_batches(route_texts, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(verify_bucket, batch_format="pyarrow")
-    )
-    return _sorted_pairs(_to_table(verified))
+    a = cands.column("a").to_numpy(zero_copy_only=False)
+    b = cands.column("b").to_numpy(zero_copy_only=False)
+    S = rows[2]
+    piece = (a.astype(np.uint64) % np.uint64(S)).astype(np.int64)
+    # each referenced doc id -> the pieces that need its text, as a CSR
+    memb = np.unique(np.stack([np.concatenate([a, b]), np.tile(piece, 2)], axis=1), axis=0)
+    ids, counts = np.unique(memb[:, 0], return_counts=True)
+    need = (ids, np.concatenate([[0], np.cumsum(counts)]), memb[:, 1])
+    routed = _map_rows(_route_texts, path, _DOC_COLS, rows, need, S, num_returns=S)
+    routed = [r if S > 1 else [r] for r in routed]
+    by_piece = np.argsort(piece, kind="stable")
+    offs = np.searchsorted(piece[by_piece], np.arange(S + 1))
+    verify = [
+        (a[by_piece[lo:hi]], b[by_piece[lo:hi]], *[r[k] for r in routed])
+        for k, (lo, hi) in enumerate(zip(offs, offs[1:]))
+    ]
+    return _sorted_pairs(pa.concat_tables(_run(_verify, verify, rows)))
 
 
 # ------------------------------------------------------- near-dup: simhash
@@ -795,9 +767,40 @@ def _ordered_id_pairs_direct(a: np.ndarray, b: np.ndarray):
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
+def _hamming_sign(batches, sig_batch) -> pa.Table | None:
+    """The banded-Hamming sign step: ``sig_batch`` per batch, concatenated
+    (None with no batch)."""
+    parts = [sig_batch(t) for t in batches]
+    return pa.concat_tables(parts) if parts else None
+
+
+def _hamming_join(masks, max_ham: int, id_col: str, id_type, blocks, *signed) -> pa.Table:
+    """The banded-Hamming join step over the blocks ``blocks`` of ``masks``:
+    the rows of every signed piece sort by signature once, and
+    ``_keyed_hamming_id_pairs`` runs per block with the lower blocks' masks;
+    the kernel pairs row positions, and the ids stay in Arrow until the
+    end."""
+    signed = [t for t in signed if t is not None]
+    if not signed:
+        return _pairs([], [], id_type)
+    rows = pa.concat_tables(signed)
+    sig = rows.column("sig").to_numpy()
+    by_sig = np.argsort(sig, kind="stable")
+    sig = sig[by_sig]
+    ab = [
+        _keyed_hamming_id_pairs(_block_keys(sig, masks[c]), sig, by_sig, max_ham, masks[:c])
+        for c in blocks
+    ]
+    ids = rows.column(id_col).cast(id_type)
+    a, b = (ids.take(x) for x in map(np.concatenate, zip(*ab)))
+    swap = pc.greater(a, b)
+    out = pa.table({"a": pc.if_else(swap, b, a), "b": pc.if_else(swap, a, b)})
+    return out.filter(pc.not_equal(out["a"], out["b"]))
+
+
 def _banded_hamming_join(
     path: str,
-    driver_rows: int,
+    bound: int,
     columns,
     sig_batch,
     id_col: str,
@@ -808,80 +811,23 @@ def _banded_hamming_join(
     """All (a, b) id pairs, a < b, whose uint64 signatures differ in at most
     ``max_ham`` bits — the one banded-Hamming join behind
     ``doc_simhash_pairs`` and ``image_phash_near_dup``.  ``sig_batch`` maps
-    a batch of the parquet file's ``columns`` to ``(id_col, sig)`` rows;
-    both paths run it per batch, so their signatures are identical.  A
-    file of at most ``driver_rows`` rows takes the driver path.
+    a batch of the parquet file's ``columns`` to ``(id_col, sig)`` rows
+    (``_hamming_sign``); ``_hamming_join`` runs per block (``_sign_join``),
+    on the driver up to ``bound`` rows, in plain Ray tasks above.
 
     Each entry of ``masks`` is one block; the caller picks them
     pigeonhole-exact, so every qualifying pair agrees on some mask.  A
-    row's key in block c is its masked bits (``_block_keys``), and
-    ``_keyed_hamming_id_pairs`` runs per block with the lower blocks'
-    masks, so a pair is emitted only from the lowest block it collides in
-    (identical signatures: block 0).  On the driver the rows sort by
-    signature once for all blocks; the Dataset plan runs the kernel per
-    (block, ``sub = _mix64(key) % K``) group.  Duplicate-free candidate
-    generation is a partitioning rule here, not a post-hoc dedup
-    (*Distributed Streaming Set Similarity Join*, ICDE 2020): no pair list
-    is deduped anywhere, on the driver or in a shuffle."""
-    n_rows = _num_rows(path)
-    if n_rows <= driver_rows:
-        parts = [sig_batch(t) for t in _driver_batches(path, columns)]
-        if not parts:
-            return _sorted_pairs(None, id_type)
-        rows = pa.concat_tables(parts)
-        sig = rows.column("sig").to_numpy()
-        by_sig = np.argsort(sig, kind="stable")
-        sig = sig[by_sig]
-        # the kernel pairs row positions; the ids stay in Arrow until here
-        ab = [
-            _keyed_hamming_id_pairs(_block_keys(sig, m), sig, by_sig, max_ham, masks[:c])
-            for c, m in enumerate(masks)
-        ]
-        ids = rows.column(id_col).cast(id_type)
-        a, b = (ids.take(x) for x in map(np.concatenate, zip(*ab)))
-        swap = pc.greater(a, b)
-        out = pa.table({"a": pc.if_else(swap, b, a), "b": pc.if_else(swap, a, b)})
-        return _sorted_pairs(out.filter(pc.not_equal(out["a"], out["b"])), id_type)
-    k_sub = _band_subbuckets(n_rows)
-    n_blocks = len(masks)
-
-    def block_rows(batch: pa.Table) -> pa.Table:
-        rows = sig_batch(batch)
-        sig = rows.column("sig").to_numpy(zero_copy_only=False)
-        n = len(sig)
-        keys = np.stack([_block_keys(sig, m) for m in masks], axis=1).ravel()
-        take = pa.array(np.repeat(np.arange(n, dtype=np.int64), n_blocks))
-        return pa.table(
-            {
-                "block": pa.array(np.tile(np.arange(n_blocks, dtype=np.int16), n)),
-                "sub": pa.array(
-                    (_mix64(keys.astype(np.uint64)) % np.uint64(k_sub)).astype(np.int32)
-                ),
-                "key": pa.array(keys),
-                id_col: rows.column(id_col).take(take),
-                "sig": pa.array(np.repeat(sig, n_blocks), pa.uint64()),
-            }
-        )
-
-    def pairs(group: pa.Table) -> pa.Table:
-        c = int(group.column("block")[0].as_py())
-        a, b = _keyed_hamming_id_pairs(
-            group.column("key").to_numpy(zero_copy_only=False),
-            group.column("sig").to_numpy(zero_copy_only=False),
-            group.column(id_col).to_numpy(zero_copy_only=False),
-            max_ham,
-            masks[:c],
-        )
-        return _pairs(a, b, id_type)
-
+    row's key in block c is its masked bits (``_block_keys``), and a pair
+    is emitted only from the lowest block it collides in (identical
+    signatures: block 0).  Duplicate-free candidate generation is a
+    partitioning rule here, not a post-hoc dedup (*Distributed Streaming
+    Set Similarity Join*, ICDE 2020): no pair list is deduped anywhere."""
+    rows = _rows(path, columns, bound)
+    join = lambda blocks, *signed: _hamming_join(  # noqa: E731
+        masks, max_ham, id_col, id_type, blocks, *signed
+    )
     return _sorted_pairs(
-        _to_table(
-            _read_pq(path, columns=list(columns))
-            .map_batches(block_rows, batch_format="pyarrow")
-            .groupby(["block", "sub"])
-            .map_groups(pairs, batch_format="pyarrow")
-        ),
-        id_type,
+        _sign_join(_hamming_sign, join, len(masks), path, columns, rows, sig_batch), id_type
     )
 
 
@@ -1132,9 +1078,12 @@ def ann_topk_lsh(sf_dir: str) -> pa.Table:
     return _to_table(out)
 
 
-# rows per self-join block (block pair ~ 2x 4 MB @ d=64); a corpus of at
-# most one block runs on the driver.  Measured crossover, on a 1-vCPU host
-# only: ROADMAP item 5.
+# The embedding near-dup bound: a corpus of at most this many vectors
+# self-joins inline on the driver, a larger one in S blocks, one plain Ray
+# task per block pair.  Inline vs task plan, warm s, as for DOC_DRIVER_ROWS:
+# 1-CPU session, a tie from 5k to 20k vectors (20k: 1.45 vs 1.41 s); 4-CPU
+# session, the task plan wins between 1,250 (0.037 vs 0.012 s) and 5,000
+# vectors (0.14 vs 0.16 s; 20k: 0.45 vs 1.5 s).
 EMB_BLOCK_ROWS = 8192
 _EMB_MM_CHUNK = 1024  # inner matmul row-chunk: bounds the sims temp
 
@@ -1246,55 +1195,38 @@ def _cosine_pairs(ia: np.ndarray, na: np.ndarray, ib, nb, same: bool):
     return np.concatenate(a_out), np.concatenate(b_out)
 
 
+def _block_pair(t: pa.Table, i: tuple, j: tuple) -> pa.Table:
+    """``_cosine_pairs`` between the unit rows [i0, i1) and [j0, j1) of the
+    ``(vec_id, embedding)`` table ``t``: one block against itself when
+    ``i == j``."""
+    ia, na = _unit_rows(t.slice(i[0], i[1] - i[0]))
+    ib, nb = (ia, na) if i == j else _unit_rows(t.slice(j[0], j[1] - j[0]))
+    return _pairs(*_cosine_pairs(ia, na, ib, nb, i == j))
+
+
 def emb_near_dup_pairs(sf_dir: str) -> pa.Table:
     """Embedding-cosine near-dup: ALL pairs with cosine >= COSINE_TAU.
 
-    Up to ``EMB_BLOCK_ROWS`` vectors (one block) the driver
-    reads the table and runs ``_cosine_pairs`` on it.  Above that, a
-    BLOCKED EXACT SELF-JOIN — the corpus is split into B object-store
-    blocks (never materialized on the driver, never broadcast whole); one
-    task per block pair (i <= j) pulls exactly two blocks and runs
-    ``_cosine_pairs``.  Total work is inherently O(N^2) for an *exact*
-    threshold at this tau: the testdata is near-isotropic (max pairwise
-    cosine ~0.51), so tau=0.45 sits where hyperplane-LSH recall-1 would
-    need more candidate comparisons than brute force (per-plane agreement
-    p=0.65: 40+ tables of 4 bits to push per-pair miss below 1e-3).
+    A BLOCKED EXACT SELF-JOIN: ``_block_pair`` per pair of blocks (i <= j).
+    Up to ``EMB_BLOCK_ROWS`` vectors the driver reads the table and runs
+    the one block against itself; above that, the corpus is the S slices of
+    one task's read (``_rows``), never on the driver, and one plain Ray task
+    per block pair reads its two blocks from that table.  Total work is
+    inherently O(N^2) for an *exact* threshold at this tau: the testdata is
+    near-isotropic (max pairwise cosine ~0.51), so tau=0.45 sits where
+    hyperplane-LSH recall-1 would need more candidate comparisons than
+    brute force (per-plane agreement p=0.65: 40+ tables of 4 bits to push
+    per-pair miss below 1e-3).
     ``ann_topk_lsh`` is the hyperplane-LSH path for the top-k form.
     """
     path = os.path.join(sf_dir, "embeddings.parquet")
-    n_rows = _num_rows(path)
-    if n_rows <= EMB_BLOCK_ROWS:
-        ids, unit = _unit_rows(pq.read_table(path, columns=["vec_id", "embedding"]))
-        return _sorted_pairs(_pairs(*_cosine_pairs(ids, unit, ids, unit, True)))
-    n_blocks = max(2, min(64, n_rows // EMB_BLOCK_ROWS + 1))
-
-    # per-block refs, resident in the object store (zero-copy for every
-    # task that reads them); the driver holds only the ref list.  A task
-    # normalizes its blocks with ``_unit_rows``, as the driver path does.
-    refs = (
-        _read_pq(path, columns=["vec_id", "embedding"], override_num_blocks=n_blocks)
-        .materialize()
-        .to_arrow_refs()
-    )
-    B = len(refs)
-
-    def block_pair(batch: pa.Table) -> pa.Table:
-        ab = [(np.zeros(0, np.int64), np.zeros(0, np.int64))]
-        for i, j in zip(batch.column("i").to_pylist(), batch.column("j").to_pylist()):
-            ia, na = _unit_rows(ray.get(refs[i]))
-            ib, nb = (ia, na) if i == j else _unit_rows(ray.get(refs[j]))
-            if len(ia) and len(ib):
-                ab.append(_cosine_pairs(ia, na, ib, nb, i == j))
-        return _pairs(*map(np.concatenate, zip(*ab)))
-
-    pair_items = [{"i": i, "j": j} for i in range(B) for j in range(i, B)]
-    return _sorted_pairs(
-        _to_table(
-            ray.data.from_items(
-                pair_items, override_num_blocks=len(pair_items)
-            ).map_batches(block_pair, batch_format="pyarrow")
-        )
-    )
+    cols = ["vec_id", "embedding"]
+    rows = _rows(path, cols, EMB_BLOCK_ROWS)
+    ref, cuts, _ = rows
+    t = pq.read_table(path, columns=cols) if ref is None else ref
+    blocks = list(zip(cuts, cuts[1:]))
+    pairs = [(t, x, y) for k, x in enumerate(blocks) for y in blocks[k:]]
+    return _sorted_pairs(pa.concat_tables(_run(_block_pair, pairs, rows)))
 
 
 def emb_label_counts(sf_dir: str) -> pa.Table:
@@ -1781,7 +1713,7 @@ def doc_dedup_clusters(sf_dir: str) -> pa.Table:
     other doc is a singleton (label = own id), assigned over the doc_id
     column read on the driver (``_assign_cluster_labels``).  The pairs take
     ``doc_near_dup_pairs``'s path: on the driver up to
-    ``DOC_DRIVER_ROWS`` docs, the Dataset plan above.  SQL oracle:
+    ``DOC_DRIVER_ROWS`` docs, plain Ray tasks above.  SQL oracle:
     recursive CTE transitive closure.
     """
     return _assign_cluster_labels(

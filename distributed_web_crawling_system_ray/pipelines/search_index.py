@@ -75,7 +75,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from distributed_web_crawling_system_ray.pipelines import search
+from distributed_web_crawling_system_ray.pipelines import exchange, search
 from distributed_web_crawling_system_ray.pipelines.search import (
     _TOKEN,
     _stem,
@@ -741,7 +741,8 @@ class SearchIndex:
         their files concatenated, live-filtered and written by
         ``_write_part``: no shuffle and no per-row hashing.  An index of at
         most ``DRIVER_WRITE_DOCS`` docs merges its partitions on the driver,
-        a larger one in Ray tasks, one partition each."""
+        a larger one in plain Ray tasks (``exchange._submit``), one partition
+        each."""
         gens = [e["gen"] for e in self.meta["generations"]]
         if len(gens) <= 1:
             return {"generations": len(gens), "compacted": False}
@@ -765,16 +766,8 @@ class SearchIndex:
             if on_driver or not parts:
                 out[kind] = [merge(kind, p, self._keep) for p in parts]
                 continue
-            ds = ray.data.from_items(
-                [{"p": p} for p in parts], override_num_blocks=len(parts)
-            ).map_batches(
-                lambda b, kind=kind: pa.concat_tables(
-                    [merge(kind, p) for p in b.column("p").to_pylist()]
-                ),
-                batch_format="pyarrow",
-                batch_size=1,
-            )
-            out[kind] = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
+            merged = ray.get(exchange._submit(merge, [(kind, p) for p in parts]))
+            out[kind] = [t for t in merged if t.num_rows]
         _write_vocab(out["postings"], gd, self._keep)
         all_ids = np.unique(_doc_ids(out["docs"]))
         new_total_dl = _dl_sum(out["docs"])

@@ -134,3 +134,26 @@ def check_crawl_matches_oracle(result, oracle) -> None:
     payload = result.payload_dataset().to_pandas()
     assert payload["image_id"].is_unique
     assert set(payload["image_id"]) == set(oracle.images.keys())
+
+
+def _first_call_dies(fn, marker: str, skip: int = 0):
+    """``fn``, except that one call creates ``marker`` and kills its
+    process, as a lost worker would: the first call, in any process, that
+    comes after ``skip`` earlier calls of the same unpickled copy (one task
+    attempt).  Ray then retries the task, and the retry finds the marker
+    and runs ``fn``."""
+    import os
+
+    calls = []
+
+    def once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > skip:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return fn(*args, **kwargs)
+            os._exit(1)
+        return fn(*args, **kwargs)
+
+    return once

@@ -16,6 +16,58 @@ def _ray(ray_session):
     yield
 
 
+FAMILY = (
+    "doc_lsh_candidates",
+    "doc_near_dup_pairs",
+    "doc_simhash_pairs",
+    "doc_dedup_clusters",
+    "emb_near_dup_pairs",
+    "emb_dedup_clusters",
+    "image_phash_near_dup",
+    "image_phash_clusters",
+)
+
+
+def _task_plan(m, S: int) -> None:
+    """Every near-dup bound at 0, so each op runs as plain Ray tasks, with
+    S pieces."""
+    from distributed_web_crawling_system_ray.pipelines import dataops, exchange
+
+    for bound in ("DOC_DRIVER_ROWS", "IMAGE_DRIVER_ROWS", "EMB_BLOCK_ROWS"):
+        m.setattr(dataops, bound, 0)
+    m.setattr(exchange, "_shard_count", lambda: S)
+
+
+@pytest.fixture(scope="module")
+def family_runs(ray_session):
+    """All eight near-dup family outputs on sf0.001 and sf0.01: at the
+    default bounds (every corpus here is driver-sized: the inline path),
+    and on the task plan at S=1 and S=3, keyed ``(sf, "driver" or S)``."""
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    runs = {}
+    for sf in (SF, SF_T2):
+        runs[sf, "driver"] = {fn: getattr(dataops, fn)(sf) for fn in FAMILY}
+        for S in (1, 3):
+            with pytest.MonkeyPatch.context() as m:
+                _task_plan(m, S)
+                runs[sf, S] = {fn: getattr(dataops, fn)(sf) for fn in FAMILY}
+    return runs
+
+
+def _check_family(runs) -> None:
+    """Every task-plan output is ``Table.equals`` (schema included) to the
+    driver's, and the pair sets are non-vacuous."""
+    for sf in (SF, SF_T2):
+        base = runs[sf, "driver"]
+        assert base["doc_near_dup_pairs"].num_rows > 0
+        assert base["emb_near_dup_pairs"].num_rows > 0
+        for S in (1, 3):
+            for fn in FAMILY:
+                assert runs[sf, S][fn].equals(base[fn]), (sf, S, fn)
+    assert runs[SF_T2, "driver"]["image_phash_near_dup"].num_rows > 0
+
+
 def _texts():
     import pyarrow.parquet as pq
 
@@ -191,35 +243,24 @@ def test_near_dup_pairs_match_bruteforce():
     assert len(want) > 0  # the testdata plants near-dups; non-vacuous
 
 
-def test_near_dup_pairs_invariant_to_bucket_budget(monkeypatch):
-    """The verify-bucket count is a hash-mod partitioning knob derived from
-    the candidate count — one bucket for all pairs, or a tiny per-bucket
-    budget (1 pair/group → one bucket per candidate), must leave the Dataset
-    verify's output byte-identical to the default (driver) path's, proving
-    the knob is pure partitioning, not correctness."""
-    from distributed_web_crawling_system_ray.pipelines import dataops
-
-    # the derivation itself: floor holds below target, ceil-div above
-    assert dataops._auto_verify_buckets(10) == 32
-    assert dataops._auto_verify_buckets(16_384 * 100) == 100
-
-    base = dataops.doc_near_dup_pairs(SF)
-    n_cands = dataops.doc_lsh_candidates(SF).num_rows
-    # the verify buckets are the Dataset plan's: force it
-    monkeypatch.setattr(dataops, "DOC_DRIVER_ROWS", 0)
-    monkeypatch.setattr(dataops, "VERIFY_BUCKETS", 1)
-    assert dataops._auto_verify_buckets(n_cands) == 1
-    assert dataops.doc_near_dup_pairs(SF).equals(base)
-    monkeypatch.setattr(dataops, "VERIFY_TARGET_PAIRS", 1)
-    assert dataops._auto_verify_buckets(n_cands) == n_cands != 32
-    assert dataops.doc_near_dup_pairs(SF).equals(base)
+def test_near_dup_pairs_invariant_to_verify_pieces(family_runs):
+    """The doc verify routes pair ``(a, b)`` to piece ``a % S``: at S=3 the
+    candidates of both corpora fall into more than one piece, and the
+    verified pairs (and every other family output) are byte-identical to
+    the driver's single piece and to S=1."""
+    for sf in (SF, SF_T2):
+        cands = family_runs[sf, "driver"]["doc_lsh_candidates"]
+        a = cands.column("a").to_numpy()
+        assert len(set((a % 3).tolist())) > 1  # non-vacuous: several pieces
+    _check_family(family_runs)
 
 
-def test_lsh_candidates_emitted_once(monkeypatch):
+def test_lsh_candidates_emitted_once(family_runs):
     """The LSH band join emits every doc pair that shares at least one band
-    exactly once (from its lowest colliding band), on the driver path and
-    on the Dataset plan, with and without band sub-buckets — brute force
-    compares the raw MinHash band values of the per-doc reference."""
+    exactly once (from its lowest colliding band), inline on the driver
+    and on the task plan at S=1 (one join task, every band) and S=3 (band
+    c in task c % 3) — brute force compares the raw MinHash band values of
+    the per-doc reference."""
     from distributed_web_crawling_system_ray.pipelines import dataops
 
     texts = _texts()
@@ -233,19 +274,12 @@ def test_lsh_candidates_emitted_once(monkeypatch):
                 want.add((a, b))
     assert len(want) > 0  # non-vacuous
 
-    def check(got):
+    for mode in ("driver", 1, 3):
+        got = family_runs[SF, mode]["doc_lsh_candidates"]
         pairs = list(zip(got.column("a").to_pylist(), got.column("b").to_pylist()))
-        assert set(pairs) == want
-        assert got.num_rows == len(want)  # no pair leaves two bands
-
-    # the Dataset plan, then the public op (the driver path at this size)
-    check(dataops._to_table(dataops._lsh_candidate_ds(SF)))
-    check(dataops.doc_lsh_candidates(SF))
-    monkeypatch.setattr(dataops, "DOC_DRIVER_ROWS", 0)
-    check(dataops.doc_lsh_candidates(SF))  # now the Dataset plan, K = 1
-    monkeypatch.setattr(dataops, "BAND_GROUP_TARGET_ROWS", 8)
-    check(dataops._to_table(dataops._lsh_candidate_ds(SF)))
-    check(dataops.doc_lsh_candidates(SF))  # the Dataset plan, K > 1
+        assert set(pairs) == want, mode
+        assert got.num_rows == len(want), mode  # no pair leaves two bands
+    _check_family(family_runs)
 
 
 def test_simhash_pairs_no_false_positives_and_deterministic():
@@ -472,41 +506,13 @@ def test_cc_labels_kernel_matches_bfs_components():
     check(a, b)
 
 
-def test_band_subbucket_invariance(monkeypatch):
-    """Both paths of the near-dup family give byte-identical outputs: the
-    default (driver-sized: every corpus here) against the Dataset plans,
-    forced with one band sub-bucket (K = 1, the plan just above the
-    driver bounds) and with many (the sub key is hash-mod over the bucket
-    key, so buckets never split), and more than one embedding block — all
-    eight family outputs, on sf0.001 and sf0.01."""
-    import pyarrow.parquet as pq
-
-    from distributed_web_crawling_system_ray.pipelines import dataops
-
-    fns = (
-        "doc_lsh_candidates",
-        "doc_near_dup_pairs",
-        "doc_simhash_pairs",
-        "doc_dedup_clusters",
-        "emb_near_dup_pairs",
-        "emb_dedup_clusters",
-        "image_phash_near_dup",
-        "image_phash_clusters",
-    )
-    for sf in (SF, SF_T2):
-        base = {fn: getattr(dataops, fn)(sf) for fn in fns}
-        assert base["doc_near_dup_pairs"].num_rows > 0
-        assert base["emb_near_dup_pairs"].num_rows > 0
-        n_vecs = pq.read_metadata(f"{sf}/embeddings.parquet").num_rows
-        with monkeypatch.context() as m:
-            m.setattr(dataops, "DOC_DRIVER_ROWS", 0)
-            m.setattr(dataops, "IMAGE_DRIVER_ROWS", 0)
-            m.setattr(dataops, "EMB_BLOCK_ROWS", n_vecs // 2)
-            for group_rows in (dataops.BAND_GROUP_TARGET_ROWS, 8):
-                m.setattr(dataops, "BAND_GROUP_TARGET_ROWS", group_rows)
-                for fn in fns:
-                    got = getattr(dataops, fn)(sf)
-                    assert got.equals(base[fn]), (sf, group_rows, fn)
+def test_family_outputs_invariant_to_plan_and_piece_count(family_runs):
+    """One plan at every size: with every bound at 0 the near-dup family
+    runs its sign and join steps as plain Ray tasks, and all eight outputs
+    are byte-identical to the inline driver path's at S=1 and S=3 (more
+    than one embedding block, bands and blocks spread over join tasks), on
+    sf0.001 and sf0.01."""
+    _check_family(family_runs)
 
 
 def test_driver_sized_neardup_pass_runs_no_ray_data_execution(executions):
@@ -524,3 +530,69 @@ def test_driver_sized_neardup_pass_runs_no_ray_data_execution(executions):
     ]
     assert len(executions) == 0
     assert [t.num_rows for t in out] == [500, 1000, 500]
+
+
+def test_task_plan_gives_the_driver_only_pairs_and_counts(executions, monkeypatch):
+    """With every bound at 0 and S=3, a doc, image and embedding
+    dedup-clusters pass runs zero Ray Data executions, and every value the
+    driver gets from ``ray.get`` is a pair table or a count: no per-(row,
+    band) or per-(row, block) table and no text column reaches it."""
+    import pyarrow as pa
+    import ray
+
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    sf = SF_T2
+    dataops._images_path(sf)  # the image fixture is built (once) outside
+    _task_plan(monkeypatch, 3)
+    got = []
+    get = ray.get
+
+    def recording_get(*args, **kwargs):
+        out = get(*args, **kwargs)
+        got.append(out)
+        return out
+
+    def leaves(v):
+        if isinstance(v, (list, tuple)):
+            for x in v:
+                yield from leaves(x)
+        else:
+            yield v
+
+    del executions[:]
+    monkeypatch.setattr(ray, "get", recording_get)
+    out = [
+        dataops.doc_dedup_clusters(sf),
+        dataops.image_phash_clusters(sf),
+        dataops.emb_dedup_clusters(sf),
+    ]
+    monkeypatch.setattr(ray, "get", get)
+    assert len(executions) == 0
+    assert [t.num_rows for t in out] == [500, 1000, 500]
+    values = list(leaves(got))
+    tables = [v for v in values if isinstance(v, pa.Table)]
+    assert len(tables) >= 3 * 3  # non-vacuous: every join and verify piece
+    assert all(t.column_names == ["a", "b"] for t in tables), [t.schema for t in tables]
+    assert all(isinstance(v, (pa.Table, int, np.integer)) for v in values), values
+
+
+def test_neardup_exactly_once_under_task_retry(family_runs, tmp_path, monkeypatch):
+    """On the task plan at S=3, the first attempt of one MinHash sign task,
+    one banded-Hamming join task, one doc verify reduce task and one
+    embedding block-pair task dies with its worker, and Ray's default
+    retries re-run each: all eight family outputs stay byte-identical to a
+    run with no fault."""
+    from conftest import _first_call_dies
+
+    from distributed_web_crawling_system_ray.pipelines import dataops
+
+    _task_plan(monkeypatch, 3)
+    steps = ("_doc_bands", "_hamming_join", "_verify", "_block_pair")
+    for step in steps:
+        marker = str(tmp_path / f"{step}.died")
+        monkeypatch.setattr(dataops, step, _first_call_dies(getattr(dataops, step), marker))
+    for fn in FAMILY:
+        assert getattr(dataops, fn)(SF_T2).equals(family_runs[SF_T2, 3][fn]), fn
+    for step in steps:
+        assert (tmp_path / f"{step}.died").exists(), step  # non-vacuous

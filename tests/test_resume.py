@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from conftest import check_crawl_matches_oracle
+from conftest import _first_call_dies, check_crawl_matches_oracle
 
 from distributed_web_crawling_system_ray.config import CrawlConfig
 from distributed_web_crawling_system_ray.oracle import crawl_oracle
@@ -307,29 +307,6 @@ def test_resume_after_fault_behind_the_next_round(
     check_crawl_matches_oracle(result, crawl_oracle(WebStore(fixture)))
     assert _committed_rounds(work) == list(range(result.rounds))
     _assert_metrics_match_payload(work)
-
-
-def _first_call_dies(fn, marker: str, skip: int = 0):
-    """``fn``, except that one call creates ``marker`` and kills its
-    process, as a lost worker would: the first call, in any process, that
-    comes after ``skip`` earlier calls of the same unpickled copy (one task
-    attempt).  Ray then retries the task, and the retry finds the marker
-    and runs ``fn``."""
-    import os
-
-    calls = []
-
-    def once(*args, **kwargs):
-        calls.append(1)
-        if len(calls) > skip:
-            try:
-                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-            except FileExistsError:
-                return fn(*args, **kwargs)
-            os._exit(1)
-        return fn(*args, **kwargs)
-
-    return once
 
 
 @pytest.mark.parametrize("run", ["crawl", "bulk"])

@@ -23,7 +23,7 @@ from conftest import oracle_rows, table_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from distributed_web_crawling_system_ray.pipelines import search, search_index
+from distributed_web_crawling_system_ray.pipelines import exchange, search, search_index
 from distributed_web_crawling_system_ray.pipelines.search_index import SearchIndex
 
 TERMS = list(search.QUERY_TERMS)
@@ -778,9 +778,10 @@ def test_dataset_write_path_writes_the_same_files(
     ray_session, tmp_path, corpus, executions, monkeypatch
 ):
     """With ``DRIVER_WRITE_DOCS = 0`` update() runs ``_postings`` inside
-    ``map_batches`` and compact() merges partitions in Ray tasks; every
-    file they write is ``Table.equals`` to the driver path's, file by file,
-    and every query form answers the same."""
+    ``map_batches`` and compact() merges partitions in plain Ray tasks (one
+    per partition, no Ray Data execution); every file they write is
+    ``Table.equals`` to the driver path's, file by file, and every query
+    form answers the same."""
     sub1, sub2, _ = corpus
     rewrite = {i: " ".join(sub1[i].split()[::-1]) for i in range(0, 60, 5)}
 
@@ -809,8 +810,17 @@ def test_dataset_write_path_writes_the_same_files(
         if stage == "compact":
             driver.compact()
             executions.clear()
+            tasks = []
+            submit = exchange._submit
+
+            def counted(fn, args, *rest):
+                tasks.extend(args)
+                return submit(fn, args, *rest)
+
+            monkeypatch.setattr(exchange, "_submit", counted)
             dataset.compact()
-            assert executions
+            assert executions == []
+            assert len(tasks) >= 2  # non-vacuous: postings and docs partitions
         want, got = files(driver), files(dataset)
         assert sorted(want) == sorted(got), stage
         for name, t in want.items():
