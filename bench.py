@@ -201,8 +201,10 @@ def sf1_op(name: str, sf1_dir: str, dataset: bool = False) -> tuple[int, float, 
 
 def sf1_index_build(sf1_dir: str, dataset: bool = False):
     """One stemmed ``SearchIndex`` build over the sf1 docs: ``(handle,
-    wall s)``.  ``dataset`` forces the Dataset write plan by zeroing
-    ``DRIVER_WRITE_DOCS`` for the call."""
+    wall s)``.  ``dataset`` forces the task plan (route, map and write as
+    plain Ray tasks, S the session's CPU count) by zeroing
+    ``DRIVER_WRITE_DOCS`` for the call; the ``search_index_build_dataset``
+    key keeps its name."""
     from distributed_web_crawling_system_ray.pipelines import search_index
 
     bound = search_index.DRIVER_WRITE_DOCS
@@ -224,8 +226,9 @@ def sf1_gate(num_cpus: int) -> dict:
     (warm) call's wall, the driver's peak RSS over both, the MiB the raylet
     spilled during them, and the output rows; then the same for
     ``SF1_DATASET_OPS`` with the task plan forced (keys
-    ``<op>_dataset``).  Then the build's cold and warm wall on each write
-    path (``search_index_build``, ``search_index_build_dataset``), the
+    ``<op>_dataset``).  Then the build's cold and warm wall and spilled
+    MiB inline (``search_index_build``) and on the task plan
+    (``search_index_build_dataset``), the
     query-mix p50/p95 on the driver-built index, and the wall and driver
     peak RSS of ``topk``/``topk_bm25f`` over its whole vocabulary
     (``search_vocab_topk``, ``search_vocab_topk_bm25f``)."""
@@ -253,10 +256,13 @@ def sf1_gate(num_cpus: int) -> dict:
         rec["rows"] = rows
         out[name + ("_dataset" if dataset else "")] = rec
     for dataset in (False, True):
+        spilled0 = _spilled_mib(session)
         walls = [sf1_index_build(sf1_dir, dataset)[1] for _ in ("cold", "warm")]
+        time.sleep(1)
         out["search_index_build" + ("_dataset" if dataset else "")] = {
             "cold_s": round(walls[0], 3),
             "warm_s": round(walls[1], 3),
+            "spilled_mib": _spilled_mib(session) - spilled0,
         }
     idx = sf1_index_build(sf1_dir)[0]
     out.update(query_mix_latency(idx))

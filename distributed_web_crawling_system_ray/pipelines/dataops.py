@@ -47,6 +47,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from distributed_web_crawling_system_ray.pipelines import exchange
+
 # ---------------------------------------------------------------- helpers
 
 STOPWORDS = ("the", "a", "of", "to", "and", "in", "is", "on", "for", "with")
@@ -378,7 +380,7 @@ def _minhash_band_matrix(batch: pa.Table) -> np.ndarray:
 # The near-dup bounds for docs and images: an input of at most this many
 # rows runs each op's sign and join steps inline on the driver over a
 # streamed pyarrow read; a larger one runs the same functions as plain Ray
-# tasks (``_rows``).  Inline vs task plan, warm s, prefixes of the sf1
+# tasks (``exchange._rows``).  Inline vs task plan, warm s, prefixes of the sf1
 # fixture on a 4-vCPU host: in a 1-CPU session the task plan takes 0.8-1.35x
 # the inline wall at every size up to sf1 (50k docs: 2.9 vs 2.5 s), so no
 # crossover lies at or below the bound; in a 4-CPU session the task plan
@@ -392,70 +394,6 @@ DOC_DRIVER_ROWS = 50_000
 IMAGE_DRIVER_ROWS = 250_000
 
 
-def _num_rows(path: str) -> int:
-    return pq.read_metadata(path).num_rows
-
-
-def _driver_batches(path: str, columns):
-    """A parquet file's record batches, read on the driver one at a time —
-    the pyarrow twin of ``_read_pq(path, columns=...).map_batches`` (and
-    its 1024-row default batch), so a driver path never holds a whole text
-    column."""
-    f = pq.ParquetFile(path)
-    for batch in f.iter_batches(batch_size=1024, columns=list(columns)):
-        yield pa.Table.from_batches([batch])
-
-
-def _rows(path: str, columns, bound: int) -> tuple:
-    """Where a near-dup op over the parquet file's ``columns`` runs, as
-    ``(ref, cuts, S)``.  At most ``bound`` rows: ``ref`` is None and every
-    step runs inline on the driver (S = 1).  Above: S is the session's CPU
-    count, ``ref`` one task's read of the file (the fixtures are one row
-    group, so rows split after the read, not in the reader) and ``cuts``
-    the bounds of its consecutive, non-empty slices."""
-    n = _num_rows(path)
-    if n <= bound:
-        return None, [0, n], 1
-    from distributed_web_crawling_system_ray.pipelines import exchange
-
-    S = exchange._shard_count()
-    ref = exchange._submit(_read_columns, [(path, list(columns))])[0]
-    return ref, sorted({n * s // S for s in range(S + 1)}), S
-
-
-def _read_columns(path: str, columns: list) -> pa.Table:
-    return pq.read_table(path, columns=columns)
-
-
-def _on_slice(fn, t: pa.Table, lo: int, hi: int, *args):
-    """``fn`` over rows [lo, hi) of ``t`` in 1024-row batches: a task's twin
-    of the driver's ``_driver_batches``."""
-    return fn((t.slice(o, min(1024, hi - o)) for o in range(lo, hi, 1024)), *args)
-
-
-def _map_rows(fn, path: str, columns, rows: tuple, *args, num_returns: int = 1) -> list:
-    """The map step ``fn(batches, *args)`` over ``_rows``'s ``rows``: one
-    inline call over a streamed read (a list of its value), or one task per
-    slice (their refs, which stay in the object store)."""
-    ref, cuts, _ = rows
-    if ref is None:
-        return [fn(_driver_batches(path, columns), *args)]
-    from distributed_web_crawling_system_ray.pipelines import exchange
-
-    slices = [(fn, ref, lo, hi, *args) for lo, hi in zip(cuts, cuts[1:])]
-    return exchange._submit(_on_slice, slices, num_returns)
-
-
-def _run(fn, args: list[tuple], rows: tuple) -> list:
-    """``fn(*a)`` for each ``a`` in ``args``: inline on the driver when
-    ``rows`` runs there, else one plain Ray task each; their values."""
-    if rows[0] is None:
-        return [fn(*a) for a in args]
-    from distributed_web_crawling_system_ray.pipelines import exchange
-
-    return ray.get(exchange._submit(fn, args))
-
-
 def _sign_join(sign, join, n_keys: int, path: str, columns, rows: tuple, *args) -> pa.Table:
     """A banded join over ``rows``: the sign step ``sign(batches, *args)``
     per slice, then join piece t of min(S, ``n_keys``) runs ``join(keys,
@@ -463,10 +401,10 @@ def _sign_join(sign, join, n_keys: int, path: str, columns, rows: tuple, *args) 
     every sign output (as refs above the bound).  A pair leaves only the
     lowest band or block it collides in, so the pieces' pair tables are
     disjoint."""
-    signed = _map_rows(sign, path, columns, rows, *args)
+    signed = exchange._map_rows(sign, path, columns, rows, *args)
     S = rows[2]
     joins = [(range(t, n_keys, S), *signed) for t in range(min(S, n_keys))]
-    return pa.concat_tables(_run(join, joins, rows))
+    return pa.concat_tables(exchange._run(join, joins, rows[0] is None))
 
 
 def _pairs(a, b, id_type: pa.DataType = pa.int64()) -> pa.Table:
@@ -545,7 +483,7 @@ def doc_lsh_candidates(sf_dir: str) -> pa.Table:
     docs are signed per slice and joined per band (``_sign_join``): on the
     driver up to ``DOC_DRIVER_ROWS`` docs, in plain Ray tasks above."""
     path = _docs_path(sf_dir)
-    return _lsh_candidates(path, _rows(path, _DOC_COLS, DOC_DRIVER_ROWS))
+    return _lsh_candidates(path, exchange._rows(path, _DOC_COLS, DOC_DRIVER_ROWS))
 
 
 def _jaccard_verified(a: np.ndarray, b: np.ndarray, ids: list, texts: list):
@@ -568,8 +506,6 @@ def _route_texts(batches, need: tuple, S: int):
     it, split into the S pieces (one table when S is 1, as ``num_returns``
     takes it).  ``need`` maps the referenced doc ids (sorted) to their
     pieces as a CSR: ``flat[offs[k]:offs[k + 1]]`` are ``ids[k]``'s."""
-    from distributed_web_crawling_system_ray.pipelines.exchange import _split
-
     ids, offs, flat = need
     value_set = pa.array(ids)
     kept, piece = [], []
@@ -581,7 +517,7 @@ def _route_texts(batches, need: tuple, S: int):
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         kept.append(batch.take(pa.array(np.repeat(np.arange(len(pos)), counts))))
         piece.append(flat[np.repeat(starts, counts) + within])
-    pieces = _split(pa.concat_tables(kept), np.concatenate(piece), S)
+    pieces = exchange._split(pa.concat_tables(kept), np.concatenate(piece), S)
     return pieces if S > 1 else pieces[0]
 
 
@@ -611,7 +547,7 @@ def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
     at all, only pair tables.
     """
     path = _docs_path(sf_dir)
-    rows = _rows(path, _DOC_COLS, DOC_DRIVER_ROWS)
+    rows = exchange._rows(path, _DOC_COLS, DOC_DRIVER_ROWS)
     cands = _lsh_candidates(path, rows)
     if cands.num_rows == 0:
         return cands
@@ -623,7 +559,7 @@ def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
     memb = np.unique(np.stack([np.concatenate([a, b]), np.tile(piece, 2)], axis=1), axis=0)
     ids, counts = np.unique(memb[:, 0], return_counts=True)
     need = (ids, np.concatenate([[0], np.cumsum(counts)]), memb[:, 1])
-    routed = _map_rows(_route_texts, path, _DOC_COLS, rows, need, S, num_returns=S)
+    routed = exchange._map_rows(_route_texts, path, _DOC_COLS, rows, need, S, num_returns=S)
     routed = [r if S > 1 else [r] for r in routed]
     by_piece = np.argsort(piece, kind="stable")
     offs = np.searchsorted(piece[by_piece], np.arange(S + 1))
@@ -631,7 +567,7 @@ def doc_near_dup_pairs(sf_dir: str) -> pa.Table:
         (a[by_piece[lo:hi]], b[by_piece[lo:hi]], *[r[k] for r in routed])
         for k, (lo, hi) in enumerate(zip(offs, offs[1:]))
     ]
-    return _sorted_pairs(pa.concat_tables(_run(_verify, verify, rows)))
+    return _sorted_pairs(pa.concat_tables(exchange._run(_verify, verify, rows[0] is None)))
 
 
 # ------------------------------------------------------- near-dup: simhash
@@ -822,7 +758,7 @@ def _banded_hamming_join(
     signatures: block 0).  Duplicate-free candidate generation is a
     partitioning rule here, not a post-hoc dedup (*Distributed Streaming
     Set Similarity Join*, ICDE 2020): no pair list is deduped anywhere."""
-    rows = _rows(path, columns, bound)
+    rows = exchange._rows(path, columns, bound)
     join = lambda blocks, *signed: _hamming_join(  # noqa: E731
         masks, max_ham, id_col, id_type, blocks, *signed
     )
@@ -1210,8 +1146,8 @@ def emb_near_dup_pairs(sf_dir: str) -> pa.Table:
     A BLOCKED EXACT SELF-JOIN: ``_block_pair`` per pair of blocks (i <= j).
     Up to ``EMB_BLOCK_ROWS`` vectors the driver reads the table and runs
     the one block against itself; above that, the corpus is the S slices of
-    one task's read (``_rows``), never on the driver, and one plain Ray task
-    per block pair reads its two blocks from that table.  Total work is
+    one task's read (``exchange._rows``), never on the driver, and one plain
+    Ray task per block pair reads its two blocks from that table.  Total work is
     inherently O(N^2) for an *exact* threshold at this tau: the testdata is
     near-isotropic (max pairwise cosine ~0.51), so tau=0.45 sits where
     hyperplane-LSH recall-1 would need more candidate comparisons than
@@ -1221,12 +1157,12 @@ def emb_near_dup_pairs(sf_dir: str) -> pa.Table:
     """
     path = os.path.join(sf_dir, "embeddings.parquet")
     cols = ["vec_id", "embedding"]
-    rows = _rows(path, cols, EMB_BLOCK_ROWS)
+    rows = exchange._rows(path, cols, EMB_BLOCK_ROWS)
     ref, cuts, _ = rows
     t = pq.read_table(path, columns=cols) if ref is None else ref
     blocks = list(zip(cuts, cuts[1:]))
     pairs = [(t, x, y) for k, x in enumerate(blocks) for y in blocks[k:]]
-    return _sorted_pairs(pa.concat_tables(_run(_block_pair, pairs, rows)))
+    return _sorted_pairs(pa.concat_tables(exchange._run(_block_pair, pairs, rows[0] is None)))
 
 
 def emb_label_counts(sf_dir: str) -> pa.Table:

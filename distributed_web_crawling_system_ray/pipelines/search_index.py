@@ -26,13 +26,19 @@ by the number of RE-indexed docs (re-crawled pages), not the corpus;
 
 Scale shape:
 - writes: one kernel, ``_postings``, tokenizes a batch once and returns its
-  postings and doc rows.  A submission of at most ``DRIVER_WRITE_DOCS``
-  docs runs it on the driver over a pyarrow read and writes the partitions
-  with no Ray Data execution; a larger one runs it in ``map_batches`` and
-  shuffles by partition (``groupby(part)``).  ``compact()`` merges
-  partition P of every generation into partition P, on the driver or in
-  Ray tasks by the same bound.  Every file has a deterministic name and is
-  replaced atomically, so a retried task rewrites the identical file.
+  postings and doc rows.  ``update()`` is one plan of three steps at every
+  size: route (``_route``: the submission cut into S pieces by
+  ``doc_id % S``), map (``_index_piece``: a piece's duplicate ids
+  collapsed, then ``_postings`` once, its rows cut by partition mod S) and
+  write (``_write_piece``: write step t writes the partitions P ≡ t (mod
+  S)).  A submission of at most ``DRIVER_WRITE_DOCS`` docs runs the steps
+  inline on the driver with S = 1; a larger one runs them as plain Ray
+  tasks (``exchange``), S the session's CPU count.  ``compact()`` merges
+  partition P of every generation into partition P, inline or in tasks by
+  the same bound.  Neither runs a Ray Data execution, except to
+  materialize a Dataset the caller submits.  Every file has a
+  deterministic name and is replaced atomically, so a retried task
+  rewrites the identical file.
 - queries touch ONLY the partitions that can contain the query terms —
   Q hash buckets out of n_parts, across generations — never the corpus and
   never the text column (snippets are stored at index time and fetched for
@@ -71,6 +77,7 @@ from collections import OrderedDict
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 import ray.data
@@ -193,7 +200,7 @@ def _postings(
             "snippet": pc.utf8_slice_codeunits(text, 0, SNIPPET_CHARS),
             "title": title,
             "domain": pa.array(src, pa.string()),
-            "crawl_date": pa.array([derive_crawl_date(d) for d in ids.tolist()]),
+            "crawl_date": pa.array([derive_crawl_date(d) for d in ids.tolist()], pa.string()),
             "dpart": pa.array(ids % n_dparts, pa.int32()),
         }
     )
@@ -221,16 +228,17 @@ def _atomic_write_table(tbl: pa.Table, path: str, keep=None) -> None:
         keep(path, tbl)
 
 
-# A submission of at most this many docs is indexed on the driver by
-# update(), and an index of at most this many docs (summed over its
-# generations) is compacted there: pyarrow reads, ``_postings`` and the part
-# writes with no Ray Data execution.  Above it the Dataset plan calls the
-# same kernel inside ``map_batches`` (update) or merges the partitions in
-# Ray tasks (compact).  The bound is the largest input measured, in a 1-CPU
-# session on a 1-vCPU host: sf1's 50k docs (stemmed, 1.22M postings rows)
-# build in 1.5-1.8 s on the driver against 4.8-7.9 s for the Dataset plan,
-# and compact (51k docs, 2 generations) in 1.3 s against 1.9-2.1 s.  The
-# crossover above it, and on more than one real core, is unverified.
+# A submission of at most this many docs runs update()'s route, map and
+# write steps inline on the driver (S = 1), and an index of at most this
+# many docs (summed over its generations) compacts there; above it the same
+# functions run as plain Ray tasks.  Inline vs task plan, stemmed update()
+# of prefixes of the sf1 docs on a 4-vCPU host, warm s: in a 1-CPU session
+# the task plan takes 1.1-1.4x the inline wall up to 6,250 docs (3,125:
+# 0.17 vs 0.12 s) and 0.9-1.2x from 12,500 to 50k (50k: 1.52-1.54 vs
+# 1.51-1.68 s), so no crossover lies at or below the bound; in a 4-CPU
+# session the task plan wins from about 6k docs (6,250: 0.15 vs 0.25 s;
+# 50k: 0.65 vs 1.45-1.74 s).  Above 50k docs, unmeasured.  Compact (51k
+# docs, 2 generations, 1-CPU session): 1.3 s inline, 1.9-2.1 s in tasks.
 DRIVER_WRITE_DOCS = 50_000
 
 # the order each partition file is written in: a postings file's term runs
@@ -263,15 +271,20 @@ def _write_part(
     return t.select(["doc_id", "dl"])
 
 
-def _write_vocab(terms: list[pa.Table], gen_dir: str, keep) -> None:
-    """The generation's one vocabulary file: its sorted distinct terms, the
-    wildcard-expansion domain (vocab-sized, never index-sized)."""
+def _write_listings(gd: str, terms: list[pa.Table], dls: list[pa.Table], keep) -> tuple:
+    """A generation's two listings, from its part writes' returns (``terms``
+    from postings parts, ``dls`` from docs parts): ``vocab.parquet``, its
+    sorted distinct terms, the wildcard-expansion domain (vocab-sized, never
+    index-sized), and ``doc_ids.parquet``.  Returns its ids and their Σ dl."""
     col = pa.chunked_array([t.column("term") for t in terms], pa.string())
+    vocab = pa.table({"term": pc.unique(col)}).sort_by("term")
+    _atomic_write_table(vocab, os.path.join(gd, "vocab.parquet"), keep)
+    ids = [np.zeros(0, np.int64)] + [t.column("doc_id").to_numpy() for t in dls]
+    ids = np.unique(np.concatenate(ids))
     _atomic_write_table(
-        pa.table({"term": pc.unique(col)}).sort_by("term"),
-        os.path.join(gen_dir, "vocab.parquet"),
-        keep,
+        pa.table({"doc_id": pa.array(ids, pa.int64())}), os.path.join(gd, "doc_ids.parquet")
     )
+    return ids, sum(int(pc.sum(t.column("dl")).as_py() or 0) for t in dls)
 
 
 def _groups(t: pa.Table, key: str):
@@ -306,38 +319,67 @@ def _collapse_dups(t: pa.Table) -> pa.Table:
     return t.take(pa.array(np.sort(keep)))
 
 
-def _dl_sum(docs: list[pa.Table]) -> int:
-    return sum(int(pc.sum(t.column("dl")).as_py() or 0) for t in docs)
+# an empty submission (or a Dataset's empty block, which may have no column)
+_NO_DOCS = {"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())}
 
 
-def _submission(docs):
-    """An ``update()`` submission as a driver-held Arrow table when it has
-    at most ``DRIVER_WRITE_DOCS`` rows, else as a materialized Dataset.  A
-    parquet path (file or directory) is counted by its footers, a table by
-    its rows, a Dataset by its materialized blocks' metadata."""
+def _cols(names) -> list[str]:
+    return [c for c in ("doc_id", "text", "source") if c in names]
 
-    def cols(names) -> list[str]:
-        return [c for c in ("doc_id", "text", "source") if c in names]
 
+def _submission(docs) -> tuple[list, list[str], bool]:
+    """An ``update()`` submission as ``(sources, columns, inline)``: one
+    source per route step, the columns it indexes, and whether it has at
+    most ``DRIVER_WRITE_DOCS`` rows.  A table is one source; a parquet path
+    (file or directory) one pyarrow dataset, counted by its footers.  A Ray
+    Dataset is materialized, the one Ray Data execution a write makes, and
+    each block is a source: fetched to the driver at or below the bound,
+    refs above."""
     if isinstance(docs, str):
-        import pyarrow.dataset as pads
-
         src = pads.dataset(docs, format="parquet")
-        if src.count_rows() <= DRIVER_WRITE_DOCS:
-            return src.to_table(columns=cols(src.schema.names))
-        docs = ray.data.read_parquet(docs, columns=cols(src.schema.names))
-    elif isinstance(docs, pa.Table):
-        docs = docs.select(cols(docs.column_names))
-        if docs.num_rows <= DRIVER_WRITE_DOCS:
-            return docs
-        docs = ray.data.from_arrow(docs)
+        return [src], _cols(src.schema.names), src.count_rows() <= DRIVER_WRITE_DOCS
+    if isinstance(docs, pa.Table):
+        return [docs], _cols(docs.column_names), docs.num_rows <= DRIVER_WRITE_DOCS
     docs = docs.materialize()
-    if docs.count() > DRIVER_WRITE_DOCS:
-        return docs
-    parts = [t for t in ray.get(docs.to_arrow_refs()) if t.num_rows] or [
-        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
-    ]
-    return pa.concat_tables(parts).select(cols(parts[0].column_names))
+    refs, inline, schema = docs.to_arrow_refs(), docs.count() <= DRIVER_WRITE_DOCS, docs.schema()
+    return ray.get(refs) if inline else refs, _cols(schema.names if schema else _NO_DOCS), inline
+
+
+def _route(src, cols: list[str], S: int):
+    """The route step of ``update()``: the rows of one source (a table, or a
+    parquet file or directory as a pyarrow dataset, read here) cut into S
+    pieces by ``doc_id % S``, so every row of an id meets in one piece (one
+    table when S is 1, as ``num_returns`` takes it)."""
+    if isinstance(src, pads.Dataset):
+        src = src.to_table(columns=cols)
+    pieces = _cut(src.select(cols), "doc_id", S) if src.num_rows else [src] * S
+    return pieces if S > 1 else pieces[0]
+
+
+def _cut(t: pa.Table, key: str, S: int) -> list[pa.Table]:
+    """``t``'s rows by ``key % S``: S pieces, ``[t]`` itself when S is 1."""
+    return [t] if S == 1 else exchange._split(t, t.column(key).to_numpy() % S, S)
+
+
+def _index_piece(stem: bool, n_parts: int, n_dparts: int, S: int, *routed) -> tuple:
+    """The map step of ``update()``: piece t's routed rows, one row per
+    doc_id (``_collapse_dups``), through one ``_postings`` call.  Returns
+    its postings cut by ``part % S``, then its doc rows by ``dpart % S``."""
+    t = pa.concat_tables([r for r in routed if r.num_rows] or [pa.table(_NO_DOCS)])
+    post, rows = _postings(_collapse_dups(t), stem, n_parts, n_dparts)
+    return (*_cut(post, "part", S), *_cut(rows, "dpart", S))
+
+
+def _write_piece(gd: str, g: int, keep, *pieces) -> tuple:
+    """The write step of ``update()``: piece t's postings pieces (the first
+    half of ``pieces``) and doc-row pieces (the second), one of each from
+    every map step, as generation ``g``'s partitions P ≡ t (mod S).  Returns
+    the writes' distinct terms and ``(doc_id, dl)`` tables."""
+    n = len(pieces) // 2
+    post, rows = pa.concat_tables(pieces[:n]), pa.concat_tables(pieces[n:])
+    terms = [_write_part(t, gd, "postings", p, g, keep) for p, t in _groups(post, "part")]
+    dls = [_write_part(t, gd, "docs", p, g, keep) for p, t in _groups(rows, "dpart")]
+    return terms, dls
 
 
 def _phrase_counts(lists: list) -> np.ndarray:
@@ -373,18 +415,6 @@ def _live_mask(ids, gen, last_gen: tuple) -> np.ndarray:
         return np.ones(len(ids), dtype=bool)
     pos = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
     return gen >= np.where(keys[pos] == ids, vals[pos], 0)
-
-
-def _doc_ids(parts: list[pa.Table]) -> np.ndarray:
-    """The ``doc_id`` columns of driver-held Arrow parts as one array."""
-    return np.concatenate(
-        [np.zeros(0, dtype=np.int64)]
-        + [
-            t.column("doc_id").to_numpy(zero_copy_only=False)
-            for t in parts
-            if t.num_rows
-        ]
-    )
 
 
 # The rows a handle's readers hold together (a reader that does not fit is
@@ -601,11 +631,15 @@ class SearchIndex:
         indexer_node.py:89); absent, domain stores "unknown" — the
         reference's own fallback (``result.get("domain", "unknown")``).
 
-        A submission of at most ``DRIVER_WRITE_DOCS`` docs is indexed on
-        the driver: one ``_postings`` call and the partition writes, with no
-        Ray Data execution.  A larger one runs ``_update_dataset``.  Both
-        write the same files.  Duplicate doc_ids within the submission
-        collapse to one row first (``_collapse_dups``): duplicate
+        Three steps: route (``_route``, one per source: a table, a parquet
+        path, or each block of a Dataset), map (``_index_piece``, one per
+        piece t of S) and write (``_write_piece``, one per piece t).  A
+        submission of at most ``DRIVER_WRITE_DOCS`` docs runs them inline
+        on the driver at S = 1, and the handle keeps every table it writes;
+        a larger one runs them as plain Ray tasks.  Both write the same
+        files, with no Ray Data execution.  Duplicate doc_ids within the
+        submission collapse to one row in the map step (``_collapse_dups``;
+        the route puts every row of an id in one piece): duplicate
         same-generation postings would both pass the live filter.
         """
         g = (
@@ -617,24 +651,21 @@ class SearchIndex:
         n_parts, n_dparts = self.meta["n_parts"], self.meta["n_dparts"]
         stem = bool(self.meta.get("stem", False))
 
-        docs = _submission(docs)
-        if isinstance(docs, pa.Table):
-            all_ids = docs.column("doc_id").to_numpy()
-            docs = _collapse_dups(docs)
-            post, rows = _postings(docs, stem, n_parts, n_dparts)
-            keep = self._keep
-            terms = [
-                _write_part(t, gd, "postings", p, g, keep) for p, t in _groups(post, "part")
-            ]
-            dls = [_write_part(t, gd, "docs", p, g, keep) for p, t in _groups(rows, "dpart")]
-        else:
-            all_ids, terms, dls = self._update_dataset(docs, gd, g)
-        new_ids = np.unique(all_ids)
-        _write_vocab(terms, gd, self._keep)
-        _atomic_write_table(
-            pa.table({"doc_id": pa.array(new_ids, pa.int64())}),
-            os.path.join(gd, "doc_ids.parquet"),
+        srcs, cols, inline = _submission(docs)
+        S = 1 if inline else exchange._shard_count()
+        routed = exchange._map(_route, [(s, cols, S) for s in srcs], inline, S)
+        pieces = [[r[t] for r in routed] for t in range(S)] if S > 1 else [routed]
+        maps = exchange._map(
+            _index_piece, [(stem, n_parts, n_dparts, S, *p) for p in pieces], inline, 2 * S
         )
+        keep = self._keep if inline else None
+        writes = [
+            (gd, g, keep, *(m[t] for m in maps), *(m[S + t] for m in maps))
+            for t in range(S)
+        ]
+        out = exchange._run(_write_piece, writes, inline)
+        terms, dls = [x for w in out for x in w[0]], [x for w in out for x in w[1]]
+        new_ids, new_dl = _write_listings(gd, terms, dls, self._keep)
 
         # supersede detection: which of new_ids are live in the committed
         # index (their older postings become dead), and their OLD dl, for
@@ -649,7 +680,6 @@ class SearchIndex:
             os.path.join(gd, "superseded.parquet"),
             self._keep,
         )
-        new_dl = _dl_sum(dls)
 
         # commit: meta lists the generation only after every file is final
         self._committed()
@@ -662,56 +692,6 @@ class SearchIndex:
         )
         self._write_meta()
         return {"gen": g, "n_docs": int(len(new_ids)), "n_upserts": int(len(overlap))}
-
-    def _update_dataset(self, docs_mat, gd: str, g: int) -> tuple:
-        """``update()`` above ``DRIVER_WRITE_DOCS``: ``_postings`` inside
-        ``map_batches``, then ``groupby(part)`` / ``groupby(dpart)``, each
-        group written by ``_write_part``.  Returns the submission's ids and
-        the writes' returns.  The closures ship to Ray tasks: they capture
-        plain values, never ``self`` and its warm readers."""
-        ids_ds = docs_mat.select_columns(["doc_id"]).materialize()
-        all_ids = _doc_ids(ray.get(ids_ds.to_arrow_refs()))
-        if len(np.unique(all_ids)) != len(all_ids):
-            docs_mat = self._collapse_submission_dups(docs_mat)
-        stem = bool(self.meta.get("stem", False))
-        n_parts, n_dparts = self.meta["n_parts"], self.meta["n_dparts"]
-
-        def written(i: int, kind: str, key: str) -> list[pa.Table]:
-            def write(group: pa.Table) -> pa.Table:
-                p = int(group.column(key)[0].as_py())
-                return _write_part(group.drop_columns([key]), gd, kind, p, g)
-
-            out = (
-                docs_mat.map_batches(
-                    lambda b: _postings(b, stem, n_parts, n_dparts)[i],
-                    batch_format="pyarrow",
-                )
-                .groupby(key)
-                .map_groups(write, batch_format="pyarrow")
-                .materialize()
-            )
-            return [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-
-        return all_ids, written(0, "postings", "part"), written(1, "docs", "dpart")
-
-    def _collapse_submission_dups(self, docs_mat) -> "ray.data.Dataset":
-        """``_collapse_dups`` over a Dataset submission: hash-partitioned by
-        doc_id, so each id's rows meet in one group.  Runs only when
-        duplicate ids were actually detected."""
-        P = self.meta["n_dparts"]
-
-        def add_part(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            return batch.append_column("cpart", pa.array(ids % P, pa.int32()))
-
-        return (
-            docs_mat.map_batches(add_part, batch_format="pyarrow")
-            .groupby("cpart")
-            .map_groups(
-                lambda group: _collapse_dups(group.drop_columns(["cpart"])),
-                batch_format="pyarrow",
-            )
-        ).materialize()
 
     def _prep_terms(self, terms: list) -> list:
         """Query terms stem iff the index was built stemmed — both sides of
@@ -739,10 +719,10 @@ class SearchIndex:
         Partition ``P`` of every generation holds the same terms (postings)
         or doc ids (docs), so partition ``P`` of the merged generation is
         their files concatenated, live-filtered and written by
-        ``_write_part``: no shuffle and no per-row hashing.  An index of at
-        most ``DRIVER_WRITE_DOCS`` docs merges its partitions on the driver,
-        a larger one in plain Ray tasks (``exchange._submit``), one partition
-        each."""
+        ``_write_part``: no shuffle and no per-row hashing.  One step per
+        partition (``exchange._run``): inline on the driver for an index of
+        at most ``DRIVER_WRITE_DOCS`` docs, where the handle keeps each
+        written table, else one plain Ray task each."""
         gens = [e["gen"] for e in self.meta["generations"]]
         if len(gens) <= 1:
             return {"generations": len(gens), "compacted": False}
@@ -754,27 +734,17 @@ class SearchIndex:
         n = {"postings": self.meta["n_parts"], "docs": self.meta["n_dparts"]}
         files = {(k, p): self._all_files(k, {p}) for k in n for p in range(n[k])}
 
-        def merge(kind: str, p: int, keep=None) -> pa.Table:
+        def merge(kind: str, p: int, keep) -> pa.Table:
             t = pa.concat_tables([pq.read_table(f) for f in files[kind, p]])
             t = t.filter(_live_mask(t["doc_id"], t["gen"], last_gen))
             return _write_part(t.drop_columns(["gen"]), gd, kind, p, new_g, keep)
 
-        on_driver = sum(e["n_docs"] for e in self.meta["generations"]) <= DRIVER_WRITE_DOCS
-        out: dict[str, list[pa.Table]] = {}
-        for kind in ("postings", "docs"):
-            parts = [p for (k, p), fs in files.items() if k == kind and fs]
-            if on_driver or not parts:
-                out[kind] = [merge(kind, p, self._keep) for p in parts]
-                continue
-            merged = ray.get(exchange._submit(merge, [(kind, p) for p in parts]))
-            out[kind] = [t for t in merged if t.num_rows]
-        _write_vocab(out["postings"], gd, self._keep)
-        all_ids = np.unique(_doc_ids(out["docs"]))
-        new_total_dl = _dl_sum(out["docs"])
-        _atomic_write_table(
-            pa.table({"doc_id": pa.array(all_ids, pa.int64())}),
-            os.path.join(gd, "doc_ids.parquet"),
-        )
+        inline = sum(e["n_docs"] for e in self.meta["generations"]) <= DRIVER_WRITE_DOCS
+        keep = self._keep if inline else None
+        parts = [kp for kp, fs in files.items() if fs]
+        merged = exchange._run(merge, [(*kp, keep) for kp in parts], inline)
+        out = {k: [t for (kind, _), t in zip(parts, merged) if kind == k] for k in n}
+        all_ids, new_total_dl = _write_listings(gd, out["postings"], out["docs"], self._keep)
         _atomic_write_table(
             pa.table({"doc_id": pa.array([], pa.int64())}),
             os.path.join(gd, "superseded.parquet"),

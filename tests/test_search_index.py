@@ -774,61 +774,128 @@ def test_driver_sized_update_and_compact_run_no_ray_data_execution(
     _assert_index_matches(idx, _oracle_over(tmp_path, merged, "snap_nx"))
 
 
-def test_dataset_write_path_writes_the_same_files(
-    ray_session, tmp_path, corpus, executions, monkeypatch
-):
-    """With ``DRIVER_WRITE_DOCS = 0`` update() runs ``_postings`` inside
-    ``map_batches`` and compact() merges partitions in plain Ray tasks (one
-    per partition, no Ray Data execution); every file they write is
-    ``Table.equals`` to the driver path's, file by file, and every query
-    form answers the same."""
+def _index_files(idx: SearchIndex) -> dict:
+    """Every parquet file of ``idx``, read back, by its path in the index."""
+    return {
+        os.path.relpath(os.path.join(d, f), idx.index_dir): pq.read_table(os.path.join(d, f))
+        for d, _, fs in os.walk(idx.index_dir)
+        for f in fs
+        if f.endswith(".parquet")
+    }
+
+
+def _assert_same_index(want: SearchIndex, got: SearchIndex, step) -> None:
+    a, b = _index_files(want), _index_files(got)
+    assert sorted(a) == sorted(b), step
+    for name, t in a.items():
+        assert b[name].equals(t), (step, name)
+    assert want.meta == got.meta, step
+
+
+def _submissions(tmp_path, corpus) -> list:
+    """``update()`` submissions of every kind: a table, a parquet file, a
+    parquet directory, a table whose duplicate ids sit far apart (a
+    permutation scatters 25 ids' second and third rows), and the same rows
+    as a Dataset, the duplicates split across two blocks and a third block
+    emptied by a filter (Ray Data may leave such a block with no column)."""
+    import ray.data
+
     sub1, sub2, _ = corpus
-    rewrite = {i: " ".join(sub1[i].split()[::-1]) for i in range(0, 60, 5)}
-
-    def build(name: str) -> SearchIndex:
-        idx = SearchIndex.create(str(tmp_path / name), stem=True)
-        for sub in (sub1, sub2, rewrite):
-            idx.update(_docs_table(sub))
-        return idx
-
-    def files(idx: SearchIndex) -> dict:
-        return {
-            os.path.relpath(os.path.join(d, f), idx.index_dir): pq.read_table(
-                os.path.join(d, f)
-            )
-            for d, _, fs in os.walk(idx.index_dir)
-            for f in fs
-            if f.endswith(".parquet")
+    path = tmp_path / "sub2.parquet"
+    pq.write_table(_docs_table(sub2), str(path))
+    rewrite = _docs_table({i: " ".join(sub1[i].split()[::-1]) for i in range(0, 60, 5)})
+    d = tmp_path / "rewrite"
+    d.mkdir()
+    pq.write_table(rewrite.slice(0, 5), str(d / "part_0.parquet"))
+    pq.write_table(rewrite.slice(5), str(d / "part_1.parquet"))
+    ids = list(range(30, 90)) + list(range(40, 65)) * 2
+    texts = [f"{sub1.get(i % 60, 'window')} join {k}" for k, i in enumerate(ids)]
+    order = np.random.default_rng(3).permutation(len(ids))
+    dups = pa.table(
+        {
+            "doc_id": pa.array(np.asarray(ids)[order], pa.int64()),
+            "text": pa.array([texts[k] for k in order], pa.string()),
         }
+    )
+    blocks = [dups.slice(0, 55), dups.slice(55), _docs_table({1000: "gone", 1001: "gone"})]
+    return [  # (kind, distinct ids, submission)
+        ("table", 60, lambda: _docs_table(sub1)),
+        ("file", 35, lambda: str(path)),
+        ("directory", 12, lambda: str(d)),
+        ("dups", 60, lambda: dups),
+        ("dataset", 60, lambda: ray.data.from_arrow(blocks).filter(lambda r: r["doc_id"] < 1000)),
+    ]
 
-    driver = build("idx_drv_w")
+
+@pytest.mark.parametrize("S", [1, 3])
+def test_dataset_write_path_writes_the_same_files(
+    ray_session, tmp_path, corpus, executions, monkeypatch, S
+):
+    """With ``DRIVER_WRITE_DOCS = 0`` update() routes, indexes and writes
+    in plain Ray tasks, at least S write tasks, and compact() merges
+    partitions in tasks; a table or parquet-path submission makes no Ray
+    Data execution.  After each update and after
+    compact, every file is ``Table.equals`` to the inline path's, file by
+    file, the meta is equal, and every query form answers the same."""
+    monkeypatch.setattr(exchange, "_shard_count", lambda: S)
+    inline = SearchIndex.create(str(tmp_path / "idx_drv_w"), stem=True)
+    tasks = SearchIndex.create(str(tmp_path / "idx_ds_w"), stem=True)
+    calls = []
+    submit = exchange._submit
+
+    def counted(fn, args, *rest):
+        calls.append((fn, len(args)))
+        return submit(fn, args, *rest)
+
+    monkeypatch.setattr(exchange, "_submit", counted)
+    bound = search_index.DRIVER_WRITE_DOCS
+    for name, n_ids, sub in _submissions(tmp_path, corpus) + [("compact", 90, None)]:
+        monkeypatch.setattr(search_index, "DRIVER_WRITE_DOCS", bound)
+        inline.compact() if sub is None else inline.update(sub())
+        assert calls == [], name
+        monkeypatch.setattr(search_index, "DRIVER_WRITE_DOCS", 0)
+        executions.clear()
+        tasks.compact() if sub is None else tasks.update(sub())
+        assert tasks.meta["generations"][-1]["n_docs"] == n_ids, name
+        assert executions == [] or name == "dataset", name
+        if sub is None:
+            assert sum(n for _, n in calls) >= 2, name  # postings and docs partitions
+        else:
+            writes = sum(n for fn, n in calls if fn is search_index._write_piece)
+            assert writes >= S, name
+        calls.clear()
+        _assert_same_index(inline, tasks, name)
+        for a, b in zip(_all_answers(inline), _all_answers(tasks)):
+            assert a == b if isinstance(a, dict) else a.equals(b), name
+    assert inline.meta["live_docs"] == 90
+
+
+def test_index_write_exactly_once_under_task_retry(ray_session, tmp_path, corpus, monkeypatch):
+    """On the task plan at S=3, the first attempt of one route task, one
+    map task and one write task of an update dies with its worker, and
+    Ray's default retries re-run each: every index file and the meta equal
+    a run with no fault, after each update and after compact."""
+    from conftest import _first_call_dies
+
+    monkeypatch.setattr(exchange, "_shard_count", lambda: 3)
     monkeypatch.setattr(search_index, "DRIVER_WRITE_DOCS", 0)
-    executions.clear()
-    dataset = build("idx_ds_w")
-    assert len(executions) >= 3
-    for stage in ("update", "compact"):
-        if stage == "compact":
-            driver.compact()
-            executions.clear()
-            tasks = []
-            submit = exchange._submit
-
-            def counted(fn, args, *rest):
-                tasks.extend(args)
-                return submit(fn, args, *rest)
-
-            monkeypatch.setattr(exchange, "_submit", counted)
-            dataset.compact()
-            assert executions == []
-            assert len(tasks) >= 2  # non-vacuous: postings and docs partitions
-        want, got = files(driver), files(dataset)
-        assert sorted(want) == sorted(got), stage
-        for name, t in want.items():
-            assert got[name].equals(t), (stage, name)
-        assert driver.meta == dataset.meta, stage
-        for a, b in zip(_all_answers(driver), _all_answers(dataset)):
-            assert a == b if isinstance(a, dict) else a.equals(b), stage
-        assert driver.term_df().equals(dataset.term_df()), stage
+    subs = _submissions(tmp_path, corpus)
+    clean = SearchIndex.create(str(tmp_path / "idx_clean"), stem=True)
+    retried = SearchIndex.create(str(tmp_path / "idx_retried"), stem=True)
+    steps = ("_route", "_index_piece", "_write_piece")
+    for name, _, sub in subs[:2]:
+        clean.update(sub())
+        with monkeypatch.context() as m:
+            for step in steps:
+                marker = str(tmp_path / f"{name}-{step}.died")
+                m.setattr(search_index, step, _first_call_dies(getattr(search_index, step), marker))
+            retried.update(sub())
+        for step in steps:
+            assert (tmp_path / f"{name}-{step}.died").exists(), (name, step)  # non-vacuous
+        _assert_same_index(clean, retried, name)
+    clean.compact()
+    retried.compact()
+    _assert_same_index(clean, retried, "compact")
 
 
 def test_index_for_keeps_a_warm_handle(ray_session, tmp_path, monkeypatch):
